@@ -44,7 +44,3 @@ class QComplex:
 
     def to_complex(self) -> complex:
         return float(self.re) + 1j * float(self.im)
-
-
-QC_ZERO = QComplex(Fraction(0))
-QC_ONE = QComplex(Fraction(1))

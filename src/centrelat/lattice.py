@@ -54,6 +54,19 @@ class WeightedPNorm:
             return float(np.max(w * absx)) if absx.size else 0.0
         return float(np.sum(w * absx ** self.p) ** (1.0 / self.p))
 
+    def rows(self, absx: np.ndarray) -> np.ndarray:
+        """Norms of the rows of an (m, dim) array of moduli, each equal to ``self(row)``.
+
+        The p-th root is taken row by row with the scalar power that
+        ``__call__`` uses, since numpy's vectorised power may round the last
+        bit differently.
+        """
+        w = np.asarray(self.weights, dtype=float)
+        if math.isinf(self.p):
+            return np.max(w * absx, axis=-1)
+        sums = np.sum(w * absx ** self.p, axis=-1)
+        return np.array([s ** (1.0 / self.p) for s in sums])
+
 
 @dataclass(frozen=True)
 class MaxNorm:
@@ -61,6 +74,10 @@ class MaxNorm:
 
     def __call__(self, absx: np.ndarray) -> float:
         return float(np.max(absx)) if absx.size else 0.0
+
+    def rows(self, absx: np.ndarray) -> np.ndarray:
+        """Norms of the rows of an (m, dim) array of moduli."""
+        return np.max(absx, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -76,6 +93,10 @@ class UserNorm:
 
     def __call__(self, absx: np.ndarray) -> float:
         return float(self.rule(absx))
+
+    def rows(self, absx: np.ndarray) -> np.ndarray:
+        """Norms of the rows of an (m, dim) array of moduli; the rule sees one row at a time."""
+        return np.array([float(self.rule(row)) for row in absx])
 
 
 NormSpec = WeightedPNorm | MaxNorm | UserNorm

@@ -306,13 +306,13 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
         values.append(v)
     mu = LatticeValuedMeasure(space, tuple(values), lattice)
 
+    atom_of = np.empty(npts, dtype=int)     # point index -> index of its atom
+    for k, atom in enumerate(space.atoms):
+        for p in atom:
+            atom_of[index[p]] = k
+
     def random_measurable(low: float, high: float) -> np.ndarray:
-        per_atom = rng.uniform(low, high, size=space.n_atoms)
-        out = np.empty(npts)
-        for k, atom in enumerate(space.atoms):
-            for p in atom:
-                out[index[p]] = per_atom[k]
-        return out
+        return rng.uniform(low, high, size=space.n_atoms)[atom_of]
 
     # reproduction pi(f) = order integral of f
     for _ in range(samples):

@@ -103,6 +103,8 @@ class CentralOperator:
             raise DimensionMismatchError(
                 f"symbol of shape {s.shape} on lattice of dim {self.lattice.dim}"
             )
+        if not np.all(np.isfinite(s)):
+            raise ValueError("symbol values must be finite")
         s.setflags(write=False)
         object.__setattr__(self, "symbol", s)
 
@@ -127,14 +129,21 @@ class CentralOperator:
     def order_unit_norm(self) -> float:
         return float(np.max(np.abs(self.symbol)))
 
+    def _same_dim(self, other: "CentralOperator") -> None:
+        if other.lattice.dim != self.lattice.dim:
+            raise DimensionMismatchError("operators on lattices of different dimension")
+
     def __add__(self, other: "CentralOperator") -> "CentralOperator":
+        self._same_dim(other)
         return CentralOperator(self.lattice, self.symbol + other.symbol)
 
     def __sub__(self, other: "CentralOperator") -> "CentralOperator":
+        self._same_dim(other)
         return CentralOperator(self.lattice, self.symbol - other.symbol)
 
     def __mul__(self, other):
         if isinstance(other, CentralOperator):
+            self._same_dim(other)
             return CentralOperator(self.lattice, self.symbol * other.symbol)
         return CentralOperator(self.lattice, self.symbol * other)
 
@@ -174,6 +183,11 @@ class NormTriple:
     max_sampled_ratio: float    # largest ||Tz|| / ||z|| over the random sample
 
 
+#: Sample rows evaluated together by ``norms``; bounds its temporaries to a few
+#: blocks of this many rows rather than the whole sample matrix.
+NORM_BLOCK_ROWS = 64
+
+
 def norms(T: CentralOperator, samples: int = 1000,
           rng: Optional[np.random.Generator] = None) -> NormTriple:
     """Order unit / operator / regular norm of a central operator.
@@ -189,12 +203,17 @@ def norms(T: CentralOperator, samples: int = 1000,
         rng = np.random.default_rng(0) if rng is None else rng
         n = T.lattice.dim
         zs = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-        for row in zs:
-            z = ComplexElement(T.lattice, row)
-            nz = z.norm()
-            if nz == 0:
-                continue
-            worst = max(worst, T.apply(z).norm() / nz)
+        spec = T.lattice.norm_spec
+        for start in range(0, samples, NORM_BLOCK_ROWS):
+            block = zs[start:start + NORM_BLOCK_ROWS]
+            # numpy rounds (1,) * (1, 1) differently from (1,) * (1,), so a
+            # one-row block takes the 1-D product that a single sample gets
+            tz = T.symbol * block if len(block) > 1 else (T.symbol * block[0])[None, :]
+            nz = spec.rows(np.abs(block))
+            ntz = spec.rows(np.abs(tz))
+            nonzero = nz != 0
+            if nonzero.any():
+                worst = max(worst, float(np.max(ntz[nonzero] / nz[nonzero])))
     return NormTriple(value, value, value, attained, worst)
 
 

@@ -280,29 +280,25 @@ def build_mu_T(T: CentralOperator, dedup_tol: float = 0.0) -> OperatorSpectralMe
 
 
 def enumerate_unital_spectral_measures(symbols: Sequence[QComplex]) -> list[tuple[int, ...]]:
-    """Enumeration oracle for uniqueness of the spectral measure, in exact mode.
+    """Enumeration oracle for uniqueness of the spectral measure, in exact arithmetic.
 
     A unital spectral measure valued in 0/1 diagonal projections on the
     spectrum is determined by an assignment of each coordinate to a spectrum
-    value.  All |spectrum|^dim assignments are scanned; an assignment is
-    admissible when the integral of the identity reproduces the symbol
-    exactly.  Returns the admissible assignments (as value-index tuples).
+    value.  An assignment is admissible when the integral of the identity
+    reproduces the symbol exactly, i.e. when every coordinate is assigned a
+    value equal to its symbol.  Admissibility is coordinatewise, so the
+    admissible set is the product of the per-coordinate matches: the scan
+    compares each symbol with each distinct value (dim * |spectrum| exact
+    QComplex comparisons) and is still exhaustive over all |spectrum|^dim
+    assignments.  Returns the admissible assignments (as value-index tuples)
+    in lexicographic order.
     """
     values: list[QComplex] = []
     for s in symbols:
         if not any(s.re == v.re and s.im == v.im for v in values):
             values.append(s)
-    admissible = []
-    for assign in itertools.product(range(len(values)), repeat=len(symbols)):
-        ok = True
-        for i, k in enumerate(assign):
-            d = values[k] - symbols[i]
-            if not d.is_zero():
-                ok = False
-                break
-        if ok:
-            admissible.append(assign)
-    return admissible
+    choices = [[k for k, v in enumerate(values) if (v - s).is_zero()] for s in symbols]
+    return list(itertools.product(*choices))
 
 
 # ---------------------------------------------------------------------------

@@ -353,13 +353,12 @@ def suite_riesz(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
         d = op_digest(mu)
         space = mu.space
         atom_values = [np.asarray(v, dtype=float) for v in mu.values]
+        atom_matrix = np.array(atom_values)
         idx = {p: i for i, p in enumerate(space.points)}
+        first = np.array([idx[atom[0]] for atom in space.atoms])
 
         def pi(arr):
-            total = np.zeros(mu.dim)
-            for k, atom in enumerate(space.atoms):
-                total += float(arr[idx[atom[0]]]) * atom_values[k]
-            return total
+            return arr[first] @ atom_matrix
 
         try:
             recovered = riesz_represent(pi, space, mu.lattice, rng=rng, tol=tol.exact)
@@ -371,11 +370,10 @@ def suite_riesz(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
         out.append(Record("riesz", "representing-measure-recovery", d, ok, dev))
 
         # multiplicative pi: coordinates evaluate f at assigned points
-        assign = [space.points[int(rng.integers(0, len(space.points)))]
-                  for _ in range(mu.dim)]
+        assign_idx = np.array([int(rng.integers(0, len(space.points))) for _ in range(mu.dim)])
 
         def pi_hom(arr):
-            return np.array([float(arr[idx[p]]) for p in assign])
+            return arr[assign_idx]
 
         try:
             nu = riesz_represent(pi_hom, space, None, rng=rng, tol=tol.exact)

@@ -269,6 +269,45 @@ def test_riesz_random_positive_functionals():
             assert np.max(np.abs(mu.values[k] - weights[:, k])) <= TOL_EXACT
 
 
+def test_riesz_draws_match_per_atom_fill():
+    # coarse atoms scattered over the points; the sampled functions and the
+    # generator state afterwards must be those of filling each atom's points
+    # one by one from a per-atom draw
+    space = FiniteMeasurableSpace(tuple("abcdefg"),
+                                  (("a", "c"), ("b",), ("d", "e", "g"), ("f",)))
+    index = {p: i for i, p in enumerate(space.points)}
+    weights = np.random.default_rng(3).uniform(0, 1, size=(3, 7))
+    seen = []
+
+    def pi(f):
+        seen.append(np.array(f))
+        return weights @ f
+
+    samples = 16
+    rng = np.random.default_rng(21)
+    riesz_represent(pi, space, lattice=CoordinateLattice(3), samples=samples, rng=rng)
+
+    ref = np.random.default_rng(21)
+
+    def per_atom_fill(low, high):
+        per_atom = ref.uniform(low, high, size=space.n_atoms)
+        out = np.empty(len(space.points))
+        for k, atom in enumerate(space.atoms):
+            for p in atom:
+                out[index[p]] = per_atom[k]
+        return out
+
+    reproduction = seen[space.n_atoms:space.n_atoms + samples]
+    for f in reproduction:
+        assert np.array_equal(f, per_atom_fill(-1.0, 1.0))
+    for _ in range(4):
+        ref.choice(space.n_atoms, size=ref.integers(1, space.n_atoms + 1), replace=False)
+        for _ in range(samples):
+            per_atom_fill(0.0, 1.0)
+            per_atom_fill(0.0, 1.0)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_riesz_multiplicative_functional_gives_spectral_measure():
     rng = np.random.default_rng(11)
     n = 4

@@ -7,8 +7,10 @@ import pytest
 from centrelat.lattice import (
     ComplexElement,
     CoordinateLattice,
+    DimensionMismatchError,
     MaxNorm,
     PrincipalIdeal,
+    UserNorm,
     WeightedPNorm,
     ideal_norm,
 )
@@ -135,6 +137,55 @@ def test_norm_never_exceeded_random():
         T = random_central(rng, lattice=random_lattice(rng, int(rng.integers(1, 9))))
         t = norms(T, samples=200, rng=rng)
         assert t.max_sampled_ratio <= t.order_unit + TOL_EXACT
+
+
+def _sampled_ratio_per_row(T, samples, rng):
+    """Reference for norms(): the same draws, one ComplexElement per sample row."""
+    n = T.lattice.dim
+    zs = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+    worst = 0.0
+    for row in zs:
+        z = ComplexElement(T.lattice, row)
+        nz = z.norm()
+        if nz == 0:
+            continue
+        worst = max(worst, T.apply(z).norm() / nz)
+    return worst
+
+
+_NORM_SPECS = {
+    "max": lambda dim: MaxNorm(),
+    "p1": lambda dim: WeightedPNorm(tuple(np.linspace(0.5, 2.0, dim)), 1.0),
+    "p2": lambda dim: WeightedPNorm(tuple(np.linspace(0.5, 2.0, dim)), 2.0),
+    "p3": lambda dim: WeightedPNorm(tuple(np.linspace(0.5, 2.0, dim)), 3.0),
+    "pinf": lambda dim: WeightedPNorm(tuple(np.linspace(0.5, 2.0, dim)), np.inf),
+    "user": lambda dim: UserNorm(lambda a: float(np.max(a) + np.sqrt(np.sum(a)))),
+    # vanishes on some rows, which norms() must skip as the per-row loop does
+    "user-zero-rows": lambda dim: UserNorm(lambda a: float(np.sum(a)) if a[0] > 0.5 else 0.0),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_NORM_SPECS))
+def test_norms_batched_ratio_is_bit_equal_to_per_row_loop(spec):
+    for seed, dim in enumerate((1, 3, 13, 70)):
+        lat = CoordinateLattice(dim, _NORM_SPECS[spec](dim))
+        T = random_central(np.random.default_rng(seed), lattice=lat)
+        for samples in (1, 63, 64, 65, 300):
+            rng = np.random.default_rng(100 + seed)
+            ref = np.random.default_rng(100 + seed)
+            t = norms(T, samples=samples, rng=rng)
+            assert t.max_sampled_ratio == _sampled_ratio_per_row(T, samples, ref)
+            # the call consumes exactly the reference draws, so later draws do not shift
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_norm_spec_rows_match_single_row_calls():
+    rng = np.random.default_rng(5)
+    absx = np.abs(rng.standard_normal((50, 9)))
+    for make in _NORM_SPECS.values():
+        spec = make(9)
+        expected = [spec(row.copy()) for row in absx]
+        assert spec.rows(absx).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +354,34 @@ def test_localize_full_support_isometry():
         u_elem = ComplexElement(T.lattice, u.astype(complex))
         assert ideal_norm(T.apply(u_elem), ideal) == pytest.approx(
             T.order_unit_norm(), rel=TOL_EXACT, abs=TOL_EXACT)
+
+
+# ---------------------------------------------------------------------------
+# central operator construction and arithmetic
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_central_arithmetic_rejects_dimension_mismatch(op):
+    # used to broadcast silently: dim 3 + dim 1 gave [6, 7, 8]
+    a, b = central([1.0, 2.0, 3.0]), central([5.0])
+    apply = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+             "mul": lambda x, y: x * y}[op]
+    with pytest.raises(DimensionMismatchError):
+        apply(a, b)
+    with pytest.raises(DimensionMismatchError):
+        apply(b, a)
+
+
+def test_central_arithmetic_same_dimension_and_scalars():
+    a, b = central([1.0, 2.0j]), central([3.0, -1.0])
+    assert np.array_equal((a + b).symbol, [4.0, -1.0 + 2.0j])
+    assert np.array_equal((a - b).symbol, [-2.0, 1.0 + 2.0j])
+    assert np.array_equal((a * b).symbol, [3.0, -2.0j])
+    assert np.array_equal((2 * a).symbol, [2.0, 4.0j])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                 complex(1, np.inf)])
+def test_central_rejects_non_finite_symbol(bad):
+    with pytest.raises(ValueError, match="finite"):
+        central([1.0, bad, 2.0])

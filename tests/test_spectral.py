@@ -1,10 +1,13 @@
 """Tests for the Gelfand transform, spectra, spectral measures, the
 functional calculus, eigen expansions, and commutants."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from centrelat.exact import QComplex
 from centrelat.generate import (
@@ -216,6 +219,40 @@ def test_mu_t_uniqueness_enumeration_oracle():
             assert mu.projection_for(complex(symbols[i].to_complex())).symbol.real[i] == 1.0
             assert T.symbol[i] == complex(symbols[i].to_complex())
             assert k < len(mu.values) or True
+
+
+def _brute_force_enumeration(symbols):
+    """Reference oracle: scan all |spectrum|^dim assignments one by one."""
+    values = []
+    for s in symbols:
+        if not any(s.re == v.re and s.im == v.im for v in values):
+            values.append(s)
+    return [assign for assign in itertools.product(range(len(values)), repeat=len(symbols))
+            if all((values[k] - symbols[i]).is_zero() for i, k in enumerate(assign))]
+
+
+_qc_part = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def _symbol_lists(draw):
+    """Up to 4 QComplex symbols drawn from a small pool, so that values repeat,
+    plus twins of the pool members that differ only in the imaginary part."""
+    pool = draw(st.lists(st.builds(QComplex, _qc_part, _qc_part), min_size=1, max_size=4))
+    twins = [QComplex(q.re, q.im + Fraction(1, 3)) for q in pool]
+    return draw(st.lists(st.sampled_from(pool + twins), max_size=4))
+
+
+_a, _b = QComplex.make(Fraction(1, 2), 1), QComplex.make(Fraction(1, 2), Fraction(-1, 3))
+
+
+@given(_symbol_lists())
+@example([_a, _a, _b, _a])
+@example([_a, _b, _b, _b])
+@example([])
+@settings(max_examples=150, deadline=None)
+def test_enumeration_oracle_matches_brute_force(symbols):
+    assert enumerate_unital_spectral_measures(symbols) == _brute_force_enumeration(symbols)
 
 
 def test_vanishing_lemma_exhaustive():
