@@ -30,7 +30,7 @@ from .generate import (
     random_regular,
 )
 from .operators import is_central, polar
-from .sequence import BUILTIN_RULES, freudenthal_net
+from .sequence import BUILTIN_RULES, SequenceCentralOperator, freudenthal_net
 from .spectral import build_mu_T, eigen_expansion, freudenthal_approx, rho_T, spectrum
 from .suites import SUITES, Record, SuiteReport, Tolerances, run_suites
 
@@ -105,6 +105,8 @@ def _load_instances(paths) -> dict:
     for path in paths:
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict) or not isinstance(doc.get("instances", []), list):
+            raise ValueError(f"{path}: expected an object with an 'instances' list")
         for inst in doc.get("instances", []):
             if inst.get("kind") == "sequence":
                 bag["sequence"].append(cio.sequence_from_json(inst["sequence"]))
@@ -132,7 +134,7 @@ def cmd_verify(args) -> int:
         return 2
     try:
         instances = _load_instances(args.instances)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         print(f"error: cannot read instances: {exc}", file=sys.stderr)
         return 2
     tol = Tolerances(exact=args.tol_exact, oracle=args.tol_oracle)
@@ -163,23 +165,27 @@ def cmd_verify(args) -> int:
     return 0 if overall else 1
 
 
-def cmd_calc(args) -> int:
-    try:
-        with open(args.operator) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read operator: {exc}", file=sys.stderr)
-        return 2
-
+def _calc_operator(doc):
     if "instances" in doc:
         # accept a gen-produced bundle: use its first instance
         inst = doc["instances"][0]
         doc = inst.get("sequence", inst.get("central", inst))
         if "rule" in doc:
             doc = {"sequence": doc}
-
     if "sequence" in doc or doc.get("kind") == "sequence":
-        op = cio.sequence_from_json(doc.get("sequence", doc))
+        return cio.sequence_from_json(doc.get("sequence", doc))
+    return cio.operator_from_json(doc)
+
+
+def cmd_calc(args) -> int:
+    try:
+        with open(args.operator) as fh:
+            op = _calc_operator(json.load(fh))
+    except (OSError, AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        print(f"error: cannot read operator: {exc}", file=sys.stderr)
+        return 2
+
+    if isinstance(op, SequenceCentralOperator):
         if args.request != "freudenthal":
             print("error: only the freudenthal request supports sequence operators",
                   file=sys.stderr)
@@ -192,9 +198,8 @@ def cmd_calc(args) -> int:
         }}))
         return 0
 
-    parsed = cio.operator_from_json(doc)
-    if hasattr(parsed, "entries"):
-        verdict = is_central(parsed)
+    if hasattr(op, "entries"):
+        verdict = is_central(op)
         if not verdict:
             print(_dump({"error": "operator is not central",
                          "max_off_diagonal": verdict.max_off_diagonal,
@@ -202,7 +207,7 @@ def cmd_calc(args) -> int:
             return 1
         T = verdict.operator
     else:
-        T = parsed
+        T = op
 
     if args.request == "spectrum":
         spec = spectrum(T)

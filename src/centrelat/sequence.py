@@ -34,10 +34,12 @@ class CertificateError(ValueError):
 class SequenceCentralOperator:
     """A certified diagonal operator on a countable atomic lattice.
 
-    ``rule`` maps a 1-based index to the symbol value.  ``tail`` is a
-    nonincreasing bound with sup_{i>N} dist(lambda_i, accumulation) <= t(N)
-    and t(N) -> 0.  ``multiplicity`` gives the number of indices attaining a
-    value (math.inf for infinitely many).
+    ``rule`` maps a 1-based index to the symbol value and must be a pure
+    function of the index: ``prefix`` memoises its values on the operator
+    and returns read-only arrays.  ``tail`` is a nonincreasing bound with
+    sup_{i>N} dist(lambda_i, accumulation) <= t(N) and t(N) -> 0.
+    ``multiplicity`` gives the number of indices attaining a value
+    (math.inf for infinitely many).
     """
 
     rule: Callable[[int], complex]
@@ -47,9 +49,21 @@ class SequenceCentralOperator:
     multiplicity: Optional[Callable[[complex], float]] = None
     name: str = "custom"
     params: Mapping[str, float] = field(default_factory=dict)
+    # longest prefix evaluated so far; an array over immutable bytes is read-only
+    _prefix: np.ndarray = field(default_factory=lambda: np.frombuffer(b"", dtype=complex),
+                                init=False, repr=False, compare=False)
 
     def prefix(self, n: int) -> np.ndarray:
-        return np.array([self.rule(i) for i in range(1, n + 1)], dtype=complex)
+        """lambda_1, ..., lambda_n as a read-only view of the memoised prefix."""
+        cached = self._prefix  # threads racing here each extend a complete copy
+        if n > len(cached):
+            # scalar rule calls: numpy's vector ** can differ in the last bit
+            more = np.array([self.rule(i) for i in range(len(cached) + 1, n + 1)],
+                            dtype=complex)
+            cached = np.concatenate((cached, more))
+            cached.setflags(write=False)
+            object.__setattr__(self, "_prefix", cached)
+        return cached[:max(n, 0)]
 
 
 def _reciprocal_multiplicity(v: complex, shift: float = 0.0) -> float:
@@ -162,15 +176,8 @@ def sequence_spectrum(op: SequenceCentralOperator, prefix: int = DEFAULT_SAMPLE,
     """Attained prefix values union the declared accumulation set."""
     if validate:
         validate_certificate(op, sample=prefix)
-    values = op.prefix(prefix)
-    seen: set[complex] = set()
-    attained: list[complex] = []
-    for v in values:
-        v = complex(v)
-        if v not in seen:
-            seen.add(v)
-            attained.append(v)
-    return Spectrum(tuple(attained), tuple(complex(a) for a in op.accumulation))
+    attained = tuple(dict.fromkeys(op.prefix(prefix).tolist()))
+    return Spectrum(attained, tuple(complex(a) for a in op.accumulation))
 
 
 @dataclass(frozen=True)
@@ -190,7 +197,7 @@ def compactness_check(op: SequenceCentralOperator, sample: int = DEFAULT_SAMPLE,
         if abs(complex(a)) > tol:
             return CompactnessVerdict(False, f"limit point {a} is nonzero")
     values = op.prefix(sample)
-    distinct = {complex(v) for v in values}
+    distinct = set(values.tolist())
     if op.multiplicity is None:
         counts: dict[complex, int] = {}
         for v in values:
@@ -317,13 +324,7 @@ def monic_candidates(op: SequenceCentralOperator, max_degree: int = 8,
     polynomials.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    distinct: list[complex] = []
-    seen: set[complex] = set()
-    for v in op.prefix(sample):
-        v = complex(v)
-        if v not in seen:
-            seen.add(v)
-            distinct.append(v)
+    distinct = list(dict.fromkeys(op.prefix(sample).tolist()))
     candidates: list[tuple[complex, ...]] = []
     for d in range(1, max_degree + 1):
         for start in range(0, min(len(distinct) - d, 12)):

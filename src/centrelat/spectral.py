@@ -99,14 +99,7 @@ class Spectrum:
 def _dedup(values: np.ndarray, tol: float) -> list[complex]:
     """First-occurrence deduplication; eps-merge uses multiplicity-weighted means."""
     if tol == 0.0:
-        out: list[complex] = []
-        seen: set[complex] = set()
-        for v in values:
-            v = complex(v)
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-        return out
+        return list(dict.fromkeys(values.tolist()))
     groups: list[list[complex]] = []
     for v in values:
         v = complex(v)

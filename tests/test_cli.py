@@ -237,3 +237,38 @@ def test_calc_freudenthal_sequence(tmp_path, capsys):
 def test_calc_unreadable_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, ["calc", "spectrum", str(tmp_path / "nope.json")])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 2 with an error line, never a traceback
+# ---------------------------------------------------------------------------
+
+_NAN_SYMBOL = '{"dim": 2, "symbol": [[NaN, 0], [1, 0]]}'
+_MALFORMED = {
+    "calc-nan-symbol": ("calc", _NAN_SYMBOL),
+    "calc-scalar-symbol": ("calc", '{"symbol": 5}'),
+    "calc-short-entry": ("calc", '{"symbol": [[1]]}'),
+    "calc-dim-mismatch": ("calc", '{"dim": 3, "symbol": [[1, 0], [2, 0]]}'),
+    "calc-top-level-list": ("calc", '[1, 2]'),
+    "calc-empty-bundle": ("calc", '{"instances": []}'),
+    "calc-unknown-rule": ("calc", '{"instances": [{"kind": "sequence", '
+                                  '"sequence": {"rule": {"name": "nope"}}}]}'),
+    "verify-top-level-list": ("verify", '[1, 2]'),
+    "verify-scalar-instances": ("verify", '{"instances": 5}'),
+    "verify-string-instances": ("verify", '{"instances": "ab"}'),
+    "verify-scalar-instance": ("verify", '{"instances": [5]}'),
+    "verify-nan-symbol": ("verify", '{"instances": [{"central": %s}]}' % _NAN_SYMBOL),
+    "verify-scalar-symbol": ("verify", '{"instances": [{"central": {"symbol": 5}}]}'),
+    "verify-short-entry": ("verify", '{"instances": [{"central": {"symbol": [[1]]}}]}'),
+}
+
+
+@pytest.mark.parametrize("command,text", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_input_exit_2(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = ["calc", "spectrum", str(path)] if command == "calc" else ["verify", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err and out == ""

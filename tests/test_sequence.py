@@ -5,8 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from centrelat.lattice import CoordinateLattice
+from centrelat.operators import CentralOperator
 from centrelat.sequence import (
+    BUILTIN_RULES,
     CertificateError,
     SequenceCentralOperator,
     annihilation_residuals,
@@ -22,6 +27,8 @@ from centrelat.sequence import (
     shifted_reciprocal,
     validate_certificate,
 )
+from centrelat.spectral import spectrum
+from centrelat.suites import op_digest
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +176,98 @@ def test_finite_spectrum_sequence_is_annihilated():
     op = constant(2.0)
     # monic x - 2 annihilates the constant sequence
     assert annihilation_residuals(op, (1.0, -2.0), sample=1000) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# prefix memoisation
+# ---------------------------------------------------------------------------
+
+_RULE_ARGS = {
+    "reciprocal": st.just(()),
+    "constant": st.tuples(st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                             allow_infinity=False)),
+    "shifted_reciprocal": st.tuples(st.floats(-2.0, 2.0)),
+    "geometric": st.tuples(st.floats(0.01, 0.99)),
+}
+
+
+def test_prefix_property_covers_every_builtin_rule():
+    assert set(_RULE_ARGS) == set(BUILTIN_RULES)
+
+
+@given(st.sampled_from(sorted(_RULE_ARGS)).flatmap(
+           lambda name: _RULE_ARGS[name].map(lambda args: (name, args))),
+       st.lists(st.integers(0, 300), min_size=1, max_size=6))
+@example(("geometric", (0.3,)), [0, 5, 2, 2, 9, 9, 1, 0])
+@example(("shifted_reciprocal", (1.0,)), [300, 17, 301, 301])
+@settings(max_examples=100, deadline=None)
+def test_prefix_cache_is_bit_equal_to_the_rule(named, lengths):
+    name, args = named
+    op = BUILTIN_RULES[name](*args)
+    for n in lengths:
+        got = op.prefix(n)
+        want = np.array([op.rule(i) for i in range(1, n + 1)], dtype=complex)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            got[...] = 0
+    uncached = SequenceCentralOperator(op.rule, op.sup_bound, op.accumulation, op.tail,
+                                       op.multiplicity, op.name, op.params)
+    assert uncached == op
+    assert repr(uncached) == repr(op)
+    assert op_digest(uncached) == op_digest(op)
+
+
+# ---------------------------------------------------------------------------
+# first-occurrence deduplication
+# ---------------------------------------------------------------------------
+
+def _first_occurrence_loop(values):
+    """The seen/out loop that sequence_spectrum, monic_candidates and
+    spectrum(T) used before they switched to dict.fromkeys."""
+    seen: set[complex] = set()
+    out: list[complex] = []
+    for v in values:
+        v = complex(v)
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
+
+
+def _monic_reference(distinct, max_degree, rng):
+    candidates = []
+    for d in range(1, max_degree + 1):
+        for start in range(0, min(len(distinct) - d, 12)):
+            c = np.array([1.0 + 0j])
+            for v in distinct[start:start + d]:
+                c = np.convolve(c, np.array([1.0 + 0j, -v]))
+            candidates.append(tuple(c))
+        for _ in range(4):
+            c = np.concatenate(([1.0 + 0j],
+                                rng.standard_normal(d) + 1j * rng.standard_normal(d)))
+            candidates.append(tuple(c))
+    return candidates
+
+
+# signed zeros and values that differ only in their imaginary part
+_DEDUP_POOL = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1.0, 1 + 1j, 1 - 1j,
+               1 + 2j, complex(-0.0, 1.0), 0.5j, 2.5]
+
+
+@given(st.lists(st.sampled_from(_DEDUP_POOL), min_size=1, max_size=16))
+@example([-0.0, 0.0, 1 + 1j, 1 - 1j, 1 + 1j, -0.0])
+@example([1.0, 1 + 1j, 1 + 2j, 1.0, 1 - 1j, 0.0, -0.0, 2.5, 0.5j] * 2)
+@settings(max_examples=150, deadline=None)
+def test_dedup_matches_the_first_occurrence_loop(values):
+    symbol = np.array(values, dtype=complex)
+    want = _first_occurrence_loop(symbol)
+    # repr tells -0.0 from 0.0, which == does not
+    op = SequenceCentralOperator(rule=lambda i: values[i - 1], sup_bound=3.0)
+    assert repr(sequence_spectrum(op, prefix=len(values), validate=False).attained) \
+        == repr(tuple(want))
+    T = CentralOperator(CoordinateLattice(len(values)), symbol)
+    assert repr(spectrum(T).attained) == repr(tuple(want))
+    got = monic_candidates(op, 4, sample=len(values), rng=np.random.default_rng(3))
+    ref = _monic_reference(want, 4, np.random.default_rng(3))
+    assert [np.array(c).tobytes() for c in got] == [np.array(c).tobytes() for c in ref]
