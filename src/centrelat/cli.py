@@ -7,17 +7,14 @@ Subcommands:
     calc    compute a spectral artifact for one operator
 
 Reports stream one JSON object per line.  Exit codes: 0 success, 1 failed
-check or non-central input, 2 usage/unreadable input.  CENTRELAT_THREADS
-caps suite parallelism.
+check or non-central input, 2 usage/unreadable input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -137,16 +134,8 @@ def cmd_verify(args) -> int:
     except (OSError, AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         print(f"error: cannot read instances: {exc}", file=sys.stderr)
         return 2
-    tol = Tolerances(exact=args.tol_exact, oracle=args.tol_oracle)
-    threads = max(1, int(os.environ.get("CENTRELAT_THREADS", "1")))
-
-    if threads == 1 or len(suites) == 1:
-        reports = run_suites(suites, instances, tol, seed=args.seed)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_suites, [name], instances, tol, args.seed)
-                       for name in suites]
-            reports = [f.result()[0] for f in futures]
+    tol = Tolerances(args.tol_exact, args.tol_oracle)
+    reports = run_suites(suites, instances, tol, seed=args.seed)
 
     first_failure: Record | None = None
     for report in reports:
@@ -178,6 +167,9 @@ def _calc_operator(doc):
 
 
 def cmd_calc(args) -> int:
+    if not args.eps > 0:    # also rejects nan
+        print(f"error: --eps must be positive, got {args.eps}", file=sys.stderr)
+        return 2
     try:
         with open(args.operator) as fh:
             op = _calc_operator(json.load(fh))

@@ -81,8 +81,6 @@ def operator_from_json(doc):
 
 
 def measure_to_json(mu: LatticeValuedMeasure) -> dict[str, Any]:
-    if mu.exact:
-        raise ValueError("exact-rational measures are not serialized")
     return {
         "points": list(mu.space.points),
         "atoms": [list(a) for a in mu.space.atoms],

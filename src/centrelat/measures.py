@@ -3,19 +3,16 @@
 Measures assign a nonnegative lattice element to every set of a finite
 sigma-algebra (given by its atoms); the order integral of a measurable
 function is the atom-wise sum, assembled through the positive/negative part
-decomposition.  An optional exact-rational mode stores measure values as
-Fractions for enumeration oracles.
+decomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .exact import QComplex
 from .lattice import TOL_EXACT, ComplexElement, CoordinateLattice, MaxNorm
 
 
@@ -80,28 +77,21 @@ class FiniteMeasurableSpace:
         return [k for k, a in enumerate(self.atoms) if set(a) <= s]
 
 
-def _as_value(v, exact: bool):
-    if exact:
-        return tuple(Fraction(x) for x in v)
-    return np.asarray(v, dtype=float)
-
-
 @dataclass(frozen=True)
 class LatticeValuedMeasure:
     """A finitely additive map from a finite sigma-algebra to the positive cone.
 
     At finite scale, finite additivity on disjoint unions certifies the
     sigma-additivity clause; the construction validates positivity of every
-    atom value.  ``exact=True`` stores Fraction coordinates.
+    atom value.
     """
 
     space: FiniteMeasurableSpace
     values: tuple              # one lattice element per atom
     lattice: Optional[CoordinateLattice] = None
-    exact: bool = False
 
     def __post_init__(self):
-        vals = tuple(_as_value(v, self.exact) for v in self.values)
+        vals = tuple(np.asarray(v, dtype=float) for v in self.values)
         if len(vals) != self.space.n_atoms:
             raise ValueError("one value per atom required")
         dims = {len(v) for v in vals}
@@ -122,18 +112,13 @@ class LatticeValuedMeasure:
         return self.lattice.dim
 
     def zero(self):
-        if self.exact:
-            return tuple(Fraction(0) for _ in range(self.dim))
         return np.zeros(self.dim)
 
     def measure_of(self, subset):
         """mu(Delta) for a measurable Delta, by additivity over its atoms."""
         total = self.zero()
         for k in self.space.atoms_of(subset):
-            if self.exact:
-                total = tuple(a + b for a, b in zip(total, self.values[k]))
-            else:
-                total = total + self.values[k]
+            total = total + self.values[k]
         return total
 
     def total(self):
@@ -157,15 +142,9 @@ class MeasurableFunction:
             if len(vals) > 1:
                 raise MeasurabilityError(f"function is not constant on atom {atom!r}")
         if self.bound is not None:
-            worst = max(self._modulus(self.table[p]) for p in self.space.points)
+            worst = max(abs(complex(self.table[p])) for p in self.space.points)
             if worst > self.bound + TOL_EXACT:
                 raise ValueError("declared bound is exceeded")
-
-    @staticmethod
-    def _modulus(v) -> float:
-        if isinstance(v, QComplex):
-            return abs(v.to_complex())
-        return abs(complex(v))
 
     @classmethod
     def indicator(cls, space: FiniteMeasurableSpace, subset) -> "MeasurableFunction":
@@ -185,22 +164,10 @@ def integrate(f: MeasurableFunction, mu: LatticeValuedMeasure):
     """Order integral of f against mu: the atom-wise sum of f * mu(atom).
 
     Real and imaginary parts are assembled from the positive/negative part
-    decomposition of an elementary function.  Returns a ComplexElement in
-    float mode and a pair of Fraction tuples (re, im) in exact mode.
+    decomposition of an elementary function.  Returns a ComplexElement.
     """
     if f.space is not mu.space and f.space != mu.space:
         raise MeasurabilityError("function and measure live on different spaces")
-    if mu.exact:
-        re = list(mu.zero())
-        im = list(mu.zero())
-        for k in range(mu.space.n_atoms):
-            v = f.on_atom(k)
-            if not isinstance(v, QComplex):
-                v = QComplex(Fraction(v))
-            for i, m in enumerate(mu.values[k]):
-                re[i] += v.re * m
-                im[i] += v.im * m
-        return tuple(re), tuple(im)
     re_pos = np.zeros(mu.dim)
     re_neg = np.zeros(mu.dim)
     im_pos = np.zeros(mu.dim)
@@ -229,7 +196,7 @@ def image_measure(mu: LatticeValuedMeasure, mapping: Mapping[Point, Point],
         if not mu.space.is_measurable(pre):
             raise MeasurabilityError(f"preimage of atom {atom!r} is not measurable")
         values.append(mu.measure_of(pre))
-    return LatticeValuedMeasure(target, tuple(values), mu.lattice, exact=mu.exact)
+    return LatticeValuedMeasure(target, tuple(values), mu.lattice)
 
 
 @dataclass(frozen=True)
@@ -250,17 +217,10 @@ def is_spectral(mu: LatticeValuedMeasure,
     By additivity it suffices that each atom value is idempotent and that
     distinct atom values have product zero.
     """
-    if mu.exact:
-        def prod(a, b):
-            return tuple(x * y for x, y in zip(a, b))
+    prod = product or (lambda a, b: a * b)
 
-        def dev(a, b):
-            return float(max(abs(x - y) for x, y in zip(a, b)))
-    else:
-        prod = product or (lambda a, b: a * b)
-
-        def dev(a, b):
-            return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+    def dev(a, b):
+        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
     worst = 0.0
     idem = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -96,30 +95,14 @@ class Spectrum:
         return len(self.as_set())
 
 
-def _dedup(values: np.ndarray, tol: float) -> list[complex]:
-    """First-occurrence deduplication; eps-merge uses multiplicity-weighted means."""
-    if tol == 0.0:
-        return list(dict.fromkeys(values.tolist()))
-    groups: list[list[complex]] = []
-    for v in values:
-        v = complex(v)
-        for g in groups:
-            if abs(v - g[0]) <= tol:
-                g.append(v)
-                break
-        else:
-            groups.append([v])
-    return [sum(g) / len(g) for g in groups]
-
-
-def spectrum(T: CentralOperator, dedup_tol: float = 0.0, cross_check: bool = True) -> Spectrum:
+def spectrum(T: CentralOperator, cross_check: bool = True) -> Spectrum:
     """Spectrum of a central operator: the distinct symbol values.
 
     When ``cross_check`` is set, the result is compared with the eigenvalues
     of the dense matrix (the spectrum in the algebra of all operators), which
     must agree within TOL_ORACLE.
     """
-    values = _dedup(T.symbol, dedup_tol)
+    values = list(dict.fromkeys(T.symbol.tolist()))
     if cross_check:
         eig = np.linalg.eigvals(np.diag(T.symbol))
         arr = np.asarray(values)
@@ -207,20 +190,43 @@ def reconstruct_from_global(T: CentralOperator,
     return CentralOperator(T.lattice, integrate(f, mu).values)
 
 
+def _on_labels(table: Sequence[complex], labels: np.ndarray) -> np.ndarray:
+    """The symbol equal to table[k] on the band labelled k.
+
+    Adding 0j turns negative zero parts into positive ones, as the order
+    integral's positive/negative-part assembly does.
+    """
+    return np.asarray(table, dtype=complex)[labels] + 0j
+
+
 @dataclass(frozen=True)
 class OperatorSpectralMeasure:
-    """The projection-valued spectral measure of a single central operator."""
+    """The projection-valued spectral measure of a single central operator.
+
+    mu_T is the image of the global spectral measure under the symbol, so it
+    is a labelling of the coordinates: mu_T({values[k]}) is the coordinate
+    projection onto the band {i : labels[i] == k}.
+    """
 
     base: CentralOperator
-    values: tuple[complex, ...]                  # the spectrum, in first-occurrence order
-    projections: tuple[np.ndarray, ...]          # 0/1 symbols, one per spectrum value
+    values: tuple[complex, ...]     # the spectrum, in first-occurrence order
+    labels: np.ndarray              # per coordinate, the index of its value
+
+    @property
+    def projections(self) -> tuple[np.ndarray, ...]:
+        """The 0/1 symbols of the bands, one per spectrum value."""
+        return tuple((self.labels == np.arange(len(self.values))[:, None]).astype(float))
+
+    def projection_at(self, k: int) -> CentralOperator:
+        """mu_T({values[k]}) as a central operator."""
+        return CentralOperator(self.base.lattice, (self.labels == k).astype(complex))
 
     def projection_for(self, value: complex) -> CentralOperator:
         try:
             k = self.values.index(value)
         except ValueError:
             return CentralOperator(self.base.lattice, np.zeros(self.base.lattice.dim))
-        return CentralOperator(self.base.lattice, self.projections[k].astype(complex))
+        return self.projection_at(k)
 
     def measure_of(self, subset) -> CentralOperator:
         """mu_T(Delta) for Delta a subset of the spectrum."""
@@ -228,48 +234,41 @@ class OperatorSpectralMeasure:
         unknown = s - set(self.values)
         if unknown:
             raise DomainError(f"{unknown.pop()} is not a spectrum value")
-        total = np.zeros(self.base.lattice.dim)
-        for k, v in enumerate(self.values):
-            if v in s:
-                total = total + self.projections[k]
-        return CentralOperator(self.base.lattice, total.astype(complex))
+        ks = [k for k, v in enumerate(self.values) if v in s]
+        return CentralOperator(self.base.lattice, np.isin(self.labels, ks).astype(complex))
 
     def reconstruct(self) -> CentralOperator:
-        total = np.zeros(self.base.lattice.dim, dtype=complex)
-        for v, p in zip(self.values, self.projections):
-            total += v * p
-        return CentralOperator(self.base.lattice, total)
+        return CentralOperator(self.base.lattice, _on_labels(self.values, self.labels))
 
     def validate(self, tol: float = TOL_EXACT) -> None:
-        """Assert idempotence, pairwise disjointness, completeness, positivity
-        on nonempty open sets, and exact reconstruction."""
-        total = np.zeros(self.base.lattice.dim)
-        for k, p in enumerate(self.projections):
-            if not np.array_equal(p * p, p):
-                raise AssertionError(f"projection {k} is not idempotent")
-            if not np.any(p):
-                raise AssertionError(f"projection for attained value {self.values[k]} is zero")
-            for j in range(k + 1, len(self.projections)):
-                if np.any(p * self.projections[j]):
-                    raise AssertionError("projections for distinct values are not disjoint")
-            total = total + p
-        if not np.array_equal(total, np.ones(self.base.lattice.dim)):
-            raise AssertionError("projections do not sum to the identity")
+        """Assert that every value is attained and that the values on their
+        bands reconstruct the operator within tol.
+
+        One label per coordinate makes the projections idempotent, pairwise
+        disjoint and summing to the identity by construction.
+        """
+        k = len(self.values)
+        if self.labels.shape != (self.base.lattice.dim,) or np.any(
+                (self.labels < 0) | (self.labels >= k)):
+            raise AssertionError("labels do not index the spectrum values")
+        empty = np.flatnonzero(np.bincount(self.labels, minlength=k) == 0)
+        if len(empty):
+            raise AssertionError(f"projection for attained value {self.values[empty[0]]} is zero")
         if np.max(np.abs(self.reconstruct().symbol - self.base.symbol)) > tol:
             raise AssertionError("spectral reconstruction does not recover the operator")
 
 
-def build_mu_T(T: CentralOperator, dedup_tol: float = 0.0) -> OperatorSpectralMeasure:
-    """Spectral measure of T: the image of the global measure under the symbol."""
-    spec = spectrum(T, dedup_tol=dedup_tol, cross_check=False)
-    projections = []
-    for v in spec.attained:
-        if dedup_tol == 0.0:
-            mask = (T.symbol == v)
-        else:
-            mask = np.abs(T.symbol - v) <= dedup_tol
-        projections.append(mask.astype(float))
-    return OperatorSpectralMeasure(T, spec.attained, tuple(projections))
+def build_mu_T(T: CentralOperator) -> OperatorSpectralMeasure:
+    """Spectral measure of T: the image of the global measure under the symbol.
+
+    One pass over the symbol labels each coordinate with the first-occurrence
+    index of its value.
+    """
+    index: dict[complex, int] = {}
+    labels = np.fromiter((index.setdefault(v, len(index)) for v in T.symbol.tolist()),
+                         dtype=np.intp, count=T.lattice.dim)
+    labels.setflags(write=False)
+    return OperatorSpectralMeasure(T, tuple(index), labels)
 
 
 def enumerate_unital_spectral_measures(symbols: Sequence[QComplex]) -> list[tuple[int, ...]]:
@@ -314,14 +313,12 @@ def rho_T(T: CentralOperator, f: FunctionLike,
           mu: Optional[OperatorSpectralMeasure] = None) -> CentralOperator:
     """Functional calculus: the order integral of f against the spectral measure.
 
-    The result is central with symbol f(symbol_i) per coordinate.
+    The bands of mu_T are disjoint 0/1 projections, so the integral takes the
+    value f(values[k]) on band k: a table lookup through the labels.
     """
     mu = mu if mu is not None else build_mu_T(T)
-    space = FiniteMeasurableSpace(tuple(mu.values))
-    measure = LatticeValuedMeasure(space, mu.projections, T.lattice)
-    table = {v: _evaluate(f, v) for v in mu.values}
-    g = MeasurableFunction(space, table)
-    return CentralOperator(T.lattice, integrate(g, measure).values)
+    return CentralOperator(T.lattice, _on_labels([_evaluate(f, v) for v in mu.values],
+                                                 mu.labels))
 
 
 def kernel_projection(T: CentralOperator, f: FunctionLike) -> CentralOperator:
@@ -415,7 +412,7 @@ def eigen_expansion(T: CentralOperator) -> EigenExpansion:
     distinct spectrum values and which annihilates T.
     """
     mu = build_mu_T(T)
-    pairs = tuple((v, mu.projection_for(v)) for v in mu.values)
+    pairs = tuple((v, mu.projection_at(k)) for k, v in enumerate(mu.values))
     return EigenExpansion(pairs, minimal_polynomial(mu.values))
 
 
@@ -434,14 +431,10 @@ def freudenthal_approx(T: CentralOperator, eps: float) -> StepApproximation:
     """
     if not eps > 0:
         raise PreconditionError("eps must be positive")
-    exp = eigen_expansion(T)
-    coeffs = tuple(v for v, _ in exp.pairs)
-    projs = tuple(p for _, p in exp.pairs)
-    approx = np.zeros(T.lattice.dim, dtype=complex)
-    for c, p in zip(coeffs, projs):
-        approx += c * p.symbol
-    err = float(np.max(np.abs(T.symbol - approx)))
-    return StepApproximation(coeffs, projs, err)
+    mu = build_mu_T(T)
+    projs = tuple(mu.projection_at(k) for k in range(len(mu.values)))
+    err = float(np.max(np.abs(T.symbol - mu.reconstruct().symbol)))
+    return StepApproximation(mu.values, projs, err)
 
 
 @dataclass(frozen=True)
@@ -481,8 +474,9 @@ class CommutantReport:
         return all(x == c[0] for x in c) and self.block_pattern == c[0]
 
 
-def _commutes(A: np.ndarray, B: np.ndarray, tol: float) -> bool:
-    return float(np.max(np.abs(A @ B - B @ A))) <= tol
+def _commutes_with_diag(g: np.ndarray, X: np.ndarray, tol: float) -> bool:
+    """diag(g) X = X diag(g), entrywise: (g[i] - g[j]) X[i, j] vanishes."""
+    return float(np.max(np.abs((g[:, None] - g[None, :]) * X))) <= tol
 
 
 def commutant_check(T: CentralOperator, Xi: RegularOperator,
@@ -490,8 +484,10 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
                     tol: float = TOL_EXACT) -> CommutantReport:
     """Evaluate the five equivalent commutation conditions and the block pattern.
 
-    The continuous-function basis is the monomials id^a conj(id)^b with
-    a + b <= dim, which spans all functions on a finite spectrum.
+    Condition 1 multiplies the dense matrices, as an oracle independent of
+    the entrywise form that conditions 2-5 use.  The continuous-function
+    basis is the monomials id^a conj(id)^b with a + b <= dim, which spans
+    all functions on a finite spectrum.
     """
     if Xi.lattice.dim != T.lattice.dim:
         raise DimensionMismatchError("operators have different dimensions")
@@ -502,41 +498,27 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
     scale = max(1.0, float(np.max(np.abs(X))))
     tol = tol * scale
 
-    c1 = _commutes(np.diag(s), X, tol)
-    c2 = _commutes(np.diag(np.conj(s)), X, tol)
+    D = np.diag(s)
+    c1 = float(np.max(np.abs(D @ X - X @ D))) <= tol
+    c2 = _commutes_with_diag(np.conj(s), X, tol)
 
     # normalise so monomial powers stay well conditioned
     nrm = T.order_unit_norm()
     sn = s / nrm if nrm > 0 else s
-    c3 = True
-    for a in range(n + 1):
-        for b in range(n + 1 - a):
-            g = (sn ** a) * (np.conj(sn) ** b)
-            if not _commutes(np.diag(g), X, tol):
-                c3 = False
-                break
-        if not c3:
-            break
+    c3 = all(_commutes_with_diag((sn ** a) * (np.conj(sn) ** b), X, tol)
+             for a in range(n + 1) for b in range(n + 1 - a))
 
     mu = build_mu_T(T)
-    c4 = all(_commutes(np.diag(p), X, tol) for p in mu.projections)
+    c4 = all(_commutes_with_diag(p, X, tol) for p in mu.projections)
 
     c5 = True
     for _ in range(8):
         vals = rng.standard_normal(len(mu.values)) + 1j * rng.standard_normal(len(mu.values))
-        table = dict(zip(mu.values, vals))
-        g = rho_T(T, table, mu)
-        if not _commutes(np.diag(g.symbol), X, tol):
+        g = rho_T(T, dict(zip(mu.values, vals)), mu)
+        if not _commutes_with_diag(g.symbol, X, tol):
             c5 = False
             break
 
-    block = True
-    for i in range(n):
-        for j in range(n):
-            if s[i] != s[j] and abs(X[i, j]) > tol:
-                block = False
-                break
-        if not block:
-            break
+    block = not np.any((s[:, None] != s[None, :]) & (np.abs(X) > tol))
 
     return CommutantReport(c1, c2, c3, c4, c5, block)

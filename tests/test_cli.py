@@ -2,7 +2,6 @@
 exit-code contract, report structure, and calc artifacts."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -137,25 +136,6 @@ def test_verify_fault_injection_exit_1(tmp_path, capsys):
     assert failed and failed[0]["check"] == "spectral-measure-product-law"
 
 
-def test_verify_parallel_matches_serial(tmp_path, capsys, monkeypatch):
-    path = gen_file(tmp_path, capsys)
-    _, serial, _ = run(capsys, ["verify", str(path), "--suite", "cstar",
-                                "--suite", "norms", "--suite", "polar"])
-    monkeypatch.setenv("CENTRELAT_THREADS", "4")
-    _, parallel, _ = run(capsys, ["verify", str(path), "--suite", "cstar",
-                                  "--suite", "norms", "--suite", "polar"])
-
-    def strip_timing(text):
-        out = []
-        for line in text.splitlines():
-            doc = json.loads(line)
-            doc.pop("seconds", None)
-            out.append(doc)
-        return out
-
-    assert strip_timing(serial) == strip_timing(parallel)
-
-
 # ---------------------------------------------------------------------------
 # calc
 # ---------------------------------------------------------------------------
@@ -244,31 +224,49 @@ def test_calc_unreadable_exit_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 _NAN_SYMBOL = '{"dim": 2, "symbol": [[NaN, 0], [1, 0]]}'
+_ATOMIC = '{"dim": 2, "symbol": [[1, 0], [2, 0]]}'
+_SEQUENCE = ('{"instances": [{"kind": "sequence", "sequence": {"accumulation": [[0.0, 0.0]], '
+             '"rule": {"name": "reciprocal", "params": {}}, "sup": 1.0}}]}')
+_CALC = ("calc", "spectrum")
+_VERIFY = ("verify",)
 _MALFORMED = {
-    "calc-nan-symbol": ("calc", _NAN_SYMBOL),
-    "calc-scalar-symbol": ("calc", '{"symbol": 5}'),
-    "calc-short-entry": ("calc", '{"symbol": [[1]]}'),
-    "calc-dim-mismatch": ("calc", '{"dim": 3, "symbol": [[1, 0], [2, 0]]}'),
-    "calc-top-level-list": ("calc", '[1, 2]'),
-    "calc-empty-bundle": ("calc", '{"instances": []}'),
-    "calc-unknown-rule": ("calc", '{"instances": [{"kind": "sequence", '
-                                  '"sequence": {"rule": {"name": "nope"}}}]}'),
-    "verify-top-level-list": ("verify", '[1, 2]'),
-    "verify-scalar-instances": ("verify", '{"instances": 5}'),
-    "verify-string-instances": ("verify", '{"instances": "ab"}'),
-    "verify-scalar-instance": ("verify", '{"instances": [5]}'),
-    "verify-nan-symbol": ("verify", '{"instances": [{"central": %s}]}' % _NAN_SYMBOL),
-    "verify-scalar-symbol": ("verify", '{"instances": [{"central": {"symbol": 5}}]}'),
-    "verify-short-entry": ("verify", '{"instances": [{"central": {"symbol": [[1]]}}]}'),
+    "calc-nan-symbol": (_CALC, _NAN_SYMBOL),
+    "calc-scalar-symbol": (_CALC, '{"symbol": 5}'),
+    "calc-short-entry": (_CALC, '{"symbol": [[1]]}'),
+    "calc-dim-mismatch": (_CALC, '{"dim": 3, "symbol": [[1, 0], [2, 0]]}'),
+    "calc-top-level-list": (_CALC, '[1, 2]'),
+    "calc-empty-bundle": (_CALC, '{"instances": []}'),
+    "calc-unknown-rule": (_CALC, '{"instances": [{"kind": "sequence", '
+                                 '"sequence": {"rule": {"name": "nope"}}}]}'),
+    "calc-eps-zero": (("calc", "freudenthal", "--eps", "0"), _ATOMIC),
+    "calc-eps-negative": (("calc", "freudenthal", "--eps=-0.5"), _ATOMIC),
+    "calc-eps-nan": (("calc", "freudenthal", "--eps", "nan"), _ATOMIC),
+    "calc-sequence-eps-zero": (("calc", "freudenthal", "--eps", "0"), _SEQUENCE),
+    "calc-sequence-eps-negative": (("calc", "freudenthal", "--eps=-0.5"), _SEQUENCE),
+    "calc-sequence-eps-nan": (("calc", "freudenthal", "--eps", "nan"), _SEQUENCE),
+    "verify-top-level-list": (_VERIFY, '[1, 2]'),
+    "verify-scalar-instances": (_VERIFY, '{"instances": 5}'),
+    "verify-string-instances": (_VERIFY, '{"instances": "ab"}'),
+    "verify-scalar-instance": (_VERIFY, '{"instances": [5]}'),
+    "verify-nan-symbol": (_VERIFY, '{"instances": [{"central": %s}]}' % _NAN_SYMBOL),
+    "verify-scalar-symbol": (_VERIFY, '{"instances": [{"central": {"symbol": 5}}]}'),
+    "verify-short-entry": (_VERIFY, '{"instances": [{"central": {"symbol": [[1]]}}]}'),
 }
 
 
-@pytest.mark.parametrize("command,text", list(_MALFORMED.values()), ids=list(_MALFORMED))
-def test_malformed_input_exit_2(tmp_path, capsys, command, text):
+@pytest.mark.parametrize("argv,text", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_input_exit_2(tmp_path, capsys, argv, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    argv = ["calc", "spectrum", str(path)] if command == "calc" else ["verify", str(path)]
-    code, out, err = run(capsys, argv)
+    code, out, err = run(capsys, [*argv, str(path)])
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err and out == ""
+
+
+def test_calc_freudenthal_atomic_positive_eps(tmp_path, capsys):
+    path = write_op(tmp_path, json.loads(_ATOMIC))
+    code, out, _ = run(capsys, ["calc", "freudenthal", str(path), "--eps", "0.5"])
+    assert code == 0
+    assert json.loads(out) == {"freudenthal": {"coefficients": [[1.0, 0.0], [2.0, 0.0]],
+                                               "error": 0.0}}

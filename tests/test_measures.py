@@ -344,17 +344,3 @@ def test_regularity_trivial_on_discrete_space():
         v = mu.measure_of(subset)
         assert np.array_equal(v, mu.measure_of(subset))  # open = compact = the set itself
 
-
-# ---------------------------------------------------------------------------
-# exact-rational mode
-# ---------------------------------------------------------------------------
-
-def test_exact_mode_integration():
-    from fractions import Fraction
-    space = powerset_space(2)
-    mu = LatticeValuedMeasure(space, ((Fraction(1, 3), Fraction(0)),
-                                      (Fraction(0), Fraction(2, 7))), exact=True)
-    f = MeasurableFunction(space, {0: 3, 1: 7})
-    re, im = integrate(f, mu)
-    assert re == (Fraction(1), Fraction(2))
-    assert im == (Fraction(0), Fraction(0))

@@ -2,6 +2,7 @@
 functional calculus, eigen expansions, and commutants."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from centrelat.cli import main as cli_main
 from centrelat.exact import QComplex
 from centrelat.generate import (
     central_from_rational,
@@ -38,7 +40,13 @@ from centrelat.spectral import (
     spectrum_shape_report,
     union_spectrum,
 )
-from centrelat.measures import integrate, is_spectral
+from centrelat.measures import (
+    FiniteMeasurableSpace,
+    LatticeValuedMeasure,
+    MeasurableFunction,
+    integrate,
+    is_spectral,
+)
 
 TOL_EXACT = 1e-12
 TOL_ORACLE = 1e-9
@@ -543,3 +551,181 @@ def test_commutant_block_operator_passes():
         Xi = commutant_block_operator(rng, T)
         report = commutant_check(T, Xi, rng=rng)
         assert all(report.conditions()) and report.all_equivalent()
+
+
+# ---------------------------------------------------------------------------
+# the label core against the dense-mask formulation it replaced
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 and 0.0 parts count as different."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_masks(T):
+    """mu_T as one dense 0/1 mask per distinct value, in first-occurrence order."""
+    values = tuple(dict.fromkeys(T.symbol.tolist()))
+    return values, tuple((T.symbol == v).astype(float) for v in values)
+
+
+def _reference_rho(T, f):
+    """rho_T(f) as the order integral of f against the measure of the masks."""
+    values, masks = _reference_masks(T)
+    space = FiniteMeasurableSpace(values)
+    table = {v: complex(f[v] if isinstance(f, dict) else f(v)) for v in values}
+    measure = LatticeValuedMeasure(space, masks, T.lattice)
+    return integrate(MeasurableFunction(space, table), measure).values
+
+
+def _reference_measure_of(T, subset):
+    values, masks = _reference_masks(T)
+    total = np.zeros(T.lattice.dim)
+    for v, m in zip(values, masks):
+        if v in subset:
+            total = total + m
+    return total.astype(complex)
+
+
+def _reference_freudenthal_error(T):
+    values, masks = _reference_masks(T)
+    approx = np.zeros(T.lattice.dim, dtype=complex)
+    for v, m in zip(values, masks):
+        approx += v * m.astype(complex)
+    return float(np.max(np.abs(T.symbol - approx)))
+
+
+_PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0)
+
+
+@st.composite
+def _symbols(draw):
+    """Up to 12 symbol values drawn from a pool of up to 4, so that values
+    repeat, plus twins of the pool members that differ only in the imaginary
+    part; parts include both signed zeros."""
+    part = st.sampled_from(_PARTS)
+    pool = draw(st.lists(st.builds(complex, part, part), min_size=1, max_size=4))
+    twins = [complex(v.real, -v.imag if v.imag else 1.0) for v in pool]
+    return draw(st.lists(st.sampled_from(pool + twins), min_size=1, max_size=12))
+
+
+_FUNCTIONS = {
+    "identity": lambda v: v,
+    "conj": lambda v: v.conjugate(),
+    "neg": lambda v: -v,
+    "abs": lambda v: abs(v),
+    "square": lambda v: v * v,
+    "sqrt": lambda v: complex(v) ** 0.5,
+    "one": lambda v: 1.0,
+    "neg-zero": lambda v: complex(-0.0, -0.0),
+}
+
+
+def test_dim_zero_operator_is_not_constructible():
+    # the property below therefore starts at dim 1
+    with pytest.raises(ValueError):
+        CoordinateLattice(0)
+
+
+@given(_symbols(), st.sampled_from(sorted(_FUNCTIONS)), st.data())
+@example([0.0], "conj", None)
+@example([-0.0, 0.0, complex(0.0, -0.0)], "neg", None)
+@example([1 + 0.5j, 1 - 0.5j, 1 + 0.5j, -0.0], "identity", None)
+@settings(max_examples=200, deadline=None)
+def test_label_core_matches_dense_masks(symbols, fname, data):
+    T = central(symbols)
+    values, masks = _reference_masks(T)
+    mu = build_mu_T(T)
+    mu.validate()
+
+    assert mu.values == values
+    assert _same_bits(np.array(mu.values), np.array(values))
+    assert len(mu.projections) == len(masks)
+    assert all(_same_bits(p, m) for p, m in zip(mu.projections, masks))
+    assert _same_bits(mu.reconstruct().symbol, T.symbol + 0j)
+
+    f = _FUNCTIONS[fname]
+    assert _same_bits(rho_T(T, f).symbol, _reference_rho(T, f))
+    if data is not None:
+        table = {v: complex(data.draw(st.sampled_from(_PARTS)), data.draw(st.sampled_from(_PARTS)))
+                 for v in values}
+        assert _same_bits(rho_T(T, table, mu).symbol, _reference_rho(T, table))
+        subset = data.draw(st.sets(st.sampled_from(values)))
+        assert _same_bits(mu.measure_of(subset).symbol, _reference_measure_of(T, subset))
+
+    for v, m in zip(values, masks):
+        assert _same_bits(mu.projection_for(v).symbol, m.astype(complex))
+    missing = complex(7.5, 7.5)
+    assert _same_bits(mu.projection_for(missing).symbol, np.zeros(T.lattice.dim, dtype=complex))
+
+    exp = eigen_expansion(T)
+    assert tuple(v for v, _ in exp.pairs) == values
+    assert all(_same_bits(p.symbol, m.astype(complex)) for (_, p), m in zip(exp.pairs, masks))
+    assert exp.minimal_polynomial == minimal_polynomial(values)
+
+    approx = freudenthal_approx(T, 0.1)
+    assert approx.coefficients == values
+    assert all(_same_bits(p.symbol, m.astype(complex))
+               for p, m in zip(approx.projections, masks))
+    assert _same_bits(approx.error, _reference_freudenthal_error(T))
+
+
+def _dense_commutant_check(T, Xi, rng, tol=TOL_EXACT):
+    """The five conditions and the block pattern, each through dense products."""
+    n = T.lattice.dim
+    X = Xi.entries
+    s = T.symbol
+    tol = tol * max(1.0, float(np.max(np.abs(X))))
+
+    def commutes(g):
+        D = np.diag(g)
+        return float(np.max(np.abs(D @ X - X @ D))) <= tol
+
+    nrm = T.order_unit_norm()
+    sn = s / nrm if nrm > 0 else s
+    values, masks = _reference_masks(T)
+    c5 = True
+    for _ in range(8):
+        vals = rng.standard_normal(len(values)) + 1j * rng.standard_normal(len(values))
+        if not commutes(_reference_rho(T, dict(zip(values, vals)))):
+            c5 = False
+            break
+    block = all(s[i] == s[j] or abs(X[i, j]) <= tol for i in range(n) for j in range(n))
+    return (commutes(s), commutes(np.conj(s)),
+            all(commutes((sn ** a) * (np.conj(sn) ** b))
+                for a in range(n + 1) for b in range(n + 1 - a)),
+            all(commutes(m) for m in masks), c5, block)
+
+
+@given(st.one_of(_symbols(), st.integers(1, 9)), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_commutant_entrywise_matches_dense_products(symbols, seed):
+    rng = np.random.default_rng(seed)
+    if isinstance(symbols, int):
+        T = random_central(rng, dim=symbols, repeats=True)
+    else:
+        T = central(symbols)
+    inside = commutant_block_operator(rng, T)
+    cases = [inside]
+    mismatched = np.argwhere(T.symbol[:, None] != T.symbol[None, :])
+    if len(mismatched):
+        i, j = mismatched[rng.integers(0, len(mismatched))]
+        broken = np.array(inside.entries)
+        broken[i, j] += 1.0
+        cases.append(RegularOperator(T.lattice, broken))
+    for Xi in cases:
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        report = commutant_check(T, Xi, rng=ours)
+        assert (*report.conditions(), report.block_pattern) == \
+            _dense_commutant_check(T, Xi, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert report.all_equivalent() and report.with_operator == (Xi is inside)
+
+
+def test_calc_rho_conj_real_symbol_prints_positive_zero(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text('{"dim": 3, "symbol": [[1.5, 0], [-2, 0], [0, 0]]}')
+    assert cli_main(["calc", "rho", str(path), "--fn", "conj"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["rho"]["symbol"] == [[1.5, 0.0], [-2.0, 0.0], [0.0, 0.0]]
+    assert "-0.0" not in out
