@@ -49,7 +49,6 @@ from .sequence import (
 from .spectral import (
     OperatorSpectralMeasure,
     Spectrum,
-    StructureSpace,
     build_mu_T,
     commutant_check,
     dominated_convergence_calculus,

@@ -27,9 +27,9 @@ from .generate import (
     random_regular,
 )
 from .operators import is_central, polar
-from .sequence import BUILTIN_RULES, SequenceCentralOperator, freudenthal_net
+from .sequence import BUILTIN_RULES, CertificateError, SequenceCentralOperator, freudenthal_net
 from .spectral import build_mu_T, eigen_expansion, freudenthal_approx, rho_T, spectrum
-from .suites import SUITES, Record, SuiteReport, Tolerances, run_suites
+from .suites import SUITES, Record, Tolerances, run_suites
 
 CALC_FUNCTIONS = {
     "identity": lambda v: v,
@@ -182,7 +182,11 @@ def cmd_calc(args) -> int:
             print("error: only the freudenthal request supports sequence operators",
                   file=sys.stderr)
             return 2
-        net = freudenthal_net(op, args.eps)
+        try:
+            net = freudenthal_net(op, args.eps)
+        except CertificateError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(_dump({"freudenthal": {
             "coefficients": [[c.real, c.imag] for c in net.coefficients],
             "breakpoint": net.breakpoint,

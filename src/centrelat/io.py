@@ -1,6 +1,5 @@
-"""JSON (de)serialization for lattices, elements, operators, measures, and
-sequence operators.  Complex entries are serialized as two-element arrays
-[re, im]."""
+"""JSON (de)serialization for lattices, operators, measures, and sequence
+operators.  Complex entries are serialized as two-element arrays [re, im]."""
 
 from __future__ import annotations
 
@@ -8,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from .lattice import ComplexElement, CoordinateLattice, MaxNorm, WeightedPNorm
+from .lattice import CoordinateLattice, MaxNorm, WeightedPNorm
 from .measures import FiniteMeasurableSpace, LatticeValuedMeasure
 from .operators import CentralOperator, RegularOperator
 from .sequence import BUILTIN_RULES, SequenceCentralOperator
@@ -47,16 +46,6 @@ def lattice_to_json(lat: CoordinateLattice) -> dict[str, Any]:
 
 def lattice_from_json(doc) -> CoordinateLattice:
     return CoordinateLattice(int(doc["dim"]), norm_from_json(doc["norm"]))
-
-
-def element_to_json(z: ComplexElement) -> dict[str, Any]:
-    return {"dim": z.lattice.dim, "norm": norm_to_json(z.lattice.norm_spec),
-            "re": [float(x) for x in z.re], "im": [float(x) for x in z.im]}
-
-
-def element_from_json(doc) -> ComplexElement:
-    lat = CoordinateLattice(int(doc["dim"]), norm_from_json(doc.get("norm", {"kind": "max"})))
-    return ComplexElement.from_parts(lat, doc["re"], doc["im"])
 
 
 def operator_to_json(op) -> dict[str, Any]:

@@ -262,10 +262,6 @@ class PrincipalIdeal:
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.generator > 0)
 
-    def contains(self, z: ComplexElement) -> bool:
-        off = np.flatnonzero(self.generator == 0)
-        return not np.any(z.values[off] != 0)
-
 
 def ideal_norm(z: ComplexElement, ideal: PrincipalIdeal) -> float:
     """Order unit norm of z in the ideal: inf{lam >= 0 : |z| <= lam * u}."""

@@ -21,7 +21,6 @@ from .lattice import (
     DimensionMismatchError,
     PrincipalIdeal,
     ideal_norm,
-    modulus,
 )
 
 
@@ -111,9 +110,6 @@ class CentralOperator:
     @classmethod
     def identity(cls, lattice: CoordinateLattice) -> "CentralOperator":
         return cls(lattice, np.ones(lattice.dim, dtype=complex))
-
-    def as_regular(self) -> RegularOperator:
-        return RegularOperator(self.lattice, np.diag(self.symbol))
 
     def apply(self, z: ComplexElement) -> ComplexElement:
         if z.lattice.dim != self.lattice.dim:

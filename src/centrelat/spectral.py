@@ -38,28 +38,14 @@ class PreconditionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# structure space and Gelfand transform
+# Gelfand transform
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StructureSpace:
-    """The finite index space on which the centre acts as functions."""
-
-    dim: int
-
-    @property
-    def indices(self) -> range:
-        return range(self.dim)
-
-    def as_measurable_space(self) -> FiniteMeasurableSpace:
-        return FiniteMeasurableSpace(tuple(self.indices))
-
-
-@dataclass(frozen=True)
 class GelfandFunction:
-    """A central operator viewed as a function on the structure space."""
+    """A central operator viewed as a function on the structure space, the
+    coordinate indices 0..dim-1."""
 
-    space: StructureSpace
     values: np.ndarray
 
     def __call__(self, i: int) -> complex:
@@ -71,7 +57,7 @@ class GelfandFunction:
 
 def gelfand(T: CentralOperator) -> GelfandFunction:
     """The hat map: symbol of T as a function on the structure space."""
-    return GelfandFunction(StructureSpace(T.lattice.dim), T.symbol)
+    return GelfandFunction(T.symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +141,8 @@ def union_spectrum(T: CentralOperator, generators: Sequence[np.ndarray]) -> Spec
         covered |= set(int(i) for i in ideal.support)
     if covered != set(range(T.lattice.dim)):
         raise PreconditionError("generator supports do not cover all coordinates")
-    values: list[complex] = []
-    seen: set[complex] = set()
-    for ideal in ideals:
-        for v in T.symbol[ideal.support]:
-            v = complex(v)
-            if v not in seen:
-                seen.add(v)
-                values.append(v)
-    return Spectrum(tuple(values))
+    return Spectrum(tuple(dict.fromkeys(
+        v for ideal in ideals for v in T.symbol[ideal.support].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +155,9 @@ def global_spectral_measure(lattice: CoordinateLattice) -> LatticeValuedMeasure:
     Defined on the structure space with singleton atoms; the value at an
     index set is the 0/1 diagonal projection onto those coordinates.
     """
-    space = StructureSpace(lattice.dim).as_measurable_space()
     eye = np.eye(lattice.dim)
-    return LatticeValuedMeasure(space, tuple(eye[i] for i in range(lattice.dim)), lattice)
+    return LatticeValuedMeasure(FiniteMeasurableSpace(tuple(range(lattice.dim))),
+                                tuple(eye[i] for i in range(lattice.dim)), lattice)
 
 
 def reconstruct_from_global(T: CentralOperator,

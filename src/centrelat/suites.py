@@ -1,8 +1,9 @@
 """Theorem-verification suites over generated or user-supplied instances.
 
-Each suite runs a family of checks against a batch of instances and returns
+Each suite runs a family of checks against a batch of instances and makes
 one record per check, carrying the capability tag, an instance digest, the
-verdict, and the largest observed deviation.  Suites are pure functions of
+verdict, and the largest observed deviation.  Every record is made through
+``Records``, which holds the one verdict rule.  Suites are pure functions of
 their inputs and a seeded generator, so reports are reproducible.
 """
 
@@ -10,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -21,9 +23,7 @@ from .generate import (
     commutant_block_operator,
     commuting_fpr_triple,
     random_central,
-    random_measure,
     random_rational_symbols,
-    random_regular,
     central_from_rational,
 )
 from .lattice import ComplexElement, modulus
@@ -40,9 +40,7 @@ from .operators import (
     CentralOperator,
     RegularOperator,
     fpr_check,
-    is_central,
     norms,
-    operator_modulus,
     polar,
     localize,
 )
@@ -67,7 +65,6 @@ from .spectral import (
     enumerate_unital_spectral_measures,
     eval_polynomial,
     gelfand,
-    global_spectral_measure,
     reconstruct_from_global,
     rho_T,
     spectrum,
@@ -106,11 +103,47 @@ class Record:
                 "ok": self.ok, "max_deviation": self.max_deviation, "witness": self.witness}
 
 
+def within(dev: float, tol: float) -> tuple[bool, float]:
+    """The verdict on a deviation: it passes iff ``dev <= tol``, so NaN fails."""
+    return dev <= tol, dev
+
+
+class Records(list):
+    """The records of one suite, each made under the suite's name."""
+
+    def __init__(self, suite: str):
+        super().__init__()
+        self.suite = suite
+
+    def holds(self, name: str, instance: str, ok, dev: float = 0.0,
+              witness: str = "") -> None:
+        self.append(Record(self.suite, name, instance, bool(ok), dev, witness))
+
+    def check(self, name: str, instance: str, dev: float, tol: float) -> None:
+        self.holds(name, instance, *within(dev, tol))
+
+    def guarded(self, name: str, instance: str, catch: type[Exception],
+                call: Callable[[], Any],
+                verdict: Optional[Callable[[Any], tuple[bool, float]]] = None) -> Any:
+        """Record ``verdict(call())`` as ``(ok, dev)``, or a pass if no
+        verdict is given, and return ``call()``'s result.  If either raises
+        ``catch``, the check fails with deviation inf and the exception text
+        as its witness, and None is returned."""
+        try:
+            result = call()
+            ok, dev = verdict(result) if verdict else (True, 0.0)
+        except catch as exc:
+            self.holds(name, instance, False, math.inf, str(exc))
+            return None
+        self.holds(name, instance, ok, dev)
+        return result
+
+
 @dataclass
 class SuiteReport:
     suite: str
-    records: list[Record] = field(default_factory=list)
-    seconds: float = 0.0
+    records: list[Record]
+    seconds: float
 
     @property
     def passed(self) -> bool:
@@ -136,35 +169,33 @@ def _rel(dev: float, scale: float) -> float:
     return dev / max(1.0, scale)
 
 
-def suite_cstar(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
+def suite_cstar(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
     """C*-identity, Gelfand transform laws, modulus laws, four equalities."""
-    out = []
     for T in instances.get("central", []):
         d = op_digest(T)
         n2 = (T * T.conj()).order_unit_norm()
         dev = _rel(abs(n2 - T.order_unit_norm() ** 2), T.order_unit_norm() ** 2)
-        out.append(Record("cstar", "cstar-identity", d, dev <= tol.exact, dev))
+        out.check("cstar-identity", d, dev, tol.exact)
 
         hat = gelfand(T)
-        dev = abs(hat.sup_norm() - T.order_unit_norm())
-        out.append(Record("cstar", "gelfand-isometry", d, dev <= tol.exact, dev))
+        out.check("gelfand-isometry", d, abs(hat.sup_norm() - T.order_unit_norm()), tol.exact)
         dev = float(np.max(np.abs(gelfand(T.conj()).values - np.conj(hat.values))))
-        out.append(Record("cstar", "gelfand-star", d, dev <= tol.exact, dev))
+        out.check("gelfand-star", d, dev, tol.exact)
 
         S = random_central(rng, lattice=T.lattice)
         dev = _rel(float(np.max(np.abs(gelfand(S * T).values - gelfand(S).values * hat.values))),
                    S.order_unit_norm() * T.order_unit_norm())
-        out.append(Record("cstar", "gelfand-multiplicative", d, dev <= tol.exact, dev))
+        out.check("gelfand-multiplicative", d, dev, tol.exact)
 
         # modulus multiplicativity, exact on symbols
         dev = _rel(float(np.max(np.abs((S * T).modulus().symbol
                                        - S.modulus().symbol * T.modulus().symbol))),
                    S.order_unit_norm() * T.order_unit_norm())
-        out.append(Record("cstar", "modulus-multiplicative", d, dev <= tol.exact, dev))
+        out.check("modulus-multiplicative", d, dev, tol.exact)
         dev = _rel(float(np.max(np.abs((T * T.conj()).modulus().symbol
                                        - T.modulus().symbol ** 2))),
                    T.order_unit_norm() ** 2)
-        out.append(Record("cstar", "modulus-of-selfproduct", d, dev <= tol.exact, dev))
+        out.check("modulus-of-selfproduct", d, dev, tol.exact)
 
         # four equalities: |Tz| = |T||z|, invariant under conjugations
         z = ComplexElement(T.lattice, rng.standard_normal(T.lattice.dim)
@@ -174,15 +205,12 @@ def suite_cstar(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
         for Top in (T, T.conj(), T.modulus()):
             for zop in (z, z.conj(), ComplexElement(T.lattice, modulus(z).astype(complex))):
                 worst = max(worst, float(np.max(np.abs(modulus(Top.apply(zop)) - ref))))
-        worst = _rel(worst, T.order_unit_norm())
-        out.append(Record("cstar", "modulus-action-four-equalities", d,
-                          worst <= tol.exact, worst))
-    return out
+        out.check("modulus-action-four-equalities", d, _rel(worst, T.order_unit_norm()),
+                  tol.exact)
 
 
-def suite_norms(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
+def suite_norms(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
     """Norm coincidence for central operators; modulus bounds for dense ones."""
-    out = []
     for T in instances.get("central", []):
         d = op_digest(T)
         trip = norms(T, samples=1000, rng=rng)
@@ -190,12 +218,11 @@ def suite_norms(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
         basis[trip.attained_at] = 1.0
         e = ComplexElement(T.lattice, basis.astype(complex))
         attained = T.apply(e).norm() / e.norm()
-        dev = abs(attained - trip.order_unit)
-        out.append(Record("norms", "operator-norm-attained-at-basis-vector", d,
-                          dev <= tol.exact * max(1.0, trip.order_unit), dev))
-        excess = max(0.0, trip.max_sampled_ratio - trip.order_unit)
-        out.append(Record("norms", "sampled-norm-never-exceeds-order-unit", d,
-                          excess <= tol.exact * max(1.0, trip.order_unit), excess))
+        scaled = tol.exact * max(1.0, trip.order_unit)
+        out.check("operator-norm-attained-at-basis-vector", d,
+                  abs(attained - trip.order_unit), scaled)
+        out.check("sampled-norm-never-exceeds-order-unit", d,
+                  max(0.0, trip.max_sampled_ratio - trip.order_unit), scaled)
     for X in instances.get("regular", []):
         d = op_digest(X)
         n = X.lattice.dim
@@ -203,12 +230,10 @@ def suite_norms(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
         lhs = modulus(X.apply(z))
         rhs = np.abs(X.entries) @ modulus(z)
         dev = _rel(float(np.max(lhs - rhs)), float(np.max(rhs)))
-        out.append(Record("norms", "dense-modulus-inequality", d, dev <= tol.exact, dev))
-    return out
+        out.check("dense-modulus-inequality", d, dev, tol.exact)
 
 
-def suite_fpr(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
-    out = []
+def suite_fpr(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
     triples = instances.get("fpr")
     if triples is None:
         triples = [commuting_fpr_triple(rng, T.lattice.dim)
@@ -216,9 +241,8 @@ def suite_fpr(instances, tol: Tolerances, rng: np.random.Generator) -> list[Reco
     for (S, T, X) in triples:
         d = digest([op_digest(S), op_digest(T), op_digest(X)])
         v = fpr_check(S, T, X, tol=tol.exact)
-        ok = v.forward and v.conjugate and v.transfer_ok
-        out.append(Record("fpr", "conjugate-commutation-transfer", d, ok,
-                          v.max_conjugate_deviation))
+        out.holds("conjugate-commutation-transfer", d,
+                  v.forward and v.conjugate and v.transfer_ok, v.max_conjugate_deviation)
         # fault injection: perturb one admissible entry off the pattern
         n = X.lattice.dim
         bad = np.array(X.entries)
@@ -227,14 +251,12 @@ def suite_fpr(instances, tol: Tolerances, rng: np.random.Generator) -> list[Reco
             i, j = mism[rng.integers(0, len(mism))]
             bad[i, j] += 0.5
             vb = fpr_check(S, T, RegularOperator(X.lattice, bad), tol=tol.exact)
-            out.append(Record("fpr", "fault-injection-detected", d,
-                              (not vb.forward) and vb.first_violation is not None,
-                              vb.max_forward_deviation))
-    return out
+            out.holds("fault-injection-detected", d,
+                      (not vb.forward) and vb.first_violation is not None,
+                      vb.max_forward_deviation)
 
 
-def suite_polar(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
-    out = []
+def suite_polar(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
     prev_invertible = None
     for T in instances.get("central", []):
         d = op_digest(T)
@@ -245,8 +267,7 @@ def suite_polar(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
         ok &= bool(np.all(p.positive.symbol.imag == 0) and np.all(p.positive.symbol.real >= 0))
         udev = float(np.max(np.abs(np.abs(p.unitary.symbol) - 1.0)))
         ok &= udev <= tol.exact
-        out.append(Record("polar", "factorisation-with-positive-and-unimodular", d, ok,
-                          max(dev, udev)))
+        out.holds("factorisation-with-positive-and-unimodular", d, ok, max(dev, udev))
         if np.all(np.abs(T.symbol) > 0):
             if prev_invertible is not None and prev_invertible.lattice.dim == T.lattice.dim:
                 S = prev_invertible
@@ -259,14 +280,11 @@ def suite_polar(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
                                         - (ps.unitary * pt.unitary).symbol))),
                 )
                 dev = _rel(dev, S.order_unit_norm() * T.order_unit_norm())
-                out.append(Record("polar", "multiplicative-on-invertibles", d,
-                                  dev <= tol.exact, dev))
+                out.check("multiplicative-on-invertibles", d, dev, tol.exact)
             prev_invertible = T
-    return out
 
 
-def suite_localize(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
-    out = []
+def suite_localize(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
     for T in instances.get("central", []):
         d = op_digest(T)
         n = T.lattice.dim
@@ -276,14 +294,13 @@ def suite_localize(instances, tol: Tolerances, rng: np.random.Generator) -> list
         ideal = PrincipalIdeal(u)
         loc = localize(T, ideal)
         dev = abs(loc.ideal_norm_of_Tu - float(np.max(np.abs(loc.symbol))))
-        out.append(Record("localize", "restriction-isometry", d,
-                          dev <= tol.exact * max(1.0, loc.ideal_norm_of_Tu), dev))
+        out.check("restriction-isometry", d, dev,
+                  tol.exact * max(1.0, loc.ideal_norm_of_Tu))
         full = PrincipalIdeal(rng.uniform(0.1, 2.0, size=n))
         tu = T.apply(ComplexElement(T.lattice, full.generator.astype(complex)))
         dev = abs(ideal_norm(tu, full) - T.order_unit_norm())
-        out.append(Record("localize", "full-support-norm-equality", d,
-                          dev <= tol.exact * max(1.0, T.order_unit_norm()), dev))
-    return out
+        out.check("full-support-norm-equality", d, dev,
+                  tol.exact * max(1.0, T.order_unit_norm()))
 
 
 def _random_measurable_f(rng, space, complex_valued=True):
@@ -296,8 +313,7 @@ def _random_measurable_f(rng, space, complex_valued=True):
     return MeasurableFunction(space, table)
 
 
-def suite_integral(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
-    out = []
+def suite_integral(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
     for mu in instances.get("measure", []):
         d = op_digest(mu)
         space = mu.space
@@ -316,15 +332,14 @@ def suite_integral(instances, tol: Tolerances, rng: np.random.Generator) -> list
                 direct += r * np.asarray(mu.measure_of(subset), dtype=complex)
         f = MeasurableFunction(space, {p: total[idx[p]] for p in space.points})
         via_table = integrate(f, mu).values
-        dev = float(np.max(np.abs(via_table - direct)))
-        out.append(Record("integral", "decomposition-independence", d, dev <= tol.exact, dev))
+        out.check("decomposition-independence", d,
+                  float(np.max(np.abs(via_table - direct))), tol.exact)
 
         f = _random_measurable_f(rng, space)
         absf = MeasurableFunction(space, {p: abs(f(p)) for p in space.points})
         lhs = modulus(integrate(f, mu))
         rhs = integrate(absf, mu).re
-        dev = float(np.max(lhs - rhs))
-        out.append(Record("integral", "triangle-inequality", d, dev <= tol.exact, dev))
+        out.check("triangle-inequality", d, float(np.max(lhs - rhs)), tol.exact)
 
         # image measure change of variables, collapsing 6 -> 3 points
         target = FiniteMeasurableSpace(tuple(range(3)))
@@ -333,8 +348,7 @@ def suite_integral(instances, tol: Tolerances, rng: np.random.Generator) -> list
         g = _random_measurable_f(rng, target)
         comp = MeasurableFunction(space, {p: g(mapping[p]) for p in space.points})
         dev = float(np.max(np.abs(integrate(g, img).values - integrate(comp, mu).values)))
-        out.append(Record("integral", "image-measure-change-of-variables", d,
-                          dev <= tol.exact, dev))
+        out.check("image-measure-change-of-variables", d, dev, tol.exact)
 
         # additivity on a random disjoint pair
         ks = rng.uniform(size=space.n_atoms) < 0.5
@@ -343,12 +357,10 @@ def suite_integral(instances, tol: Tolerances, rng: np.random.Generator) -> list
         dev = float(np.max(np.abs(np.asarray(mu.measure_of(d1 | d2))
                                   - np.asarray(mu.measure_of(d1))
                                   - np.asarray(mu.measure_of(d2)))))
-        out.append(Record("integral", "finite-additivity", d, dev <= tol.exact, dev))
-    return out
+        out.check("finite-additivity", d, dev, tol.exact)
 
 
-def suite_riesz(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
-    out = []
+def suite_riesz(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
     for mu in instances.get("measure", []):
         d = op_digest(mu)
         space = mu.space
@@ -360,14 +372,14 @@ def suite_riesz(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
         def pi(arr):
             return arr[first] @ atom_matrix
 
-        try:
-            recovered = riesz_represent(pi, space, mu.lattice, rng=rng, tol=tol.exact)
-            dev = max(float(np.max(np.abs(np.asarray(recovered.values[k]) - atom_values[k])))
-                      for k in range(space.n_atoms))
-            ok = dev <= tol.exact
-        except AssertionError:
-            dev, ok = float("inf"), False
-        out.append(Record("riesz", "representing-measure-recovery", d, ok, dev))
+        def recovery_error(recovered):
+            return within(max(float(np.max(np.abs(np.asarray(recovered.values[k])
+                                                  - atom_values[k])))
+                              for k in range(space.n_atoms)), tol.exact)
+
+        out.guarded("representing-measure-recovery", d, AssertionError,
+                    lambda: riesz_represent(pi, space, mu.lattice, rng=rng, tol=tol.exact),
+                    recovery_error)
 
         # multiplicative pi: coordinates evaluate f at assigned points
         assign_idx = np.array([int(rng.integers(0, len(space.points))) for _ in range(mu.dim)])
@@ -375,32 +387,22 @@ def suite_riesz(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
         def pi_hom(arr):
             return arr[assign_idx]
 
-        try:
-            nu = riesz_represent(pi_hom, space, None, rng=rng, tol=tol.exact)
-            verdict = is_spectral(nu, tol=tol.exact)
-            out.append(Record("riesz", "homomorphism-yields-spectral-measure", d,
-                              bool(verdict), verdict.max_violation))
-        except AssertionError:
-            out.append(Record("riesz", "homomorphism-yields-spectral-measure", d,
-                              False, float("inf")))
-    return out
+        out.guarded("homomorphism-yields-spectral-measure", d, AssertionError,
+                    lambda: is_spectral(riesz_represent(pi_hom, space, None, rng=rng,
+                                                        tol=tol.exact), tol=tol.exact),
+                    lambda verdict: (bool(verdict), verdict.max_violation))
 
 
-def suite_spectral(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
-    out = []
+def suite_spectral(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
     for T in instances.get("central", []):
         d = op_digest(T)
-        try:
-            spec = spectrum(T)  # includes the dense-eigenvalue cross-check
-            out.append(Record("spectral", "symbol-spectrum-matches-dense-eigenvalues",
-                              d, True, 0.0))
-        except AssertionError:
-            out.append(Record("spectral", "symbol-spectrum-matches-dense-eigenvalues",
-                              d, False, float("inf")))
+        # spectrum(T) raises when its dense-eigenvalue cross-check fails
+        spec = out.guarded("symbol-spectrum-matches-dense-eigenvalues", d, AssertionError,
+                           lambda: spectrum(T))
+        if spec is None:
             continue
-        shape = spectrum_shape_report(T)
-        out.append(Record("spectral", "spectral-radius-and-shape-equivalences", d,
-                          shape.all_ok(), 0.0))
+        out.holds("spectral-radius-and-shape-equivalences", d,
+                  spectrum_shape_report(T).all_ok())
 
         n = T.lattice.dim
         gens = []
@@ -411,29 +413,22 @@ def suite_spectral(instances, tol: Tolerances, rng: np.random.Generator) -> list
                 continue
             covered |= mask
             gens.append(mask.astype(float))
-        u = union_spectrum(T, gens)
-        ok = u.as_set() == spec.as_set()
-        out.append(Record("spectral", "band-cover-union-spectrum", d, ok, 0.0 if ok else 1.0))
+        ok = union_spectrum(T, gens).as_set() == spec.as_set()
+        out.holds("band-cover-union-spectrum", d, ok, 0.0 if ok else 1.0)
 
         rec = reconstruct_from_global(T)
         dev = _rel(float(np.max(np.abs(rec.symbol - T.symbol))), T.order_unit_norm())
-        out.append(Record("spectral", "global-measure-reconstruction", d,
-                          dev <= tol.exact, dev))
+        out.check("global-measure-reconstruction", d, dev, tol.exact)
 
         mu = build_mu_T(T)
-        try:
-            mu.validate(tol=tol.exact * max(1.0, T.order_unit_norm()))
-            out.append(Record("spectral", "spectral-measure-invariants", d, True, 0.0))
-        except AssertionError:
-            out.append(Record("spectral", "spectral-measure-invariants", d, False,
-                              float("inf")))
+        out.guarded("spectral-measure-invariants", d, AssertionError,
+                    lambda: mu.validate(tol=tol.exact * max(1.0, T.order_unit_norm())))
     for mu in instances.get("spectral_measure", []):
-        d = op_digest(mu)
         verdict = is_spectral(mu, tol=tol.exact)
         idem_ok = all(verdict.idempotent)
-        out.append(Record("spectral", "spectral-measure-product-law", d,
-                          bool(verdict) and idem_ok, verdict.max_violation,
-                          "" if idem_ok else "an atom value is not idempotent"))
+        out.holds("spectral-measure-product-law", op_digest(mu),
+                  bool(verdict) and idem_ok, verdict.max_violation,
+                  "" if idem_ok else "an atom value is not idempotent")
     rationals = instances.get("rational")
     if rationals is None:
         rationals = [random_rational_symbols(rng, min(T.lattice.dim, 6))
@@ -448,13 +443,11 @@ def suite_spectral(instances, tol: Tolerances, rng: np.random.Generator) -> list
             assign = admissible[0]
             expected = tuple(mu.values.index(complex(s.to_complex())) for s in symbols)
             unique = assign == expected
-        out.append(Record("spectral", "enumeration-uniqueness-of-spectral-measure", d,
-                          unique, 0.0 if unique else float(len(admissible))))
-    return out
+        out.holds("enumeration-uniqueness-of-spectral-measure", d,
+                  unique, 0.0 if unique else float(len(admissible)))
 
 
-def suite_calculus(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
-    out = []
+def suite_calculus(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
     for T in instances.get("central", []):
         d = op_digest(T)
         mu = build_mu_T(T)
@@ -474,13 +467,11 @@ def suite_calculus(instances, tol: Tolerances, rng: np.random.Generator) -> list
         dev3 = float(np.max(np.abs(rho_T(T, {v: abs(v) for v in vals}, mu).symbol
                                    - ident.modulus().symbol)))
         ok &= dev3 <= tol.exact
-        out.append(Record("calculus", "star-homomorphism-laws", d, ok,
-                          max(dev, dev2, dev3)))
+        out.holds("star-homomorphism-laws", d, ok, max(dev, dev2, dev3))
 
         g = rho_T(T, fa, mu)
-        mapped = {fa[v] for v in vals}
-        ok = spectrum(g, cross_check=False).as_set() == mapped
-        out.append(Record("calculus", "spectral-mapping", d, ok, 0.0 if ok else 1.0))
+        ok = spectrum(g, cross_check=False).as_set() == {fa[v] for v in vals}
+        out.holds("spectral-mapping", d, ok, 0.0 if ok else 1.0)
 
         # kernel formula against a null-space oracle on the dense matrix
         fker = {v: (0.0 if k % 2 == 0 else 1.0) for k, v in enumerate(vals)}
@@ -493,8 +484,7 @@ def suite_calculus(instances, tol: Tolerances, rng: np.random.Generator) -> list
         ok = null_dim == rank_proj
         dev = float(np.max(np.abs((op * proj).symbol))) if T.lattice.dim else 0.0
         ok &= dev <= tol.exact
-        out.append(Record("calculus", "kernel-formula-matches-null-space-oracle", d,
-                          ok, dev))
+        out.holds("kernel-formula-matches-null-space-oracle", d, ok, dev)
 
         # dominated convergence with an explicit witness
         fs = [{v: v + 1.0 / (n + 1) for v in vals} for n in range(12)]
@@ -506,12 +496,10 @@ def suite_calculus(instances, tol: Tolerances, rng: np.random.Generator) -> list
                                                  rng.standard_normal(T.lattice.dim)
                                                  + 1j * rng.standard_normal(T.lattice.dim)),
                                              tail=lambda n: 1.0 / (n + 1))
-        out.append(Record("calculus", "dominated-convergence-witness", d, bool(rep), 0.0))
-    return out
+        out.holds("dominated-convergence-witness", d, rep)
 
 
-def suite_eigen(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
-    out = []
+def suite_eigen(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
     for T in instances.get("central", []):
         d = op_digest(T)
         exp = eigen_expansion(T)
@@ -522,8 +510,8 @@ def suite_eigen(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
             ident += p.symbol
         dev = max(float(np.max(np.abs(total - T.symbol))),
                   float(np.max(np.abs(ident - 1.0))))
-        out.append(Record("eigen", "expansion-reconstruction", d,
-                          dev <= tol.exact * max(1.0, T.order_unit_norm()), dev))
+        out.check("expansion-reconstruction", d, dev,
+                  tol.exact * max(1.0, T.order_unit_norm()))
 
         z = ComplexElement(T.lattice, rng.standard_normal(T.lattice.dim)
                            + 1j * rng.standard_normal(T.lattice.dim))
@@ -538,26 +526,22 @@ def suite_eigen(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
             # decomposition returns exactly its component
             ok &= bool(np.array_equal(p.apply(z).values, zi.values))
         ok &= float(np.max(np.abs(back - z.values))) <= tol.exact
-        out.append(Record("eigen", "eigenvector-components-and-uniqueness", d, ok, 0.0))
+        out.holds("eigenvector-components-and-uniqueness", d, ok)
 
         spec = [lam for lam, _ in exp.pairs]
         resid = float(np.max(np.abs(eval_polynomial(exp.minimal_polynomial, T.symbol))))
         scale = max(1.0, max(abs(v) for v in spec)) ** max(1, len(spec))
         ok = resid <= 1e-10 * scale and len(exp.minimal_polynomial) == len(spec) + 1
-        out.append(Record("eigen", "minimal-polynomial-annihilation", d, ok, resid))
+        out.holds("minimal-polynomial-annihilation", d, ok, resid)
     for op in instances.get("sequence", []):
         d = op_digest(op)
         if op.tail is None:
             continue
-        try:
-            records = expansion_tail_report(op, (10, 100, 1000))
-            ok = all(r.dominated for r in records)
-            dev = max(r.sampled_tail_sup - r.certified_bound for r in records)
-            out.append(Record("eigen", "sequence-partial-sum-tail-domination", d, ok,
-                              max(0.0, dev)))
-        except Exception:
-            out.append(Record("eigen", "sequence-partial-sum-tail-domination", d,
-                              False, float("inf")))
+        out.guarded("sequence-partial-sum-tail-domination", d, Exception,
+                    lambda: expansion_tail_report(op, (10, 100, 1000)),
+                    lambda records: (all(r.dominated for r in records),
+                                     max(0.0, max(r.sampled_tail_sup - r.certified_bound
+                                                  for r in records))))
         spec = sequence_spectrum(op, validate=False)
         if len(spec.attained) > 8:
             worst_ok = True
@@ -565,19 +549,15 @@ def suite_eigen(instances, tol: Tolerances, rng: np.random.Generator) -> list[Re
                 if annihilation_residuals(op, coeffs) <= 1e-10:
                     worst_ok = False
                     break
-            out.append(Record("eigen", "infinite-spectrum-defeats-monic-annihilators",
-                              d, worst_ok, 0.0))
-    return out
+            out.holds("infinite-spectrum-defeats-monic-annihilators", d, worst_ok)
 
 
-def suite_commutant(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
-    out = []
+def suite_commutant(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
     for T in instances.get("central", []):
         d = op_digest(T)
         inside = commutant_block_operator(rng, T)
         rep = commutant_check(T, inside, rng=rng, tol=tol.exact)
-        ok = rep.all_equivalent() and rep.with_operator
-        out.append(Record("commutant", "five-conditions-agree-inside", d, ok, 0.0))
+        out.holds("five-conditions-agree-inside", d, rep.all_equivalent() and rep.with_operator)
         if len(set(map(complex, T.symbol))) >= 2:
             n = T.lattice.dim
             mism = [(i, j) for i in range(n) for j in range(n)
@@ -587,29 +567,20 @@ def suite_commutant(instances, tol: Tolerances, rng: np.random.Generator) -> lis
             broken[i, j] += 1.0
             repb = commutant_check(T, RegularOperator(T.lattice, broken),
                                    rng=rng, tol=tol.exact)
-            ok = repb.all_equivalent() and not repb.with_operator
-            out.append(Record("commutant", "five-conditions-agree-outside", d, ok, 0.0))
-    return out
+            out.holds("five-conditions-agree-outside", d,
+                      repb.all_equivalent() and not repb.with_operator)
 
 
-def suite_compactness(instances, tol: Tolerances, rng: np.random.Generator) -> list[Record]:
-    out = []
+def suite_compactness(out: Records, instances, tol: Tolerances,
+                      rng: np.random.Generator) -> None:
     canonical = [(reciprocal(), True), (constant(1.0), False), (shifted_reciprocal(1.0), False)]
     for op, expected in canonical:
-        d = op_digest(op)
         verdict = compactness_check(op)
-        out.append(Record("compactness", "canonical-classification", d,
-                          bool(verdict) == expected, 0.0, verdict.reason))
+        out.holds("canonical-classification", op_digest(op),
+                  bool(verdict) == expected, 0.0, verdict.reason)
     for op in instances.get("sequence", []):
-        d = op_digest(op)
-        try:
-            validate_certificate(op)
-            out.append(Record("compactness", "certificate-validates-on-prefix", d,
-                              True, 0.0))
-        except Exception as exc:
-            out.append(Record("compactness", "certificate-validates-on-prefix", d,
-                              False, float("inf"), str(exc)))
-    return out
+        out.guarded("certificate-validates-on-prefix", op_digest(op), Exception,
+                    lambda: validate_certificate(op))
 
 
 SUITES: dict[str, Callable] = {
@@ -636,7 +607,8 @@ def run_suites(names, instances, tol: Optional[Tolerances] = None,
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
         rng = np.random.default_rng(seed)
+        records = Records(name)
         start = time.perf_counter()
-        records = SUITES[name](instances, tol, rng)
+        SUITES[name](records, instances, tol, rng)
         reports.append(SuiteReport(name, records, time.perf_counter() - start))
     return reports

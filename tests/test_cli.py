@@ -244,6 +244,8 @@ _MALFORMED = {
     "calc-sequence-eps-zero": (("calc", "freudenthal", "--eps", "0"), _SEQUENCE),
     "calc-sequence-eps-negative": (("calc", "freudenthal", "--eps=-0.5"), _SEQUENCE),
     "calc-sequence-eps-nan": (("calc", "freudenthal", "--eps", "nan"), _SEQUENCE),
+    # a positive eps that the reciprocal tail rule does not reach within its prefix
+    "calc-sequence-eps-unreached": (("calc", "freudenthal", "--eps", "1e-9"), _SEQUENCE),
     "verify-top-level-list": (_VERIFY, '[1, 2]'),
     "verify-scalar-instances": (_VERIFY, '{"instances": 5}'),
     "verify-string-instances": (_VERIFY, '{"instances": "ab"}'),
