@@ -73,16 +73,14 @@ def measure_to_json(mu: LatticeValuedMeasure) -> dict[str, Any]:
     return {
         "points": list(mu.space.points),
         "atoms": [list(a) for a in mu.space.atoms],
-        "values": {str(k): [float(x) for x in v] for k, v in enumerate(mu.values)},
+        "values": {str(k): v.tolist() for k, v in enumerate(mu.values)},
     }
 
 
 def measure_from_json(doc) -> LatticeValuedMeasure:
     space = FiniteMeasurableSpace(tuple(doc["points"]),
                                   tuple(tuple(a) for a in doc["atoms"]))
-    values = tuple(np.asarray(doc["values"][str(k)], dtype=float)
-                   for k in range(space.n_atoms))
-    return LatticeValuedMeasure(space, values)
+    return LatticeValuedMeasure(space, [doc["values"][str(k)] for k in range(space.n_atoms)])
 
 
 def sequence_to_json(op: SequenceCentralOperator) -> dict[str, Any]:

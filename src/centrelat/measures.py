@@ -8,7 +8,7 @@ decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,8 @@ class MeasurabilityError(ValueError):
 
 
 class PositivityError(ValueError):
-    """A value that must lie in the positive cone has a negative coordinate."""
+    """A value that must lie in the positive cone has a negative or non-finite
+    coordinate."""
 
 
 Point = Hashable
@@ -32,37 +33,34 @@ class FiniteMeasurableSpace:
     """A finite point set with a sigma-algebra given by its atoms.
 
     By default the sigma-algebra is the full power set (singleton atoms).
+    ``atom_of[i]`` is the index of the atom that holds ``points[i]``.
     """
 
     points: tuple[Point, ...]
     atoms: tuple[tuple[Point, ...], ...] = ()
+    atom_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = tuple(self.points)
         if len(set(points)) != len(points):
             raise ValueError("points must be distinct")
         atoms = tuple(tuple(a) for a in self.atoms) or tuple((p,) for p in points)
-        seen: set[Point] = set()
-        for atom in atoms:
-            if not atom:
-                raise ValueError("atoms must be nonempty")
-            if seen & set(atom):
-                raise ValueError("atoms must be pairwise disjoint")
-            seen |= set(atom)
-        if seen != set(points):
+        if not all(atoms):
+            raise ValueError("atoms must be nonempty")
+        atom_at = {p: k for k, atom in enumerate(atoms) for p in atom}
+        if len(atom_at) != sum(len(set(atom)) for atom in atoms):
+            raise ValueError("atoms must be pairwise disjoint")
+        if atom_at.keys() != set(points):
             raise ValueError("atoms must partition the point set")
+        atom_of = np.fromiter((atom_at[p] for p in points), dtype=np.intp, count=len(points))
+        atom_of.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atom_of", atom_of)
 
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    def atom_index(self, point: Point) -> int:
-        for k, atom in enumerate(self.atoms):
-            if point in atom:
-                return k
-        raise KeyError(point)
 
     def is_measurable(self, subset: frozenset | set | Sequence[Point]) -> bool:
         s = set(subset)
@@ -77,32 +75,44 @@ class FiniteMeasurableSpace:
         return [k for k, a in enumerate(self.atoms) if set(a) <= s]
 
 
+def _sum_rows(rows: np.ndarray, dim: int) -> np.ndarray:
+    """The rows added one at a time from zero, in order.
+
+    numpy's reductions may regroup a sum; adding in atom order keeps every
+    result reproducible bit for bit.
+    """
+    total = np.zeros(dim)
+    for row in rows:
+        total += row
+    return total
+
+
 @dataclass(frozen=True)
 class LatticeValuedMeasure:
     """A finitely additive map from a finite sigma-algebra to the positive cone.
 
-    At finite scale, finite additivity on disjoint unions certifies the
-    sigma-additivity clause; the construction validates positivity of every
-    atom value.
+    ``values`` is a read-only ``(n_atoms, dim)`` matrix whose row k is the
+    value of atom k.  At finite scale, finite additivity on disjoint unions
+    certifies the sigma-additivity clause; the construction validates that
+    every entry is finite and nonnegative.
     """
 
     space: FiniteMeasurableSpace
-    values: tuple              # one lattice element per atom
+    values: np.ndarray
     lattice: Optional[CoordinateLattice] = None
 
     def __post_init__(self):
-        vals = tuple(np.asarray(v, dtype=float) for v in self.values)
-        if len(vals) != self.space.n_atoms:
-            raise ValueError("one value per atom required")
-        dims = {len(v) for v in vals}
-        if len(dims) != 1:
-            raise ValueError("atom values must have a common dimension")
-        dim = dims.pop()
-        for k, v in enumerate(vals):
-            if any(x < 0 for x in v):
-                raise PositivityError(f"atom {k} has a negative coordinate")
-        lattice = self.lattice or CoordinateLattice(dim, MaxNorm())
-        if lattice.dim != dim:
+        # a view, so that the caller's array stays writable and is not copied
+        vals = np.asarray(self.values, dtype=float).view()
+        if vals.ndim != 2 or len(vals) != self.space.n_atoms:
+            raise ValueError("one value row of a common dimension per atom required")
+        positive = np.all((vals >= 0) & (vals < np.inf), axis=1)
+        if not positive.all():
+            k = int(np.argmin(positive))
+            raise PositivityError(f"atom {k} has a negative or non-finite coordinate")
+        vals.setflags(write=False)
+        lattice = self.lattice or CoordinateLattice(vals.shape[1], MaxNorm())
+        if lattice.dim != vals.shape[1]:
             raise ValueError("lattice dimension does not match the values")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "lattice", lattice)
@@ -111,92 +121,80 @@ class LatticeValuedMeasure:
     def dim(self) -> int:
         return self.lattice.dim
 
-    def zero(self):
-        return np.zeros(self.dim)
-
     def measure_of(self, subset):
         """mu(Delta) for a measurable Delta, by additivity over its atoms."""
-        total = self.zero()
-        for k in self.space.atoms_of(subset):
-            total = total + self.values[k]
-        return total
+        return _sum_rows(self.values[self.space.atoms_of(subset)], self.dim)
 
     def total(self):
         return self.measure_of(self.space.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurableFunction:
-    """A complex function on a finite measurable space, constant on atoms."""
+    """A complex function on a finite measurable space, constant on atoms.
+
+    It is built from a table point -> value and keeps one complex value per
+    atom in ``values``.
+    """
 
     space: FiniteMeasurableSpace
-    table: Mapping[Point, complex]
-    bound: Optional[float] = None
+    table: InitVar[Mapping[Point, complex]]
+    values: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        missing = [p for p in self.space.points if p not in self.table]
+    def __post_init__(self, table):
+        missing = [p for p in self.space.points if p not in table]
         if missing:
             raise MeasurabilityError(f"function undefined at point {missing[0]!r}")
         for atom in self.space.atoms:
-            vals = {self.table[p] for p in atom}
-            if len(vals) > 1:
+            if len({table[p] for p in atom}) > 1:
                 raise MeasurabilityError(f"function is not constant on atom {atom!r}")
-        if self.bound is not None:
-            worst = max(abs(complex(self.table[p])) for p in self.space.points)
-            if worst > self.bound + TOL_EXACT:
-                raise ValueError("declared bound is exceeded")
+        values = np.array([complex(table[atom[0]]) for atom in self.space.atoms], dtype=complex)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
-    @classmethod
-    def indicator(cls, space: FiniteMeasurableSpace, subset) -> "MeasurableFunction":
-        if not space.is_measurable(subset):
-            raise MeasurabilityError("indicator of a non-measurable set")
-        s = set(subset)
-        return cls(space, {p: (1.0 if p in s else 0.0) for p in space.points}, bound=1.0)
-
-    def __call__(self, point: Point):
-        return self.table[point]
-
-    def on_atom(self, k: int):
-        return self.table[self.space.atoms[k][0]]
+    def __call__(self, point: Point) -> complex:
+        return complex(self.values[self.space.atom_of[self.space.points.index(point)]])
 
 
 def integrate(f: MeasurableFunction, mu: LatticeValuedMeasure):
     """Order integral of f against mu: the atom-wise sum of f * mu(atom).
 
     Real and imaginary parts are assembled from the positive/negative part
-    decomposition of an elementary function.  Returns a ComplexElement.
+    decomposition of an elementary function, each part summed over the atoms
+    in atom order.  Returns a ComplexElement.
     """
     if f.space is not mu.space and f.space != mu.space:
         raise MeasurabilityError("function and measure live on different spaces")
-    re_pos = np.zeros(mu.dim)
-    re_neg = np.zeros(mu.dim)
-    im_pos = np.zeros(mu.dim)
-    im_neg = np.zeros(mu.dim)
-    for k in range(mu.space.n_atoms):
-        v = complex(f.on_atom(k))
-        m = mu.values[k]
-        re_pos += max(v.real, 0.0) * m
-        re_neg += max(-v.real, 0.0) * m
-        im_pos += max(v.imag, 0.0) * m
-        im_neg += max(-v.imag, 0.0) * m
+    re, im = f.values.real, f.values.imag
+    # per atom, the weights of re_pos, re_neg, im_pos and im_neg
+    weights = np.maximum(np.stack([re, -re, im, -im], axis=1), 0.0)
+    parts = np.zeros((4, mu.dim))
+    for w, m in zip(weights, mu.values):
+        parts += w[:, None] * m
+    re_pos, re_neg, im_pos, im_neg = parts
     return ComplexElement(mu.lattice, (re_pos - re_neg) + 1j * (im_pos - im_neg))
 
 
 def image_measure(mu: LatticeValuedMeasure, mapping: Mapping[Point, Point],
                   target: FiniteMeasurableSpace) -> LatticeValuedMeasure:
     """Push mu forward along a point map: (image mu)(Delta) = mu(preimage)."""
+    target_atom = dict(zip(target.points, target.atom_of.tolist()))
     for p in mu.space.points:
         if p not in mapping:
             raise ValueError(f"map undefined at point {p!r}")
-        if mapping[p] not in target.points:
+        if mapping[p] not in target_atom:
             raise ValueError(f"target space does not contain {mapping[p]!r}")
-    values = []
-    for atom in target.atoms:
-        pre = {p for p in mu.space.points if mapping[p] in atom}
-        if not mu.space.is_measurable(pre):
-            raise MeasurabilityError(f"preimage of atom {atom!r} is not measurable")
-        values.append(mu.measure_of(pre))
-    return LatticeValuedMeasure(target, tuple(values), mu.lattice)
+    # the target atom each source point lands in, and one landing per source
+    # atom; a target atom's preimage is measurable iff no source atom splits
+    lands = np.array([target_atom[mapping[p]] for p in mu.space.points], dtype=np.intp)
+    owner = np.empty(mu.space.n_atoms, dtype=np.intp)
+    owner[mu.space.atom_of] = lands
+    split = lands != owner[mu.space.atom_of]
+    if split.any():
+        bad = min(lands[split].min(), owner[mu.space.atom_of[split]].min())
+        raise MeasurabilityError(f"preimage of atom {target.atoms[bad]!r} is not measurable")
+    values = np.array([_sum_rows(mu.values[owner == t], mu.dim) for t in range(target.n_atoms)])
+    return LatticeValuedMeasure(target, values, mu.lattice)
 
 
 @dataclass(frozen=True)
@@ -209,30 +207,21 @@ class SpectralVerdict:
         return self.is_spectral
 
 
-def is_spectral(mu: LatticeValuedMeasure,
-                product: Optional[Callable] = None,
-                tol: float = TOL_EXACT) -> SpectralVerdict:
+def is_spectral(mu: LatticeValuedMeasure, tol: float = TOL_EXACT) -> SpectralVerdict:
     """Check the product law mu(D1 & D2) = mu(D1) * mu(D2) on all atom pairs.
 
     By additivity it suffices that each atom value is idempotent and that
-    distinct atom values have product zero.
+    distinct atom values have product zero.  Values are nonnegative and
+    rounding is monotone, so the largest product of two distinct atoms in a
+    coordinate is that of the two largest values there.
     """
-    prod = product or (lambda a, b: a * b)
-
-    def dev(a, b):
-        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-    worst = 0.0
-    idem = []
-    n = mu.space.n_atoms
-    for k in range(n):
-        d = dev(prod(mu.values[k], mu.values[k]), mu.values[k])
-        idem.append(d <= tol)
-        worst = max(worst, d)
-        for j in range(k + 1, n):
-            z = prod(mu.values[k], mu.values[j])
-            worst = max(worst, dev(z, mu.zero()))
-    return SpectralVerdict(worst <= tol, worst, tuple(idem))
+    v = mu.values
+    idem = np.max(np.abs(v * v - v), axis=1)
+    worst = float(np.max(idem))
+    if len(v) > 1:
+        top = np.partition(v, len(v) - 2, axis=0)[-2:]
+        worst = max(worst, float(np.max(top[0] * top[1])))
+    return SpectralVerdict(worst <= tol, worst, tuple((idem <= tol).tolist()))
 
 
 def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
@@ -250,7 +239,6 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
     admissible functions plus the extremal indicator.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    npts = len(space.points)
     index = {p: i for i, p in enumerate(space.points)}
 
     def chi(subset) -> np.ndarray:
@@ -266,13 +254,8 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
         values.append(v)
     mu = LatticeValuedMeasure(space, tuple(values), lattice)
 
-    atom_of = np.empty(npts, dtype=int)     # point index -> index of its atom
-    for k, atom in enumerate(space.atoms):
-        for p in atom:
-            atom_of[index[p]] = k
-
     def random_measurable(low: float, high: float) -> np.ndarray:
-        return rng.uniform(low, high, size=space.n_atoms)[atom_of]
+        return rng.uniform(low, high, size=space.n_atoms)[space.atom_of]
 
     # reproduction pi(f) = order integral of f
     for _ in range(samples):

@@ -253,6 +253,9 @@ _MALFORMED = {
     "verify-nan-symbol": (_VERIFY, '{"instances": [{"central": %s}]}' % _NAN_SYMBOL),
     "verify-scalar-symbol": (_VERIFY, '{"instances": [{"central": {"symbol": 5}}]}'),
     "verify-short-entry": (_VERIFY, '{"instances": [{"central": {"symbol": [[1]]}}]}'),
+    "verify-nan-measure": (_VERIFY, '{"instances": [{"measure": {"points": [0, 1], '
+                                    '"atoms": [[0], [1]], '
+                                    '"values": {"0": [0.5, NaN], "1": [1, 0]}}}]}'),
 }
 
 

@@ -1,8 +1,12 @@
 """Tests for lattice-valued measures, the order integral, image measures,
 spectral laws, and the representation of positive functionals."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrelat.lattice import ConvergenceWitness, CoordinateLattice, check_witness
 from centrelat.measures import (
@@ -106,7 +110,7 @@ def test_integrate_decomposition_independence():
         fine = FiniteMeasurableSpace(coarse.points)
         fine_vals = []
         for p in fine.points:
-            k = coarse.atom_index(p)
+            k = coarse.atom_of[coarse.points.index(p)]
             share = vals[k] / len(coarse.atoms[k])
             fine_vals.append(share)
         mu_fine = LatticeValuedMeasure(fine, tuple(fine_vals))
@@ -344,3 +348,189 @@ def test_regularity_trivial_on_discrete_space():
         v = mu.measure_of(subset)
         assert np.array_equal(v, mu.measure_of(subset))  # open = compact = the set itself
 
+
+
+# ---------------------------------------------------------------------------
+# the atom matrix against the per-atom loops it replaced
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 and 0.0 parts count as different."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _loop_first_bad_atom(rows):
+    """The positivity test of the tuple layout: a generator over each row."""
+    for k, v in enumerate(rows):
+        if any(x < 0 for x in v):
+            return k
+    return None
+
+
+def _loop_measure_of(rows, space, subset):
+    total = np.zeros(len(rows[0]))
+    for k in space.atoms_of(subset):
+        total = total + rows[k]
+    return total
+
+
+def _loop_integrate(table, rows, space):
+    re_pos, re_neg, im_pos, im_neg = (np.zeros(len(rows[0])) for _ in range(4))
+    for k in range(space.n_atoms):
+        v = complex(table[space.atoms[k][0]])
+        m = rows[k]
+        re_pos += max(v.real, 0.0) * m
+        re_neg += max(-v.real, 0.0) * m
+        im_pos += max(v.imag, 0.0) * m
+        im_neg += max(-v.imag, 0.0) * m
+    return (re_pos - re_neg) + 1j * (im_pos - im_neg)
+
+
+def _loop_image_values(rows, space, mapping, target):
+    values = []
+    for atom in target.atoms:
+        pre = {p for p in space.points if mapping[p] in atom}
+        if not space.is_measurable(pre):
+            raise MeasurabilityError(f"preimage of atom {atom!r} is not measurable")
+        values.append(_loop_measure_of(rows, space, pre))
+    return values
+
+
+def _loop_is_spectral(rows, tol):
+    def dev(a, b):
+        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+    worst = 0.0
+    idem = []
+    for k in range(len(rows)):
+        d = dev(rows[k] * rows[k], rows[k])
+        idem.append(d <= tol)
+        worst = max(worst, d)
+        for j in range(k + 1, len(rows)):
+            worst = max(worst, dev(rows[k] * rows[j], np.zeros(len(rows[0]))))
+    return worst <= tol, worst, tuple(idem)
+
+
+_VALUES = (0.0, -0.0, 1.0, 0.5, 2.25, 0.1, 0.7, 3.0, 1e-300)
+_PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 0.1, -0.7)
+
+
+@st.composite
+def _spaces(draw, max_points=7):
+    """Points in a drawn order, grouped into coarse atoms listed in a drawn
+    order; one-atom spaces included."""
+    n = draw(st.integers(1, max_points))
+    points = tuple(draw(st.permutations(range(n))))
+    n_labels = draw(st.integers(1, n))
+    labels = draw(st.lists(st.integers(0, n_labels - 1), min_size=n, max_size=n))
+    order = draw(st.permutations(sorted(set(labels))))
+    atoms = tuple(tuple(p for p, lab in zip(points, labels) if lab == k) for k in order)
+    return FiniteMeasurableSpace(points, atoms)
+
+
+def _rows(draw, n_atoms, dim, pool):
+    """Pool values, or generic floats (whose sums depend on the order of
+    addition) with some entries replaced by pool values."""
+    if draw(st.booleans()):
+        value = st.one_of(st.sampled_from(pool), st.floats(0.0, 4.0))
+        return tuple(np.array(draw(st.lists(value, min_size=dim, max_size=dim)))
+                     for _ in range(n_atoms))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.uniform(0.0, 4.0, size=(n_atoms, dim))
+    mask = rng.uniform(size=rows.shape) < 0.3
+    rows[mask] = rng.choice(pool, size=int(mask.sum()))
+    return tuple(rows)
+
+
+def _complex_values(draw, n):
+    if draw(st.booleans()):
+        part = st.one_of(st.sampled_from(_PARTS), st.floats(-3.0, 3.0))
+        return [complex(draw(part), draw(part)) for _ in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = rng.uniform(-3.0, 3.0, size=(2, n))
+    mask = rng.uniform(size=parts.shape) < 0.3
+    parts[mask] = rng.choice(_PARTS, size=int(mask.sum()))
+    return [complex(a, b) for a, b in parts.T]
+
+
+def _check_against_loops(space, rows, chosen, per_atom, target, mapping, spectral_rows, tol):
+    mu = LatticeValuedMeasure(space, rows)
+    assert mu.values.shape == (space.n_atoms, len(rows[0])) and not mu.values.flags.writeable
+    assert all(_same_bits(mu.values[k], rows[k]) for k in range(space.n_atoms))
+
+    subset = {p for k in chosen for p in space.atoms[k]}
+    assert _same_bits(mu.measure_of(subset), _loop_measure_of(rows, space, subset))
+    assert _same_bits(mu.total(), _loop_measure_of(rows, space, space.points))
+
+    table = {p: per_atom[k] for k, atom in enumerate(space.atoms) for p in atom}
+    f = MeasurableFunction(space, table)
+    assert all(f(p) == table[p] for p in space.points)
+    assert _same_bits(integrate(f, mu).values, _loop_integrate(table, rows, space))
+
+    try:
+        expected = _loop_image_values(rows, space, mapping, target)
+    except MeasurabilityError as exc:
+        with pytest.raises(MeasurabilityError, match=re.escape(str(exc))):
+            image_measure(mu, mapping, target)
+    else:
+        image = image_measure(mu, mapping, target)
+        assert len(image.values) == len(expected)
+        assert all(_same_bits(a, b) for a, b in zip(image.values, expected))
+
+    for candidate in (rows, spectral_rows):
+        verdict = is_spectral(LatticeValuedMeasure(space, candidate), tol=tol)
+        ok, worst, idem = _loop_is_spectral(candidate, tol)
+        assert verdict.is_spectral is ok and verdict.idempotent == idem
+        assert _same_bits(verdict.max_violation, worst)
+
+
+@given(_spaces(max_points=24), _spaces(max_points=4), st.integers(1, 4), st.data())
+@settings(max_examples=400, deadline=None)
+def test_atom_matrix_matches_per_atom_loops(space, target, dim, data):
+    draw = data.draw
+    _check_against_loops(
+        space,
+        rows=_rows(draw, space.n_atoms, dim, _VALUES),
+        chosen=draw(st.sets(st.integers(0, space.n_atoms - 1))),
+        per_atom=_complex_values(draw, space.n_atoms),
+        target=target,
+        mapping={p: draw(st.sampled_from(target.points)) for p in space.points},
+        spectral_rows=_rows(draw, space.n_atoms, dim, (0.0, -0.0, 1.0, 0.5)),
+        tol=draw(st.sampled_from((0.0, 1e-12, 0.3))))
+
+
+def test_one_atom_space_with_signed_zeros_matches_loops():
+    one = FiniteMeasurableSpace(("a", "b"), (("b", "a"),))
+    rows = (np.array([-0.0, 0.0, 1.0]),)
+    for value in (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-1.0, 0.5)):
+        _check_against_loops(one, rows, {0}, [value], FiniteMeasurableSpace(("x",)),
+                             {"a": "x", "b": "x"}, (np.array([1.0, -0.0, 0.0]),), 0.0)
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_positivity_error_names_first_negative_atom(n_atoms, dim, data):
+    rows = _rows(data.draw, n_atoms, dim, _VALUES + (-0.5, -1e-300, -3.0))
+    first = _loop_first_bad_atom(rows)
+    space = FiniteMeasurableSpace(tuple(range(n_atoms)))
+    if first is None:
+        LatticeValuedMeasure(space, rows)
+    else:
+        with pytest.raises(PositivityError, match=f"^atom {first} has a negative"):
+            LatticeValuedMeasure(space, rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_measure_rejects_non_finite_values(bad):
+    space = powerset_space(3)
+    rows = (np.array([1.0, 0.0]), np.array([0.5, bad]), np.array([-1.0, 0.0]))
+    with pytest.raises(PositivityError, match="^atom 1 has a negative or non-finite"):
+        LatticeValuedMeasure(space, rows)
+
+
+def test_measure_views_caller_matrix_without_copying():
+    eye = np.eye(4)
+    mu = LatticeValuedMeasure(powerset_space(4), eye)
+    assert np.shares_memory(mu.values, eye)
+    assert eye.flags.writeable and not mu.values.flags.writeable

@@ -3,6 +3,7 @@ functional calculus, eigen expansions, and commutants."""
 
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from centrelat import spectral
 from centrelat.cli import main as cli_main
 from centrelat.exact import QComplex
 from centrelat.generate import (
@@ -104,6 +106,46 @@ def test_spectrum_permanence_random():
     for _ in range(50):
         T = random_central(rng, dim=int(rng.integers(1, 17)))
         spectrum(T, cross_check=True)  # raises on disagreement with eigvals
+
+
+def _loop_spectrum_error(eig, values):
+    """The cross-check as two per-value loops, with its error text."""
+    arr = np.asarray(values)
+    for lam in eig:
+        if np.min(np.abs(arr - lam)) > TOL_ORACLE:
+            return f"dense eigenvalue {lam} missing from the symbol spectrum"
+    for lam in values:
+        if np.min(np.abs(eig - lam)) > TOL_ORACLE:
+            return f"symbol value {lam} missing from the dense eigenvalues"
+    return None
+
+
+_SPEC_POOL = (0.0, -0.0, 1.0, -1.0, 2j, 1 + 1j, 0.25 - 3j)
+_OFFSETS = (0.0, 0.0, 0.0, 4e-10, -9e-10, 1e-9, 2e-9j, 0.5, -3j)
+
+
+@given(st.lists(st.sampled_from(_SPEC_POOL), min_size=1, max_size=12),
+       st.lists(st.sampled_from(_OFFSETS), min_size=12, max_size=12),
+       st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_spectrum_cross_check_matches_loops(symbols, offsets, block):
+    # perturbed dense eigenvalues, near and beyond TOL_ORACLE, stand in for eigvals
+    T = central(symbols)
+    values = list(dict.fromkeys(T.symbol.tolist()))
+    eig = np.linalg.eigvals(np.diag(T.symbol)) + np.array(offsets[:len(symbols)])
+    message = _loop_spectrum_error(eig, values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "CROSS_CHECK_BLOCK_ROWS", block)
+        for xs, ys in ((eig, np.asarray(values)), (np.asarray(values), eig)):
+            expected = next((i for i, x in enumerate(xs)
+                             if np.min(np.abs(ys - x)) > TOL_ORACLE), None)
+            assert spectral._first_unmatched(xs, ys) == expected
+        mp.setattr(np.linalg, "eigvals", lambda matrix: eig)
+        if message is None:
+            assert spectrum(T).attained == tuple(values)
+        else:
+            with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+                spectrum(T)
 
 
 def test_spectrum_shape_report():
