@@ -3,6 +3,7 @@ operators.  Complex entries are serialized as two-element arrays [re, im]."""
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -98,6 +99,9 @@ def sequence_from_json(doc) -> SequenceCentralOperator:
     params = dict(doc["rule"].get("params", {}))
     if name not in BUILTIN_RULES:
         raise ValueError(f"unknown sequence rule {name!r}")
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"sequence parameter {key!r} must be finite")
     if name == "constant":
         value = complex(params.pop("value_re", 1.0), params.pop("value_im", 0.0))
         return BUILTIN_RULES[name](value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -67,11 +67,19 @@ class SequenceCentralOperator:
 
 
 def _reciprocal_multiplicity(v: complex, shift: float = 0.0) -> float:
-    w = complex(v) - shift
-    if w.imag != 0.0 or w.real <= 0.0:
+    """1 if the rule shift + 1/j gives v bit for bit at some index j, else 0.
+
+    Rounding moves 1/(v - shift) off that j by less than 2, so the rule is
+    re-evaluated at the nearest index k, then at k +- 1 and k +- 2.
+    """
+    v = complex(v)
+    inverse = 1.0 / (v.real - shift) if v.real > shift and v.imag == 0.0 else math.inf
+    if not inverse < math.inf:
         return 0.0
-    k = round(1.0 / w.real)
-    return 1.0 if k >= 1 and 1.0 / k == w.real else 0.0
+    k = round(inverse)
+    if k >= 1 and shift + 1.0 / k == v.real:
+        return 1.0
+    return float(any(j >= 1 and shift + 1.0 / j == v.real for j in (k - 1, k + 1, k - 2, k + 2)))
 
 
 def reciprocal() -> SequenceCentralOperator:
@@ -145,6 +153,29 @@ def _dist_to_accumulation(values: np.ndarray, accumulation: Sequence[complex]) -
     return np.min(np.abs(values[:, None] - acc[None, :]), axis=1)
 
 
+def breakpoints(tail: Callable[[int], float], epsilons: Sequence[float],
+                sample: int) -> Iterator[Optional[int]]:
+    """Yield N(eps) = min{n in [1, sample): tail(n) <= eps}, or None, for each
+    eps in turn, from one ascending scan that calls tail once per n at most.
+
+    N(eps) cannot come earlier for a smaller eps, monotone tail or not, so
+    that search resumes where the last larger eps stopped.
+    """
+    scanned: list[float] = []
+    start, last = 0, math.inf
+    for eps in epsilons:
+        start = start if eps <= last else 0
+        n = next((i + 1 for i in range(start, len(scanned)) if scanned[i] <= eps), None)
+        if n is None:
+            for t in map(tail, range(len(scanned) + 1, sample)):
+                scanned.append(t)
+                if t <= eps:
+                    n = len(scanned)
+                    break
+        start, last = (len(scanned) if n is None else n - 1), eps
+        yield n
+
+
 def validate_certificate(op: SequenceCentralOperator, sample: int = DEFAULT_SAMPLE,
                          schedule: Sequence[float] = EPS_SCHEDULE) -> None:
     """Validate the sup bound and the tail certificate on a sampled prefix.
@@ -161,8 +192,7 @@ def validate_certificate(op: SequenceCentralOperator, sample: int = DEFAULT_SAMP
     if op.tail is None:
         return
     dist = _dist_to_accumulation(values, op.accumulation)
-    for eps in schedule:
-        n = next((n for n in range(1, sample) if op.tail(n) <= eps), None)
+    for eps, n in zip(schedule, breakpoints(op.tail, schedule, sample)):
         if n is None:
             continue
         bad = np.flatnonzero(dist[n:] > eps + TOL_EXACT)
@@ -270,7 +300,7 @@ def freudenthal_net(op: SequenceCentralOperator, eps: float,
         raise ValueError("eps must be positive")
     if op.tail is None:
         raise CertificateError("tail rule required for the eps-net construction")
-    n = next((n for n in range(1, sample) if op.tail(n) <= eps), None)
+    n = next(breakpoints(op.tail, (eps,), sample))
     if n is None:
         raise CertificateError("tail rule does not reach eps within the sampled prefix")
     head = [complex(v) for v in op.prefix(n)]
@@ -304,36 +334,3 @@ def sequence_eigen_query(op: SequenceCentralOperator, value: complex,
         attained = any(complex(v) == value for v in op.prefix(sample))
     in_spec = attained or any(complex(a) == value for a in op.accumulation)
     return SequenceEigenQuery(in_spec, attained)
-
-
-def annihilation_residuals(op: SequenceCentralOperator,
-                           coeffs: Sequence[complex],
-                           sample: int = DEFAULT_SAMPLE) -> float:
-    """Sampled sup of |p(lambda_i)| for a monic polynomial given by coeffs."""
-    values = op.prefix(sample)
-    return float(np.max(np.abs(np.polyval(np.asarray(coeffs, dtype=complex), values))))
-
-
-def monic_candidates(op: SequenceCentralOperator, max_degree: int = 8,
-                     sample: int = DEFAULT_SAMPLE,
-                     rng: Optional[np.random.Generator] = None) -> list[tuple[complex, ...]]:
-    """Candidate monic annihilators of degree <= max_degree.
-
-    Sliding products over windows of distinct sampled spectrum values, which
-    are the best possible annihilators on those windows, plus random monic
-    polynomials.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    distinct = list(dict.fromkeys(op.prefix(sample).tolist()))
-    candidates: list[tuple[complex, ...]] = []
-    for d in range(1, max_degree + 1):
-        for start in range(0, min(len(distinct) - d, 12)):
-            c = np.array([1.0 + 0j])
-            for v in distinct[start:start + d]:
-                c = np.convolve(c, np.array([1.0 + 0j, -v]))
-            candidates.append(tuple(c))
-        for _ in range(4):
-            c = np.concatenate(([1.0 + 0j],
-                                rng.standard_normal(d) + 1j * rng.standard_normal(d)))
-            candidates.append(tuple(c))
-    return candidates

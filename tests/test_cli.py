@@ -253,6 +253,12 @@ _MALFORMED = {
     "verify-nan-symbol": (_VERIFY, '{"instances": [{"central": %s}]}' % _NAN_SYMBOL),
     "verify-scalar-symbol": (_VERIFY, '{"instances": [{"central": {"symbol": 5}}]}'),
     "verify-short-entry": (_VERIFY, '{"instances": [{"central": {"symbol": [[1]]}}]}'),
+    "verify-nan-shift": (_VERIFY, '{"instances": [{"kind": "sequence", "sequence": '
+                                  '{"rule": {"name": "shifted_reciprocal", '
+                                  '"params": {"shift": NaN}}}}]}'),
+    "verify-nan-constant": (_VERIFY, '{"instances": [{"kind": "sequence", "sequence": '
+                                     '{"rule": {"name": "constant", '
+                                     '"params": {"value_re": 1.0, "value_im": NaN}}}}]}'),
     "verify-nan-measure": (_VERIFY, '{"instances": [{"measure": {"points": [0, 1], '
                                     '"atoms": [[0], [1]], '
                                     '"values": {"0": [0.5, NaN], "1": [1, 0]}}}]}'),

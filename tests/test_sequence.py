@@ -1,5 +1,5 @@
 """Tests for certified sequence-mode operators: certificates, spectra,
-compactness, expansion tails, eps-nets, and annihilation."""
+compactness, expansion tails, eps-nets, and eigen queries."""
 
 import math
 
@@ -14,13 +14,12 @@ from centrelat.sequence import (
     BUILTIN_RULES,
     CertificateError,
     SequenceCentralOperator,
-    annihilation_residuals,
+    breakpoints,
     compactness_check,
     constant,
     expansion_tail_report,
     freudenthal_net,
     geometric,
-    monic_candidates,
     reciprocal,
     sequence_eigen_query,
     sequence_spectrum,
@@ -162,20 +161,34 @@ def test_constant_value_is_eigenvalue():
     assert q.in_spectrum and q.is_eigenvalue
 
 
-# ---------------------------------------------------------------------------
-# annihilation
-# ---------------------------------------------------------------------------
+@given(st.floats(-2.0, 2.0), st.integers(1, 10_000))
+@example(0.7, 10_000)
+@example(-1.0, 1)
+@example(2.0, 9_999)
+@settings(max_examples=200, deadline=None)
+def test_reciprocal_multiplicity_identifies_every_rule_value(shift, k):
+    op = shifted_reciprocal(shift)
+    assert op.multiplicity(op.rule(k)) == 1.0
+    q = sequence_eigen_query(op, op.rule(k))
+    assert q.in_spectrum and q.is_eigenvalue
+    # the accumulation point is in the spectrum but never attained
+    assert op.multiplicity(shift) == 0.0
+    q = sequence_eigen_query(op, shift)
+    assert q.in_spectrum and not q.is_eigenvalue
 
-def test_infinite_spectrum_defeats_all_monic_candidates():
-    op = reciprocal()
-    for coeffs in monic_candidates(op, max_degree=8, sample=2000):
-        assert annihilation_residuals(op, coeffs, sample=2000) > 1e-10
+
+def test_reciprocal_multiplicity_rejects_unattained_values():
+    op = shifted_reciprocal(0.7)
+    for v in (0.3 + 0.7, 0.7 - 0.5, 1.7 + 1e-9j, math.nan, math.inf, -math.inf):
+        assert op.multiplicity(v) == 0.0
+    # 1/1e-320 overflows to inf: no index is that large
+    assert reciprocal().multiplicity(1e-320) == 0.0
 
 
-def test_finite_spectrum_sequence_is_annihilated():
-    op = constant(2.0)
-    # monic x - 2 annihilates the constant sequence
-    assert annihilation_residuals(op, (1.0, -2.0), sample=1000) <= 1e-12
+def test_shifted_reciprocal_prefix_values_are_all_eigenvalues():
+    # comparing 1.0 / k with v - shift in floats finds only 14 of these values
+    op = shifted_reciprocal(0.7)
+    assert all(op.multiplicity(v) == 1.0 for v in op.prefix(10_000))
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +232,94 @@ def test_prefix_cache_is_bit_equal_to_the_rule(named, lengths):
 
 
 # ---------------------------------------------------------------------------
+# N(eps): the shared scan against the per-eps scan it replaced
+# ---------------------------------------------------------------------------
+
+def _scan_reference(tail, eps, sample):
+    return next((n for n in range(1, sample) if tail(n) <= eps), None)
+
+
+def _validate_reference(op, sample, schedule):
+    """validate_certificate's tail loop before the shared scan."""
+    values = op.prefix(sample)
+    dist = np.min(np.abs(values[:, None] - np.asarray(op.accumulation)[None, :]), axis=1)
+    for eps in schedule:
+        n = _scan_reference(op.tail, eps, sample)
+        if n is None:
+            continue
+        bad = np.flatnonzero(dist[n:] > eps + 1e-12)
+        if bad.size:
+            raise CertificateError(
+                f"tail certificate violated at index {n + 1 + int(bad[0])} for eps={eps}")
+
+
+def _error_text(call):
+    try:
+        call()
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+_TAIL_VALUES = st.one_of(st.sampled_from([0.0, 1e-6, 1e-3, 0.05, 0.1, 0.5, 2.0, math.nan]),
+                         st.floats(0.0, 1.0))
+_EPS = st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9, 0.0, 0.5, math.nan])
+
+
+@given(st.lists(_TAIL_VALUES, min_size=0, max_size=40),
+       st.lists(_EPS, min_size=1, max_size=7),
+       st.integers(1, 45))
+@example([0.5, 0.05, 0.2, 1e-3, math.nan, 0.0], [1e-1, 1e-2, 1e-3, 1e-4, 1e-6], 7)
+@example([0.5, math.nan, 0.5], [1e-1, 1e-2], 4)
+@example([0.05, 0.2, 0.05], [1e-3, 1e-1, 0.5, 1e-2], 4)
+@settings(max_examples=300, deadline=None)
+def test_shared_scan_matches_the_per_eps_scan(table, schedule, sample):
+    calls = []
+
+    def tail(n):
+        calls.append(n)
+        return table[n - 1] if n <= len(table) else 1.0
+
+    want = [_scan_reference(tail, eps, sample) for eps in schedule]
+    calls.clear()
+    assert list(breakpoints(tail, schedule, sample)) == want
+    # each n is evaluated at most once, in ascending order
+    assert calls == list(range(1, len(calls) + 1)) and len(calls) <= max(sample - 1, 0)
+
+    # the sequence runs 1/i; the accumulation point 0 and this tail table
+    # decide which eps, if any, is violated first
+    op = SequenceCentralOperator(rule=lambda i: 1.0 / i, sup_bound=1.0, accumulation=(0.0,),
+                                 tail=tail)
+    assert _error_text(lambda: validate_certificate(op, sample, schedule)) \
+        == _error_text(lambda: _validate_reference(op, sample, schedule))
+    for eps in schedule:
+        if not eps > 0:
+            continue
+        n = _scan_reference(tail, eps, sample)
+        if n is None:
+            with pytest.raises(CertificateError, match="does not reach eps"):
+                freudenthal_net(op, eps, sample)
+        else:
+            assert freudenthal_net(op, eps, sample).breakpoint == n
+
+
+def test_validate_calls_tail_at_most_once_per_index():
+    calls = []
+    op = reciprocal()
+    counted = SequenceCentralOperator(op.rule, op.sup_bound, op.accumulation,
+                                      lambda n: calls.append(n) or op.tail(n))
+    validate_certificate(counted)
+    # 1e-5 and 1e-6 are not reached within 10^4 indices, so the scan runs to the end
+    assert sorted(calls) == list(range(1, 10_000))
+
+
+# ---------------------------------------------------------------------------
 # first-occurrence deduplication
 # ---------------------------------------------------------------------------
 
 def _first_occurrence_loop(values):
-    """The seen/out loop that sequence_spectrum, monic_candidates and
-    spectrum(T) used before they switched to dict.fromkeys."""
+    """The seen/out loop that sequence_spectrum and spectrum(T) used before
+    they switched to dict.fromkeys."""
     seen: set[complex] = set()
     out: list[complex] = []
     for v in values:
@@ -233,21 +328,6 @@ def _first_occurrence_loop(values):
             seen.add(v)
             out.append(v)
     return out
-
-
-def _monic_reference(distinct, max_degree, rng):
-    candidates = []
-    for d in range(1, max_degree + 1):
-        for start in range(0, min(len(distinct) - d, 12)):
-            c = np.array([1.0 + 0j])
-            for v in distinct[start:start + d]:
-                c = np.convolve(c, np.array([1.0 + 0j, -v]))
-            candidates.append(tuple(c))
-        for _ in range(4):
-            c = np.concatenate(([1.0 + 0j],
-                                rng.standard_normal(d) + 1j * rng.standard_normal(d)))
-            candidates.append(tuple(c))
-    return candidates
 
 
 # signed zeros and values that differ only in their imaginary part
@@ -268,6 +348,3 @@ def test_dedup_matches_the_first_occurrence_loop(values):
         == repr(tuple(want))
     T = CentralOperator(CoordinateLattice(len(values)), symbol)
     assert repr(spectrum(T).attained) == repr(tuple(want))
-    got = monic_candidates(op, 4, sample=len(values), rng=np.random.default_rng(3))
-    ref = _monic_reference(want, 4, np.random.default_rng(3))
-    assert [np.array(c).tobytes() for c in got] == [np.array(c).tobytes() for c in ref]

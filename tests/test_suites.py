@@ -8,7 +8,13 @@ import pytest
 
 from centrelat import suites
 from centrelat.generate import random_central, random_measure
-from centrelat.sequence import CertificateError, reciprocal
+from centrelat.sequence import (
+    CertificateError,
+    constant,
+    geometric,
+    reciprocal,
+    shifted_reciprocal,
+)
 from centrelat.spectral import OperatorSpectralMeasure
 from centrelat.suites import Records, op_digest, run_suites
 
@@ -175,3 +181,27 @@ def test_guarded_sites_pass_with_zero_deviation_when_nothing_raises():
     for r in records:
         if r.check in guarded:
             assert (r.max_deviation, r.witness) == (0.0, "")
+
+
+# ---------------------------------------------------------------------------
+# the monic record, decided by the number of distinct prefix values
+# ---------------------------------------------------------------------------
+
+MONIC = "infinite-spectrum-defeats-monic-annihilators"
+
+
+def test_monic_record_passes_with_its_distinct_count():
+    [record] = records_of("eigen", {"sequence": [reciprocal()]}, MONIC)
+    assert record.ok and record.max_deviation == 0.0
+    assert record.witness == "10000 distinct prefix values"
+    # 1e-40 ** i: eight nonzero values (the last subnormal), then 0.0
+    [record] = records_of("eigen", {"sequence": [geometric(1e-40)]}, MONIC)
+    assert record.ok and record.witness == "9 distinct prefix values"
+
+
+def test_no_monic_record_for_at_most_eight_distinct_values():
+    # 1e-45 ** i has seven nonzero values, 1e20 + 1/i is the constant 1e20
+    # in floats, and NaN is nobody's root, so it adds nothing to the count
+    for op in (constant(2.0), geometric(1e-45), shifted_reciprocal(1e20),
+               shifted_reciprocal(math.nan)):
+        assert records_of("eigen", {"sequence": [op]}, MONIC) == []
