@@ -66,58 +66,27 @@ def cmd_gen(args) -> int:
         print("error: --count must be positive", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
-    instances = []
     if args.mode == "sequence":
-        if args.rule not in BUILTIN_RULES:
-            print(f"error: unknown sequence rule {args.rule!r}", file=sys.stderr)
-            return 2
-        for _ in range(args.count):
-            instances.append({"kind": "sequence",
-                              "sequence": cio.sequence_to_json(BUILTIN_RULES[args.rule]())})
+        instances = [{"sequence": BUILTIN_RULES[args.rule]()} for _ in range(args.count)]
     else:
+        instances = []
         for _ in range(args.count):
             dim = int(rng.integers(lo, hi + 1))
             lattice = random_lattice(rng, dim)
             instances.append({
-                "kind": "atomic",
-                "lattice": cio.lattice_to_json(lattice),
-                "central": cio.operator_to_json(random_central(rng, lattice=lattice)),
-                "regular": cio.operator_to_json(random_regular(rng, lattice=lattice)),
-                "measure": cio.measure_to_json(random_measure(rng, dim=dim)),
-                "spectral_measure": cio.measure_to_json(
-                    random_projection_measure(rng, dim)),
+                "lattice": lattice,
+                "central": random_central(rng, lattice=lattice),
+                "regular": random_regular(rng, lattice=lattice),
+                "measure": random_measure(rng, dim=dim),
+                "spectral_measure": random_projection_measure(rng, dim),
             })
-    text = _dump({"instances": instances})
+    text = _dump(cio.bundle_to_json(instances))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
     return 0
-
-
-def _load_instances(paths) -> dict:
-    bag: dict[str, list] = {"central": [], "regular": [], "measure": [],
-                            "spectral_measure": [], "sequence": []}
-    for path in paths:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or not isinstance(doc.get("instances", []), list):
-            raise ValueError(f"{path}: expected an object with an 'instances' list")
-        for inst in doc.get("instances", []):
-            if inst.get("kind") == "sequence":
-                bag["sequence"].append(cio.sequence_from_json(inst["sequence"]))
-                continue
-            if "central" in inst:
-                bag["central"].append(cio.operator_from_json(inst["central"]))
-            if "regular" in inst:
-                bag["regular"].append(cio.operator_from_json(inst["regular"]))
-            if "measure" in inst:
-                bag["measure"].append(cio.measure_from_json(inst["measure"]))
-            if "spectral_measure" in inst:
-                bag["spectral_measure"].append(
-                    cio.measure_from_json(inst["spectral_measure"]))
-    return bag
 
 
 def cmd_verify(args) -> int:
@@ -130,9 +99,9 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {unknown[0]!r}", file=sys.stderr)
         return 2
     try:
-        instances = _load_instances(args.instances)
-    except (OSError, AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-        print(f"error: cannot read instances: {exc}", file=sys.stderr)
+        instances = cio.read_instances(args.instances)
+    except cio.InputError as exc:
+        print(f"error: cannot read {exc}", file=sys.stderr)
         return 2
     tol = Tolerances(args.tol_exact, args.tol_oracle)
     reports = run_suites(suites, instances, tol, seed=args.seed)
@@ -154,27 +123,14 @@ def cmd_verify(args) -> int:
     return 0 if overall else 1
 
 
-def _calc_operator(doc):
-    if "instances" in doc:
-        # accept a gen-produced bundle: use its first instance
-        inst = doc["instances"][0]
-        doc = inst.get("sequence", inst.get("central", inst))
-        if "rule" in doc:
-            doc = {"sequence": doc}
-    if "sequence" in doc or doc.get("kind") == "sequence":
-        return cio.sequence_from_json(doc.get("sequence", doc))
-    return cio.operator_from_json(doc)
-
-
 def cmd_calc(args) -> int:
     if not args.eps > 0:    # also rejects nan
         print(f"error: --eps must be positive, got {args.eps}", file=sys.stderr)
         return 2
     try:
-        with open(args.operator) as fh:
-            op = _calc_operator(json.load(fh))
-    except (OSError, AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-        print(f"error: cannot read operator: {exc}", file=sys.stderr)
+        op = cio.read_operator(args.operator)
+    except cio.InputError as exc:
+        print(f"error: cannot read {exc}", file=sys.stderr)
         return 2
 
     if isinstance(op, SequenceCentralOperator):
@@ -194,6 +150,7 @@ def cmd_calc(args) -> int:
         }}))
         return 0
 
+    T = op
     if hasattr(op, "entries"):
         verdict = is_central(op)
         if not verdict:
@@ -202,8 +159,6 @@ def cmd_calc(args) -> int:
                          "where": list(verdict.where)}))
             return 1
         T = verdict.operator
-    else:
-        T = op
 
     if args.request == "spectrum":
         spec = spectrum(T)
@@ -213,11 +168,7 @@ def cmd_calc(args) -> int:
         print(_dump({"mu_t": {str([v.real, v.imag]): [float(x) for x in p]
                               for v, p in zip(mu.values, mu.projections)}}))
     elif args.request == "rho":
-        fn = CALC_FUNCTIONS.get(args.fn)
-        if fn is None:
-            print(f"error: unknown function {args.fn!r}", file=sys.stderr)
-            return 2
-        print(_dump({"rho": cio.operator_to_json(rho_T(T, fn))}))
+        print(_dump({"rho": cio.operator_to_json(rho_T(T, CALC_FUNCTIONS[args.fn]))}))
     elif args.request == "polar":
         p = polar(T)
         print(_dump({"polar": {"positive": cio.operator_to_json(p.positive),
@@ -227,15 +178,12 @@ def cmd_calc(args) -> int:
         print(_dump({"eigen": [{"value": [lam.real, lam.imag],
                                 "projection": [float(x.real) for x in p.symbol]}
                                for lam, p in exp.pairs]}))
-    elif args.request == "freudenthal":
+    else:  # freudenthal; argparse admits no other request
         approx = freudenthal_approx(T, args.eps)
         print(_dump({"freudenthal": {
             "coefficients": [[c.real, c.imag] for c in approx.coefficients],
             "error": approx.error,
         }}))
-    else:
-        print(f"error: unknown request {args.request!r}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -248,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dim", default="4", help="dimension or range lo..hi")
     g.add_argument("--count", type=int, default=1)
     g.add_argument("--mode", choices=["atomic", "sequence"], default="atomic")
-    g.add_argument("--rule", default="reciprocal", help="builtin sequence rule")
+    g.add_argument("--rule", choices=list(BUILTIN_RULES), default="reciprocal",
+                   help="builtin sequence rule")
     g.add_argument("--out", default=None)
     g.set_defaults(func=cmd_gen)
 
@@ -256,15 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("instances", nargs="+")
     v.add_argument("--suite", action="append", default=None)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol-exact", type=float, default=1e-12)
-    v.add_argument("--tol-oracle", type=float, default=1e-9)
+    v.add_argument("--tol-exact", type=float, default=Tolerances.exact)
+    v.add_argument("--tol-oracle", type=float, default=Tolerances.oracle)
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("calc", help="compute a spectral artifact for one operator")
     c.add_argument("request",
                    choices=["spectrum", "mu_t", "rho", "polar", "eigen", "freudenthal"])
     c.add_argument("operator", help="operator instance file")
-    c.add_argument("--fn", default="identity", help="named function for rho")
+    c.add_argument("--fn", choices=list(CALC_FUNCTIONS), default="identity",
+                   help="named function for rho")
     c.add_argument("--eps", type=float, default=0.1)
     c.set_defaults(func=cmd_calc)
     return parser

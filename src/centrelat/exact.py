@@ -22,22 +22,8 @@ class QComplex:
     def make(cls, re, im=0) -> "QComplex":
         return cls(Fraction(re), Fraction(im))
 
-    def __add__(self, other: "QComplex") -> "QComplex":
-        return QComplex(self.re + other.re, self.im + other.im)
-
     def __sub__(self, other: "QComplex") -> "QComplex":
         return QComplex(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        if isinstance(other, QComplex):
-            return QComplex(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-        return QComplex(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "QComplex":
-        return QComplex(self.re, -self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

@@ -79,14 +79,13 @@ def random_projection_measure(rng: np.random.Generator, dim: int) -> LatticeValu
     return LatticeValuedMeasure(space, values)
 
 
-def random_rational_symbols(rng: np.random.Generator, dim: int,
-                            force_repeat: bool = True) -> list[QComplex]:
+def random_rational_symbols(rng: np.random.Generator, dim: int) -> list[QComplex]:
     """Exact rational symbols for the enumeration oracle, with a repeat."""
     denom = 16
     symbols = [QComplex(Fraction(int(rng.integers(-8, 9)), denom),
                         Fraction(int(rng.integers(-8, 9)), denom))
                for _ in range(dim)]
-    if force_repeat and dim >= 2:
+    if dim >= 2:
         i, j = rng.choice(dim, size=2, replace=False)
         symbols[int(j)] = symbols[int(i)]
     return symbols

@@ -43,8 +43,8 @@ class WeightedPNorm:
     p: float = 2.0
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("all weights must be strictly positive")
+        if not all(0 < w < math.inf for w in self.weights):  # also rejects nan
+            raise ValueError("all weights must be finite and strictly positive")
         if not (self.p >= 1):
             raise ValueError("p must lie in [1, inf]")
 
@@ -191,23 +191,21 @@ def modulus(z: ComplexElement) -> np.ndarray:
     return np.abs(z.values)
 
 
-def modulus_phase_oracle(z: ComplexElement, grid: int = 1 << 16, refine: bool = True) -> np.ndarray:
+def modulus_phase_oracle(z: ComplexElement) -> np.ndarray:
     """Modulus via the sup-over-phases definition sup_theta (x cos t + y sin t).
 
-    Evaluates a uniform theta grid and optionally runs one golden-section
+    Evaluates a uniform grid of 2^16 thetas and runs one golden-section
     refinement around the grid maximum of each coordinate.  Independent of
     the closed form; used as an oracle against it.
     """
-    theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, 1 << 16, endpoint=False)
     c, s = np.cos(theta), np.sin(theta)
     x, y = z.re, z.im
     # (dim, grid) objective, coordinatewise
     obj = x[:, None] * c[None, :] + y[:, None] * s[None, :]
     best = obj.max(axis=1)
-    if not refine:
-        return np.maximum(best, 0.0)
     k = obj.argmax(axis=1)
-    step = 2.0 * math.pi / grid
+    step = theta[1] - theta[0]
     out = np.empty_like(best)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     for i in range(z.lattice.dim):
@@ -314,12 +312,12 @@ class WitnessVerdict:
 
 
 def check_witness(values: Sequence[ComplexElement], limit: ComplexElement,
-                  witness: ConvergenceWitness, tol: float = WITNESS_TOL) -> WitnessVerdict:
+                  witness: ConvergenceWitness) -> WitnessVerdict:
     """Verify that a witness certifies values_n -> limit in sigma-order.
 
     Checks that the dominating sequence is coordinatewise nonincreasing, that
     |values_n - limit| <= u_n for every term, and that the tail decays to
-    zero (analytic rule, or last term below ``tol``).
+    zero (analytic rule, or last term below ``WITNESS_TOL``).
     """
     doms = witness.dominating
     if len(values) > len(doms):
@@ -341,7 +339,7 @@ def check_witness(values: Sequence[ComplexElement], limit: ComplexElement,
         if bounds[-1] > 1e-6:
             return WitnessVerdict(False, None, "tail rule does not certify decay to zero")
         return WitnessVerdict(True)
-    if doms and float(np.max(doms[-1])) < tol:
+    if doms and float(np.max(doms[-1])) < WITNESS_TOL:
         return WitnessVerdict(True)
     if not doms:
         return WitnessVerdict(True, None, "empty witness for empty sequence")

@@ -46,12 +46,6 @@ class RegularOperator:
             raise DimensionMismatchError("operator and element dimensions differ")
         return ComplexElement(z.lattice, self.entries @ z.values)
 
-    def conj(self) -> "RegularOperator":
-        return RegularOperator(self.lattice, np.conj(self.entries))
-
-    def __matmul__(self, other: "RegularOperator") -> "RegularOperator":
-        return RegularOperator(self.lattice, self.entries @ other.entries)
-
 
 def operator_modulus(T: RegularOperator) -> RegularOperator:
     """Entrywise modulus |T|; on atomic lattices this is the lattice modulus."""
@@ -59,13 +53,12 @@ def operator_modulus(T: RegularOperator) -> RegularOperator:
 
 
 def modulus_action_oracle(T: RegularOperator, x: np.ndarray, samples: int = 10_000,
-                          rng: Optional[np.random.Generator] = None,
-                          ascent_rounds: int = 8) -> np.ndarray:
+                          rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Lower bound for (|T|x) via sup{|Ty| : |y| <= x} over phase choices.
 
     Samples random phase vectors y = x * exp(i phi) and improves the best one
-    by coordinate ascent on the phases.  The result approaches (|T|x) from
-    below; it never uses the entrywise closed form.
+    by eight rounds of coordinate ascent on the phases.  The result approaches
+    (|T|x) from below; it never uses the entrywise closed form.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     x = np.asarray(x, dtype=float)
@@ -80,7 +73,7 @@ def modulus_action_oracle(T: RegularOperator, x: np.ndarray, samples: int = 10_0
         k = int(vals[:, i].argmax())
         phi = phases[k].copy()
         row = T.entries[i] * x
-        for _ in range(ascent_rounds):
+        for _ in range(8):
             for j in range(n):
                 rest = np.sum(row * np.exp(1j * phi)) - row[j] * np.exp(1j * phi[j])
                 if row[j] != 0:

@@ -26,7 +26,7 @@ from .generate import (
     random_rational_symbols,
     central_from_rational,
 )
-from .lattice import ComplexElement, modulus
+from .lattice import TOL_EXACT, TOL_ORACLE, ComplexElement, PrincipalIdeal, ideal_norm, modulus
 from .measures import (
     FiniteMeasurableSpace,
     LatticeValuedMeasure,
@@ -44,10 +44,8 @@ from .operators import (
     polar,
     localize,
 )
-from .lattice import PrincipalIdeal, ideal_norm
 from .sequence import (
     DEFAULT_SAMPLE,
-    SequenceCentralOperator,
     compactness_check,
     constant,
     expansion_tail_report,
@@ -82,9 +80,7 @@ def op_digest(op) -> str:
         return digest(cio.operator_to_json(op))
     if isinstance(op, LatticeValuedMeasure):
         return digest(cio.measure_to_json(op))
-    if isinstance(op, SequenceCentralOperator):
-        return digest(cio.sequence_to_json(op))
-    return digest(repr(op))
+    return digest(cio.sequence_to_json(op))
 
 
 @dataclass
@@ -155,8 +151,8 @@ class SuiteReport:
 
 @dataclass
 class Tolerances:
-    exact: float = 1e-12
-    oracle: float = 1e-9
+    exact: float = TOL_EXACT
+    oracle: float = TOL_ORACLE
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +228,7 @@ def suite_norms(out: Records, instances, tol: Tolerances, rng: np.random.Generat
 
 
 def suite_fpr(out: Records, instances, tol: Tolerances, rng: np.random.Generator) -> None:
-    triples = instances.get("fpr")
-    if triples is None:
-        triples = [commuting_fpr_triple(rng, T.lattice.dim)
-                   for T in instances.get("central", [])]
+    triples = [commuting_fpr_triple(rng, T.lattice.dim) for T in instances.get("central", [])]
     for (S, T, X) in triples:
         d = digest([op_digest(S), op_digest(T), op_digest(X)])
         v = fpr_check(S, T, X, tol=tol.exact)
@@ -301,9 +294,9 @@ def suite_localize(out: Records, instances, tol: Tolerances, rng: np.random.Gene
                   tol.exact * max(1.0, T.order_unit_norm()))
 
 
-def _random_measurable_f(rng, space, complex_valued=True):
+def _random_measurable_f(rng, space):
     per_atom = rng.uniform(-1.0, 1.0, size=space.n_atoms)
-    per_atom_im = rng.uniform(-1.0, 1.0, size=space.n_atoms) if complex_valued else 0 * per_atom
+    per_atom_im = rng.uniform(-1.0, 1.0, size=space.n_atoms)
     table = {}
     for k, atom in enumerate(space.atoms):
         for p in atom:
@@ -423,10 +416,8 @@ def suite_spectral(out: Records, instances, tol: Tolerances, rng: np.random.Gene
         out.holds("spectral-measure-product-law", op_digest(mu),
                   bool(verdict) and idem_ok, verdict.max_violation,
                   "" if idem_ok else "an atom value is not idempotent")
-    rationals = instances.get("rational")
-    if rationals is None:
-        rationals = [random_rational_symbols(rng, min(T.lattice.dim, 6))
-                     for T in instances.get("central", [])]
+    rationals = [random_rational_symbols(rng, min(T.lattice.dim, 6))
+                 for T in instances.get("central", [])]
     for symbols in rationals:
         T = central_from_rational(symbols)
         d = op_digest(T)

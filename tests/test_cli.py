@@ -1,10 +1,18 @@
 """Tests for the batch interface: generation determinism, the verify
 exit-code contract, report structure, and calc artifacts."""
 
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrelat.cli import main
 
@@ -227,6 +235,7 @@ _NAN_SYMBOL = '{"dim": 2, "symbol": [[NaN, 0], [1, 0]]}'
 _ATOMIC = '{"dim": 2, "symbol": [[1, 0], [2, 0]]}'
 _SEQUENCE = ('{"instances": [{"kind": "sequence", "sequence": {"accumulation": [[0.0, 0.0]], '
              '"rule": {"name": "reciprocal", "params": {}}, "sup": 1.0}}]}')
+_HUGE = '{"dim": 2, "symbol": [[1e200, 0], [2, 0]]}'  # finite, but its square is not
 _CALC = ("calc", "spectrum")
 _VERIFY = ("verify",)
 _MALFORMED = {
@@ -262,17 +271,65 @@ _MALFORMED = {
     "verify-nan-measure": (_VERIFY, '{"instances": [{"measure": {"points": [0, 1], '
                                     '"atoms": [[0], [1]], '
                                     '"values": {"0": [0.5, NaN], "1": [1, 0]}}}]}'),
+    # each row below also names the field at fault, see _FIELDS
+    "verify-unknown-instance-key": (_VERIFY, '{"instances": [{"centrl": %s}]}' % _ATOMIC),
+    "verify-unknown-top-level-key": (_VERIFY, '{"instancs": [{"central": %s}]}' % _ATOMIC),
+    "verify-fractional-dim": (_VERIFY, '{"instances": [{"central": '
+                                       '{"dim": 2.5, "symbol": [[1, 0], [2, 0]]}}]}'),
+    "verify-triple-entry": (_VERIFY, '{"instances": [{"central": '
+                                     '{"dim": 2, "symbol": [[1, 0, 7], [2, 0]]}}]}'),
+    "verify-wrong-sup": (_VERIFY, _SEQUENCE.replace('"sup": 1.0', '"sup": -5')),
+    "verify-wrong-accumulation": (_VERIFY, _SEQUENCE.replace("[[0.0, 0.0]]", "[[3, 0]]")),
+    "verify-lattice-mismatch": (_VERIFY, '{"instances": [{"lattice": {"dim": 5, "norm": '
+                                         '{"kind": "max"}}, "central": %s}]}' % _ATOMIC),
+    "verify-extra-measure-value": (_VERIFY, '{"instances": [{"measure": {"points": [0, 1], '
+                                            '"atoms": [[0], [1]], "values": {"0": [1, 0], '
+                                            '"1": [0, 1], "2": [1, 1]}}}]}'),
+    "verify-overflowing-p": (_VERIFY, '{"instances": [{"central": {"dim": 2, "norm": '
+                                      '{"kind": "weighted-p", "weights": [1, 1], "p": 1e999}, '
+                                      '"symbol": [[1, 0], [2, 0]]}}]}'),
+    "verify-unknown-rule-parameter": (_VERIFY, '{"instances": [{"kind": "sequence", '
+                                               '"sequence": {"rule": {"name": "constant", '
+                                               '"params": {"foo": 1}}}}]}'),
+    "verify-nan-weight": (_VERIFY, '{"instances": [{"central": {"dim": 2, "norm": '
+                                   '{"kind": "weighted-p", "weights": [NaN, 1], "p": 2}, '
+                                   '"symbol": [[1, 0], [2, 0]]}}]}'),
+    "verify-inf-weight": (_VERIFY, '{"instances": [{"central": {"dim": 2, "norm": '
+                                   '{"kind": "weighted-p", "weights": [Infinity, 1], "p": 2}, '
+                                   '"symbol": [[1, 0], [2, 0]]}}]}'),
+    "verify-huge-symbol": (_VERIFY, '{"instances": [{"central": %s}]}' % _HUGE),
+    "calc-huge-square": (("calc", "rho", "--fn", "square"), _HUGE),
+}
+_FIELDS = {
+    "verify-unknown-instance-key": "instance 0: centrl: unknown field",
+    "verify-unknown-top-level-key": "instancs: unknown field",
+    "verify-fractional-dim": "instance 0: central.dim: expected an integer",
+    "verify-triple-entry": "instance 0: central.symbol: expected [re, im] pairs",
+    "verify-wrong-sup": "instance 0: sequence.sup:",
+    "verify-wrong-accumulation": "instance 0: sequence.accumulation:",
+    "verify-lattice-mismatch": "instance 0: lattice:",
+    "verify-extra-measure-value": "instance 0: measure.values.2: unknown field",
+    "verify-overflowing-p": "instance 0: central.norm.p:",
+    "verify-unknown-rule-parameter": "instance 0: sequence.rule.params.foo: unknown field",
+    "verify-nan-weight": "instance 0: central.norm.weights[0]:",
+    "verify-inf-weight": "instance 0: central.norm.weights[0]:",
+    "verify-huge-symbol": "instance 0: central.symbol[0][0]:",
+    "calc-huge-square": "operator.symbol[0][0]:",
 }
 
 
-@pytest.mark.parametrize("argv,text", list(_MALFORMED.values()), ids=list(_MALFORMED))
-def test_malformed_input_exit_2(tmp_path, capsys, argv, text):
+@pytest.mark.parametrize("name,argv,text", [(name, *row) for name, row in _MALFORMED.items()],
+                         ids=list(_MALFORMED))
+def test_malformed_input_exit_2(tmp_path, capsys, name, argv, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, out, err = run(capsys, [*argv, str(path)])
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err and out == ""
+    assert len(err.splitlines()) == 1
+    if name in _FIELDS:
+        assert f"error: cannot read {path}: {_FIELDS[name]}" in err
 
 
 def test_calc_freudenthal_atomic_positive_eps(tmp_path, capsys):
@@ -281,3 +338,82 @@ def test_calc_freudenthal_atomic_positive_eps(tmp_path, capsys):
     assert code == 0
     assert json.loads(out) == {"freudenthal": {"coefficients": [[1.0, 0.0], [2.0, 0.0]],
                                                "error": 0.0}}
+
+
+# ---------------------------------------------------------------------------
+# mutations of a small valid bundle: exit 0, 1 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+_NORM = {"kind": "weighted-p", "weights": [1.0, 2.0], "p": "inf"}
+_SMALL_BUNDLE = {"instances": [
+    {"kind": "atomic",
+     "lattice": {"dim": 2, "norm": _NORM},
+     "central": {"dim": 2, "norm": _NORM, "symbol": [[0.5, -0.25], [2.0, 0.0]]},
+     "regular": {"dim": 2, "norm": _NORM,
+                 "entries": [[[1.0, 0.0], [0.0, 0.5]], [[0.0, 0.0], [2.0, 0.0]]]},
+     "measure": {"points": [0, 1, 2], "atoms": [[0], [1], [2]],
+                 "values": {"0": [0.5, 1.0], "1": [0.0, 2.0], "2": [1.5, 0.25]}},
+     "spectral_measure": {"points": ["a", "b", "c"], "atoms": [["a", "c"], ["b"]],
+                          "values": {"0": [1.0, 0.0], "1": [0.0, 1.0]}}},
+    {"kind": "sequence",
+     "sequence": {"rule": {"name": "shifted_reciprocal", "params": {"shift": 0.5}},
+                  "sup": 1.5, "accumulation": [[0.5, 0.0]]}},
+]}
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, doc
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+_NODES = list(_nodes(_SMALL_BUNDLE))
+_LEAVES = [path for path, value in _NODES if not isinstance(value, (dict, list))]
+_KEYS = [path for path, _ in _NODES if path and isinstance(path[-1], str)]
+_OBJECTS = [path for path, value in _NODES if isinstance(value, dict)]
+_NON_FINITE = (math.nan, math.inf, -math.inf, 1e300)  # 1e300 is above the 2**500 bound
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from(_LEAVES),
+              st.sampled_from([*_NON_FINITE, -1, 2.5, True, None, "x", [], {}])),
+    st.tuples(st.just("delete"), st.sampled_from(_KEYS), st.none()),
+    st.tuples(st.just("add"), st.sampled_from(_OBJECTS), st.none()),
+)
+
+
+def _mutated(kind, path, value):
+    doc = copy.deepcopy(_SMALL_BUNDLE)
+    *parents, last = path if kind != "add" else (*path, "unknown_key")
+    node = doc
+    for key in parents:
+        node = node[key]
+    if kind == "delete":
+        del node[last]
+    else:
+        node[last] = copy.deepcopy(value)
+    return json.dumps(doc)
+
+
+def test_small_bundle_passes(tmp_path, capsys):
+    path = write_op(tmp_path, _SMALL_BUNDLE)
+    assert run(capsys, ["verify", str(path)])[0] == 0
+
+
+@given(_MUTATIONS)
+@settings(max_examples=120, deadline=None)
+def test_verify_contract_holds_under_mutation(mutation):
+    kind, path, value = mutation
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = os.path.join(tmp, "bundle.json")
+        with open(bundle, "w") as fh:
+            fh.write(_mutated(kind, path, value))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", bundle])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""
+    if kind == "add" or any(value is v for v in _NON_FINITE):
+        assert code == 2, (kind, path, value)

@@ -118,6 +118,13 @@ def test_weighted_norm_rejects_bad_parameters():
         WeightedPNorm((1.0,), 0.5)
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_weighted_norm_rejects_non_finite_weights(weight):
+    # `w <= 0` alone let nan through, and inf made the norms overflow to nan
+    with pytest.raises(ValueError, match="finite"):
+        WeightedPNorm((weight, 1.0), 2.0)
+
+
 def test_norm_is_lattice_norm():
     # |x| <= |y| coordinatewise implies norm(x) <= norm(y)
     rng = np.random.default_rng(11)
