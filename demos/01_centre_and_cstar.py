@@ -49,7 +49,7 @@ print("C*-identity          : ||T T*|| = %.6g = ||T||^2 = %.6g" % (lhs, triple.o
 
 # the Gelfand transform is just the symbol as a function on {0,..,3}
 hat = gelfand(T)
-print("Gelfand values       :", [hat(i) for i in range(4)])
+print("Gelfand values       :", hat.tolist())
 
 # -- polar decomposition ----------------------------------------------------
 

@@ -22,7 +22,6 @@ from .lattice import (
 from .measures import (
     FiniteMeasurableSpace,
     LatticeValuedMeasure,
-    MeasurableFunction,
     image_measure,
     integrate,
     is_spectral,

@@ -190,8 +190,8 @@ def bundle_from_json(doc) -> list[dict[str, Any]]:
             "regular": operator_from_json, "measure": measure_from_json,
             "spectral_measure": measure_from_json, "sequence": sequence_from_json}
     instances = _fields(doc, "", ("instances",))["instances"]
-    if not isinstance(instances, list):
-        raise InputError("instances: expected a list of instances")
+    if not isinstance(instances, list) or not instances:
+        raise InputError("instances: expected a nonempty list of instances")
     out = []
     for i, inst in enumerate(instances):
         try:

@@ -3,29 +3,23 @@
 Measures assign a nonnegative lattice element to every set of a finite
 sigma-algebra (given by its atoms); the order integral of a measurable
 function is the atom-wise sum, assembled through the positive/negative part
-decomposition.
+decomposition.  Functions, sets and maps on a space are given per atom, so
+each is measurable by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from typing import Callable, Hashable, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Optional
 
 import numpy as np
 
 from .lattice import TOL_EXACT, ComplexElement, CoordinateLattice, MaxNorm
 
 
-class MeasurabilityError(ValueError):
-    """A function or map is not measurable for the given sigma-algebra."""
-
-
 class PositivityError(ValueError):
     """A value that must lie in the positive cone has a negative or non-finite
     coordinate."""
-
-
-Point = Hashable
 
 
 @dataclass(frozen=True)
@@ -36,8 +30,8 @@ class FiniteMeasurableSpace:
     ``atom_of[i]`` is the index of the atom that holds ``points[i]``.
     """
 
-    points: tuple[Point, ...]
-    atoms: tuple[tuple[Point, ...], ...] = ()
+    points: tuple[Hashable, ...]
+    atoms: tuple[tuple[Hashable, ...], ...] = ()
     atom_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -61,18 +55,6 @@ class FiniteMeasurableSpace:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    def is_measurable(self, subset: frozenset | set | Sequence[Point]) -> bool:
-        s = set(subset)
-        if not s <= set(self.points):
-            return False
-        return all(set(a) <= s or not (set(a) & s) for a in self.atoms)
-
-    def atoms_of(self, subset) -> list[int]:
-        s = set(subset)
-        if not self.is_measurable(s):
-            raise MeasurabilityError(f"{sorted(map(str, s))} is not a union of atoms")
-        return [k for k, a in enumerate(self.atoms) if set(a) <= s]
 
 
 def _sum_rows(rows: np.ndarray, dim: int) -> np.ndarray:
@@ -121,51 +103,27 @@ class LatticeValuedMeasure:
     def dim(self) -> int:
         return self.lattice.dim
 
-    def measure_of(self, subset):
-        """mu(Delta) for a measurable Delta, by additivity over its atoms."""
-        return _sum_rows(self.values[self.space.atoms_of(subset)], self.dim)
+    def measure_of(self, atoms) -> np.ndarray:
+        """mu of a union of atoms, a boolean mask or index array, summed in order."""
+        index = np.asarray(atoms)  # [] comes out as floats, which cannot index
+        return _sum_rows(self.values[index] if index.size else self.values[:0], self.dim)
 
-    def total(self):
-        return self.measure_of(self.space.points)
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurableFunction:
-    """A complex function on a finite measurable space, constant on atoms.
-
-    It is built from a table point -> value and keeps one complex value per
-    atom in ``values``.
-    """
-
-    space: FiniteMeasurableSpace
-    table: InitVar[Mapping[Point, complex]]
-    values: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self, table):
-        missing = [p for p in self.space.points if p not in table]
-        if missing:
-            raise MeasurabilityError(f"function undefined at point {missing[0]!r}")
-        for atom in self.space.atoms:
-            if len({table[p] for p in atom}) > 1:
-                raise MeasurabilityError(f"function is not constant on atom {atom!r}")
-        values = np.array([complex(table[atom[0]]) for atom in self.space.atoms], dtype=complex)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __call__(self, point: Point) -> complex:
-        return complex(self.values[self.space.atom_of[self.space.points.index(point)]])
+    def total(self) -> np.ndarray:
+        return _sum_rows(self.values, self.dim)
 
 
-def integrate(f: MeasurableFunction, mu: LatticeValuedMeasure):
+def integrate(f, mu: LatticeValuedMeasure) -> ComplexElement:
     """Order integral of f against mu: the atom-wise sum of f * mu(atom).
 
-    Real and imaginary parts are assembled from the positive/negative part
+    ``f`` is the function's complex value on each atom of ``mu.space``.  Real
+    and imaginary parts are assembled from the positive/negative part
     decomposition of an elementary function, each part summed over the atoms
-    in atom order.  Returns a ComplexElement.
+    in atom order.
     """
-    if f.space is not mu.space and f.space != mu.space:
-        raise MeasurabilityError("function and measure live on different spaces")
-    re, im = f.values.real, f.values.imag
+    f = np.asarray(f, dtype=complex)
+    if f.shape != (mu.space.n_atoms,):
+        raise ValueError(f"one value per atom required, not shape {f.shape}")
+    re, im = f.real, f.imag
     # per atom, the weights of re_pos, re_neg, im_pos and im_neg
     weights = np.maximum(np.stack([re, -re, im, -im], axis=1), 0.0)
     parts = np.zeros((4, mu.dim))
@@ -175,25 +133,17 @@ def integrate(f: MeasurableFunction, mu: LatticeValuedMeasure):
     return ComplexElement(mu.lattice, (re_pos - re_neg) + 1j * (im_pos - im_neg))
 
 
-def image_measure(mu: LatticeValuedMeasure, mapping: Mapping[Point, Point],
+def image_measure(mu: LatticeValuedMeasure, lands,
                   target: FiniteMeasurableSpace) -> LatticeValuedMeasure:
-    """Push mu forward along a point map: (image mu)(Delta) = mu(preimage)."""
-    target_atom = dict(zip(target.points, target.atom_of.tolist()))
-    for p in mu.space.points:
-        if p not in mapping:
-            raise ValueError(f"map undefined at point {p!r}")
-        if mapping[p] not in target_atom:
-            raise ValueError(f"target space does not contain {mapping[p]!r}")
-    # the target atom each source point lands in, and one landing per source
-    # atom; a target atom's preimage is measurable iff no source atom splits
-    lands = np.array([target_atom[mapping[p]] for p in mu.space.points], dtype=np.intp)
-    owner = np.empty(mu.space.n_atoms, dtype=np.intp)
-    owner[mu.space.atom_of] = lands
-    split = lands != owner[mu.space.atom_of]
-    if split.any():
-        bad = min(lands[split].min(), owner[mu.space.atom_of[split]].min())
-        raise MeasurabilityError(f"preimage of atom {target.atoms[bad]!r} is not measurable")
-    values = np.array([_sum_rows(mu.values[owner == t], mu.dim) for t in range(target.n_atoms)])
+    """Push mu forward along a map that sends source atom k into target atom
+    ``lands[k]``: (image mu)(Delta) = mu(preimage of Delta)."""
+    lands = np.asarray(lands)
+    if lands.shape != (mu.space.n_atoms,) or lands.dtype.kind not in "iu":
+        raise ValueError("one integer target atom per source atom required")
+    outside = (lands < 0) | (lands >= target.n_atoms)
+    if outside.any():
+        raise ValueError(f"target space has no atom {lands[outside][0]}")
+    values = np.array([_sum_rows(mu.values[lands == t], mu.dim) for t in range(target.n_atoms)])
     return LatticeValuedMeasure(target, values, mu.lattice)
 
 
@@ -239,29 +189,19 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
     admissible functions plus the extremal indicator.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    index = {p: i for i, p in enumerate(space.points)}
-
-    def chi(subset) -> np.ndarray:
-        s = set(subset)
-        return np.array([1.0 if p in s else 0.0 for p in space.points])
-
     values = []
-    for atom in space.atoms:
-        v = np.asarray(pi(chi(atom)), dtype=float)
+    for k, atom in enumerate(space.atoms):
+        v = np.asarray(pi((space.atom_of == k).astype(float)), dtype=float)
         if np.any(v < 0):
             i = int(np.flatnonzero(v < 0)[0])
             raise PositivityError(f"pi(indicator of atom {atom!r}) has negative coordinate {i}")
         values.append(v)
     mu = LatticeValuedMeasure(space, tuple(values), lattice)
 
-    def random_measurable(low: float, high: float) -> np.ndarray:
-        return rng.uniform(low, high, size=space.n_atoms)[space.atom_of]
-
     # reproduction pi(f) = order integral of f
     for _ in range(samples):
-        arr = random_measurable(-1.0, 1.0)
-        f = MeasurableFunction(space, {p: arr[index[p]] for p in space.points})
-        lhs = np.asarray(pi(arr), dtype=float)
+        f = rng.uniform(-1.0, 1.0, size=space.n_atoms)
+        lhs = np.asarray(pi(f[space.atom_of]), dtype=float)
         rhs = integrate(f, mu).re
         if np.max(np.abs(lhs - rhs)) > tol:
             raise AssertionError("pi does not reproduce the order integral of its measure")
@@ -270,17 +210,17 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
     for _ in range(4):
         ks = sorted(rng.choice(space.n_atoms, size=rng.integers(1, space.n_atoms + 1),
                                replace=False))
-        vset = {p for k in ks for p in space.atoms[k]}
-        target = mu.measure_of(vset)
-        extremal = np.asarray(pi(chi(vset)), dtype=float)
+        target = mu.measure_of(ks)
+        mask = np.isin(space.atom_of, ks).astype(float)
+        extremal = np.asarray(pi(mask), dtype=float)
         if np.max(np.abs(extremal - target)) > tol:
             raise AssertionError("recovery formula is not attained at the indicator")
-        mask = chi(vset)
         for _ in range(samples):
-            g = random_measurable(0.0, 1.0) * mask           # 0 <= g <= 1, supp in V
+            # 0 <= g <= 1 with support in V, and 0 <= h <= 1 with h = 1 on K
+            g = rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of] * mask
             if np.any(np.asarray(pi(g), dtype=float) > target + tol):
                 raise AssertionError("sup recovery formula violated")
-            h = np.maximum(random_measurable(0.0, 1.0), mask)  # 0 <= h <= 1, h = 1 on K
+            h = np.maximum(rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of], mask)
             if np.any(np.asarray(pi(h), dtype=float) < target - tol):
                 raise AssertionError("inf recovery formula violated")
     return mu

@@ -29,7 +29,7 @@ from .lattice import (
     WitnessVerdict,
     check_witness,
 )
-from .measures import FiniteMeasurableSpace, LatticeValuedMeasure, MeasurableFunction, integrate
+from .measures import FiniteMeasurableSpace, LatticeValuedMeasure, integrate
 from .operators import CentralOperator, RegularOperator
 
 
@@ -41,23 +41,9 @@ class PreconditionError(ValueError):
 # Gelfand transform
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GelfandFunction:
-    """A central operator viewed as a function on the structure space, the
-    coordinate indices 0..dim-1."""
-
-    values: np.ndarray
-
-    def __call__(self, i: int) -> complex:
-        return complex(self.values[i])
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-def gelfand(T: CentralOperator) -> GelfandFunction:
-    """The hat map: symbol of T as a function on the structure space."""
-    return GelfandFunction(T.symbol)
+def gelfand(T: CentralOperator) -> np.ndarray:
+    """The hat map: the symbol of T, a function on the structure space 0..dim-1."""
+    return T.symbol
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +169,7 @@ def reconstruct_from_global(T: CentralOperator,
                             mu: Optional[LatticeValuedMeasure] = None) -> CentralOperator:
     """Recover T as the order integral of its Gelfand transform against mu."""
     mu = mu if mu is not None else global_spectral_measure(T.lattice)
-    f = MeasurableFunction(mu.space, dict(zip(mu.space.points, gelfand(T).values.tolist())))
-    return CentralOperator(T.lattice, integrate(f, mu).values)
+    return CentralOperator(T.lattice, integrate(gelfand(T), mu).values)
 
 
 def _on_labels(table: Sequence[complex], labels: np.ndarray) -> np.ndarray:
@@ -400,6 +385,33 @@ def minimal_polynomial(values: Sequence[complex]) -> tuple[complex, ...]:
 
 def eval_polynomial(coeffs: Sequence[complex], x: np.ndarray) -> np.ndarray:
     return np.polyval(np.asarray(coeffs, dtype=complex), x)
+
+
+def annihilation_bound(roots: Sequence[complex], x: np.ndarray) -> np.ndarray:
+    """A priori bound on |eval_polynomial(minimal_polynomial(roots), x) - p(x)|
+    for p(z) = prod (z - r), exactly; p(x) = 0 at a root.
+
+    After Higham, *Accuracy and Stability of Numerical Algorithms* (2nd ed.),
+    with u = 2**-53 and gamma_k = k u / (1 - k u).  Each of np.convolve's n
+    steps c_k - r c_{k-1} is a complex dot product of length 2, off by at most
+    sqrt(2) gamma_4 <= gamma_6 times |c_k| + |r| |c_{k-1}| (§3.6): each
+    coefficient is within gamma_6n of its exact value, relative to that of
+    p~(z) = prod (z + |r|).  Each of np.polyval's n Horner steps y x + c is a
+    complex product, off by a factor 1 + d with |d| <= sqrt(2) gamma_2 <=
+    gamma_3 (Lemma 3.5), and a sum, off by at most a factor 1 + u (§5.1).  So
+    the result is within gamma_10n p~(|x|) of p(x) (Lemma 3.3).  Underflow
+    adds at most 2**-1073 to each of the n (n + 3) / 2 complex products, which
+    reaches the result times at most 2 prod (1 + |x| + |r|) (§2.1).  gamma_16n
+    and a second factor 2 absorb the bound's own roundings; it is inf when
+    p~(|x|) comes within 2**n of overflow.
+    """
+    u = 2.0 ** -53
+    n = len(roots)
+    tilde = loose = np.ones(np.shape(x))
+    for r in roots:
+        tilde = tilde * (np.abs(x) + abs(r))
+        loose = loose * (1 + np.abs(x) + abs(r))
+    return 16 * n * u / (1 - 16 * n * u) * tilde + n * (n + 3) * 2.0 ** -1072 * loose
 
 
 def eigen_expansion(T: CentralOperator) -> EigenExpansion:

@@ -257,6 +257,7 @@ _MALFORMED = {
     "calc-sequence-eps-unreached": (("calc", "freudenthal", "--eps", "1e-9"), _SEQUENCE),
     "verify-top-level-list": (_VERIFY, '[1, 2]'),
     "verify-scalar-instances": (_VERIFY, '{"instances": 5}'),
+    "verify-empty-bundle": (_VERIFY, '{"instances": []}'),
     "verify-string-instances": (_VERIFY, '{"instances": "ab"}'),
     "verify-scalar-instance": (_VERIFY, '{"instances": [5]}'),
     "verify-nan-symbol": (_VERIFY, '{"instances": [{"central": %s}]}' % _NAN_SYMBOL),
@@ -301,6 +302,7 @@ _MALFORMED = {
     "calc-huge-square": (("calc", "rho", "--fn", "square"), _HUGE),
 }
 _FIELDS = {
+    "verify-empty-bundle": "instances: expected a nonempty list of instances",
     "verify-unknown-instance-key": "instance 0: centrl: unknown field",
     "verify-unknown-top-level-key": "instancs: unknown field",
     "verify-fractional-dim": "instance 0: central.dim: expected an integer",
@@ -351,8 +353,8 @@ _SMALL_BUNDLE = {"instances": [
      "central": {"dim": 2, "norm": _NORM, "symbol": [[0.5, -0.25], [2.0, 0.0]]},
      "regular": {"dim": 2, "norm": _NORM,
                  "entries": [[[1.0, 0.0], [0.0, 0.5]], [[0.0, 0.0], [2.0, 0.0]]]},
-     "measure": {"points": [0, 1, 2], "atoms": [[0], [1], [2]],
-                 "values": {"0": [0.5, 1.0], "1": [0.0, 2.0], "2": [1.5, 0.25]}},
+     "measure": {"points": [0, 1, 2], "atoms": [[0, 1], [2]],
+                 "values": {"0": [0.5, 1.0], "1": [1.5, 0.25]}},
      "spectral_measure": {"points": ["a", "b", "c"], "atoms": [["a", "c"], ["b"]],
                           "values": {"0": [1.0, 0.0], "1": [0.0, 1.0]}}},
     {"kind": "sequence",
@@ -394,6 +396,18 @@ def _mutated(kind, path, value):
     else:
         node[last] = copy.deepcopy(value)
     return json.dumps(doc)
+
+
+def test_verify_overflowing_minimal_polynomial_exit_1(tmp_path, capsys):
+    # in-bound symbols whose minimal polynomial overflows fail its record,
+    # with no traceback and no warning (filterwarnings = error)
+    symbol = [[1e100, 0], [2e100, 0], [3e100, 0], [4e100, 0]]
+    path = write_op(tmp_path, {"instances": [{"central": {"symbol": symbol}}]})
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 1 and err == ""
+    failed = {json.loads(line).get("check") for line in out.splitlines()
+              if json.loads(line).get("ok") is False}
+    assert failed == {"minimal-polynomial-annihilation"}
 
 
 def test_small_bundle_passes(tmp_path, capsys):

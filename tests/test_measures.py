@@ -1,8 +1,6 @@
 """Tests for lattice-valued measures, the order integral, image measures,
 spectral laws, and the representation of positive functionals."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +10,6 @@ from centrelat.lattice import ConvergenceWitness, CoordinateLattice, check_witne
 from centrelat.measures import (
     FiniteMeasurableSpace,
     LatticeValuedMeasure,
-    MeasurabilityError,
-    MeasurableFunction,
     PositivityError,
     image_measure,
     integrate,
@@ -31,8 +27,8 @@ def powerset_space(n):
 def random_pair(rng, n_points=6, dim=4):
     space = powerset_space(n_points)
     mu = LatticeValuedMeasure(space, tuple(rng.uniform(0, 2, size=dim) for _ in range(n_points)))
-    table = {p: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for p in space.points}
-    return mu, MeasurableFunction(space, table)
+    f = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in space.points])
+    return mu, f
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +42,10 @@ def test_space_atoms_partition_enforced():
         FiniteMeasurableSpace((1, 2, 3), ((1, 2),))
 
 
-def test_measurable_sets_are_atom_unions():
-    space = FiniteMeasurableSpace((1, 2, 3, 4), ((1, 2), (3,), (4,)))
-    assert space.is_measurable({1, 2, 3})
-    assert not space.is_measurable({1, 3})
-    assert space.atoms_of({3, 4}) == [1, 2]
+def test_atom_of_indexes_coarse_atoms():
+    space = FiniteMeasurableSpace((1, 2, 3, 4), ((3,), (1, 2), (4,)))
+    assert space.n_atoms == 3
+    assert space.atom_of.tolist() == [1, 1, 0, 2] and not space.atom_of.flags.writeable
 
 
 def test_measure_positivity_enforced():
@@ -63,34 +58,44 @@ def test_measure_empty_set_and_additivity():
     space = powerset_space(3)
     mu = LatticeValuedMeasure(space, (np.array([1.0, 0.0]), np.array([0.0, 2.0]),
                                       np.array([0.5, 0.5])))
-    assert np.array_equal(mu.measure_of(set()), [0.0, 0.0])
-    lhs = mu.measure_of({0, 2})
-    assert np.array_equal(lhs, mu.measure_of({0}) + mu.measure_of({2}))
+    for empty in ([], np.zeros(3, dtype=bool), np.array([], dtype=np.intp)):
+        assert np.array_equal(mu.measure_of(empty), [0.0, 0.0])
+    lhs = mu.measure_of([0, 2])
+    assert np.array_equal(lhs, mu.measure_of([0]) + mu.measure_of([2]))
+    assert np.array_equal(lhs, mu.measure_of(np.array([True, False, True])))
     assert np.array_equal(mu.total(), [1.5, 2.5])
+
+
+def test_measure_of_rejects_a_mask_of_another_length():
+    mu = LatticeValuedMeasure(powerset_space(3), np.eye(3))
+    with pytest.raises(IndexError):
+        mu.measure_of(np.array([True, False]))
 
 
 # ---------------------------------------------------------------------------
 # measurable functions and the order integral
 # ---------------------------------------------------------------------------
 
-def test_function_must_be_constant_on_atoms():
+@pytest.mark.parametrize("f", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0])
+def test_integrate_takes_one_value_per_atom(f):
+    # a function on the two points of a one-atom space is one value, not two
     space = FiniteMeasurableSpace((1, 2), ((1, 2),))
-    with pytest.raises(MeasurabilityError):
-        MeasurableFunction(space, {1: 1.0, 2: 2.0})
+    mu = LatticeValuedMeasure(space, np.ones((1, 2)))
+    assert np.array_equal(integrate([2j], mu).values, [2j, 2j])
+    with pytest.raises(ValueError, match="one value per atom"):
+        integrate(f, LatticeValuedMeasure(powerset_space(2), np.ones((2, 2))))
 
 
 def test_integrate_frozen_example():
     space = powerset_space(2)
     mu = LatticeValuedMeasure(space, (np.array([1.0, 0.0]), np.array([0.0, 2.0])))
-    phi = MeasurableFunction(space, {0: 3.0, 1: 1.0})
-    assert np.array_equal(integrate(phi, mu).values, [3.0, 2.0])
+    assert np.array_equal(integrate([3.0, 1.0], mu).values, [3.0, 2.0])
 
 
 def test_integrate_zero_function():
     rng = np.random.default_rng(0)
     mu, _ = random_pair(rng)
-    zero = MeasurableFunction(mu.space, {p: 0.0 for p in mu.space.points})
-    assert np.array_equal(integrate(zero, mu).values, np.zeros(4))
+    assert np.array_equal(integrate(np.zeros(mu.space.n_atoms), mu).values, np.zeros(4))
 
 
 def test_integrate_decomposition_independence():
@@ -101,12 +106,7 @@ def test_integrate_decomposition_independence():
         coarse = FiniteMeasurableSpace((0, 1, 2, 3, 4, 5), ((0, 1), (2,), (3, 4, 5)))
         vals = tuple(rng.uniform(0, 1, size=4) for _ in range(3))
         mu = LatticeValuedMeasure(coarse, vals)
-        table = {}
-        per_atom = rng.uniform(-1, 1, size=3) + 1j * rng.uniform(-1, 1, size=3)
-        for k, atom in enumerate(coarse.atoms):
-            for p in atom:
-                table[p] = complex(per_atom[k])
-        f = MeasurableFunction(coarse, table)
+        f = rng.uniform(-1, 1, size=3) + 1j * rng.uniform(-1, 1, size=3)
         fine = FiniteMeasurableSpace(coarse.points)
         fine_vals = []
         for p in fine.points:
@@ -114,7 +114,7 @@ def test_integrate_decomposition_independence():
             share = vals[k] / len(coarse.atoms[k])
             fine_vals.append(share)
         mu_fine = LatticeValuedMeasure(fine, tuple(fine_vals))
-        f_fine = MeasurableFunction(fine, table)
+        f_fine = f[coarse.atom_of]  # the fine atoms are the points, in order
         a = integrate(f, mu).values
         b = integrate(f_fine, mu_fine).values
         assert np.max(np.abs(a - b)) <= TOL_EXACT
@@ -125,19 +125,16 @@ def test_triangle_inequality_for_integrals():
     for _ in range(100):
         mu, f = random_pair(rng)
         lhs = np.abs(integrate(f, mu).values)
-        absf = MeasurableFunction(mu.space, {p: abs(f(p)) for p in mu.space.points})
-        rhs = integrate(absf, mu).values.real
+        rhs = integrate(np.abs(f), mu).values.real
         assert np.all(lhs <= rhs + TOL_EXACT)
 
 
 def test_monotone_convergence_finite():
     rng = np.random.default_rng(3)
     mu, f = random_pair(rng)
-    target = {p: abs(f(p)) for p in mu.space.points}
-    fs = [MeasurableFunction(mu.space, {p: target[p] * (1 - 1.0 / n) for p in mu.space.points})
-          for n in range(1, 30)]
-    ints = [integrate(g, mu).values.real for g in fs]
-    limit = integrate(MeasurableFunction(mu.space, target), mu).values.real
+    target = np.abs(f)
+    ints = [integrate(target * (1 - 1.0 / n), mu).values.real for n in range(1, 30)]
+    limit = integrate(target, mu).values.real
     for a, b in zip(ints, ints[1:]):
         assert np.all(b >= a - TOL_EXACT)
     assert np.all(ints[-1] <= limit + TOL_EXACT)
@@ -147,8 +144,7 @@ def test_dominated_convergence_with_witness():
     rng = np.random.default_rng(4)
     mu, f = random_pair(rng)
     lat = mu.lattice
-    fs = [MeasurableFunction(mu.space, {p: f(p) + 1.0 / n for p in mu.space.points})
-          for n in range(1, 50)]
+    fs = [f + 1.0 / n for n in range(1, 50)]
     limit = integrate(f, mu)
     values = [integrate(g, mu) for g in fs]
     # witness: (1/n) * mu(X), with the analytic tail rule
@@ -165,7 +161,7 @@ def test_dominated_convergence_with_witness():
 def test_image_measure_identity():
     rng = np.random.default_rng(5)
     mu, _ = random_pair(rng)
-    out = image_measure(mu, {p: p for p in mu.space.points}, mu.space)
+    out = image_measure(mu, np.arange(mu.space.n_atoms), mu.space)
     for a, b in zip(out.values, mu.values):
         assert np.array_equal(a, b)
 
@@ -174,7 +170,7 @@ def test_image_measure_collapse():
     rng = np.random.default_rng(6)
     mu, _ = random_pair(rng)
     target = FiniteMeasurableSpace(("pt",))
-    out = image_measure(mu, {p: "pt" for p in mu.space.points}, target)
+    out = image_measure(mu, np.zeros(mu.space.n_atoms, dtype=int), target)
     assert np.array_equal(out.values[0], mu.total())
 
 
@@ -183,14 +179,12 @@ def test_image_measure_change_of_variables():
     for _ in range(30):
         mu, _ = random_pair(rng)
         target = FiniteMeasurableSpace((0, 1, 2))
-        mapping = {p: int(rng.integers(0, 3)) for p in mu.space.points}
-        out = image_measure(mu, mapping, target)
+        lands = rng.integers(0, 3, size=mu.space.n_atoms)
+        out = image_measure(mu, lands, target)
         for _ in range(10):
-            table = {q: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for q in target.points}
-            f = MeasurableFunction(target, table)
-            pulled = MeasurableFunction(mu.space, {p: table[mapping[p]] for p in mu.space.points})
+            f = rng.uniform(-1, 1, size=3) + 1j * rng.uniform(-1, 1, size=3)
             a = integrate(f, out).values
-            b = integrate(pulled, mu).values
+            b = integrate(f[lands], mu).values
             assert np.max(np.abs(a - b)) <= TOL_EXACT
 
 
@@ -198,8 +192,19 @@ def test_image_measure_target_must_cover():
     rng = np.random.default_rng(8)
     mu, _ = random_pair(rng)
     target = FiniteMeasurableSpace((0,))
-    with pytest.raises(ValueError):
-        image_measure(mu, {p: p for p in mu.space.points}, target)
+    with pytest.raises(ValueError, match="target space has no atom 1"):
+        image_measure(mu, np.arange(mu.space.n_atoms), target)
+    with pytest.raises(ValueError, match="target space has no atom -1"):
+        image_measure(mu, np.full(mu.space.n_atoms, -1), target)
+
+
+@pytest.mark.parametrize("lands", [np.zeros(5, dtype=int), np.zeros(7, dtype=int),
+                                   np.zeros((6, 1), dtype=int), np.zeros(6),
+                                   np.zeros(6, dtype=bool)])
+def test_image_measure_takes_one_integer_target_atom_per_source_atom(lands):
+    mu, _ = random_pair(np.random.default_rng(8))
+    with pytest.raises(ValueError, match="one integer target atom per source atom"):
+        image_measure(mu, lands, FiniteMeasurableSpace((0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +335,7 @@ def test_riesz_uniqueness_via_indicators():
     mu = LatticeValuedMeasure(space, vals)
 
     def pi(f):
-        return integrate(MeasurableFunction(space,
-                                            {p: f[p] for p in space.points}), mu).values.real
+        return integrate(f, mu).values.real  # singleton atoms: points are atoms
 
     nu = riesz_represent(pi, space, rng=rng)
     for a, b in zip(mu.values, nu.values):
@@ -344,9 +348,9 @@ def test_regularity_trivial_on_discrete_space():
     # inner and outer approximation — pinned once
     space = powerset_space(3)
     mu = LatticeValuedMeasure(space, (np.array([1.0]), np.array([2.0]), np.array([0.5])))
-    for subset in ({0}, {0, 1}, {0, 1, 2}, set()):
-        v = mu.measure_of(subset)
-        assert np.array_equal(v, mu.measure_of(subset))  # open = compact = the set itself
+    for atoms in ([0], [0, 1], [0, 1, 2], []):
+        v = mu.measure_of(atoms)
+        assert np.array_equal(v, mu.measure_of(atoms))  # open = compact = the set itself
 
 
 
@@ -368,17 +372,17 @@ def _loop_first_bad_atom(rows):
     return None
 
 
-def _loop_measure_of(rows, space, subset):
+def _loop_measure_of(rows, atoms):
     total = np.zeros(len(rows[0]))
-    for k in space.atoms_of(subset):
+    for k in atoms:
         total = total + rows[k]
     return total
 
 
-def _loop_integrate(table, rows, space):
+def _loop_integrate(per_atom, rows):
     re_pos, re_neg, im_pos, im_neg = (np.zeros(len(rows[0])) for _ in range(4))
-    for k in range(space.n_atoms):
-        v = complex(table[space.atoms[k][0]])
+    for k in range(len(rows)):
+        v = complex(per_atom[k])
         m = rows[k]
         re_pos += max(v.real, 0.0) * m
         re_neg += max(-v.real, 0.0) * m
@@ -387,14 +391,10 @@ def _loop_integrate(table, rows, space):
     return (re_pos - re_neg) + 1j * (im_pos - im_neg)
 
 
-def _loop_image_values(rows, space, mapping, target):
-    values = []
-    for atom in target.atoms:
-        pre = {p for p in space.points if mapping[p] in atom}
-        if not space.is_measurable(pre):
-            raise MeasurabilityError(f"preimage of atom {atom!r} is not measurable")
-        values.append(_loop_measure_of(rows, space, pre))
-    return values
+def _loop_image_values(rows, lands, target):
+    """Each target atom's value: mu of the source atoms that land in it."""
+    return [_loop_measure_of(rows, [k for k in range(len(rows)) if lands[k] == t])
+            for t in range(target.n_atoms)]
 
 
 def _loop_is_spectral(rows, tol):
@@ -454,29 +454,23 @@ def _complex_values(draw, n):
     return [complex(a, b) for a, b in parts.T]
 
 
-def _check_against_loops(space, rows, chosen, per_atom, target, mapping, spectral_rows, tol):
+def _check_against_loops(space, rows, chosen, per_atom, target, lands, spectral_rows, tol):
     mu = LatticeValuedMeasure(space, rows)
     assert mu.values.shape == (space.n_atoms, len(rows[0])) and not mu.values.flags.writeable
     assert all(_same_bits(mu.values[k], rows[k]) for k in range(space.n_atoms))
 
-    subset = {p for k in chosen for p in space.atoms[k]}
-    assert _same_bits(mu.measure_of(subset), _loop_measure_of(rows, space, subset))
-    assert _same_bits(mu.total(), _loop_measure_of(rows, space, space.points))
+    chosen = sorted(chosen)
+    mask = np.isin(np.arange(space.n_atoms), chosen)
+    assert _same_bits(mu.measure_of(chosen), _loop_measure_of(rows, chosen))
+    assert _same_bits(mu.measure_of(mask), _loop_measure_of(rows, chosen))
+    assert _same_bits(mu.total(), _loop_measure_of(rows, range(space.n_atoms)))
 
-    table = {p: per_atom[k] for k, atom in enumerate(space.atoms) for p in atom}
-    f = MeasurableFunction(space, table)
-    assert all(f(p) == table[p] for p in space.points)
-    assert _same_bits(integrate(f, mu).values, _loop_integrate(table, rows, space))
+    assert _same_bits(integrate(per_atom, mu).values, _loop_integrate(per_atom, rows))
 
-    try:
-        expected = _loop_image_values(rows, space, mapping, target)
-    except MeasurabilityError as exc:
-        with pytest.raises(MeasurabilityError, match=re.escape(str(exc))):
-            image_measure(mu, mapping, target)
-    else:
-        image = image_measure(mu, mapping, target)
-        assert len(image.values) == len(expected)
-        assert all(_same_bits(a, b) for a, b in zip(image.values, expected))
+    expected = _loop_image_values(rows, lands, target)
+    image = image_measure(mu, lands, target)
+    assert image.space is target and len(image.values) == len(expected)
+    assert all(_same_bits(a, b) for a, b in zip(image.values, expected))
 
     for candidate in (rows, spectral_rows):
         verdict = is_spectral(LatticeValuedMeasure(space, candidate), tol=tol)
@@ -495,7 +489,8 @@ def test_atom_matrix_matches_per_atom_loops(space, target, dim, data):
         chosen=draw(st.sets(st.integers(0, space.n_atoms - 1))),
         per_atom=_complex_values(draw, space.n_atoms),
         target=target,
-        mapping={p: draw(st.sampled_from(target.points)) for p in space.points},
+        lands=draw(st.lists(st.integers(0, target.n_atoms - 1),
+                            min_size=space.n_atoms, max_size=space.n_atoms)),
         spectral_rows=_rows(draw, space.n_atoms, dim, (0.0, -0.0, 1.0, 0.5)),
         tol=draw(st.sampled_from((0.0, 1e-12, 0.3))))
 
@@ -505,7 +500,7 @@ def test_one_atom_space_with_signed_zeros_matches_loops():
     rows = (np.array([-0.0, 0.0, 1.0]),)
     for value in (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-1.0, 0.5)):
         _check_against_loops(one, rows, {0}, [value], FiniteMeasurableSpace(("x",)),
-                             {"a": "x", "b": "x"}, (np.array([1.0, -0.0, 0.0]),), 0.0)
+                             [0], (np.array([1.0, -0.0, 0.0]),), 0.0)
 
 
 @given(st.integers(1, 6), st.integers(1, 4), st.data())

@@ -1,13 +1,16 @@
 """Tests for the suites' verdict path: the record helpers, and the guarded
 checks that turn a raised exception into a failed record."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from centrelat import suites
+from centrelat import spectral, suites
 from centrelat.generate import random_central, random_measure
+from centrelat.lattice import CoordinateLattice
+from centrelat.operators import CentralOperator
 from centrelat.sequence import (
     CertificateError,
     constant,
@@ -205,3 +208,35 @@ def test_no_monic_record_for_at_most_eight_distinct_values():
     for op in (constant(2.0), geometric(1e-45), shifted_reciprocal(1e20),
                shifted_reciprocal(math.nan)):
         assert records_of("eigen", {"sequence": [op]}, MONIC) == []
+
+
+# ---------------------------------------------------------------------------
+# the annihilation record, decided by its a-priori rounding bound
+# ---------------------------------------------------------------------------
+
+ANNIHILATION = "minimal-polynomial-annihilation"
+
+
+def test_annihilation_passes_within_its_rounding_bound():
+    records = records_of("eigen", {"central": centrals(20)}, ANNIHILATION)
+    assert len(records) == 20 and all(r.ok for r in records)
+
+
+def test_annihilation_fails_on_a_root_moved_by_1e_8_of_the_norm(monkeypatch):
+    def moved(T):
+        exp = spectral.eigen_expansion(T)
+        roots = [lam for lam, _ in exp.pairs]
+        roots[0] += 1e-8 * T.order_unit_norm()
+        return dataclasses.replace(exp, minimal_polynomial=spectral.minimal_polynomial(roots))
+
+    monkeypatch.setattr(suites, "eigen_expansion", moved)
+    records = records_of("eigen", {"central": centrals(20)}, ANNIHILATION)
+    assert len(records) == 20 and not any(r.ok for r in records)
+
+
+def test_annihilation_fails_without_warning_when_its_scale_overflows():
+    # prod (|x| + |lambda|) ~ 1e401 overflows, so neither bound nor residual
+    # is finite; filterwarnings = error turns any numpy warning into a failure
+    T = CentralOperator(CoordinateLattice(4), np.array([1e100, 2e100, 3e100, 4e100]))
+    [record] = records_of("eigen", {"central": [T]}, ANNIHILATION)
+    assert not record.ok and not math.isfinite(record.max_deviation)
