@@ -3,7 +3,8 @@
 Takes a central operator with a repeated spectral value, builds its
 projection-valued spectral measure, applies bounded functions through the
 order integral, expands it over eigen-bands, and checks the commutant
-characterisation.
+characterisation.  A function on the spectrum is a callable or one value
+per entry of ``mu.values``; a set of spectrum values is one bool per entry.
 
 Run with:  python demos/03_spectral_calculus.py
 """
@@ -24,6 +25,7 @@ from centrelat import (
     spectrum,
 )
 from centrelat.operators import RegularOperator
+from centrelat.spectral import kernel_projection
 
 lat = CoordinateLattice(5)
 T = CentralOperator(lat, np.array([1.0, 2.0, 1.0, 3j, 2.0]))
@@ -35,25 +37,28 @@ print("spectrum             :", spec.attained)
 
 mu = build_mu_T(T)
 mu.validate()
+print("values and labels    :", mu.values, mu.labels)
 for v, p in zip(mu.values, mu.projections):
     print("projection for %-8s:" % v, p)
+print("mu_T({1, 3j})        :", mu.measure_of([True, False, True]).symbol.real)
 print("reconstruction exact :", np.array_equal(mu.reconstruct().symbol, T.symbol))
 
 # -- functional calculus ----------------------------------------------------
 
 square = rho_T(T, lambda v: v * v)
 print("\nrho_T(v^2) symbol    :", square.symbol)
-indicator = rho_T(T, {1.0: 1.0, 2.0: 0.0, 3j: 0.0})
+# a table holds f(values[k]) at position k; the values are (1, 2, 3j)
+indicator = rho_T(T, [1.0, 0.0, 0.0])
 print("rho_T(chi_{1})       :", indicator.symbol.real, " (the eigen-band of 1)")
 
 # the kernel of rho_T(f) is the band of the null set of f
 print("kernel band of chi complement:",
-      rho_T(T, {1.0: 0.0, 2.0: 1.0, 3j: 1.0}).symbol.real)
+      kernel_projection(T, [0.0, 1.0, 1.0]).symbol.real)
 
 # dominated convergence: f_n = id + 1/n converges with an explicit witness
-fs = [{v: v + 1.0 / n for v in spec.attained} for n in range(1, 25)]
-ident = {v: v for v in spec.attained}
-rep = dominated_convergence_calculus(T, fs, ident, bound=5.0, tail=lambda n: 1.0 / (n + 1))
+fs = [lambda v, n=n: v + 1.0 / n for n in range(1, 25)]
+rep = dominated_convergence_calculus(T, fs, lambda v: v, bound=5.0,
+                                     tail=lambda n: 1.0 / (n + 1))
 print("dominated convergence certified:", bool(rep),
       "(first witness bound %.3g)" % float(np.max(rep.witness.dominating[0])))
 

@@ -18,15 +18,5 @@ class QComplex:
     re: Fraction
     im: Fraction = Fraction(0)
 
-    @classmethod
-    def make(cls, re, im=0) -> "QComplex":
-        return cls(Fraction(re), Fraction(im))
-
-    def __sub__(self, other: "QComplex") -> "QComplex":
-        return QComplex(self.re - other.re, self.im - other.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def to_complex(self) -> complex:
         return float(self.re) + 1j * float(self.im)

@@ -115,21 +115,20 @@ def commuting_fpr_triple(rng: np.random.Generator, dim: int):
     pool = random_disc(rng, max(1, dim // 2 + 1)) * float(rng.choice(SCALES))
     s = pool[rng.integers(0, len(pool), size=dim)]
     t = pool[rng.integers(0, len(pool), size=dim)]
-    X = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            if s[i] == t[j]:
-                X[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
     return (CentralOperator(lattice, s), CentralOperator(lattice, t),
-            RegularOperator(lattice, X))
+            RegularOperator(lattice, _random_on(rng, s[:, None] == t[None, :])))
 
 
 def commutant_block_operator(rng: np.random.Generator, T: CentralOperator) -> RegularOperator:
     """A random operator supported on the equal-symbol index classes of T."""
-    n = T.lattice.dim
-    X = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if T.symbol[i] == T.symbol[j]:
-                X[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
-    return RegularOperator(T.lattice, X)
+    s = T.symbol
+    return RegularOperator(T.lattice, _random_on(rng, s[:, None] == s[None, :]))
+
+
+def _random_on(rng: np.random.Generator, mask: np.ndarray) -> np.ndarray:
+    """Zero off ``mask``; on it, standard normal parts drawn in row-major order,
+    real part first, the same stream as one scalar draw per part."""
+    z = rng.standard_normal((np.count_nonzero(mask), 2))
+    X = np.zeros(mask.shape, dtype=complex)
+    X[mask] = z[:, 0] + 1j * z[:, 1]
+    return X

@@ -279,8 +279,9 @@ class Localization:
 def localize(T: CentralOperator, ideal: PrincipalIdeal) -> Localization:
     """Restrict a central operator to a principal ideal as a multiplication symbol.
 
-    Verifies compatibility with conjugation and the modulus, and the isometry
-    ||Tu||_u = max_support |M(T)|.
+    The restriction is the symbol on the ideal's support, so it commutes with
+    conjugation and the modulus, which act coordinatewise.  Verifies the
+    isometry ||Tu||_u = max_support |M(T)|.
     """
     if ideal.generator.shape != (T.lattice.dim,):
         raise DimensionMismatchError("ideal generator and operator have different dimensions")
@@ -288,9 +289,6 @@ def localize(T: CentralOperator, ideal: PrincipalIdeal) -> Localization:
     m = T.symbol[sup]
     u_elem = ComplexElement(T.lattice, ideal.generator.astype(complex))
     tu_norm = ideal_norm(T.apply(u_elem), ideal)
-    # compatibility checks: exact on symbols
-    assert np.array_equal(np.conj(m), T.conj().symbol[sup])
-    assert np.array_equal(np.abs(m), np.abs(T.modulus().symbol[sup]))
     if abs(tu_norm - float(np.max(np.abs(m)))) > TOL_EXACT * max(1.0, tu_norm):
         raise AssertionError("localisation isometry ||Tu||_u = max |M(T)| failed")
     return Localization(m, sup, tu_norm)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class SequenceCentralOperator:
     tail: Optional[Callable[[int], float]] = None
     multiplicity: Optional[Callable[[complex], float]] = None
     name: str = "custom"
-    params: Mapping[str, float] = field(default_factory=dict)
+    params: dict[str, float] = field(default_factory=dict)
     # longest prefix evaluated so far; an array over immutable bytes is read-only
     _prefix: np.ndarray = field(default_factory=lambda: np.frombuffer(b"", dtype=complex),
                                 init=False, repr=False, compare=False)

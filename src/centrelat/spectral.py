@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .lattice import (
     ConvergenceWitness,
     CoordinateLattice,
     DimensionMismatchError,
-    DomainError,
     PrincipalIdeal,
     WitnessVerdict,
     check_witness,
@@ -72,24 +71,23 @@ class Spectrum:
 CROSS_CHECK_BLOCK_ROWS = 256
 
 
-def spectrum(T: CentralOperator, cross_check: bool = True) -> Spectrum:
-    """Spectrum of a central operator: the distinct symbol values.
+def spectrum(T: CentralOperator) -> Spectrum:
+    """Spectrum of a central operator: the values of mu_T.
 
-    When ``cross_check`` is set, the result is compared with the eigenvalues
-    of the dense matrix (the spectrum in the algebra of all operators), which
-    must agree within TOL_ORACLE.
+    The result is cross-checked against the eigenvalues of the dense matrix
+    (the spectrum in the algebra of all operators), which must agree within
+    TOL_ORACLE.
     """
-    values = list(dict.fromkeys(T.symbol.tolist()))
-    if cross_check:
-        eig = np.linalg.eigvals(np.diag(T.symbol))
-        arr = np.asarray(values)
-        i = _first_unmatched(eig, arr)
-        if i is not None:
-            raise AssertionError(f"dense eigenvalue {eig[i]} missing from the symbol spectrum")
-        i = _first_unmatched(arr, eig)
-        if i is not None:
-            raise AssertionError(f"symbol value {values[i]} missing from the dense eigenvalues")
-    return Spectrum(tuple(values))
+    values = build_mu_T(T).values
+    eig = np.linalg.eigvals(np.diag(T.symbol))
+    arr = np.asarray(values)
+    i = _first_unmatched(eig, arr)
+    if i is not None:
+        raise AssertionError(f"dense eigenvalue {eig[i]} missing from the symbol spectrum")
+    i = _first_unmatched(arr, eig)
+    if i is not None:
+        raise AssertionError(f"symbol value {values[i]} missing from the dense eigenvalues")
+    return Spectrum(values)
 
 
 def _first_unmatched(xs: np.ndarray, ys: np.ndarray) -> Optional[int]:
@@ -123,7 +121,7 @@ class SpectrumShapeReport:
 
 def spectrum_shape_report(T: CentralOperator, tol: float = TOL_EXACT) -> SpectrumShapeReport:
     """Check the four spectral-shape equivalences for a central operator."""
-    spec = np.asarray(spectrum(T, cross_check=False).attained)
+    spec = np.asarray(build_mu_T(T).values)
     radius = float(np.max(np.abs(spec)))
     self_conj = bool(np.all(T.symbol == np.conj(T.symbol)))
     spec_real = bool(np.all(np.abs(spec.imag) <= tol))
@@ -187,7 +185,8 @@ class OperatorSpectralMeasure:
 
     mu_T is the image of the global spectral measure under the symbol, so it
     is a labelling of the coordinates: mu_T({values[k]}) is the coordinate
-    projection onto the band {i : labels[i] == k}.
+    projection onto the band {i : labels[i] == k}.  A set of spectrum values
+    is one bool per entry of ``values``.
     """
 
     base: CentralOperator
@@ -203,21 +202,13 @@ class OperatorSpectralMeasure:
         """mu_T({values[k]}) as a central operator."""
         return CentralOperator(self.base.lattice, (self.labels == k).astype(complex))
 
-    def projection_for(self, value: complex) -> CentralOperator:
-        try:
-            k = self.values.index(value)
-        except ValueError:
-            return CentralOperator(self.base.lattice, np.zeros(self.base.lattice.dim))
-        return self.projection_at(k)
-
-    def measure_of(self, subset) -> CentralOperator:
-        """mu_T(Delta) for Delta a subset of the spectrum."""
-        s = set(subset)
-        unknown = s - set(self.values)
-        if unknown:
-            raise DomainError(f"{unknown.pop()} is not a spectrum value")
-        ks = [k for k, v in enumerate(self.values) if v in s]
-        return CentralOperator(self.base.lattice, np.isin(self.labels, ks).astype(complex))
+    def measure_of(self, where) -> CentralOperator:
+        """mu_T(Delta) for the set Delta of values[k] with where[k] true."""
+        where = np.asarray(where)
+        if where.shape != (len(self.values),) or where.dtype != bool:
+            raise ValueError(f"one bool per spectrum value required, not {where.dtype} "
+                             f"of shape {where.shape}")
+        return CentralOperator(self.base.lattice, where[self.labels].astype(complex))
 
     def reconstruct(self) -> CentralOperator:
         return CentralOperator(self.base.lattice, _on_labels(self.values, self.labels))
@@ -267,11 +258,8 @@ def enumerate_unital_spectral_measures(symbols: Sequence[QComplex]) -> list[tupl
     assignments.  Returns the admissible assignments (as value-index tuples)
     in lexicographic order.
     """
-    values: list[QComplex] = []
-    for s in symbols:
-        if not any(s.re == v.re and s.im == v.im for v in values):
-            values.append(s)
-    choices = [[k for k, v in enumerate(values) if (v - s).is_zero()] for s in symbols]
+    values = list(dict.fromkeys(symbols))
+    choices = [[k for k, v in enumerate(values) if v == s] for s in symbols]
     return list(itertools.product(*choices))
 
 
@@ -279,35 +267,32 @@ def enumerate_unital_spectral_measures(symbols: Sequence[QComplex]) -> list[tupl
 # functional calculus
 # ---------------------------------------------------------------------------
 
-FunctionLike = Callable[[complex], complex] | Mapping[complex, complex]
-
-
-def _evaluate(f: FunctionLike, value: complex) -> complex:
+def _per_value(f, values: Sequence[complex]) -> np.ndarray:
+    """f, a callable or one value per entry of ``values``, as a complex array."""
     if callable(f):
-        return complex(f(value))
-    try:
-        return complex(f[value])
-    except KeyError:
-        raise DomainError(f"function undefined at spectrum value {value}") from None
+        return np.array([complex(f(v)) for v in values], dtype=complex)
+    table = np.asarray(f, dtype=complex)
+    if table.shape != (len(values),):
+        raise ValueError(f"one value per spectrum value required, not shape {table.shape}")
+    return table
 
 
-def rho_T(T: CentralOperator, f: FunctionLike,
+def rho_T(T: CentralOperator, f,
           mu: Optional[OperatorSpectralMeasure] = None) -> CentralOperator:
     """Functional calculus: the order integral of f against the spectral measure.
 
-    The bands of mu_T are disjoint 0/1 projections, so the integral takes the
-    value f(values[k]) on band k: a table lookup through the labels.
+    ``f`` is a callable or one value per entry of ``mu.values``.  The bands of
+    mu_T are disjoint 0/1 projections, so the integral takes the value
+    f(values[k]) on band k: a table lookup through the labels.
     """
     mu = mu if mu is not None else build_mu_T(T)
-    return CentralOperator(T.lattice, _on_labels([_evaluate(f, v) for v in mu.values],
-                                                 mu.labels))
+    return CentralOperator(T.lattice, _on_labels(_per_value(f, mu.values), mu.labels))
 
 
-def kernel_projection(T: CentralOperator, f: FunctionLike) -> CentralOperator:
+def kernel_projection(T: CentralOperator, f) -> CentralOperator:
     """mu_T of the null set of f; its image band is the kernel of rho_T(f)."""
     mu = build_mu_T(T)
-    null = [v for v in mu.values if _evaluate(f, v) == 0]
-    return mu.measure_of(null)
+    return mu.measure_of(_per_value(f, mu.values) == 0)
 
 
 @dataclass(frozen=True)
@@ -324,8 +309,8 @@ class DominatedConvergenceReport:
 
 
 def dominated_convergence_calculus(T: CentralOperator,
-                                   fs: Sequence[FunctionLike],
-                                   f: FunctionLike,
+                                   fs: Sequence,
+                                   f,
                                    bound: float,
                                    z: Optional[ComplexElement] = None,
                                    tail: Optional[Callable[[int], float]] = None,
@@ -334,21 +319,23 @@ def dominated_convergence_calculus(T: CentralOperator,
 
     The witness term u_n is the running sup over occupied spectrum values of
     sup_{m >= n} |f_m - f|, times the identity.  When ``z`` is supplied the
-    convergence rho_T(f_n) z -> rho_T(f) z is certified as well.
+    convergence rho_T(f_n) z -> rho_T(f) z is certified as well.  Each
+    function is a callable or one value per entry of ``build_mu_T(T).values``.
     """
     mu = build_mu_T(T)
-    occupied = mu.values
-    for g in fs:
-        worst = max(abs(_evaluate(g, v)) for v in occupied)
+    limit = _per_value(f, mu.values)
+    tables = [_per_value(g, mu.values) for g in fs]
+    for g in tables:
+        worst = max(map(abs, g.tolist()))
         if worst > bound + TOL_EXACT:
             raise PreconditionError(f"uniform bound {bound} violated: |f_n| reaches {worst}")
-    devs = [max(abs(_evaluate(g, v) - _evaluate(f, v)) for v in occupied) for g in fs]
+    devs = [max(map(abs, (g - limit).tolist())) for g in tables]
     running = np.maximum.accumulate(np.asarray(devs)[::-1])[::-1]
     n = T.lattice.dim
     dominating = tuple(r * np.ones(n) for r in running)
     witness = ConvergenceWitness(dominating, claim="functional calculus convergence", tail=tail)
-    limit_op = rho_T(T, f, mu)
-    ops = [rho_T(T, g, mu) for g in fs]
+    limit_op = rho_T(T, limit, mu)
+    ops = [rho_T(T, g, mu) for g in tables]
     op_values = [ComplexElement(T.lattice, op.symbol) for op in ops]
     op_limit = ComplexElement(T.lattice, limit_op.symbol)
     verdict = check_witness(op_values, op_limit, witness)
@@ -522,8 +509,7 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
     c5 = True
     for _ in range(8):
         vals = rng.standard_normal(len(mu.values)) + 1j * rng.standard_normal(len(mu.values))
-        g = rho_T(T, dict(zip(mu.values, vals)), mu)
-        if not _commutes_with_diag(g.symbol, X, tol):
+        if not _commutes_with_diag(_on_labels(vals, mu.labels), X, tol):
             c5 = False
             break
 

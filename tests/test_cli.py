@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centrelat import suites
 from centrelat.cli import main
 
 
@@ -408,6 +409,38 @@ def test_verify_overflowing_minimal_polynomial_exit_1(tmp_path, capsys):
     failed = {json.loads(line).get("check") for line in out.splitlines()
               if json.loads(line).get("ok") is False}
     assert failed == {"minimal-polynomial-annihilation"}
+
+
+def _strict_json(line):
+    """``line`` parsed as standard JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
+def test_verify_prints_non_finite_deviations_as_null(tmp_path, capsys, monkeypatch):
+    # NaN from an overflowing minimal polynomial
+    symbol = [[1e100, 0], [2e100, 0], [3e100, 0], [4e100, 0]]
+    path = write_op(tmp_path, {"instances": [{"central": {"symbol": symbol}}]})
+    code, out, _ = run(capsys, ["verify", str(path)])
+    docs = [_strict_json(line) for line in out.splitlines()]
+    assert code == 1
+    assert [d["max_deviation"] for d in docs if d.get("ok") is False] == [None]
+    assert docs[-1]["first_failure"]["max_deviation"] is None
+
+    # inf from a guarded check that raises
+    def spectrum(T):
+        raise AssertionError("dense eigenvalue 9j missing from the symbol spectrum")
+
+    monkeypatch.setattr(suites, "spectrum", spectrum)
+    path = write_op(tmp_path, _SMALL_BUNDLE, "small.json")
+    code, out, _ = run(capsys, ["verify", "--suite", "spectral", str(path)])
+    docs = [_strict_json(line) for line in out.splitlines()]
+    failed = [d for d in docs if d.get("ok") is False]
+    assert code == 1
+    assert [d["check"] for d in failed] == ["symbol-spectrum-matches-dense-eigenvalues"]
+    assert failed[0]["max_deviation"] is None
+    assert docs[-1]["first_failure"] == failed[0]
 
 
 def test_small_bundle_passes(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from centrelat import spectral
+from centrelat import generate, spectral
 from centrelat.cli import main as cli_main
 from centrelat.exact import QComplex
 from centrelat.generate import (
@@ -20,7 +20,7 @@ from centrelat.generate import (
     random_central,
     random_rational_symbols,
 )
-from centrelat.lattice import ComplexElement, CoordinateLattice, DomainError, MaxNorm
+from centrelat.lattice import ComplexElement, CoordinateLattice, MaxNorm
 from centrelat.operators import CentralOperator, RegularOperator
 from centrelat.spectral import (
     PreconditionError,
@@ -104,7 +104,7 @@ def test_spectrum_permanence_random():
     rng = np.random.default_rng(2)
     for _ in range(50):
         T = random_central(rng, dim=int(rng.integers(1, 17)))
-        spectrum(T, cross_check=True)  # raises on disagreement with eigvals
+        spectrum(T)  # raises on disagreement with eigvals
 
 
 def _loop_spectrum_error(eig, values):
@@ -164,7 +164,7 @@ def test_spectrum_radius_equals_norm():
     rng = np.random.default_rng(4)
     for _ in range(30):
         T = random_central(rng, dim=int(rng.integers(1, 9)))
-        radius = max(abs(v) for v in spectrum(T, cross_check=False).attained)
+        radius = max(abs(v) for v in build_mu_T(T).values)
         assert radius == pytest.approx(T.order_unit_norm(), abs=TOL_EXACT)
 
 
@@ -190,7 +190,7 @@ def test_union_spectrum_random_covers():
             gens.append(mask)
         gens[0] = np.maximum(gens[0], 1.0 - np.maximum(gens[1], gens[2]))  # force a cover
         spec = union_spectrum(T, gens)
-        assert set(spec.attained) == set(spectrum(T, cross_check=False).attained)
+        assert set(spec.attained) == set(build_mu_T(T).values)
 
 
 def test_union_spectrum_requires_cover():
@@ -225,8 +225,10 @@ def test_global_measure_reconstruction():
 
 def test_mu_t_frozen_example():
     mu = build_mu_T(central([1.0, 1.0, 2.0]))
-    assert np.array_equal(mu.projection_for(1.0).symbol.real, [1.0, 1.0, 0.0])
-    assert np.array_equal(mu.projection_for(2.0).symbol.real, [0.0, 0.0, 1.0])
+    assert mu.values == (1.0, 2.0)
+    assert np.array_equal(mu.labels, [0, 0, 1])
+    assert np.array_equal(mu.measure_of([True, False]).symbol.real, [1.0, 1.0, 0.0])
+    assert np.array_equal(mu.measure_of([False, True]).symbol.real, [0.0, 0.0, 1.0])
 
 
 def test_mu_t_scalar_operator():
@@ -245,9 +247,9 @@ def test_mu_t_invariants_random():
 
 def test_mu_t_product_law():
     mu = build_mu_T(central([1.0, 2.0, 1.0, 3.0]))
-    vals = set(mu.values)
-    for a in (set(), {1.0}, {1.0, 2.0}, vals):
-        for b in ({2.0}, {1.0, 3.0}, vals):
+    masks = [np.array(m) for m in itertools.product([False, True], repeat=len(mu.values))]
+    for a in masks:
+        for b in masks:
             lhs = mu.measure_of(a & b).symbol
             rhs = mu.measure_of(a).symbol * mu.measure_of(b).symbol
             assert np.array_equal(lhs, rhs)
@@ -263,11 +265,9 @@ def test_mu_t_uniqueness_enumeration_oracle():
         # the unique assignment is the one defining mu_T
         T = central_from_rational(symbols)
         mu = build_mu_T(T)
-        assign = admissible[0]
-        for i, k in enumerate(assign):
-            assert mu.projection_for(complex(symbols[i].to_complex())).symbol.real[i] == 1.0
-            assert T.symbol[i] == complex(symbols[i].to_complex())
-            assert k < len(mu.values) or True
+        assert admissible[0] == tuple(mu.labels.tolist())
+        for i, k in enumerate(admissible[0]):
+            assert mu.values[k] == T.symbol[i] == complex(symbols[i].to_complex())
 
 
 def _brute_force_enumeration(symbols):
@@ -277,7 +277,8 @@ def _brute_force_enumeration(symbols):
         if not any(s.re == v.re and s.im == v.im for v in values):
             values.append(s)
     return [assign for assign in itertools.product(range(len(values)), repeat=len(symbols))
-            if all((values[k] - symbols[i]).is_zero() for i, k in enumerate(assign))]
+            if all(values[k].re == symbols[i].re and values[k].im == symbols[i].im
+                   for i, k in enumerate(assign))]
 
 
 _qc_part = st.fractions(min_value=-2, max_value=2, max_denominator=4)
@@ -292,7 +293,8 @@ def _symbol_lists(draw):
     return draw(st.lists(st.sampled_from(pool + twins), max_size=4))
 
 
-_a, _b = QComplex.make(Fraction(1, 2), 1), QComplex.make(Fraction(1, 2), Fraction(-1, 3))
+_a = QComplex(Fraction(1, 2), Fraction(1))
+_b = QComplex(Fraction(1, 2), Fraction(-1, 3))
 
 
 @given(_symbol_lists())
@@ -309,16 +311,16 @@ def test_vanishing_lemma_exhaustive():
     import itertools
     T = central([1.0, 2.0, 3.0, 1.0])
     mu = build_mu_T(T)
-    vals = list(mu.values)
+    ks = np.arange(len(mu.values))
     rng = np.random.default_rng(9)
     z = ComplexElement(T.lattice, rng.standard_normal(4) + 1j * rng.standard_normal(4))
     z_supported = ComplexElement(T.lattice, np.array([1.0, 0, 0, 1.0], dtype=complex))
     for z_test in (z, z_supported):
-        for r in range(1, len(vals) + 1):
-            for parts in itertools.combinations(vals, r):
-                union_zero = np.all(mu.measure_of(set(parts)).apply(z_test).values == 0)
-                each_zero = all(np.all(mu.measure_of({v}).apply(z_test).values == 0)
-                                for v in parts)
+        for r in range(1, len(ks) + 1):
+            for parts in itertools.combinations(ks, r):
+                union_zero = np.all(mu.measure_of(np.isin(ks, parts)).apply(z_test).values == 0)
+                each_zero = all(np.all(mu.measure_of(ks == k).apply(z_test).values == 0)
+                                for k in parts)
                 assert union_zero == each_zero
 
 
@@ -328,10 +330,9 @@ def test_vanishing_lemma_exhaustive():
 
 def test_rho_t_sqrt_example():
     T = central([0.0, 1.0, 4.0])
-    f = {0.0: 0.0, 1.0: 1.0, 4.0: 2.0}
-    R = rho_T(T, f)
+    R = rho_T(T, [0.0, 1.0, 2.0])
     assert np.array_equal(R.symbol.real, [0.0, 1.0, 2.0])
-    assert set(spectrum(R, cross_check=False).attained) == {0.0, 1.0, 2.0}
+    assert set(build_mu_T(R).values) == {0.0, 1.0, 2.0}
 
 
 def test_rho_t_constant_one_is_identity():
@@ -364,22 +365,36 @@ def test_rho_t_spectral_mapping():
     for _ in range(30):
         T = random_central(rng, dim=int(rng.integers(1, 9)), repeats=True)
         f = lambda v: v * v + 0.5j
-        assert (set(spectrum(rho_T(T, f), cross_check=False).attained)
-                == {f(v) for v in spectrum(T, cross_check=False).attained})
+        assert (set(build_mu_T(rho_T(T, f)).values)
+                == {f(v) for v in build_mu_T(T).values})
 
 
 def test_rho_t_vanishes_iff_null_function():
     T = central([1.0, 2.0, 2.0])
-    zero_on_spec = {1.0: 0.0, 2.0: 0.0}
-    assert np.all(rho_T(T, zero_on_spec).symbol == 0)
-    nonzero = {1.0: 0.0, 2.0: 1.0}
-    assert np.any(rho_T(T, nonzero).symbol != 0)
+    assert np.all(rho_T(T, [0.0, 0.0]).symbol == 0)
+    assert np.any(rho_T(T, [0.0, 1.0]).symbol != 0)
 
 
-def test_rho_t_undefined_value_raises():
-    T = central([1.0, 2.0])
-    with pytest.raises(DomainError, match="2"):
-        rho_T(T, {1.0: 5.0})
+@pytest.mark.parametrize("wrong", [[5.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 5.0])
+def test_wrong_length_table_or_mask_raises(wrong):
+    # values (1, 2): a table or mask needs exactly two entries
+    T = central([1.0, 2.0, 1.0])
+    mu = build_mu_T(T)
+    with pytest.raises(ValueError, match="per spectrum value"):
+        rho_T(T, wrong)
+    with pytest.raises(ValueError, match="per spectrum value"):
+        kernel_projection(T, wrong)
+    with pytest.raises(ValueError, match="per spectrum value"):
+        dominated_convergence_calculus(T, [[1.0, 2.0]], wrong, bound=5.0)
+    with pytest.raises(ValueError, match="per spectrum value"):
+        mu.measure_of(np.asarray(wrong) > 0)
+
+
+def test_measure_of_takes_bools_only():
+    # an index array is not a set of values: [0, 1] would read as {values[1]}
+    mu = build_mu_T(central([1.0, 2.0]))
+    with pytest.raises(ValueError, match="per spectrum value"):
+        mu.measure_of([0, 1])
 
 
 def test_rho_t_image_measure_identity():
@@ -398,7 +413,7 @@ def test_rho_t_image_measure_identity():
 
 def test_kernel_formula():
     T = central([1.0, 2.0, 2.0])
-    f = {1.0: 0.0, 2.0: 5.0}
+    f = [0.0, 5.0]
     K = kernel_projection(T, f)
     assert np.array_equal(K.symbol.real, [1.0, 0.0, 0.0])
     # null-space oracle on the dense matrix
@@ -417,8 +432,7 @@ def test_kernel_formula_random():
     rng = np.random.default_rng(14)
     for _ in range(30):
         T = random_central(rng, dim=int(rng.integers(2, 9)), repeats=True)
-        spec = spectrum(T, cross_check=False).attained
-        table = {v: (0.0 if k % 2 == 0 else 1.0 + 0j) for k, v in enumerate(spec)}
+        table = (np.arange(len(build_mu_T(T).values)) % 2).astype(complex)
         K = kernel_projection(T, table)
         R = rho_T(T, table)
         # coordinates killed by rho_T(f) are exactly the kernel projection band
@@ -427,14 +441,14 @@ def test_kernel_formula_random():
 
 def test_dominated_convergence_trivial_and_shift():
     T = central([1.0, 2.0, 3.0])
-    f = {1.0: 1.0, 2.0: 4.0, 3.0: 9.0}
+    f = [1.0, 4.0, 9.0]
     fs = [f for _ in range(5)]
     report = dominated_convergence_calculus(T, fs, f, bound=10.0)
     assert report
     assert all(np.max(u) == 0.0 for u in report.witness.dominating)
 
-    fs = [{v: v + 1.0 / n for v in (1.0, 2.0, 3.0)} for n in range(1, 40)]
-    ident = {v: v for v in (1.0, 2.0, 3.0)}
+    fs = [lambda v, n=n: v + 1.0 / n for n in range(1, 40)]
+    ident = np.array([1.0, 2.0, 3.0])
     z = ComplexElement(T.lattice, np.array([1.0, -1j, 0.5]))
     report = dominated_convergence_calculus(T, fs, ident, bound=5.0, z=z,
                                             tail=lambda n: 1.0 / (n + 1))
@@ -445,8 +459,7 @@ def test_dominated_convergence_trivial_and_shift():
 def test_dominated_convergence_bound_violation():
     T = central([1.0, 2.0])
     with pytest.raises(PreconditionError):
-        dominated_convergence_calculus(T, [{1.0: 100.0, 2.0: 0.0}], {1.0: 0.0, 2.0: 0.0},
-                                       bound=1.0)
+        dominated_convergence_calculus(T, [[100.0, 0.0]], [0.0, 0.0], bound=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +541,7 @@ def test_freudenthal_atomic_exact():
     T = random_central(rng, dim=6, repeats=True)
     approx = freudenthal_approx(T, eps=1e-6)
     assert approx.error == 0.0
-    spec = set(spectrum(T, cross_check=False).attained)
+    spec = set(spectrum(T).attained)
     assert set(approx.coefficients) <= spec
     # projections pairwise disjoint
     for i, p in enumerate(approx.projections):
@@ -600,6 +613,26 @@ def test_commutant_violation_fails_all_five():
     assert report.all_equivalent()
 
 
+def _loop_random_on(rng, mask):
+    """The generators' masked fill as the per-entry scalar draws it replaced."""
+    X = np.zeros(mask.shape, dtype=complex)
+    for i in range(mask.shape[0]):
+        for j in range(mask.shape[1]):
+            if mask[i, j]:
+                X[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
+    return X
+
+
+@given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_masked_fill_matches_scalar_draws(n, density, seed):
+    mask = np.random.default_rng(seed).uniform(size=(n, n)) < density
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    X = generate._random_on(a, mask)
+    assert X.tobytes() == _loop_random_on(b, mask).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_commutant_block_operator_passes():
     rng = np.random.default_rng(18)
     for _ in range(20):
@@ -629,16 +662,16 @@ def _reference_rho(T, f):
     """rho_T(f) as the order integral of f against the measure of the masks."""
     values, masks = _reference_masks(T)
     space = FiniteMeasurableSpace(values)
-    per_value = [complex(f[v] if isinstance(f, dict) else f(v)) for v in values]
+    per_value = [complex(f(v)) for v in values] if callable(f) else [complex(x) for x in f]
     measure = LatticeValuedMeasure(space, masks, T.lattice)
     return integrate(per_value, measure).values
 
 
-def _reference_measure_of(T, subset):
-    values, masks = _reference_masks(T)
+def _reference_measure_of(T, where):
+    _, masks = _reference_masks(T)
     total = np.zeros(T.lattice.dim)
-    for v, m in zip(values, masks):
-        if v in subset:
+    for keep, m in zip(where, masks):
+        if keep:
             total = total + m
     return total.astype(complex)
 
@@ -703,16 +736,14 @@ def test_label_core_matches_dense_masks(symbols, fname, data):
     f = _FUNCTIONS[fname]
     assert _same_bits(rho_T(T, f).symbol, _reference_rho(T, f))
     if data is not None:
-        table = {v: complex(data.draw(st.sampled_from(_PARTS)), data.draw(st.sampled_from(_PARTS)))
-                 for v in values}
+        table = [complex(data.draw(st.sampled_from(_PARTS)), data.draw(st.sampled_from(_PARTS)))
+                 for _ in values]
         assert _same_bits(rho_T(T, table, mu).symbol, _reference_rho(T, table))
-        subset = data.draw(st.sets(st.sampled_from(values)))
-        assert _same_bits(mu.measure_of(subset).symbol, _reference_measure_of(T, subset))
+        where = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+        assert _same_bits(mu.measure_of(where).symbol, _reference_measure_of(T, where))
 
-    for v, m in zip(values, masks):
-        assert _same_bits(mu.projection_for(v).symbol, m.astype(complex))
-    missing = complex(7.5, 7.5)
-    assert _same_bits(mu.projection_for(missing).symbol, np.zeros(T.lattice.dim, dtype=complex))
+    for k, m in enumerate(masks):
+        assert _same_bits(mu.measure_of(np.arange(len(values)) == k).symbol, m.astype(complex))
 
     exp = eigen_expansion(T)
     assert tuple(v for v, _ in exp.pairs) == values
@@ -724,6 +755,19 @@ def test_label_core_matches_dense_masks(symbols, fname, data):
     assert all(_same_bits(p.symbol, m.astype(complex))
                for p, m in zip(approx.projections, masks))
     assert _same_bits(approx.error, _reference_freudenthal_error(T))
+
+
+@given(_symbols(), st.sampled_from(sorted(_FUNCTIONS)))
+@settings(max_examples=200, deadline=None)
+def test_callable_and_per_value_forms_agree(symbols, fname):
+    T = central(symbols)
+    mu = build_mu_T(T)
+    f = _FUNCTIONS[fname]
+    table = [f(v) for v in mu.values]
+    assert _same_bits(rho_T(T, f).symbol, rho_T(T, table).symbol)
+    null = mu.measure_of(np.array([complex(x) == 0 for x in table]))
+    assert _same_bits(kernel_projection(T, f).symbol, null.symbol)
+    assert _same_bits(kernel_projection(T, table).symbol, null.symbol)
 
 
 def _dense_commutant_check(T, Xi, rng, tol=TOL_EXACT):
@@ -743,7 +787,7 @@ def _dense_commutant_check(T, Xi, rng, tol=TOL_EXACT):
     c5 = True
     for _ in range(8):
         vals = rng.standard_normal(len(values)) + 1j * rng.standard_normal(len(values))
-        if not commutes(_reference_rho(T, dict(zip(values, vals)))):
+        if not commutes(_reference_rho(T, vals)):
             c5 = False
             break
     block = all(s[i] == s[j] or abs(X[i, j]) <= tol for i in range(n) for j in range(n))

@@ -116,10 +116,10 @@ def test_failed_spectral_cross_check_skips_that_instance(monkeypatch):
     bad = op_digest(ops[0])
     real = suites.spectrum
 
-    def spectrum(T, cross_check=True):
+    def spectrum(T):
         if op_digest(T) == bad:
             raise AssertionError("dense eigenvalue 9j missing from the symbol spectrum")
-        return real(T, cross_check)
+        return real(T)
 
     monkeypatch.setattr(suites, "spectrum", spectrum)
     records = records_of("spectral", {"central": ops})
