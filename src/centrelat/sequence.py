@@ -10,6 +10,7 @@ sample.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -17,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .lattice import TOL_EXACT
-from .spectral import Spectrum
+from .spectral import Spectrum, first_occurrence
 
 #: Default number of leading indices validated against the certificates.
 DEFAULT_SAMPLE = 10_000
@@ -185,17 +186,17 @@ def validate_certificate(op: SequenceCentralOperator, sample: int = DEFAULT_SAMP
     Raises CertificateError with a witness index on failure.
     """
     values = op.prefix(sample)
-    mods = np.abs(values)
-    if np.any(mods > op.sup_bound + TOL_EXACT):
-        i = int(np.argmax(mods > op.sup_bound + TOL_EXACT))
-        raise CertificateError(f"sup bound violated at index {i + 1}")
+    # each comparison is negated so that NaN fails it
+    over = ~(np.abs(values) <= op.sup_bound + TOL_EXACT)
+    if np.any(over):
+        raise CertificateError(f"sup bound violated at index {int(np.argmax(over)) + 1}")
     if op.tail is None:
         return
     dist = _dist_to_accumulation(values, op.accumulation)
     for eps, n in zip(schedule, breakpoints(op.tail, schedule, sample)):
         if n is None:
             continue
-        bad = np.flatnonzero(dist[n:] > eps + TOL_EXACT)
+        bad = np.flatnonzero(~(dist[n:] <= eps + TOL_EXACT))
         if bad.size:
             raise CertificateError(
                 f"tail certificate violated at index {n + 1 + int(bad[0])} for eps={eps}")
@@ -206,7 +207,7 @@ def sequence_spectrum(op: SequenceCentralOperator, prefix: int = DEFAULT_SAMPLE,
     """Attained prefix values union the declared accumulation set."""
     if validate:
         validate_certificate(op, sample=prefix)
-    attained = tuple(dict.fromkeys(op.prefix(prefix).tolist()))
+    attained, _ = first_occurrence(op.prefix(prefix))
     return Spectrum(attained, tuple(complex(a) for a in op.accumulation))
 
 
@@ -219,27 +220,22 @@ class CompactnessVerdict:
         return self.compact
 
 
-def compactness_check(op: SequenceCentralOperator, sample: int = DEFAULT_SAMPLE,
-                      tol: float = TOL_EXACT) -> CompactnessVerdict:
+def compactness_check(op: SequenceCentralOperator,
+                      sample: int = DEFAULT_SAMPLE) -> CompactnessVerdict:
     """Compact iff the only limit point is zero and nonzero values have
-    finite multiplicity."""
+    finite multiplicity.  NaN counts as nonzero."""
     for a in op.accumulation:
-        if abs(complex(a)) > tol:
+        if not abs(complex(a)) <= TOL_EXACT:
             return CompactnessVerdict(False, f"limit point {a} is nonzero")
-    values = op.prefix(sample)
-    distinct = set(values.tolist())
+    values, labels = first_occurrence(op.prefix(sample))
+    nonzero = ~(np.abs(np.asarray(values, dtype=complex)) <= TOL_EXACT)
     if op.multiplicity is None:
-        counts: dict[complex, int] = {}
-        for v in values:
-            counts[complex(v)] = counts.get(complex(v), 0) + 1
-        repeated = [v for v, c in counts.items() if c > 1 and abs(v) > tol]
-        if repeated:
+        repeated = np.flatnonzero(nonzero & (np.bincount(labels, minlength=len(values)) > 1))
+        if repeated.size:
             raise CertificateError(
-                f"multiplicity rule required for repeated value {repeated[0]}")
+                f"multiplicity rule required for repeated value {values[repeated[0]]}")
     else:
-        for v in distinct:
-            if abs(v) <= tol:
-                continue
+        for v in itertools.compress(values, nonzero):
             if not math.isfinite(op.multiplicity(v)):
                 return CompactnessVerdict(
                     False, f"eigenspace for {v} is infinite dimensional")
@@ -303,10 +299,10 @@ def freudenthal_net(op: SequenceCentralOperator, eps: float,
     n = next(breakpoints(op.tail, (eps,), sample))
     if n is None:
         raise CertificateError("tail rule does not reach eps within the sampled prefix")
-    head = [complex(v) for v in op.prefix(n)]
+    head, _ = first_occurrence(op.prefix(n))
     # tail representatives: the accumulation points, which belong to the
     # certified spectrum; each tail index is within t(n) <= eps of one of them
-    reps = [complex(a) for a in op.accumulation]
+    reps = tuple(complex(a) for a in op.accumulation)
     if not reps:
         raise CertificateError("an accumulation set is required for the eps-net")
     coeffs = tuple(dict.fromkeys(head + reps))
@@ -331,6 +327,6 @@ def sequence_eigen_query(op: SequenceCentralOperator, value: complex,
         # the certificate is authoritative (sampling can underflow)
         attained = op.multiplicity(value) > 0
     else:
-        attained = any(complex(v) == value for v in op.prefix(sample))
+        attained = bool(np.any(op.prefix(sample) == value))
     in_spec = attained or any(complex(a) == value for a in op.accumulation)
     return SequenceEigenQuery(in_spec, attained)

@@ -119,18 +119,18 @@ class SpectrumShapeReport:
                 and self.positive_iff_positive_symbol and self.unimodular_iff_unit_modulus)
 
 
-def spectrum_shape_report(T: CentralOperator, tol: float = TOL_EXACT) -> SpectrumShapeReport:
+def spectrum_shape_report(T: CentralOperator) -> SpectrumShapeReport:
     """Check the four spectral-shape equivalences for a central operator."""
     spec = np.asarray(build_mu_T(T).values)
     radius = float(np.max(np.abs(spec)))
     self_conj = bool(np.all(T.symbol == np.conj(T.symbol)))
-    spec_real = bool(np.all(np.abs(spec.imag) <= tol))
+    spec_real = bool(np.all(np.abs(spec.imag) <= TOL_EXACT))
     nonneg = bool(np.all(T.symbol.imag == 0) and np.all(T.symbol.real >= 0))
-    spec_pos = spec_real and bool(np.all(spec.real >= -tol))
-    unit_mod = bool(np.all(np.abs(np.abs(T.symbol) - 1.0) <= tol))
-    spec_circle = bool(np.all(np.abs(np.abs(spec) - 1.0) <= tol))
+    spec_pos = spec_real and bool(np.all(spec.real >= -TOL_EXACT))
+    unit_mod = bool(np.all(np.abs(np.abs(T.symbol) - 1.0) <= TOL_EXACT))
+    spec_circle = bool(np.all(np.abs(np.abs(spec) - 1.0) <= TOL_EXACT))
     return SpectrumShapeReport(
-        radius_equals_norm=abs(radius - T.order_unit_norm()) <= tol * max(1.0, radius),
+        radius_equals_norm=abs(radius - T.order_unit_norm()) <= TOL_EXACT * max(1.0, radius),
         real_iff_selfconjugate=(spec_real == self_conj),
         positive_iff_positive_symbol=(spec_pos == nonneg),
         unimodular_iff_unit_modulus=(spec_circle == unit_mod),
@@ -231,17 +231,27 @@ class OperatorSpectralMeasure:
             raise AssertionError("spectral reconstruction does not recover the operator")
 
 
-def build_mu_T(T: CentralOperator) -> OperatorSpectralMeasure:
-    """Spectral measure of T: the image of the global measure under the symbol.
+def first_occurrence(symbol: np.ndarray) -> tuple[tuple[complex, ...], np.ndarray]:
+    """The distinct entries of a symbol or prefix, in first-occurrence order,
+    and for each entry the (read-only) index of its value among them.
 
-    One pass over the symbol labels each coordinate with the first-occurrence
-    index of its value.
+    Entries compare as Python complex numbers do: 0.0 and -0.0 are one value,
+    the first one kept, and NaN equals nothing.  A stable sort gives each
+    distinct value's first index; ranking those indices relabels the values.
     """
-    index: dict[complex, int] = {}
-    labels = np.fromiter((index.setdefault(v, len(index)) for v in T.symbol.tolist()),
-                         dtype=np.intp, count=T.lattice.dim)
+    symbol = np.asarray(symbol)
+    _, first, inverse = np.unique(symbol, return_index=True, return_inverse=True,
+                                  equal_nan=False)
+    order = np.argsort(first)
+    labels = np.argsort(order)[inverse]
     labels.setflags(write=False)
-    return OperatorSpectralMeasure(T, tuple(index), labels)
+    return tuple(symbol[first[order]].tolist()), labels
+
+
+def build_mu_T(T: CentralOperator) -> OperatorSpectralMeasure:
+    """Spectral measure of T: the image of the global measure under the symbol,
+    labelling each coordinate with the first-occurrence index of its value."""
+    return OperatorSpectralMeasure(T, *first_occurrence(T.symbol))
 
 
 def enumerate_unital_spectral_measures(symbols: Sequence[QComplex]) -> list[tuple[int, ...]]:

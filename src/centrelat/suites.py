@@ -45,6 +45,7 @@ from .operators import (
 )
 from .sequence import (
     DEFAULT_SAMPLE,
+    CertificateError,
     compactness_check,
     constant,
     expansion_tail_report,
@@ -60,6 +61,7 @@ from .spectral import (
     eigen_expansion,
     enumerate_unital_spectral_measures,
     eval_polynomial,
+    first_occurrence,
     gelfand,
     reconstruct_from_global,
     rho_T,
@@ -508,15 +510,15 @@ def suite_eigen(out: Records, instances, tol: Tolerances, rng: np.random.Generat
         d = op_digest(op)
         if op.tail is None:
             continue
-        out.guarded("sequence-partial-sum-tail-domination", d, Exception,
+        out.guarded("sequence-partial-sum-tail-domination", d, ValueError,
                     lambda: expansion_tail_report(op, (10, 100, 1000)),
                     lambda records: (all(r.dominated for r in records),
                                      max(0.0, max(r.sampled_tail_sup - r.certified_bound
                                                   for r in records))))
         # a nonzero polynomial of degree <= 8 has at most 8 roots, so more
         # than 8 distinct (finite) prefix values defeat every monic one
-        values = op.prefix(DEFAULT_SAMPLE)
-        distinct = len(set(values[np.isfinite(values)].tolist()))
+        values, _ = first_occurrence(op.prefix(DEFAULT_SAMPLE))
+        distinct = int(np.count_nonzero(np.isfinite(values)))
         if distinct > 8:
             out.holds("infinite-spectrum-defeats-monic-annihilators", d, True,
                       witness=f"{distinct} distinct prefix values")
@@ -551,7 +553,7 @@ def suite_compactness(out: Records, instances, tol: Tolerances,
         out.holds("canonical-classification", op_digest(op),
                   bool(verdict) == expected, 0.0, verdict.reason)
     for op in instances.get("sequence", []):
-        out.guarded("certificate-validates-on-prefix", op_digest(op), Exception,
+        out.guarded("certificate-validates-on-prefix", op_digest(op), CertificateError,
                     lambda: validate_certificate(op))
 
 

@@ -1,6 +1,7 @@
 """Tests for certified sequence-mode operators: certificates, spectra,
 compactness, expansion tails, eps-nets, and eigen queries."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from centrelat.lattice import CoordinateLattice
+from centrelat.lattice import TOL_EXACT, CoordinateLattice
 from centrelat.operators import CentralOperator
 from centrelat.sequence import (
     BUILTIN_RULES,
@@ -26,7 +27,7 @@ from centrelat.sequence import (
     shifted_reciprocal,
     validate_certificate,
 )
-from centrelat.spectral import spectrum
+from centrelat.spectral import build_mu_T, first_occurrence, spectrum
 from centrelat.suites import op_digest
 
 
@@ -52,6 +53,29 @@ def test_tail_certificate_violation_detected():
                                  accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1) ** 2)
     with pytest.raises(CertificateError, match="tail"):
         validate_certificate(op, sample=5000)
+
+
+@given(st.integers(1, 500), st.sampled_from([complex(math.nan, 0.0), complex(0.0, math.nan),
+                                              complex(math.inf, math.nan)]))
+@example(1, complex(math.nan, 0.0))
+@settings(max_examples=50, deadline=None)
+def test_nan_value_violates_the_sup_bound_at_its_index(k, nan):
+    op = SequenceCentralOperator(rule=lambda i: nan if i == k else 1.0 / i, sup_bound=1.0,
+                                 accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1))
+    with pytest.raises(CertificateError, match=f"sup bound violated at index {k}$"):
+        validate_certificate(op, sample=500)
+
+
+def test_nan_accumulation_point_fails_every_check():
+    op = SequenceCentralOperator(rule=lambda i: 1.0 / i, sup_bound=1.0,
+                                 accumulation=(math.nan,), tail=lambda n: 1.0 / (n + 1),
+                                 multiplicity=reciprocal().multiplicity)
+    # N(0.1) = 9, so index 10 is the first one checked against the NaN point
+    with pytest.raises(CertificateError, match="index 10 for eps=0.1"):
+        validate_certificate(op, sample=100)
+    verdict = compactness_check(op, sample=100)
+    assert not verdict.compact and verdict.reason == "limit point nan is nonzero"
+    assert not any(r.dominated for r in expansion_tail_report(op, (10,), sample=100))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +126,36 @@ def test_compactness_infinite_multiplicity_not_compact():
                                  multiplicity=lambda v: math.inf if v == 1.0 else 1.0)
     verdict = compactness_check(op, sample=100)
     assert not verdict.compact
+
+
+def _first_repeated_loop(values):
+    """The counting-dict loop that compactness_check ran without a
+    multiplicity rule before it counted first-occurrence labels."""
+    counts: dict[complex, int] = {}
+    for v in values:
+        counts[complex(v)] = counts.get(complex(v), 0) + 1
+    repeated = [v for v, c in counts.items() if c > 1 and abs(v) > TOL_EXACT]
+    return repeated[0] if repeated else None
+
+
+# zero, values at and near the zero threshold, signed zeros and NaN
+_REPEAT_POOL = [0.0, -0.0, 1e-13, -1e-13j, TOL_EXACT, 2e-12, 1.0, 1 + 1j, 1 - 1j, 0.5j,
+                complex(math.nan, 0.0)]
+
+
+@given(st.lists(st.sampled_from(_REPEAT_POOL), min_size=1, max_size=16))
+@example([1.0, 0.0, 1 + 1j, 0.0, 1 + 1j, 1.0])
+@example([math.nan, math.nan, 1e-13, 1e-13, TOL_EXACT, TOL_EXACT])
+@settings(max_examples=150, deadline=None)
+def test_repeated_value_without_rule_is_the_first_the_counting_loop_finds(values):
+    op = SequenceCentralOperator(rule=lambda i: values[i - 1], sup_bound=3.0)
+    want = _first_repeated_loop(op.prefix(len(values)))
+    if want is None:
+        assert compactness_check(op, sample=len(values)).compact
+    else:
+        with pytest.raises(CertificateError) as err:
+            compactness_check(op, sample=len(values))
+        assert str(err.value) == f"multiplicity rule required for repeated value {want}"
 
 
 # ---------------------------------------------------------------------------
@@ -318,33 +372,46 @@ def test_validate_calls_tail_at_most_once_per_index():
 # ---------------------------------------------------------------------------
 
 def _first_occurrence_loop(values):
-    """The seen/out loop that sequence_spectrum and spectrum(T) used before
-    they switched to dict.fromkeys."""
-    seen: set[complex] = set()
+    """The seen/out loop that sequence_spectrum and spectrum(T) once used,
+    extended to give each entry's index in ``out``."""
+    seen: dict[complex, int] = {}
     out: list[complex] = []
+    labels: list[int] = []
     for v in values:
         v = complex(v)
         if v not in seen:
-            seen.add(v)
+            seen[v] = len(out)
             out.append(v)
-    return out
+        labels.append(seen[v])
+    return out, labels
 
 
 # signed zeros and values that differ only in their imaginary part
 _DEDUP_POOL = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1.0, 1 + 1j, 1 - 1j,
                1 + 2j, complex(-0.0, 1.0), 0.5j, 2.5]
+# NaN equals nothing, itself included; only sequence mode admits it
+_NAN_POOL = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(1.0, math.nan)]
 
 
-@given(st.lists(st.sampled_from(_DEDUP_POOL), min_size=1, max_size=16))
+@given(st.lists(st.sampled_from(_DEDUP_POOL + _NAN_POOL), min_size=1, max_size=16))
 @example([-0.0, 0.0, 1 + 1j, 1 - 1j, 1 + 1j, -0.0])
 @example([1.0, 1 + 1j, 1 + 2j, 1.0, 1 - 1j, 0.0, -0.0, 2.5, 0.5j] * 2)
+@example([complex(math.nan, 0.0), -0.0, complex(math.nan, 0.0), 0.0, complex(0.0, math.nan)])
 @settings(max_examples=150, deadline=None)
 def test_dedup_matches_the_first_occurrence_loop(values):
-    symbol = np.array(values, dtype=complex)
-    want = _first_occurrence_loop(symbol)
     # repr tells -0.0 from 0.0, which == does not
     op = SequenceCentralOperator(rule=lambda i: values[i - 1], sup_bound=3.0)
+    want, labels = _first_occurrence_loop(op.prefix(len(values)))
+    got, got_labels = first_occurrence(op.prefix(len(values)))
+    assert repr(got) == repr(tuple(want)) and got_labels.tolist() == labels
+    assert not got_labels.flags.writeable
     assert repr(sequence_spectrum(op, prefix=len(values), validate=False).attained) \
         == repr(tuple(want))
-    T = CentralOperator(CoordinateLattice(len(values)), symbol)
-    assert repr(spectrum(T).attained) == repr(tuple(want))
+    finite = [v for v in values if not cmath.isnan(v)]
+    if finite:
+        symbol = np.array(finite, dtype=complex)
+        want, labels = _first_occurrence_loop(symbol)
+        T = CentralOperator(CoordinateLattice(len(finite)), symbol)
+        mu = build_mu_T(T)
+        assert repr(mu.values) == repr(tuple(want)) and mu.labels.tolist() == labels
+        assert repr(spectrum(T).attained) == repr(tuple(want))

@@ -1,8 +1,10 @@
 """Tests for the suites' verdict path: the record helpers, and the guarded
 checks that turn a raised exception into a failed record."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +155,32 @@ def test_riesz_keeps_its_exception_class(monkeypatch):
     monkeypatch.setattr(suites, "riesz_represent", raising(ValueError, "not an assertion"))
     with pytest.raises(ValueError):
         records_of("riesz", {"measure": [random_measure(np.random.default_rng(3))]})
+
+
+@pytest.mark.parametrize("suite, target", [("eigen", "expansion_tail_report"),
+                                           ("compactness", "validate_certificate")])
+def test_sequence_sites_let_a_bug_crash(monkeypatch, suite, target):
+    monkeypatch.setattr(suites, target, raising(TypeError, "a bug, not a failed check"))
+    with pytest.raises(TypeError):
+        records_of(suite, {"sequence": [reciprocal()]})
+
+
+def broad_catches(source):
+    """Line numbers of ``guarded`` calls whose catch is Exception or BaseException."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "guarded":
+            catch = node.args[2:3] + [k.value for k in node.keywords if k.arg == "catch"]
+            if any(getattr(c, "id", None) in ("Exception", "BaseException") for c in catch):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_guarded_site_catches_every_exception():
+    assert broad_catches("out.guarded('a', d, Exception, f)\n"
+                         "out.guarded('b', d, ValueError, f)\n"
+                         "out.guarded('c', d, catch=BaseException, call=f)\n") == [1, 3]
+    assert broad_catches(Path(suites.__file__).read_text()) == []
 
 
 def test_failed_expansion_tail_report(monkeypatch):
