@@ -10,6 +10,7 @@ the order integral.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -19,7 +20,6 @@ import numpy as np
 from .exact import QComplex
 from .lattice import (
     TOL_EXACT,
-    TOL_ORACLE,
     ComplexElement,
     ConvergenceWitness,
     CoordinateLattice,
@@ -66,43 +66,89 @@ class Spectrum:
         return len(self.as_set())
 
 
-#: Values compared together by the ``spectrum`` cross-check; bounds its
-#: distance table to this many rows rather than the whole n x n matrix.
-CROSS_CHECK_BLOCK_ROWS = 256
+#: Block size of the spectrum oracle; a block's eigenvalues are matched to
+#: its symbol values by the best of the k! pairings.
+ORACLE_BLOCK = 4
+_PAIRINGS = np.array(list(itertools.permutations(range(ORACLE_BLOCK))))
 
 
 def spectrum(T: CentralOperator) -> Spectrum:
     """Spectrum of a central operator: the values of mu_T.
 
-    The result is cross-checked against the eigenvalues of the dense matrix
-    (the spectrum in the algebra of all operators), which must agree within
-    TOL_ORACLE.
+    The values are checked once by ``block_eigenvalue_deviation``, which
+    computes eigenvalues with LAPACK; a deviation beyond its rounding bound
+    raises AssertionError.
     """
-    values = build_mu_T(T).values
-    eig = np.linalg.eigvals(np.diag(T.symbol))
-    arr = np.asarray(values)
-    i = _first_unmatched(eig, arr)
-    if i is not None:
-        raise AssertionError(f"dense eigenvalue {eig[i]} missing from the symbol spectrum")
-    i = _first_unmatched(arr, eig)
-    if i is not None:
-        raise AssertionError(f"symbol value {values[i]} missing from the dense eigenvalues")
-    return Spectrum(values)
+    mu = build_mu_T(T)
+    dev, bound = block_eigenvalue_deviation(mu)
+    if not dev <= bound:
+        raise AssertionError(f"block eigenvalues deviate by {dev!r} from the symbol values, "
+                             f"beyond the rounding bound {bound!r}")
+    return Spectrum(mu.values)
 
 
-def _first_unmatched(xs: np.ndarray, ys: np.ndarray) -> Optional[int]:
-    """Index of the first x farther than TOL_ORACLE from every y, or None.
+def block_eigenvalue_deviation(mu: OperatorSpectralMeasure) -> tuple[float, float]:
+    """An oracle for mu_T's values: ``(deviation, bound)``, with the
+    deviation within the bound unless mu misdescribes the symbol s.
 
-    An exact member of ys is within the tolerance; the others are compared
-    with all of ys in blocks of CROSS_CHECK_BLOCK_ROWS.
+    A generator seeded from the sha256 of s's bytes permutes the coordinates
+    into blocks of k = ORACLE_BLOCK, wrapping round to fill the last one.
+    Each block's diag(s) is conjugated by Q, the QR factor of a complex
+    Gaussian matrix, and LAPACK geev (np.linalg.eigvals) takes the stack's
+    eigenvalues.  A block deviates by the best of the k! pairings of its
+    eigenvalues with its coordinates' ``values[labels]``; the result is the
+    block closest to its bound, so it passes iff every block does.
+
+    A block's bound, with M its largest |s|, u = 2**-53 and gamma_j = j u /
+    (1 - j u), after Higham, *Accuracy and Stability of Numerical
+    Algorithms* (2nd ed.):
+    - Unitarity: with e the computed ||Q* Q - I||_F, eta = 2 e + 16 k u bounds
+      ||Q* Q - I||_2, e's own rounding included, since each entry is a
+      complex inner product of length k (sqrt(2) gamma_(k+2), §3.6) and
+      ||Q||_F**2 <= k + sqrt(k) ||Q* Q - I||_F.  By the polar decomposition
+      Q = U P, Q = U + F with U unitary and ||F||_2 <= ||P - I||_2 <= eta,
+      as |sqrt(1 + x) - 1| <= |x| for x >= -1.
+    - A0 = U diag(s) U* is normal with eigenvalues s, and Q diag(s) Q* is
+      within M eta (2 + eta) of it.
+    - Each computed entry is a sum of k terms of two complex products
+      (sqrt(2) gamma_2 <= gamma_3 each, Lemma 3.5), so the product is within
+      gamma_(k+5) |Q| |diag(s)| |Q|^T, of 2-norm at most k M (1 + eta)**2.
+    - geev's eigenvalues are exact for the computed A plus G, ||G||_2 <=
+      p(k) u ||A||_2 <= p(k) u M (1 + eta)**2 (1 + k gamma_(k+5)); the
+      LAPACK Users' Guide (§4.8) says only that p grows modestly, and
+      p(k) = 10 k is taken here.
+    - Underflow: each of an entry's 8 k real products may also lose 2**-1075
+      (§2.1), scaled by at most 2 later: 16 k**2 2**-1074 in 2-norm.  geev
+      scales a tiny matrix up first and rounds each eigenvalue once more
+      when it scales back: 2**-1074.
+    So geev's eigenvalues are exact for A0 + E with ||E||_2 <= eps = M (eta
+    (2 + eta) + (1 + eta)**2 (k gamma_(k+5) + 10 k u (1 + k gamma_(k+5)))) +
+    16 k**2 2**-1074.  As A0 is normal, Bauer-Fike puts each eigenvalue of
+    A0 + tE, 0 <= t <= 1, within eps of some s_j; by continuity each
+    connected component of these discs holds as many eigenvalues as values,
+    and within a component of j <= k discs every point is within (2 j - 1)
+    eps of every centre.  So some pairing matches within (2 k - 1) eps, and
+    the bound is 2 ((2 k - 1) eps + 2**-1074), the factor 2 for the bound's
+    own roundings.
     """
-    todo = np.flatnonzero(~np.isin(xs, ys))
-    for start in range(0, len(todo), CROSS_CHECK_BLOCK_ROWS):
-        rows = todo[start:start + CROSS_CHECK_BLOCK_ROWS]
-        far = np.min(np.abs(ys[None, :] - xs[rows, None]), axis=1) > TOL_ORACLE
-        if far.any():
-            return int(rows[np.argmax(far)])
-    return None
+    s, k = mu.base.symbol, ORACLE_BLOCK
+    rng = np.random.default_rng(int.from_bytes(hashlib.sha256(s.tobytes()).digest(), "little"))
+    blocks = np.resize(rng.permutation(len(s)), (-(-len(s) // k), k))
+    q = np.linalg.qr(rng.standard_normal((len(blocks), k, k, 2)).view(complex)[..., 0])[0]
+    eig = np.linalg.eigvals(np.einsum("bij,bj,bkj->bik", q, s[blocks], q.conj()))
+    claimed = np.asarray(mu.values, dtype=complex)[mu.labels][blocks]
+    dev = np.min(np.max(np.abs(eig[:, None, :] - claimed[:, _PAIRINGS]), axis=2), axis=1)
+
+    u = 2.0 ** -53
+    gamma = (k + 5) * u / (1 - (k + 5) * u)
+    gram = np.einsum("bji,bjk->bik", q.conj(), q) - np.eye(k)
+    eta = 2 * np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2))) + 16 * k * u
+    size = np.max(np.abs(s[blocks]), axis=1)
+    eps = (size * (eta * (2 + eta) + (1 + eta) ** 2 * (k * gamma + 10 * k * u * (1 + k * gamma)))
+           + 16 * k * k * 2.0 ** -1074)
+    bound = 2 * ((2 * k - 1) * eps + 2.0 ** -1074)
+    worst = int(np.argmax(dev / bound))
+    return float(dev[worst]), float(bound[worst])
 
 
 @dataclass(frozen=True)
@@ -491,10 +537,15 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
     """Evaluate the five equivalent commutation conditions and the block pattern.
 
     Condition 1 multiplies the dense matrices, as an oracle independent of
-    the entrywise form that conditions 2-5 use.  Condition 3 tests the powers
-    id^a with a < |sigma(T)|: their Vandermonde matrix on the distinct
-    spectrum values is invertible, so by Lagrange interpolation they span
-    every function on the finite spectrum, continuous ones included.
+    the entrywise form that conditions 2-5 use.  It multiplies with
+    np.einsum, numpy's own loop, not ``@``: on a 2-core machine the threaded
+    OpenBLAS zgemm behind ``@`` waited 30-36 ms per product at n = 48-128 to
+    wake its worker thread, where the loop takes 1-15 ms; past n = 128 the
+    loop's n**3 work makes it the slower (115 against 50 ms at n = 256).
+    Condition 3 tests the powers id^a with a < |sigma(T)|: their Vandermonde
+    matrix on the distinct spectrum values is invertible, so by Lagrange
+    interpolation they span every function on the finite spectrum,
+    continuous ones included.
     """
     if Xi.lattice.dim != T.lattice.dim:
         raise DimensionMismatchError("operators have different dimensions")
@@ -505,7 +556,8 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
     tol = tol * scale
 
     D = np.diag(s)
-    c1 = float(np.max(np.abs(D @ X - X @ D))) <= tol
+    c1 = float(np.max(np.abs(np.einsum("ij,jk->ik", D, X)
+                             - np.einsum("ij,jk->ik", X, D)))) <= tol
     c2 = _commutes_with_diag(np.conj(s), X, tol)
 
     mu = build_mu_T(T)

@@ -429,16 +429,16 @@ def test_verify_prints_non_finite_deviations_as_null(tmp_path, capsys, monkeypat
     assert docs[-1]["first_failure"]["max_deviation"] is None
 
     # inf from a guarded check that raises
-    def spectrum(T):
-        raise AssertionError("dense eigenvalue 9j missing from the symbol spectrum")
+    def block_eigenvalue_deviation(mu):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(suites, "spectrum", spectrum)
+    monkeypatch.setattr(suites, "block_eigenvalue_deviation", block_eigenvalue_deviation)
     path = write_op(tmp_path, _SMALL_BUNDLE, "small.json")
     code, out, _ = run(capsys, ["verify", "--suite", "spectral", str(path)])
     docs = [_strict_json(line) for line in out.splitlines()]
     failed = [d for d in docs if d.get("ok") is False]
     assert code == 1
-    assert [d["check"] for d in failed] == ["symbol-spectrum-matches-dense-eigenvalues"]
+    assert [d["check"] for d in failed] == ["symbol-spectrum-matches-block-eigenvalues"]
     assert failed[0]["max_deviation"] is None
     assert docs[-1]["first_failure"] == failed[0]
 

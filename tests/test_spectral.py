@@ -3,15 +3,14 @@ functional calculus, eigen expansions, and commutants."""
 
 import itertools
 import json
-import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from centrelat import generate, spectral
+from centrelat import generate, spectral, suites
 from centrelat.cli import main as cli_main
 from centrelat.exact import QComplex
 from centrelat.generate import (
@@ -23,6 +22,7 @@ from centrelat.generate import (
 from centrelat.lattice import ComplexElement, CoordinateLattice, MaxNorm
 from centrelat.operators import CentralOperator, RegularOperator
 from centrelat.spectral import (
+    OperatorSpectralMeasure,
     PreconditionError,
     build_mu_T,
     commutant_check,
@@ -104,47 +104,80 @@ def test_spectrum_permanence_random():
     rng = np.random.default_rng(2)
     for _ in range(50):
         T = random_central(rng, dim=int(rng.integers(1, 17)))
-        spectrum(T)  # raises on disagreement with eigvals
+        spectrum(T)  # raises when the block eigenvalues disagree
 
 
-def _loop_spectrum_error(eig, values):
-    """The cross-check as two per-value loops, with its error text."""
-    arr = np.asarray(values)
-    for lam in eig:
-        if np.min(np.abs(arr - lam)) > TOL_ORACLE:
-            return f"dense eigenvalue {lam} missing from the symbol spectrum"
-    for lam in values:
-        if np.min(np.abs(eig - lam)) > TOL_ORACLE:
-            return f"symbol value {lam} missing from the dense eigenvalues"
-    return None
+#: Magnitudes from the smallest subnormal up to io's cap of 2**500.
+_SCALES = (2.0 ** -1074, 1e-310, 2.0 ** -1022, 1e-300, 1e-150, 1e-5, 1.0, 1e5, 1e150, 2.0 ** 500)
 
 
-_SPEC_POOL = (0.0, -0.0, 1.0, -1.0, 2j, 1 + 1j, 0.25 - 3j)
-_OFFSETS = (0.0, 0.0, 0.0, 4e-10, -9e-10, 1e-9, 2e-9j, 0.5, -3j)
+@st.composite
+def _oracle_symbols(draw, scales=_SCALES):
+    """1-13 values drawn from a pool, so that values repeat.  Each pool member
+    has a scale of its own and comes with near-cancelling partners: its
+    negative and its neighbour one ulp away."""
+    pool = []
+    for scale, re_, im in draw(st.lists(st.tuples(st.sampled_from(scales), st.floats(-1, 1),
+                                                  st.floats(-1, 1)), min_size=1, max_size=3)):
+        v = complex(scale * re_, scale * im)
+        pool += [v, -v, complex(np.nextafter(v.real, np.inf), v.imag)]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=13))
 
 
-@given(st.lists(st.sampled_from(_SPEC_POOL), min_size=1, max_size=12),
-       st.lists(st.sampled_from(_OFFSETS), min_size=12, max_size=12),
-       st.integers(1, 5))
-@settings(max_examples=200, deadline=None)
-def test_spectrum_cross_check_matches_loops(symbols, offsets, block):
-    # perturbed dense eigenvalues, near and beyond TOL_ORACLE, stand in for eigvals
+@given(_oracle_symbols())
+@example([1.0])
+@example([1.0, -1.0, 1.0])
+@example([2.0 ** -1074, -(2.0 ** -1074), 0.0, 2.0 ** 500 * (1 + 1j)])
+@settings(max_examples=300, deadline=None)
+def test_block_eigenvalues_stay_within_the_rounding_bound(symbols):
     T = central(symbols)
-    values = list(dict.fromkeys(T.symbol.tolist()))
-    eig = np.linalg.eigvals(np.diag(T.symbol)) + np.array(offsets[:len(symbols)])
-    message = _loop_spectrum_error(eig, values)
+    dev, bound = spectral.block_eigenvalue_deviation(build_mu_T(T))
+    assert dev <= bound
+    # seeded from the symbol, so it draws the same blocks each time
+    assert spectral.block_eigenvalue_deviation(build_mu_T(T)) == (dev, bound)
+    assert spectrum(T).attained == build_mu_T(T).values
+
+
+def _perturbed(build, rel):
+    """build_mu_T with its largest value changed by the relative amount rel."""
+    def perturbed(T):
+        mu = build(T)
+        k = int(np.argmax(np.abs(mu.values)))
+        values = list(mu.values)
+        values[k] *= 1 + rel
+        return OperatorSpectralMeasure(T, tuple(values), mu.labels)
+    return perturbed
+
+
+@given(_oracle_symbols(scales=(1e-300, 1e-150, 1e-5, 1.0, 1e5, 1e150, 2.0 ** 500)))
+@settings(max_examples=100, deadline=None)
+def test_a_wrong_value_in_mu_fails_the_oracle(symbols):
+    # a 1e-8 relative change to the largest value, made after mu_T is built;
+    # below 1e-300 it would vanish in the bound's absolute underflow term
+    T = central(symbols)
+    assume(np.max(np.abs(T.symbol)) >= 1e-300)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "CROSS_CHECK_BLOCK_ROWS", block)
-        for xs, ys in ((eig, np.asarray(values)), (np.asarray(values), eig)):
-            expected = next((i for i, x in enumerate(xs)
-                             if np.min(np.abs(ys - x)) > TOL_ORACLE), None)
-            assert spectral._first_unmatched(xs, ys) == expected
-        mp.setattr(np.linalg, "eigvals", lambda matrix: eig)
-        if message is None:
-            assert spectrum(T).attained == tuple(values)
-        else:
-            with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-                spectrum(T)
+        mp.setattr(spectral, "build_mu_T", _perturbed(build_mu_T, 1e-8))
+        dev, bound = spectral.block_eigenvalue_deviation(spectral.build_mu_T(T))
+        assert dev > bound
+        with pytest.raises(AssertionError, match="^block eigenvalues deviate by "):
+            spectrum(T)
+
+
+def test_suite_records_a_wrong_value_in_mu(monkeypatch):
+    ops = [random_central(np.random.default_rng(seed), dim=9) for seed in (1, 2)]
+
+    def oracle_records():
+        return [r for r in suites.run_suites(["spectral"], {"central": ops})[0].records
+                if r.check == "symbol-spectrum-matches-block-eigenvalues"]
+
+    assert all(r.ok and 0 < r.max_deviation < 1e-12 * np.max(np.abs(T.symbol))
+               for r, T in zip(oracle_records(), ops))
+    monkeypatch.setattr(suites, "build_mu_T", _perturbed(build_mu_T, 1e-8))
+    # the wrong value's block: a finite deviation, not a raise
+    for r, T in zip(oracle_records(), ops):
+        assert not r.ok and r.witness == ""
+        assert 1e-9 < r.max_deviation / np.max(np.abs(T.symbol)) < 2e-8
 
 
 def test_spectrum_shape_report():
@@ -820,6 +853,36 @@ def test_commutant_entrywise_matches_dense_products(symbols, seed):
             _dense_commutant_check(T, Xi, theirs)
         assert ours.bit_generator.state == theirs.bit_generator.state
         assert report.all_equivalent() and report.with_operator == (Xi is inside)
+
+
+@given(st.sampled_from((1, 2, 3, 5, 8, 16, 48, 64)), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_condition_one_agrees_with_blas_products(dim, seed):
+    # at n = 48 and 64 the BLAS zgemm behind @ hands the product to a thread
+    rng = np.random.default_rng(seed)
+    T = random_central(rng, dim=dim, repeats=True)
+    inside = commutant_block_operator(rng, T)
+    cases = [inside]
+    mismatched = np.argwhere(T.symbol[:, None] != T.symbol[None, :])
+    if len(mismatched):
+        i, j = mismatched[rng.integers(0, len(mismatched))]
+        broken = np.array(inside.entries)
+        broken[i, j] += 1.0
+        cases.append(RegularOperator(T.lattice, broken))
+    s = T.symbol
+    D = np.diag(s)
+    u = 2.0 ** -53
+    for Xi in cases:
+        X = Xi.entries
+        loop = np.einsum("ij,jk->ik", D, X) - np.einsum("ij,jk->ik", X, D)
+        blas = D @ X - X @ D
+        # entry (i, j) is s_i X_ij - X_ij s_j either way: two complex products,
+        # each within sqrt(2) gamma_2 (FMA or not), and a difference
+        bound = 4 * 3 * u / (1 - 3 * u) * (np.abs(s)[:, None] + np.abs(s)[None, :]) * np.abs(X)
+        assert np.all(np.abs(loop - blas) <= bound)
+        tol = TOL_EXACT * max(1.0, float(np.max(np.abs(X))))
+        report = commutant_check(T, Xi)
+        assert report.with_operator == (float(np.max(np.abs(blas))) <= tol) == (Xi is inside)
 
 
 def test_calc_rho_conj_real_symbol_prints_positive_zero(tmp_path, capsys):

@@ -23,7 +23,7 @@ from centrelat.sequence import (
 from centrelat.spectral import OperatorSpectralMeasure
 from centrelat.suites import Records, op_digest, run_suites
 
-SPECTRAL_PER_OPERATOR = ("symbol-spectrum-matches-dense-eigenvalues",
+SPECTRAL_PER_OPERATOR = ("symbol-spectrum-matches-block-eigenvalues",
                          "spectral-radius-and-shape-equivalences",
                          "band-cover-union-spectrum",
                          "global-measure-reconstruction",
@@ -116,18 +116,18 @@ def test_suite_name_comes_from_the_registry():
 def test_failed_spectral_cross_check_skips_that_instance(monkeypatch):
     ops = centrals(2)
     bad = op_digest(ops[0])
-    real = suites.spectrum
+    real = suites.block_eigenvalue_deviation
 
-    def spectrum(T):
-        if op_digest(T) == bad:
-            raise AssertionError("dense eigenvalue 9j missing from the symbol spectrum")
-        return real(T)
+    def block_eigenvalue_deviation(mu):
+        if op_digest(mu.base) == bad:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(mu)
 
-    monkeypatch.setattr(suites, "spectrum", spectrum)
+    monkeypatch.setattr(suites, "block_eigenvalue_deviation", block_eigenvalue_deviation)
     records = records_of("spectral", {"central": ops})
     failed = [r for r in records if r.instance == bad]
-    assert_guarded_failures(failed, "dense eigenvalue 9j missing from the symbol spectrum", 1)
-    assert failed[0].check == "symbol-spectrum-matches-dense-eigenvalues"
+    assert_guarded_failures(failed, "Eigenvalues did not converge", 1)
+    assert failed[0].check == "symbol-spectrum-matches-block-eigenvalues"
     good = [r.check for r in records if r.instance == op_digest(ops[1])]
     assert good == list(SPECTRAL_PER_OPERATOR)
     assert all(r.ok for r in records if r.instance != bad)
@@ -203,8 +203,8 @@ def test_guarded_sites_pass_with_zero_deviation_when_nothing_raises():
     rng = np.random.default_rng(3)
     instances = {"central": centrals(2), "measure": [random_measure(rng)],
                  "sequence": [reciprocal()]}
-    guarded = {"symbol-spectrum-matches-dense-eigenvalues", "spectral-measure-invariants",
-               "certificate-validates-on-prefix"}
+    guarded = {"spectral-measure-invariants", "certificate-validates-on-prefix"}
+    size = {op_digest(T): float(np.max(np.abs(T.symbol))) for T in instances["central"]}
     records = [r for report in run_suites(["spectral", "compactness", "riesz", "eigen"],
                                           instances)
                for r in report.records]
@@ -212,6 +212,9 @@ def test_guarded_sites_pass_with_zero_deviation_when_nothing_raises():
     for r in records:
         if r.check in guarded:
             assert (r.max_deviation, r.witness) == (0.0, "")
+        if r.check == "symbol-spectrum-matches-block-eigenvalues":
+            # the oracle's matched distance, within its rounding bound
+            assert 0.0 <= r.max_deviation < 1e-12 * size[r.instance] and r.witness == ""
 
 
 # ---------------------------------------------------------------------------
