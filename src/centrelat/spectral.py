@@ -239,14 +239,21 @@ class OperatorSpectralMeasure:
     values: tuple[complex, ...]     # the spectrum, in first-occurrence order
     labels: np.ndarray              # per coordinate, the index of its value
 
+    def _bands(self, dtype) -> np.ndarray:
+        """Row k is the 0/1 symbol of band k: one read-only scatter of ones."""
+        bands = np.zeros((len(self.values), len(self.labels)), dtype)
+        bands[self.labels, np.arange(len(self.labels))] = 1
+        bands.setflags(write=False)
+        return bands
+
     @property
     def projections(self) -> tuple[np.ndarray, ...]:
         """The 0/1 symbols of the bands, one per spectrum value."""
-        return tuple((self.labels == np.arange(len(self.values))[:, None]).astype(float))
+        return tuple(self._bands(float))
 
-    def projection_at(self, k: int) -> CentralOperator:
-        """mu_T({values[k]}) as a central operator."""
-        return CentralOperator(self.base.lattice, (self.labels == k).astype(complex))
+    def band_operators(self) -> tuple[CentralOperator, ...]:
+        """mu_T({values[k]}) as a central operator, for each k."""
+        return tuple(CentralOperator(self.base.lattice, row) for row in self._bands(complex))
 
     def measure_of(self, where) -> CentralOperator:
         """mu_T(Delta) for the set Delta of values[k] with where[k] true."""
@@ -419,11 +426,20 @@ class EigenExpansion:
 
 
 def minimal_polynomial(values: Sequence[complex]) -> tuple[complex, ...]:
-    """Monic polynomial with the given distinct roots, highest degree first."""
-    coeffs = np.array([1.0 + 0j])
-    for v in values:
-        coeffs = np.convolve(coeffs, np.array([1.0 + 0j, -v]))
-    return tuple(coeffs)
+    """Monic polynomial with the given distinct roots, highest degree first.
+
+    Per root v, c_k becomes c_(k-1) b + c_k, b = -v, on the float view, and
+    for finite roots has np.convolve's bits: its zdotu forms (pr br + cr) -
+    (pi bi + ci 0) and (pr bi + cr 0) + (pi br + ci) and adds im 0 to re; as
+    no part is ever -0.0, a product with 0 matters only as NaN, so goes last."""
+    flat = np.array([1.0] + [0.0] * (2 * len(values) + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, b in enumerate((complex(-v) for v in values), 1):
+            prev, cur = flat[:2 * k], flat[2:2 * k + 2]
+            by_re, by_im = prev * b.real + cur, prev * b.imag
+            im = by_im[0::2] + by_re[1::2] + cur[0::2] * 0.0
+            cur[0::2], cur[1::2] = by_re[0::2] - by_im[1::2] + im * 0.0, im
+    return tuple(flat.view(complex))
 
 
 def eval_polynomial(coeffs: Sequence[complex], x: np.ndarray) -> np.ndarray:
@@ -435,9 +451,9 @@ def annihilation_bound(roots: Sequence[complex], x: np.ndarray) -> np.ndarray:
     for p(z) = prod (z - r), exactly; p(x) = 0 at a root.
 
     After Higham, *Accuracy and Stability of Numerical Algorithms* (2nd ed.),
-    with u = 2**-53 and gamma_k = k u / (1 - k u).  Each of np.convolve's n
-    steps c_k - r c_{k-1} is a complex dot product of length 2, off by at most
-    sqrt(2) gamma_4 <= gamma_6 times |c_k| + |r| |c_{k-1}| (§3.6): each
+    with u = 2**-53 and gamma_k = k u / (1 - k u).  minimal_polynomial's n
+    steps c_k - r c_(k-1) sum each part from c_k's and two rounded products
+    (§3.1): off by 2 gamma_3 <= gamma_6 times |c_k| + |r| |c_(k-1)|, so each
     coefficient is within gamma_6n of its exact value, relative to that of
     p~(z) = prod (z + |r|).  Each of np.polyval's n Horner steps y x + c is a
     complex product, off by a factor 1 + d with |d| <= sqrt(2) gamma_2 <=
@@ -464,8 +480,8 @@ def eigen_expansion(T: CentralOperator) -> EigenExpansion:
     distinct spectrum values and which annihilates T.
     """
     mu = build_mu_T(T)
-    pairs = tuple((v, mu.projection_at(k)) for k, v in enumerate(mu.values))
-    return EigenExpansion(pairs, minimal_polynomial(mu.values))
+    return EigenExpansion(tuple(zip(mu.values, mu.band_operators())),
+                          minimal_polynomial(mu.values))
 
 
 @dataclass(frozen=True)
@@ -484,9 +500,8 @@ def freudenthal_approx(T: CentralOperator, eps: float) -> StepApproximation:
     if not eps > 0:
         raise PreconditionError("eps must be positive")
     mu = build_mu_T(T)
-    projs = tuple(mu.projection_at(k) for k in range(len(mu.values)))
     err = float(np.max(np.abs(T.symbol - mu.reconstruct().symbol)))
-    return StepApproximation(mu.values, projs, err)
+    return StepApproximation(mu.values, mu.band_operators(), err)
 
 
 @dataclass(frozen=True)

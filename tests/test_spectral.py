@@ -721,14 +721,14 @@ _PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0)
 
 
 @st.composite
-def _symbols(draw):
-    """Up to 12 symbol values drawn from a pool of up to 4, so that values
-    repeat, plus twins of the pool members that differ only in the imaginary
-    part; parts include both signed zeros."""
+def _symbols(draw, max_size=12):
+    """Up to max_size symbol values drawn from a pool of up to 4, so that
+    values repeat, plus twins of the pool members that differ only in the
+    imaginary part; parts include both signed zeros."""
     part = st.sampled_from(_PARTS)
     pool = draw(st.lists(st.builds(complex, part, part), min_size=1, max_size=4))
     twins = [complex(v.real, -v.imag if v.imag else 1.0) for v in pool]
-    return draw(st.lists(st.sampled_from(pool + twins), min_size=1, max_size=12))
+    return draw(st.lists(st.sampled_from(pool + twins), min_size=1, max_size=max_size))
 
 
 _FUNCTIONS = {
@@ -801,6 +801,89 @@ def test_callable_and_per_value_forms_agree(symbols, fname):
     null = mu.measure_of(np.array([complex(x) == 0 for x in table]))
     assert _same_bits(kernel_projection(T, f).symbol, null.symbol)
     assert _same_bits(kernel_projection(T, table).symbol, null.symbol)
+
+
+def _reference_bands(mu):
+    """mu_T's bands one (labels == k) comparison at a time, as complex symbols."""
+    return [(mu.labels == k).astype(complex) for k in range(len(mu.values))]
+
+
+def _convolve_minimal_polynomial(values):
+    """The monic polynomial with the given roots, one np.convolve call per root.
+
+    np.convolve sums with BLAS zdotu, so where a coefficient overflows, its
+    NaN parts are those of the OpenBLAS build numpy ships with."""
+    coeffs = np.array([1.0 + 0j])
+    for v in values:
+        coeffs = np.convolve(coeffs, np.array([1.0 + 0j, -v]))
+    return tuple(coeffs)
+
+
+def _same_bits_or_nan(a, b):
+    """NaN in the same parts, and every other part with the same bits."""
+    a, b = np.asarray(a, dtype=complex).view(float), np.asarray(b, dtype=complex).view(float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and _same_bits(a[~nan], b[~nan]))
+
+
+@given(_symbols(max_size=64))
+@example([1.0])
+@example([-0.0, 0.0, complex(0.0, -0.0), 2.0] * 16)
+@settings(max_examples=200, deadline=None)
+def test_band_operators_match_per_band_reference(symbols):
+    T = central(symbols)
+    mu = build_mu_T(T)
+    reference = _reference_bands(mu)
+    bands = mu.band_operators()
+    assert len(bands) == len(reference)
+    assert all(_same_bits(p.symbol, r) for p, r in zip(bands, reference))
+    base = bands[0].symbol.base
+    assert base is not None and not base.flags.writeable
+    assert all(p.symbol.base is base for p in bands)
+    assert all(_same_bits(q, r.real) for q, r in zip(mu.projections, reference))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        polynomial = _convolve_minimal_polynomial(mu.values)
+    exp = eigen_expansion(T)
+    assert tuple(v for v, _ in exp.pairs) == mu.values
+    assert all(_same_bits(p.symbol, r) for (_, p), r in zip(exp.pairs, reference))
+    assert _same_bits_or_nan(exp.minimal_polynomial, polynomial)
+
+    approx = freudenthal_approx(T, 0.1)
+    assert approx.coefficients == mu.values
+    assert all(_same_bits(p.symbol, r) for p, r in zip(approx.projections, reference))
+    assert _same_bits(approx.error, float(np.max(np.abs(T.symbol - mu.reconstruct().symbol))))
+
+
+_ROOT_PARTS = (0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e200, -1e200, 1e-200, 1e-300, -1e-300,
+               5e-324, 1e308)
+
+
+@st.composite
+def _roots(draw):
+    """Up to 16 finite roots: exact small integers and signed zeros, parts
+    whose products overflow or underflow, and arbitrary floats, with repeats."""
+    part = st.one_of(st.sampled_from(_ROOT_PARTS), st.integers(-4, 4).map(float),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    pool = draw(st.lists(st.one_of(st.builds(complex, part, part), part),
+                         min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), max_size=16))
+
+
+@given(_roots())
+@example([])
+@example([-0.0, complex(-0.0, -0.0), 0.0, complex(0.0, -0.0)])
+@example([1.0, 1.0, 2.0, 2.0])
+@example([1e100, 2e100, 3e100, 4e100])
+@example([complex(1e200, -1e200), complex(-1e-300, 1e200), 1e308, 5e-324])
+@settings(max_examples=400, deadline=None)
+def test_minimal_polynomial_matches_convolve(roots):
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = _convolve_minimal_polynomial(roots)
+    ours = minimal_polynomial(roots)
+    assert all(isinstance(c, np.complex128) for c in ours)
+    assert _same_bits_or_nan(ours, reference)
 
 
 def _dense_commutant_check(T, Xi, rng, tol=TOL_EXACT):
