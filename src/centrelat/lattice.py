@@ -21,6 +21,15 @@ TOL_ORACLE = 1e-9
 #: A dominating sequence whose last term is below this is accepted as decaying
 #: to zero when no analytic tail rule is supplied.
 WITNESS_TOL = 1e-10
+#: Matrix entries per row block of a large pass (a complex block is 256 KiB):
+#: 8 rows at dim 2048, 2048 at dim 8, one row at dims of this size or more.
+ENTRIES = 8 * 2048
+
+
+def row_blocks(rows: int, dim: int) -> list[slice]:
+    """Slices covering range(rows) in blocks of max(1, ENTRIES // dim) rows."""
+    step = max(1, ENTRIES // max(dim, 1))
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 class DimensionMismatchError(ValueError):

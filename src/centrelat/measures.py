@@ -14,7 +14,7 @@ from typing import Callable, Hashable, Optional
 
 import numpy as np
 
-from .lattice import TOL_EXACT, ComplexElement, CoordinateLattice, MaxNorm
+from .lattice import TOL_EXACT, ComplexElement, CoordinateLattice, MaxNorm, row_blocks
 
 
 class PositivityError(ValueError):
@@ -88,10 +88,11 @@ class LatticeValuedMeasure:
         vals = np.asarray(self.values, dtype=float).view()
         if vals.ndim != 2 or len(vals) != self.space.n_atoms:
             raise ValueError("one value row of a common dimension per atom required")
-        positive = np.all((vals >= 0) & (vals < np.inf), axis=1)
-        if not positive.all():
-            k = int(np.argmin(positive))
-            raise PositivityError(f"atom {k} has a negative or non-finite coordinate")
+        for rows in row_blocks(len(vals), vals.shape[1]):
+            positive = np.all((vals[rows] >= 0) & (vals[rows] < np.inf), axis=1)
+            if not positive.all():
+                k = rows.start + int(np.argmin(positive))
+                raise PositivityError(f"atom {k} has a negative or non-finite coordinate")
         vals.setflags(write=False)
         lattice = self.lattice or CoordinateLattice(vals.shape[1], MaxNorm())
         if lattice.dim != vals.shape[1]:
@@ -203,7 +204,7 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
         f = rng.uniform(-1.0, 1.0, size=space.n_atoms)
         lhs = np.asarray(pi(f[space.atom_of]), dtype=float)
         rhs = integrate(f, mu).re
-        if np.max(np.abs(lhs - rhs)) > tol:
+        if not np.max(np.abs(lhs - rhs)) <= tol:
             raise AssertionError("pi does not reproduce the order integral of its measure")
 
     # sup formula on a nonempty measurable V, inf formula on a nonempty K
@@ -213,14 +214,14 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
         target = mu.measure_of(ks)
         mask = np.isin(space.atom_of, ks).astype(float)
         extremal = np.asarray(pi(mask), dtype=float)
-        if np.max(np.abs(extremal - target)) > tol:
+        if not np.max(np.abs(extremal - target)) <= tol:
             raise AssertionError("recovery formula is not attained at the indicator")
         for _ in range(samples):
             # 0 <= g <= 1 with support in V, and 0 <= h <= 1 with h = 1 on K
             g = rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of] * mask
-            if np.any(np.asarray(pi(g), dtype=float) > target + tol):
+            if not np.all(np.asarray(pi(g), dtype=float) <= target + tol):
                 raise AssertionError("sup recovery formula violated")
             h = np.maximum(rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of], mask)
-            if np.any(np.asarray(pi(h), dtype=float) < target - tol):
+            if not np.all(target - tol <= np.asarray(pi(h), dtype=float)):
                 raise AssertionError("inf recovery formula violated")
     return mu

@@ -21,6 +21,7 @@ from .lattice import (
     DimensionMismatchError,
     PrincipalIdeal,
     ideal_norm,
+    row_blocks,
 )
 
 
@@ -82,6 +83,13 @@ def modulus_action_oracle(T: RegularOperator, x: np.ndarray, samples: int = 10_0
     return out
 
 
+def _check_finite(symbols: np.ndarray) -> None:
+    """Raise ValueError unless a (k, dim) matrix is finite; checked in row blocks."""
+    for rows in row_blocks(len(symbols), symbols.shape[1]):
+        if not np.isfinite(symbols[rows]).all():
+            raise ValueError("symbol values must be finite")
+
+
 @dataclass(frozen=True)
 class CentralOperator:
     """A member of the centre, represented by its diagonal symbol."""
@@ -95,10 +103,21 @@ class CentralOperator:
             raise DimensionMismatchError(
                 f"symbol of shape {s.shape} on lattice of dim {self.lattice.dim}"
             )
-        if not np.all(np.isfinite(s)):
-            raise ValueError("symbol values must be finite")
+        _check_finite(s[None, :])
         s.setflags(write=False)
         object.__setattr__(self, "symbol", s)
+
+    @classmethod
+    def _rows(cls, lattice: CoordinateLattice,
+              symbols: np.ndarray) -> tuple["CentralOperator", ...]:
+        """One operator per row of a read-only complex (k, dim) matrix, the
+        rows as symbols; the matrix is checked once, not row by row."""
+        _check_finite(symbols)
+        operators = tuple(object.__new__(cls) for _ in symbols)
+        for op, row in zip(operators, symbols):
+            object.__setattr__(op, "lattice", lattice)
+            object.__setattr__(op, "symbol", row)
+        return operators
 
     @classmethod
     def identity(cls, lattice: CoordinateLattice) -> "CentralOperator":
@@ -172,11 +191,6 @@ class NormTriple:
     max_sampled_ratio: float    # largest ||Tz|| / ||z|| over the random sample
 
 
-#: Sample rows evaluated together by ``norms``; bounds its temporaries to a few
-#: blocks of this many rows rather than the whole sample matrix.
-NORM_BLOCK_ROWS = 64
-
-
 def norms(T: CentralOperator, samples: int = 1000,
           rng: Optional[np.random.Generator] = None) -> NormTriple:
     """Order unit / operator / regular norm of a central operator.
@@ -191,10 +205,10 @@ def norms(T: CentralOperator, samples: int = 1000,
     if samples > 0:
         rng = np.random.default_rng(0) if rng is None else rng
         n = T.lattice.dim
-        zs = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+        re, im = rng.standard_normal((samples, n)), rng.standard_normal((samples, n))
         spec = T.lattice.norm_spec
-        for start in range(0, samples, NORM_BLOCK_ROWS):
-            block = zs[start:start + NORM_BLOCK_ROWS]
+        for rows in row_blocks(samples, n):
+            block = re[rows] + 1j * im[rows]
             # numpy rounds (1,) * (1, 1) differently from (1,) * (1,), so a
             # one-row block takes the 1-D product that a single sample gets
             tz = T.symbol * block if len(block) > 1 else (T.symbol * block[0])[None, :]

@@ -253,7 +253,7 @@ class OperatorSpectralMeasure:
 
     def band_operators(self) -> tuple[CentralOperator, ...]:
         """mu_T({values[k]}) as a central operator, for each k."""
-        return tuple(CentralOperator(self.base.lattice, row) for row in self._bands(complex))
+        return CentralOperator._rows(self.base.lattice, self._bands(complex))
 
     def measure_of(self, where) -> CentralOperator:
         """mu_T(Delta) for the set Delta of values[k] with where[k] true."""

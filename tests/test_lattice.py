@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrelat.lattice import (
+    ENTRIES,
     ComplexElement,
     ConvergenceWitness,
     CoordinateLattice,
@@ -22,6 +23,7 @@ from centrelat.lattice import (
     lattice_ops,
     modulus,
     modulus_phase_oracle,
+    row_blocks,
 )
 
 TOL_EXACT = 1e-12
@@ -270,3 +272,13 @@ def test_witness_tail_rule_must_decay():
     w = ConvergenceWitness((np.array([0.5]),), tail=lambda n: 0.5)
     verdict = check_witness(values, limit, w)
     assert not verdict and "decay" in verdict.reason
+
+
+@given(st.integers(0, 5000), st.integers(1, 3 * ENTRIES))
+@settings(max_examples=300, deadline=None)
+def test_row_blocks_cover_the_rows_in_blocks_of_the_rule(rows, dim):
+    step = max(1, ENTRIES // dim)
+    blocks = row_blocks(rows, dim)
+    assert [i for b in blocks for i in range(rows)[b]] == list(range(rows))
+    assert all(b.stop - b.start == step for b in blocks)
+    assert len(blocks) == -(-rows // step)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrelat.lattice import ConvergenceWitness, CoordinateLattice, check_witness
+from centrelat.lattice import ENTRIES, ConvergenceWitness, CoordinateLattice, check_witness
 from centrelat.measures import (
     FiniteMeasurableSpace,
     LatticeValuedMeasure,
@@ -317,6 +317,40 @@ def test_riesz_draws_match_per_atom_fill():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_riesz_rejects_nan_off_the_indicators():
+    # exact on 0/1 functions, NaN on every other one
+    space = powerset_space(4)
+
+    def pi(f):
+        f = np.asarray(f)
+        return f[:2] + f[2:] if np.all((f == 0) | (f == 1)) else np.full(2, np.nan)
+
+    with pytest.raises(AssertionError, match="reproduce"):
+        riesz_represent(pi, space)
+
+
+@pytest.mark.parametrize("check, offset", [("reproduce", 0), ("attained", 16),
+                                           ("sup recovery", 17), ("inf recovery", 18)])
+def test_riesz_each_check_rejects_nan(check, offset):
+    # an exact functional that returns NaN in one coordinate at one call: the
+    # indicators come first, then 16 reproduction samples, then per round the
+    # extremal indicator and the sup and inf samples in turn
+    space = powerset_space(4)
+    weights = np.random.default_rng(4).uniform(0, 1, size=(3, 4))
+    calls = []
+
+    def pi(f):
+        calls.append(None)
+        out = weights @ np.asarray(f)
+        if len(calls) == space.n_atoms + offset + 1:
+            out[1] = np.nan
+        return out
+
+    with pytest.raises(AssertionError, match=check):
+        riesz_represent(pi, space, lattice=CoordinateLattice(3), samples=16,
+                        rng=np.random.default_rng(9))
+
+
 def test_riesz_multiplicative_functional_gives_spectral_measure():
     rng = np.random.default_rng(11)
     n = 4
@@ -529,3 +563,21 @@ def test_measure_views_caller_matrix_without_copying():
     mu = LatticeValuedMeasure(powerset_space(4), eye)
     assert np.shares_memory(mu.values, eye)
     assert eye.flags.writeable and not mu.values.flags.writeable
+
+
+_STEP = ENTRIES // 2048  # atoms per block of the positivity check at dim 2048
+
+
+@pytest.mark.parametrize("bad_atoms, named", [
+    ((_STEP - 1,), _STEP - 1),      # ends the first block
+    ((_STEP,), _STEP),              # starts the second
+    ((4 * _STEP + 3,), 4 * _STEP + 3),
+    ((_STEP, 3 * _STEP - 1), _STEP),
+    ((5 * _STEP - 1,), 5 * _STEP - 1),
+])
+def test_positivity_error_names_the_first_bad_atom_across_row_blocks(bad_atoms, named):
+    rows = np.zeros((5 * _STEP, 2048))
+    for k, value in zip(bad_atoms, (-1.0, np.nan)):
+        rows[k, k % 2048] = value
+    with pytest.raises(PositivityError, match=f"^atom {named} has a negative or non-finite"):
+        LatticeValuedMeasure(powerset_space(5 * _STEP), rows)

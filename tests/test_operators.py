@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from centrelat.lattice import (
+    ENTRIES,
     ComplexElement,
     CoordinateLattice,
     DimensionMismatchError,
@@ -165,12 +166,25 @@ _NORM_SPECS = {
 }
 
 
+def _norm_cases(spec):
+    """(seed, dim, sample counts): small dims, counts that straddle the block
+    boundaries at dims 70 and 2048, and for the cheap max norm a dim whose
+    blocks are one row each."""
+    cases = [(seed, dim, (1, 63, 64, 65, 300)) for seed, dim in enumerate((1, 3, 13, 70))]
+    for seed, dim in ((4, 70), (5, 2048)):
+        step = ENTRIES // dim
+        cases.append((seed, dim, (step - 1, step, step + 1, 2 * step + 1)))
+    if spec == "max":
+        cases.append((6, ENTRIES, (1, 2, 3)))
+    return cases
+
+
 @pytest.mark.parametrize("spec", sorted(_NORM_SPECS))
 def test_norms_batched_ratio_is_bit_equal_to_per_row_loop(spec):
-    for seed, dim in enumerate((1, 3, 13, 70)):
+    for seed, dim, sample_counts in _norm_cases(spec):
         lat = CoordinateLattice(dim, _NORM_SPECS[spec](dim))
         T = random_central(np.random.default_rng(seed), lattice=lat)
-        for samples in (1, 63, 64, 65, 300):
+        for samples in sample_counts:
             rng = np.random.default_rng(100 + seed)
             ref = np.random.default_rng(100 + seed)
             t = norms(T, samples=samples, rng=rng)

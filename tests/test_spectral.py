@@ -19,7 +19,7 @@ from centrelat.generate import (
     random_central,
     random_rational_symbols,
 )
-from centrelat.lattice import ComplexElement, CoordinateLattice, MaxNorm
+from centrelat.lattice import ENTRIES, ComplexElement, CoordinateLattice, MaxNorm
 from centrelat.operators import CentralOperator, RegularOperator
 from centrelat.spectral import (
     OperatorSpectralMeasure,
@@ -841,6 +841,12 @@ def test_band_operators_match_per_band_reference(symbols):
     base = bands[0].symbol.base
     assert base is not None and not base.flags.writeable
     assert all(p.symbol.base is base for p in bands)
+    # each row is what the public constructor makes of it
+    for p, r in zip(bands, reference):
+        q = CentralOperator(T.lattice, r)
+        assert type(p) is CentralOperator and p.lattice == q.lattice
+        assert p.symbol.dtype == q.symbol.dtype and _same_bits(p.symbol, q.symbol)
+        assert not p.symbol.flags.writeable
     assert all(_same_bits(q, r.real) for q, r in zip(mu.projections, reference))
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -854,6 +860,25 @@ def test_band_operators_match_per_band_reference(symbols):
     assert approx.coefficients == mu.values
     assert all(_same_bits(p.symbol, r) for p, r in zip(approx.projections, reference))
     assert _same_bits(approx.error, float(np.max(np.abs(T.symbol - mu.reconstruct().symbol))))
+
+
+# blocks of the finiteness check are ENTRIES // 2048 rows at d2048
+@pytest.mark.parametrize("row", [0, ENTRIES // 2048 - 1, ENTRIES // 2048, 1500, 2047])
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_band_operators_reject_a_non_finite_band_row(monkeypatch, row, bad):
+    T = central(np.arange(2048.0))
+    mu = build_mu_T(T)
+    built = OperatorSpectralMeasure._bands
+
+    def spoiled(self, dtype):
+        bands = built(self, dtype).copy()
+        bands[row, row // 2] = bad
+        bands.setflags(write=False)
+        return bands
+
+    monkeypatch.setattr(OperatorSpectralMeasure, "_bands", spoiled)
+    with pytest.raises(ValueError, match="must be finite"):
+        mu.band_operators()
 
 
 _ROOT_PARTS = (0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e200, -1e200, 1e-200, 1e-300, -1e-300,
