@@ -29,7 +29,7 @@ from .generate import (
 from .operators import is_central, polar
 from .sequence import BUILTIN_RULES, CertificateError, SequenceCentralOperator, freudenthal_net
 from .spectral import build_mu_T, eigen_expansion, freudenthal_approx, rho_T, spectrum
-from .suites import SUITES, Record, Tolerances, run_suites
+from .suites import SUITES, Record, run_suites
 
 CALC_FUNCTIONS = {
     "identity": lambda v: v,
@@ -50,6 +50,13 @@ def _parse_dims(text: str) -> tuple[int, int]:
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid dim range {text!r}")
     return lo, hi
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only nonnegative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _dump(doc) -> str:
@@ -91,9 +98,6 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = args.suite or list(SUITES)
-    if suites == ["none"]:
-        print(_dump({"pass": True, "suites": [], "n_failed": 0}))
-        return 0
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         print(f"error: unknown suite {unknown[0]!r}", file=sys.stderr)
@@ -103,8 +107,7 @@ def cmd_verify(args) -> int:
     except cio.InputError as exc:
         print(f"error: cannot read {exc}", file=sys.stderr)
         return 2
-    tol = Tolerances(args.tol_exact, args.tol_oracle)
-    reports = run_suites(suites, instances, tol, seed=args.seed)
+    reports = run_suites(suites, instances, seed=args.seed)
 
     first_failure: Record | None = None
     for report in reports:
@@ -192,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate deterministic instances")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--dim", default="4", help="dimension or range lo..hi")
     g.add_argument("--count", type=int, default=1)
     g.add_argument("--mode", choices=["atomic", "sequence"], default="atomic")
@@ -204,9 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification suites over instance files")
     v.add_argument("instances", nargs="+")
     v.add_argument("--suite", action="append", default=None)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol-exact", type=float, default=Tolerances.exact)
-    v.add_argument("--tol-oracle", type=float, default=Tolerances.oracle)
+    v.add_argument("--seed", type=_seed, default=0)
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("calc", help="compute a spectral artifact for one operator")

@@ -326,26 +326,27 @@ def check_witness(values: Sequence[ComplexElement], limit: ComplexElement,
 
     Checks that the dominating sequence is coordinatewise nonincreasing, that
     |values_n - limit| <= u_n for every term, and that the tail decays to
-    zero (analytic rule, or last term below ``WITNESS_TOL``).
+    zero (analytic rule, or last term below ``WITNESS_TOL``).  Each test
+    passes only if its ``<=`` holds, so a NaN term or bound fails it.
     """
     doms = witness.dominating
     if len(values) > len(doms):
         return WitnessVerdict(False, None, "witness shorter than the value sequence")
     for n, u in enumerate(doms):
-        if np.any(u < 0):
-            return WitnessVerdict(False, n, "dominating term has a negative coordinate")
-        if n > 0 and np.any(u > doms[n - 1] + 0.0):
+        if not np.all(0 <= u):
+            return WitnessVerdict(False, n, "dominating term has a negative or NaN coordinate")
+        if n > 0 and not np.all(u <= doms[n - 1]):
             return WitnessVerdict(False, n, "dominating sequence increases")
     for n, z in enumerate(values):
         diff = modulus(z - limit)
-        if np.any(diff > doms[n] + TOL_EXACT):
+        if not np.all(diff <= doms[n] + TOL_EXACT):
             return WitnessVerdict(False, n, "domination fails")
     if witness.tail is not None:
         probes = [max(1, len(doms)), 4 * len(doms) + 16, 64 * len(doms) + 256, 10 ** 9, 10 ** 12]
         bounds = [witness.tail(n) for n in probes]
-        if any(b2 > b1 + TOL_EXACT for b1, b2 in zip(bounds, bounds[1:])):
+        if not all(b2 <= b1 + TOL_EXACT for b1, b2 in zip(bounds, bounds[1:])):
             return WitnessVerdict(False, None, "tail rule is not nonincreasing")
-        if bounds[-1] > 1e-6:
+        if not bounds[-1] <= 1e-6:
             return WitnessVerdict(False, None, "tail rule does not certify decay to zero")
         return WitnessVerdict(True)
     if doms and float(np.max(doms[-1])) < WITNESS_TOL:

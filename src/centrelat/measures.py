@@ -179,8 +179,7 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
                     space: FiniteMeasurableSpace,
                     lattice: Optional[CoordinateLattice] = None,
                     samples: int = 64,
-                    rng: Optional[np.random.Generator] = None,
-                    tol: float = TOL_EXACT) -> LatticeValuedMeasure:
+                    rng: Optional[np.random.Generator] = None) -> LatticeValuedMeasure:
     """Recover the representing measure of a positive linear map on functions.
 
     ``pi`` maps a real function (array over ``space.points``) to a lattice
@@ -204,7 +203,7 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
         f = rng.uniform(-1.0, 1.0, size=space.n_atoms)
         lhs = np.asarray(pi(f[space.atom_of]), dtype=float)
         rhs = integrate(f, mu).re
-        if not np.max(np.abs(lhs - rhs)) <= tol:
+        if not np.max(np.abs(lhs - rhs)) <= TOL_EXACT:
             raise AssertionError("pi does not reproduce the order integral of its measure")
 
     # sup formula on a nonempty measurable V, inf formula on a nonempty K
@@ -214,14 +213,14 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
         target = mu.measure_of(ks)
         mask = np.isin(space.atom_of, ks).astype(float)
         extremal = np.asarray(pi(mask), dtype=float)
-        if not np.max(np.abs(extremal - target)) <= tol:
+        if not np.max(np.abs(extremal - target)) <= TOL_EXACT:
             raise AssertionError("recovery formula is not attained at the indicator")
         for _ in range(samples):
             # 0 <= g <= 1 with support in V, and 0 <= h <= 1 with h = 1 on K
             g = rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of] * mask
-            if not np.all(np.asarray(pi(g), dtype=float) <= target + tol):
+            if not np.all(np.asarray(pi(g), dtype=float) <= target + TOL_EXACT):
                 raise AssertionError("sup recovery formula violated")
             h = np.maximum(rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of], mask)
-            if not np.all(target - tol <= np.asarray(pi(h), dtype=float)):
+            if not np.all(target - TOL_EXACT <= np.asarray(pi(h), dtype=float)):
                 raise AssertionError("inf recovery formula violated")
     return mu

@@ -169,12 +169,12 @@ class CentralityVerdict:
         return self.is_central
 
 
-def is_central(T: RegularOperator, tol: float = TOL_EXACT) -> CentralityVerdict:
+def is_central(T: RegularOperator) -> CentralityVerdict:
     """Test |T| <= lam * I, i.e. vanishing off-diagonal, and extract the symbol."""
     off = np.abs(T.entries).copy()
     np.fill_diagonal(off, 0.0)
     worst = float(off.max()) if off.size else 0.0
-    if worst <= tol:
+    if worst <= TOL_EXACT:
         return CentralityVerdict(True, worst, CentralOperator(T.lattice, np.diag(T.entries)))
     i, j = np.unravel_index(int(off.argmax()), off.shape)
     return CentralityVerdict(False, worst, None, (int(i), int(j)))
@@ -233,8 +233,7 @@ class FPRVerdict:
     first_violation: Optional[tuple[int, int]] = None
 
 
-def fpr_check(S: CentralOperator, T: CentralOperator, X: RegularOperator,
-              tol: float = TOL_EXACT) -> FPRVerdict:
+def fpr_check(S: CentralOperator, T: CentralOperator, X: RegularOperator) -> FPRVerdict:
     """Check S X = X T, its conjugate transfer, and the entrywise pattern."""
     if not (S.lattice.dim == T.lattice.dim == X.lattice.dim):
         raise DimensionMismatchError("operators have different dimensions")
@@ -242,10 +241,10 @@ def fpr_check(S: CentralOperator, T: CentralOperator, X: RegularOperator,
     con = np.conj(S.symbol)[:, None] * X.entries - X.entries * np.conj(T.symbol)[None, :]
     dev_f = float(np.max(np.abs(fwd))) if fwd.size else 0.0
     dev_c = float(np.max(np.abs(con))) if con.size else 0.0
-    forward = dev_f <= tol
-    conjugate = dev_c <= tol
+    forward = dev_f <= TOL_EXACT
+    conjugate = dev_c <= TOL_EXACT
     pattern = np.abs(X.entries * (S.symbol[:, None] - T.symbol[None, :]))
-    pattern_holds = float(pattern.max()) <= tol if pattern.size else True
+    pattern_holds = float(pattern.max()) <= TOL_EXACT if pattern.size else True
     first = None
     if not forward:
         i, j = np.unravel_index(int(np.abs(fwd).argmax()), fwd.shape)

@@ -166,21 +166,21 @@ class SpectrumShapeReport:
 
 
 def spectrum_shape_report(T: CentralOperator) -> SpectrumShapeReport:
-    """Check the four spectral-shape equivalences for a central operator."""
+    """Check the four spectral-shape equivalences for a central operator.  mu_T's
+    values are the symbol's values, so one predicate judges both sides."""
     spec = np.asarray(build_mu_T(T).values)
     radius = float(np.max(np.abs(spec)))
-    self_conj = bool(np.all(T.symbol == np.conj(T.symbol)))
-    spec_real = bool(np.all(np.abs(spec.imag) <= TOL_EXACT))
-    nonneg = bool(np.all(T.symbol.imag == 0) and np.all(T.symbol.real >= 0))
-    spec_pos = spec_real and bool(np.all(spec.real >= -TOL_EXACT))
-    unit_mod = bool(np.all(np.abs(np.abs(T.symbol) - 1.0) <= TOL_EXACT))
-    spec_circle = bool(np.all(np.abs(np.abs(spec) - 1.0) <= TOL_EXACT))
+
+    def shape(v):   # real, positive, unimodular; the first two exactly
+        real = bool(np.all(v.imag == 0))
+        return (real, real and bool(np.all(v.real >= 0)),
+                bool(np.all(np.abs(np.abs(v) - 1.0) <= TOL_EXACT)))
+
+    real, positive, unimodular = (a == b for a, b in zip(shape(spec), shape(T.symbol)))
     return SpectrumShapeReport(
         radius_equals_norm=abs(radius - T.order_unit_norm()) <= TOL_EXACT * max(1.0, radius),
-        real_iff_selfconjugate=(spec_real == self_conj),
-        positive_iff_positive_symbol=(spec_pos == nonneg),
-        unimodular_iff_unit_modulus=(spec_circle == unit_mod),
-    )
+        real_iff_selfconjugate=real, positive_iff_positive_symbol=positive,
+        unimodular_iff_unit_modulus=unimodular)
 
 
 def union_spectrum(T: CentralOperator, generators: Sequence[np.ndarray]) -> Spectrum:
@@ -547,8 +547,7 @@ def _commutes_with_diag(g: np.ndarray, X: np.ndarray, tol: float) -> bool:
 
 
 def commutant_check(T: CentralOperator, Xi: RegularOperator,
-                    rng: Optional[np.random.Generator] = None,
-                    tol: float = TOL_EXACT) -> CommutantReport:
+                    rng: Optional[np.random.Generator] = None) -> CommutantReport:
     """Evaluate the five equivalent commutation conditions and the block pattern.
 
     Condition 1 multiplies the dense matrices, as an oracle independent of
@@ -567,8 +566,7 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
     rng = np.random.default_rng(0) if rng is None else rng
     X = Xi.entries
     s = T.symbol
-    scale = max(1.0, float(np.max(np.abs(X))))
-    tol = tol * scale
+    tol = TOL_EXACT * max(1.0, float(np.max(np.abs(X))))
 
     D = np.diag(s)
     c1 = float(np.max(np.abs(np.einsum("ij,jk->ik", D, X)

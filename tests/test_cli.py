@@ -1,13 +1,17 @@
 """Tests for the batch interface: generation determinism, the verify
 exit-code contract, report structure, and calc artifacts."""
 
+import argparse
 import contextlib
 import copy
 import io
 import json
 import math
 import os
+import re
+import shlex
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrelat import suites
-from centrelat.cli import main
+from centrelat.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -107,11 +111,39 @@ def test_verify_suite_subset(tmp_path, capsys):
     assert summary["suites"] == ["cstar", "polar"]
 
 
-def test_verify_suite_none_empty_report(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["inst.json", "missing.json"], ids=["bundle", "missing"])
+def test_verify_suite_none_exit_2(tmp_path, capsys, name):
+    # "none" names no suite: it is refused before the input is read
+    path = gen_file(tmp_path, capsys) if name == "inst.json" else tmp_path / name
+    code, out, err = run(capsys, ["verify", str(path), "--suite", "none"])
+    assert code == 2 and out == "" and "unknown suite 'none'" in err
+
+
+@pytest.mark.parametrize("flag", ["--tol-exact", "--tol-oracle"])
+def test_verify_has_no_tolerance_options(tmp_path, capsys, flag):
     path = gen_file(tmp_path, capsys)
-    code, out, _ = run(capsys, ["verify", str(path), "--suite", "none"])
-    assert code == 0
-    assert json.loads(out.splitlines()[-1]) == {"pass": True, "suites": [], "n_failed": 0}
+    code, out, err = run(capsys, ["verify", str(path), flag, "1"])
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("subcommand", ["gen", "verify"])
+def test_negative_seed_exit_2(tmp_path, capsys, subcommand):
+    # verify gets a readable bundle, so that only the seed can make it exit 2
+    argv = ["gen"] if subcommand == "gen" else ["verify", str(gen_file(tmp_path, capsys))]
+    code, out, err = run(capsys, [*argv, "--seed", "-3"])
+    assert code == 2 and out == ""
+    assert "error: argument --seed: expected a nonnegative integer" in err
+
+
+@pytest.mark.parametrize("symbol", [[[1.0, 1e-13], [2.0, 0.0]], [[-1e-13, 0.0], [2.0, 0.0]]],
+                         ids=["nearly-real", "nearly-positive"])
+def test_verify_shape_equivalences_on_nearly_real_symbols(tmp_path, capsys, symbol):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"instances": [{"central": {"symbol": symbol}}]}))
+    code, out, _ = run(capsys, ["verify", str(path), "--suite", "spectral"])
+    records = [json.loads(line) for line in out.splitlines()]
+    [shape] = [r for r in records if r.get("check") == "spectral-radius-and-shape-equivalences"]
+    assert shape["ok"] and code == 0
 
 
 def test_verify_unknown_suite_exit_2(tmp_path, capsys):
@@ -464,3 +496,24 @@ def test_verify_contract_holds_under_mutation(mutation):
         assert err.getvalue().startswith("error:") and out.getvalue() == ""
     if kind == "add" or any(value is v for v in _NON_FINITE):
         assert code == 2, (kind, path, value)
+
+
+# ---------------------------------------------------------------------------
+# the README's commands and flags
+# ---------------------------------------------------------------------------
+
+def test_readme_commands_and_flags_exist():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = build_parser()
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in re.findall(r"```\w*\n(.*?)```", text, re.S)
+                for line in block.splitlines() if line.startswith("centrelat ")]
+    assert commands
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: centrelat {shlex.join(argv)}")
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for sub in subparsers.choices.values() for opt in sub._option_string_actions}
+    assert set(re.findall(r"`(--[\w-]+)`", text)) <= options

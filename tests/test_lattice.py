@@ -274,6 +274,34 @@ def test_witness_tail_rule_must_decay():
     assert not verdict and "decay" in verdict.reason
 
 
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_witness_rejects_a_nan_dominating_term(position):
+    limit = elem([0.0])
+    doms = [np.array([1.0]), np.array([0.5]), np.array([0.25])]
+    doms[position] = np.array([math.nan])
+    w = ConvergenceWitness(tuple(doms), tail=lambda n: 1.0 / (n + 1))
+    verdict = check_witness([limit] * 3, limit, w)
+    assert not verdict and verdict.first_violation == position
+
+
+def test_witness_rejects_a_nan_value():
+    limit = elem([0.0])
+    w = ConvergenceWitness((np.array([1.0]),), tail=lambda n: 1.0 / (n + 1))
+    verdict = check_witness([elem([math.nan])], limit, w)
+    assert not verdict and "domination" in verdict.reason
+
+
+@pytest.mark.parametrize("tail", [
+    lambda n: math.nan,
+    lambda n: math.nan if n < 10 ** 9 else 0.0,
+    lambda n: 1.0 / (n + 1) if n < 10 ** 12 else math.nan,
+], ids=["always", "early", "last"])
+def test_witness_rejects_a_nan_tail_bound(tail):
+    limit = elem([0.0])
+    verdict = check_witness([limit], limit, ConvergenceWitness((np.array([0.5]),), tail=tail))
+    assert not verdict and verdict.first_violation is None
+
+
 @given(st.integers(0, 5000), st.integers(1, 3 * ENTRIES))
 @settings(max_examples=300, deadline=None)
 def test_row_blocks_cover_the_rows_in_blocks_of_the_rule(rows, dim):

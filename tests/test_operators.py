@@ -102,7 +102,7 @@ def test_is_central_tolerates_tiny_noise():
     rng = np.random.default_rng(1)
     m = np.diag(rng.standard_normal(4)).astype(complex)
     m += 1e-15 * rng.standard_normal((4, 4))
-    assert is_central(dense(m), tol=1e-12)
+    assert is_central(dense(m))
 
 
 # ---------------------------------------------------------------------------

@@ -182,12 +182,16 @@ def test_suite_records_a_wrong_value_in_mu(monkeypatch):
 
 def test_spectrum_shape_report():
     rng = np.random.default_rng(3)
-    # generic complex, self-conjugate, positive, and unimodular instances
+    # generic complex, self-conjugate, positive, and unimodular instances; a
+    # symbol a rounding error away from real or from positive is neither, and
+    # so is its spectrum
     cases = [
         random_central(rng, dim=5),
         central(rng.standard_normal(5)),
         central(np.abs(rng.standard_normal(5))),
         central(np.exp(1j * rng.uniform(0, 2 * np.pi, size=5))),
+        central([1.0 + 1e-13j, 2.0]),
+        central([-1e-13, 2.0]),
     ]
     for T in cases:
         assert spectrum_shape_report(T).all_ok()
