@@ -258,7 +258,9 @@ class PrincipalIdeal:
         u = np.asarray(self.generator, dtype=float)
         if u.ndim != 1:
             raise ValueError("generator must be a vector")
-        if np.any(u < 0):
+        if not np.all(np.isfinite(u)):
+            raise ValueError("generator must be finite")
+        if not np.all(u >= 0):
             raise ValueError("generator must be nonnegative")
         if not np.any(u > 0):
             raise ValueError("generator must be nonzero")

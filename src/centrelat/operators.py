@@ -83,13 +83,6 @@ def modulus_action_oracle(T: RegularOperator, x: np.ndarray, samples: int = 10_0
     return out
 
 
-def _check_finite(symbols: np.ndarray) -> None:
-    """Raise ValueError unless a (k, dim) matrix is finite; checked in row blocks."""
-    for rows in row_blocks(len(symbols), symbols.shape[1]):
-        if not np.isfinite(symbols[rows]).all():
-            raise ValueError("symbol values must be finite")
-
-
 @dataclass(frozen=True)
 class CentralOperator:
     """A member of the centre, represented by its diagonal symbol."""
@@ -103,21 +96,10 @@ class CentralOperator:
             raise DimensionMismatchError(
                 f"symbol of shape {s.shape} on lattice of dim {self.lattice.dim}"
             )
-        _check_finite(s[None, :])
+        if not np.all(np.isfinite(s)):
+            raise ValueError("symbol values must be finite")
         s.setflags(write=False)
         object.__setattr__(self, "symbol", s)
-
-    @classmethod
-    def _rows(cls, lattice: CoordinateLattice,
-              symbols: np.ndarray) -> tuple["CentralOperator", ...]:
-        """One operator per row of a read-only complex (k, dim) matrix, the
-        rows as symbols; the matrix is checked once, not row by row."""
-        _check_finite(symbols)
-        operators = tuple(object.__new__(cls) for _ in symbols)
-        for op, row in zip(operators, symbols):
-            object.__setattr__(op, "lattice", lattice)
-            object.__setattr__(op, "symbol", row)
-        return operators
 
     @classmethod
     def identity(cls, lattice: CoordinateLattice) -> "CentralOperator":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -239,21 +240,15 @@ class OperatorSpectralMeasure:
     values: tuple[complex, ...]     # the spectrum, in first-occurrence order
     labels: np.ndarray              # per coordinate, the index of its value
 
-    def _bands(self, dtype) -> np.ndarray:
-        """Row k is the 0/1 symbol of band k: one read-only scatter of ones."""
-        bands = np.zeros((len(self.values), len(self.labels)), dtype)
-        bands[self.labels, np.arange(len(self.labels))] = 1
-        bands.setflags(write=False)
-        return bands
-
     @property
     def projections(self) -> tuple[np.ndarray, ...]:
-        """The 0/1 symbols of the bands, one per spectrum value."""
-        return tuple(self._bands(float))
+        """The 0/1 symbols of the bands, one per spectrum value, built on each read."""
+        return tuple((self.labels == k).astype(float) for k in range(len(self.values)))
 
     def band_operators(self) -> tuple[CentralOperator, ...]:
         """mu_T({values[k]}) as a central operator, for each k."""
-        return CentralOperator._rows(self.base.lattice, self._bands(complex))
+        return tuple(CentralOperator(self.base.lattice, (self.labels == k).astype(complex))
+                     for k in range(len(self.values)))
 
     def measure_of(self, where) -> CentralOperator:
         """mu_T(Delta) for the set Delta of values[k] with where[k] true."""
@@ -418,8 +413,13 @@ def dominated_convergence_calculus(T: CentralOperator,
 
 @dataclass(frozen=True)
 class EigenExpansion:
-    pairs: tuple[tuple[complex, CentralOperator], ...]
+    mu: OperatorSpectralMeasure
     minimal_polynomial: tuple[complex, ...]   # monic coefficients, highest degree first
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[complex, CentralOperator], ...]:
+        """(lambda, P_lambda) per spectrum value, the bands built on first read."""
+        return tuple(zip(self.mu.values, self.mu.band_operators()))
 
     def components(self, z: ComplexElement) -> list[ComplexElement]:
         return [p.apply(z) for _, p in self.pairs]
@@ -480,15 +480,23 @@ def eigen_expansion(T: CentralOperator) -> EigenExpansion:
     distinct spectrum values and which annihilates T.
     """
     mu = build_mu_T(T)
-    return EigenExpansion(tuple(zip(mu.values, mu.band_operators())),
-                          minimal_polynomial(mu.values))
+    return EigenExpansion(mu, minimal_polynomial(mu.values))
 
 
 @dataclass(frozen=True)
 class StepApproximation:
-    coefficients: tuple[complex, ...]           # each lies in the spectrum
-    projections: tuple[CentralOperator, ...]    # pairwise disjoint
+    mu: OperatorSpectralMeasure
     error: float
+
+    @property
+    def coefficients(self) -> tuple[complex, ...]:
+        """One per band; each lies in the spectrum."""
+        return self.mu.values
+
+    @cached_property
+    def projections(self) -> tuple[CentralOperator, ...]:
+        """The pairwise disjoint bands, built on first read."""
+        return self.mu.band_operators()
 
 
 def freudenthal_approx(T: CentralOperator, eps: float) -> StepApproximation:
@@ -501,7 +509,7 @@ def freudenthal_approx(T: CentralOperator, eps: float) -> StepApproximation:
         raise PreconditionError("eps must be positive")
     mu = build_mu_T(T)
     err = float(np.max(np.abs(T.symbol - mu.reconstruct().symbol)))
-    return StepApproximation(mu.values, mu.band_operators(), err)
+    return StepApproximation(mu, err)
 
 
 @dataclass(frozen=True)
@@ -579,7 +587,9 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
     sn = s / nrm if nrm > 0 else s
     c3 = all(_commutes_with_diag(sn ** a, X, tol) for a in range(len(mu.values)))
 
-    c4 = all(_commutes_with_diag(p, X, tol) for p in mu.projections)
+    # (p_i - p_j) X_ij is X_ij where exactly one of i, j lies in band k: over
+    # all k, the pairs with different labels
+    c4 = not np.any((mu.labels[:, None] != mu.labels[None, :]) & (np.abs(X) > tol))
 
     c5 = True
     for _ in range(8):

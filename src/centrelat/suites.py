@@ -463,37 +463,30 @@ def suite_eigen(out: Records, instances, rng: np.random.Generator) -> None:
     for T in instances.get("central", []):
         d = op_digest(T)
         exp = eigen_expansion(T)
-        total = np.zeros(T.lattice.dim, dtype=complex)
-        ident = np.zeros(T.lattice.dim, dtype=complex)
-        for lam, p in exp.pairs:
-            total += lam * p.symbol
-            ident += p.symbol
-        dev = max(float(np.max(np.abs(total - T.symbol))),
-                  float(np.max(np.abs(ident - 1.0))))
+        mu = exp.mu
+        dev = float(np.max(np.abs(mu.reconstruct().symbol - T.symbol)))
         out.check("expansion-reconstruction", d, dev, TOL_EXACT * max(1.0, T.order_unit_norm()))
 
         z = ComplexElement(T.lattice, rng.standard_normal(T.lattice.dim)
                            + 1j * rng.standard_normal(T.lattice.dim))
-        comps = exp.components(z)
-        ok = True
-        back = np.zeros(T.lattice.dim, dtype=complex)
-        for (lam, p), zi in zip(exp.pairs, comps):
-            resid = T.apply(zi).values - lam * zi.values
-            ok &= float(np.max(np.abs(resid))) <= TOL_EXACT * max(1.0, T.order_unit_norm())
-            back += zi.values
-            # component uniqueness: applying each projection to any claimed
-            # decomposition returns exactly its component
-            ok &= bool(np.array_equal(p.apply(z).values, zi.values))
+        # row k of bands is the 0/1 mask of band k, row k of comps z's component there
+        bands = mu.labels == np.arange(len(mu.values))[:, None]
+        comps = np.where(bands, z.values, 0)
+        resid = T.symbol * comps - np.asarray(mu.values)[:, None] * comps
+        ok = float(np.max(np.abs(resid))) <= TOL_EXACT * max(1.0, T.order_unit_norm())
+        back = comps.sum(axis=0)
         ok &= float(np.max(np.abs(back - z.values))) <= TOL_EXACT
+        # component uniqueness: projecting the reassembled decomposition onto
+        # each band returns exactly its component
+        ok &= bool(np.array_equal(np.where(bands, back, 0), comps))
         out.holds("eigenvector-components-and-uniqueness", d, ok)
 
         # each residual within its a-priori rounding bound, which is finite
-        spec = [lam for lam, _ in exp.pairs]
         with np.errstate(over="ignore", invalid="ignore"):
             resid = np.abs(eval_polynomial(exp.minimal_polynomial, T.symbol))
-            bound = annihilation_bound(spec, T.symbol)
+            bound = annihilation_bound(mu.values, T.symbol)
         ok = (np.all(np.isfinite(bound)) and np.all(resid <= bound)
-              and len(exp.minimal_polynomial) == len(spec) + 1)
+              and len(exp.minimal_polynomial) == len(mu.values) + 1)
         out.holds("minimal-polynomial-annihilation", d, ok, float(np.max(resid)))
     for op in instances.get("sequence", []):
         d = op_digest(op)

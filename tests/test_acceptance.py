@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from centrelat.generate import (
     central_from_rational,
@@ -25,8 +24,6 @@ from centrelat.lattice import (
     ComplexElement,
     CoordinateLattice,
     MaxNorm,
-    WeightedPNorm,
-    check_witness,
 )
 from centrelat.measures import (
     FiniteMeasurableSpace,

@@ -25,6 +25,8 @@ from centrelat.lattice import (
     modulus_phase_oracle,
     row_blocks,
 )
+from centrelat.operators import CentralOperator
+from centrelat.spectral import union_spectrum
 
 TOL_EXACT = 1e-12
 TOL_ORACLE = 1e-9
@@ -218,6 +220,19 @@ def test_ideal_rejects_bad_generators():
         PrincipalIdeal(np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         PrincipalIdeal(np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_ideal_rejects_a_non_finite_generator(bad):
+    # a NaN coordinate would otherwise leave the support silently
+    with pytest.raises(ValueError, match="finite"):
+        PrincipalIdeal(np.array([bad, 1.0]))
+
+
+def test_union_spectrum_rejects_a_nan_generator():
+    T = CentralOperator(CoordinateLattice(2, MaxNorm()), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        union_spectrum(T, [np.array([np.nan, 1.0]), np.array([1.0, 0.0])])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from centrelat.generate import (
     random_central,
     random_rational_symbols,
 )
-from centrelat.lattice import ENTRIES, ComplexElement, CoordinateLattice, MaxNorm
+from centrelat.lattice import ComplexElement, CoordinateLattice, MaxNorm
 from centrelat.operators import CentralOperator, RegularOperator
 from centrelat.spectral import (
     OperatorSpectralMeasure,
@@ -842,9 +842,6 @@ def test_band_operators_match_per_band_reference(symbols):
     bands = mu.band_operators()
     assert len(bands) == len(reference)
     assert all(_same_bits(p.symbol, r) for p, r in zip(bands, reference))
-    base = bands[0].symbol.base
-    assert base is not None and not base.flags.writeable
-    assert all(p.symbol.base is base for p in bands)
     # each row is what the public constructor makes of it
     for p, r in zip(bands, reference):
         q = CentralOperator(T.lattice, r)
@@ -866,23 +863,13 @@ def test_band_operators_match_per_band_reference(symbols):
     assert _same_bits(approx.error, float(np.max(np.abs(T.symbol - mu.reconstruct().symbol))))
 
 
-# blocks of the finiteness check are ENTRIES // 2048 rows at d2048
-@pytest.mark.parametrize("row", [0, ENTRIES // 2048 - 1, ENTRIES // 2048, 1500, 2047])
-@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
-def test_band_operators_reject_a_non_finite_band_row(monkeypatch, row, bad):
-    T = central(np.arange(2048.0))
-    mu = build_mu_T(T)
-    built = OperatorSpectralMeasure._bands
-
-    def spoiled(self, dtype):
-        bands = built(self, dtype).copy()
-        bands[row, row // 2] = bad
-        bands.setflags(write=False)
-        return bands
-
-    monkeypatch.setattr(OperatorSpectralMeasure, "_bands", spoiled)
-    with pytest.raises(ValueError, match="must be finite"):
-        mu.band_operators()
+def test_band_rows_are_built_once_per_expansion():
+    # the bands are built from the labels on first read and then kept
+    T = central([1.0, 2.0, 2.0, 3.0])
+    exp = eigen_expansion(T)
+    assert exp.pairs is exp.pairs
+    approx = freudenthal_approx(T, 0.1)
+    assert approx.projections is approx.projections
 
 
 _ROOT_PARTS = (0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e200, -1e200, 1e-200, 1e-300, -1e-300,
@@ -958,6 +945,19 @@ def test_commutant_entrywise_matches_dense_products(symbols, seed):
         broken = np.array(inside.entries)
         broken[i, j] += 1.0
         cases.append(RegularOperator(T.lattice, broken))
+        # the same entry at condition 4's threshold, and one ulp above it;
+        # conditions 1-3 and 5 round products of that entry near tol, which
+        # the dense products may do differently, so only 4 and the pattern
+        # are compared there
+        tol = TOL_EXACT * max(1.0, float(np.max(np.abs(inside.entries))))
+        for entry, within in ((tol, True), (np.nextafter(tol, np.inf), False)):
+            edge = np.array(inside.entries)
+            edge[i, j] = entry
+            Xi = RegularOperator(T.lattice, edge)
+            report = commutant_check(T, Xi, rng=np.random.default_rng(seed))
+            dense = _dense_commutant_check(T, Xi, np.random.default_rng(seed))
+            assert (report.with_spectral_projections, report.block_pattern) == \
+                (dense[3], dense[5]) == (within, within)
     for Xi in cases:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         report = commutant_check(T, Xi, rng=ours)

@@ -1,8 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module, test or demo imports is used in that file.
 
 Deleting code can leave an import behind with nothing to read it; this guard
-reports such orphans.  ``__init__.py`` is skipped, since it imports names to
-re-export them.
+reports such orphans.  The package's ``__init__.py`` is skipped, since it
+imports names to re-export them.
 """
 
 import ast
@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "centrelat"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "centrelat").glob("*.py") if p.name != "__init__.py")
+FILES = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _annotations(tree: ast.AST):
@@ -52,6 +53,6 @@ def test_guard_finds_an_unused_import():
     assert unused_imports('from a import B\n\nx = "B"\n') == ["line 1: B"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", FILES, ids=[p.name for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
