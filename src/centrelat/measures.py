@@ -113,6 +113,23 @@ class LatticeValuedMeasure:
         return _sum_rows(self.values, self.dim)
 
 
+def _integrals(fs, mu: LatticeValuedMeasure) -> np.ndarray:
+    """Order integrals of a stack of functions: the ``(m, dim)`` matrix whose
+    row i is the integral of ``fs[i]``, one value per atom of ``mu.space``.
+
+    Per atom, the weights of re_pos, re_neg, im_pos and im_neg scale the
+    atom's value; each part is summed from zero in atom order and the loop
+    runs over the atoms only, so row i has the same bits however many rows
+    the stack holds.
+    """
+    re, im = fs.real.T, fs.imag.T
+    weights = np.maximum(np.stack([re, -re, im, -im], axis=-1), 0.0)
+    parts = np.zeros((len(fs), 4, mu.dim))
+    for w, m in zip(weights, mu.values):
+        parts += w[:, :, None] * m
+    return (parts[:, 0] - parts[:, 1]) + 1j * (parts[:, 2] - parts[:, 3])
+
+
 def integrate(f, mu: LatticeValuedMeasure) -> ComplexElement:
     """Order integral of f against mu: the atom-wise sum of f * mu(atom).
 
@@ -124,14 +141,7 @@ def integrate(f, mu: LatticeValuedMeasure) -> ComplexElement:
     f = np.asarray(f, dtype=complex)
     if f.shape != (mu.space.n_atoms,):
         raise ValueError(f"one value per atom required, not shape {f.shape}")
-    re, im = f.real, f.imag
-    # per atom, the weights of re_pos, re_neg, im_pos and im_neg
-    weights = np.maximum(np.stack([re, -re, im, -im], axis=1), 0.0)
-    parts = np.zeros((4, mu.dim))
-    for w, m in zip(weights, mu.values):
-        parts += w[:, None] * m
-    re_pos, re_neg, im_pos, im_neg = parts
-    return ComplexElement(mu.lattice, (re_pos - re_neg) + 1j * (im_pos - im_neg))
+    return ComplexElement(mu.lattice, _integrals(f[None], mu)[0])
 
 
 def image_measure(mu: LatticeValuedMeasure, lands,
@@ -175,6 +185,17 @@ def is_spectral(mu: LatticeValuedMeasure, tol: float = TOL_EXACT) -> SpectralVer
     return SpectralVerdict(worst <= tol, worst, tuple((idem <= tol).tolist()))
 
 
+def _real(value) -> np.ndarray:
+    """A value of pi as a real array; any imaginary part other than 0, NaN
+    included, fails."""
+    value = np.asarray(value)
+    if value.dtype.kind == "c":
+        if not (value.imag == 0).all():
+            raise AssertionError("pi is not real-valued")
+        value = value.real
+    return np.asarray(value, dtype=float)
+
+
 def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
                     space: FiniteMeasurableSpace,
                     lattice: Optional[CoordinateLattice] = None,
@@ -182,16 +203,20 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
                     rng: Optional[np.random.Generator] = None) -> LatticeValuedMeasure:
     """Recover the representing measure of a positive linear map on functions.
 
-    ``pi`` maps a real function (array over ``space.points``) to a lattice
-    element.  The measure is mu(Delta) = pi(indicator of Delta).  The
+    ``pi`` maps a real function (array over ``space.points``) to a real
+    lattice element.  The measure is mu(Delta) = pi(indicator of Delta).  The
     construction validates positivity on indicators, the reproduction
-    pi(f) = integral of f, and the sup/inf recovery formulas against sampled
-    admissible functions plus the extremal indicator.
+    pi(f) = integral of f, and the sup/inf recovery formulas against
+    ``samples`` (>= 0) sampled admissible functions plus the extremal
+    indicator.  The reproduction samples are drawn as one
+    ``(samples, n_atoms)`` array and compared a row block at a time.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, not {samples}")
     rng = np.random.default_rng(0) if rng is None else rng
     values = []
     for k, atom in enumerate(space.atoms):
-        v = np.asarray(pi((space.atom_of == k).astype(float)), dtype=float)
+        v = _real(pi((space.atom_of == k).astype(float)))
         if np.any(v < 0):
             i = int(np.flatnonzero(v < 0)[0])
             raise PositivityError(f"pi(indicator of atom {atom!r}) has negative coordinate {i}")
@@ -199,11 +224,10 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
     mu = LatticeValuedMeasure(space, tuple(values), lattice)
 
     # reproduction pi(f) = order integral of f
-    for _ in range(samples):
-        f = rng.uniform(-1.0, 1.0, size=space.n_atoms)
-        lhs = np.asarray(pi(f[space.atom_of]), dtype=float)
-        rhs = integrate(f, mu).re
-        if not np.max(np.abs(lhs - rhs)) <= TOL_EXACT:
+    fs = rng.uniform(-1.0, 1.0, size=(samples, space.n_atoms))
+    for rows in row_blocks(samples, 4 * mu.dim):
+        lhs = np.array([_real(pi(f[space.atom_of])) for f in fs[rows]])
+        if not np.max(np.abs(lhs - _integrals(fs[rows], mu).real)) <= TOL_EXACT:
             raise AssertionError("pi does not reproduce the order integral of its measure")
 
     # sup formula on a nonempty measurable V, inf formula on a nonempty K
@@ -212,15 +236,15 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
                                replace=False))
         target = mu.measure_of(ks)
         mask = np.isin(space.atom_of, ks).astype(float)
-        extremal = np.asarray(pi(mask), dtype=float)
+        extremal = _real(pi(mask))
         if not np.max(np.abs(extremal - target)) <= TOL_EXACT:
             raise AssertionError("recovery formula is not attained at the indicator")
         for _ in range(samples):
             # 0 <= g <= 1 with support in V, and 0 <= h <= 1 with h = 1 on K
             g = rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of] * mask
-            if not np.all(np.asarray(pi(g), dtype=float) <= target + TOL_EXACT):
+            if not np.all(_real(pi(g)) <= target + TOL_EXACT):
                 raise AssertionError("sup recovery formula violated")
             h = np.maximum(rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of], mask)
-            if not np.all(target - TOL_EXACT <= np.asarray(pi(h), dtype=float)):
+            if not np.all(target - TOL_EXACT <= _real(pi(h))):
                 raise AssertionError("inf recovery formula violated")
     return mu

@@ -178,9 +178,11 @@ def norms(T: CentralOperator, samples: int = 1000,
     """Order unit / operator / regular norm of a central operator.
 
     All three equal max |symbol|.  The operator-norm value is certified by
-    exhibiting the attaining basis vector and by sampling random unit
-    vectors, none of which may exceed it beyond TOL_EXACT.
+    exhibiting the attaining basis vector and by sampling ``samples`` (>= 0)
+    random unit vectors, none of which may exceed it beyond TOL_EXACT.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, not {samples}")
     value = T.order_unit_norm()
     attained = int(np.argmax(np.abs(T.symbol)))
     worst = 0.0

@@ -11,6 +11,7 @@ from centrelat.measures import (
     FiniteMeasurableSpace,
     LatticeValuedMeasure,
     PositivityError,
+    _integrals,
     image_measure,
     integrate,
     is_spectral,
@@ -351,6 +352,80 @@ def test_riesz_each_check_rejects_nan(check, offset):
                         rng=np.random.default_rng(9))
 
 
+@pytest.mark.parametrize("imag", [1e-300, -1.0, np.nan])
+@pytest.mark.parametrize("call", [1, 5, 12, 13, 14, 15],
+                         ids=["indicator", "first-sample", "last-sample", "extremal", "sup",
+                              "inf"])
+def test_riesz_each_value_of_pi_must_be_real(call, imag):
+    # an exact functional of complex dtype with an imaginary part at one call:
+    # 4 indicators come first, then 8 reproduction samples, then per round the
+    # extremal indicator and the sup and inf samples in turn
+    space = powerset_space(4)
+    weights = np.random.default_rng(4).uniform(0, 1, size=(3, 4))
+    calls = []
+
+    def pi(f):
+        calls.append(None)
+        out = (weights @ np.asarray(f)).astype(complex)
+        if len(calls) == call:
+            out.imag[2] = imag
+        return out
+
+    with pytest.raises(AssertionError, match="not real-valued"):
+        riesz_represent(pi, space, lattice=CoordinateLattice(3), samples=8,
+                        rng=np.random.default_rng(9))
+
+
+def test_riesz_accepts_a_complex_dtype_functional_with_zero_imaginary_parts():
+    space = powerset_space(4)
+    w = np.random.default_rng(5).uniform(0, 1, size=(3, 4))
+    mu = riesz_represent(lambda f: (w @ f).astype(complex), space, lattice=CoordinateLattice(3))
+    assert np.array_equal(mu.values, w.T)
+
+
+@pytest.mark.parametrize("samples", [-1, -3])
+def test_riesz_rejects_negative_samples(samples):
+    space = powerset_space(3)
+    with pytest.raises(ValueError, match="samples"):
+        riesz_represent(lambda f: np.asarray(f)[:2], space, samples=samples)
+
+
+def test_riesz_with_zero_samples_returns_the_measure():
+    space = powerset_space(3)
+    w = np.random.default_rng(6).uniform(0, 1, size=(2, 3))
+    rng = np.random.default_rng(13)
+    mu = riesz_represent(lambda f: w @ f, space, lattice=CoordinateLattice(2), samples=0,
+                         rng=rng)
+    assert np.array_equal(mu.values, w.T)
+    # no reproduction draw; the four rounds draw only their atom sets
+    ref = np.random.default_rng(13)
+    for _ in range(4):
+        ref.choice(space.n_atoms, size=ref.integers(1, space.n_atoms + 1), replace=False)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_failing_reproduction_uses_one_stacked_draw():
+    # exact on the indicators and off by 1 elsewhere: the reproduction fails,
+    # having drawn all its samples as one (samples, n_atoms) array and
+    # evaluated pi on each row of the failing block
+    space = powerset_space(5)
+    w = np.random.default_rng(8).uniform(0, 1, size=(2, 5))
+    calls = []
+
+    def pi(f):
+        calls.append(None)
+        return w @ f + (0.0 if len(calls) <= space.n_atoms else 1.0)
+
+    samples = 16
+    rng = np.random.default_rng(17)
+    with pytest.raises(AssertionError, match="reproduce"):
+        riesz_represent(pi, space, lattice=CoordinateLattice(2), samples=samples, rng=rng)
+    ref = np.random.default_rng(17)
+    ref.uniform(-1.0, 1.0, size=(samples, space.n_atoms))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert len(calls) == space.n_atoms + samples
+
+
 def test_riesz_multiplicative_functional_gives_spectral_measure():
     rng = np.random.default_rng(11)
     n = 4
@@ -527,6 +602,25 @@ def test_atom_matrix_matches_per_atom_loops(space, target, dim, data):
                             min_size=space.n_atoms, max_size=space.n_atoms)),
         spectral_rows=_rows(draw, space.n_atoms, dim, (0.0, -0.0, 1.0, 0.5)),
         tol=draw(st.sampled_from((0.0, 1e-12, 0.3))))
+
+
+@given(_spaces(max_points=8), st.sampled_from((1, 2, 5, 64)), st.sampled_from((0, 1, 7, 65)),
+       st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_stacked_integrals_match_the_loop_row_by_row(space, dim, m, seed, data):
+    # 65 rows at dim 64 span more entries than one row block of a large pass
+    rows = _rows(data.draw, space.n_atoms, dim, _VALUES)
+    mu = LatticeValuedMeasure(space, rows)
+    rng = np.random.default_rng(seed)
+    parts = rng.uniform(-3.0, 3.0, size=(2, m, space.n_atoms))
+    mask = rng.uniform(size=parts.shape) < 0.3
+    parts[mask] = rng.choice(_PARTS, size=int(mask.sum()))
+    fs = np.empty((m, space.n_atoms), dtype=complex)
+    fs.real, fs.imag = parts
+    got = _integrals(fs, mu)
+    assert got.shape == (m, dim) and got.dtype == complex
+    for i in range(m):
+        assert _same_bits(got[i], _loop_integrate(fs[i], rows))
 
 
 def test_one_atom_space_with_signed_zeros_matches_loops():

@@ -120,6 +120,17 @@ def test_norms_zero_operator():
     assert t.order_unit == 0.0 and t.max_sampled_ratio == 0.0
 
 
+@pytest.mark.parametrize("samples", [-1, -1000])
+def test_norms_rejects_negative_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        norms(central([1 + 1j, -2]), samples=samples)
+
+
+def test_norms_with_zero_samples_checks_only_the_attaining_vector():
+    t = norms(central([1 + 1j, -2]), samples=0)
+    assert t.attained_at == 1 and t.max_sampled_ratio == 0.0
+
+
 def test_norms_weighted_lattice_certificate():
     lat = CoordinateLattice(3, WeightedPNorm((1.0, 1.0, 1.0), 3.0))
     T = CentralOperator(lat, np.array([0.5, -3j, 1.0]))
