@@ -60,7 +60,7 @@ def test_tail_certificate_violation_detected():
 @example(1, complex(math.nan, 0.0))
 @settings(max_examples=50, deadline=None)
 def test_nan_value_violates_the_sup_bound_at_its_index(k, nan):
-    op = SequenceCentralOperator(rule=lambda i: nan if i == k else 1.0 / i, sup_bound=1.0,
+    op = SequenceCentralOperator(rule=lambda i: np.where(i == k, nan, 1.0 / i), sup_bound=1.0,
                                  accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1))
     with pytest.raises(CertificateError, match=f"sup bound violated at index {k}$"):
         validate_certificate(op, sample=500)
@@ -114,14 +114,14 @@ def test_compactness_canonical_trio():
 
 
 def test_compactness_needs_multiplicity_for_repeats():
-    op = SequenceCentralOperator(rule=lambda i: 1.0 if i % 2 else 0.5, sup_bound=1.0,
+    op = SequenceCentralOperator(rule=lambda i: np.where(i % 2, 1.0, 0.5), sup_bound=1.0,
                                  accumulation=(), tail=None, multiplicity=None)
     with pytest.raises(CertificateError, match="multiplicity"):
         compactness_check(op, sample=100)
 
 
 def test_compactness_infinite_multiplicity_not_compact():
-    op = SequenceCentralOperator(rule=lambda i: 1.0 if i % 2 else 1.0 / i, sup_bound=1.0,
+    op = SequenceCentralOperator(rule=lambda i: np.where(i % 2, 1.0, 1.0 / i), sup_bound=1.0,
                                  accumulation=(0.0, 1.0), tail=lambda n: 1.0,
                                  multiplicity=lambda v: math.inf if v == 1.0 else 1.0)
     verdict = compactness_check(op, sample=100)
@@ -148,7 +148,8 @@ _REPEAT_POOL = [0.0, -0.0, 1e-13, -1e-13j, TOL_EXACT, 2e-12, 1.0, 1 + 1j, 1 - 1j
 @example([math.nan, math.nan, 1e-13, 1e-13, TOL_EXACT, TOL_EXACT])
 @settings(max_examples=150, deadline=None)
 def test_repeated_value_without_rule_is_the_first_the_counting_loop_finds(values):
-    op = SequenceCentralOperator(rule=lambda i: values[i - 1], sup_bound=3.0)
+    op = SequenceCentralOperator(rule=lambda i: np.array(values, dtype=complex)[i - 1],
+                                 sup_bound=3.0)
     want = _first_repeated_loop(op.prefix(len(values)))
     if want is None:
         assert compactness_check(op, sample=len(values)).compact
@@ -258,8 +259,17 @@ _RULE_ARGS = {
 }
 
 
+#: Each builtin rule's term and tail, one Python float operation per index.
+_SCALAR_REFERENCE = {
+    "reciprocal": lambda: (lambda i: 1.0 / i, lambda n: 1.0 / (n + 1)),
+    "constant": lambda c: (lambda i: c, lambda n: 0.0),
+    "shifted_reciprocal": lambda shift: (lambda i: shift + 1.0 / i, lambda n: 1.0 / (n + 1)),
+    "geometric": lambda ratio: (lambda i: ratio ** i, lambda n: ratio ** (n + 1)),
+}
+
+
 def test_prefix_property_covers_every_builtin_rule():
-    assert set(_RULE_ARGS) == set(BUILTIN_RULES)
+    assert set(_RULE_ARGS) == set(BUILTIN_RULES) == set(_SCALAR_REFERENCE)
 
 
 @given(st.sampled_from(sorted(_RULE_ARGS)).flatmap(
@@ -267,17 +277,24 @@ def test_prefix_property_covers_every_builtin_rule():
        st.lists(st.integers(0, 300), min_size=1, max_size=6))
 @example(("geometric", (0.3,)), [0, 5, 2, 2, 9, 9, 1, 0])
 @example(("shifted_reciprocal", (1.0,)), [300, 17, 301, 301])
+@example(("constant", (complex(-0.0, 2.5),)), [3, 200])
 @settings(max_examples=100, deadline=None)
 def test_prefix_cache_is_bit_equal_to_the_rule(named, lengths):
+    # the prefix grows by one array call per extension; the reference
+    # evaluates each index on its own, in Python floats
     name, args = named
     op = BUILTIN_RULES[name](*args)
+    term, tail = _SCALAR_REFERENCE[name](*args)
     for n in lengths:
         got = op.prefix(n)
-        want = np.array([op.rule(i) for i in range(1, n + 1)], dtype=complex)
+        want = np.array([complex(term(i)) for i in range(1, n + 1)], dtype=complex)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             got[...] = 0
+        index = np.arange(0, n + 1, dtype=np.int64)
+        tails = np.broadcast_to(np.asarray(op.tail(index), dtype=float), index.shape)
+        assert tails.tobytes() == np.array([float(tail(k)) for k in range(n + 1)]).tobytes()
     uncached = SequenceCentralOperator(op.rule, op.sup_bound, op.accumulation, op.tail,
                                        op.multiplicity, op.name, op.params)
     assert uncached == op
@@ -285,12 +302,83 @@ def test_prefix_cache_is_bit_equal_to_the_rule(named, lengths):
     assert op_digest(uncached) == op_digest(op)
 
 
+def test_geometric_raises_the_ratio_with_python_float_power():
+    # np.power(ratio, k) is not bit-equal to Python's ratio ** k: under numpy
+    # 2.4.6's AVX512 dispatch it differs in the last bit in 28,153 of
+    # 2,000,000 entries (200 ratios drawn from U(0.01, 0.99), k = 1..10^4),
+    # and in none with that dispatch disabled.  On such a CPU each ratio
+    # below has such entries; a rule or tail built on np.power fails here.
+    for ratio in (0.2, 0.3, 0.7, 0.9, 0.99):
+        op = geometric(ratio)
+        want = np.array([ratio ** k for k in range(1, 10_001)])
+        assert op.prefix(10_000).real.tobytes() == want.tobytes()
+        assert not np.any(op.prefix(10_000).imag)
+        tails = np.asarray(op.tail(np.arange(0, 10_000, dtype=np.int64)), dtype=float)
+        assert tails.tobytes() == np.array([ratio ** (n + 1) for n in range(10_000)]).tobytes()
+
+
+def test_a_scalar_rule_or_tail_stands_for_every_index():
+    op = SequenceCentralOperator(rule=lambda i: 2.0, sup_bound=2.0, accumulation=(2.0,),
+                                 tail=lambda n: 0.0)
+    assert op.prefix(70).tolist() == [2.0] * 70
+    validate_certificate(op, sample=200)
+    assert [r.certified_bound for r in expansion_tail_report(op, (0, 5), sample=10)] == [0, 0]
+
+
+@pytest.mark.parametrize("rule", [lambda i: np.ones(len(i) + 1), lambda i: np.ones((len(i), 1)),
+                                  lambda i: [1.0]],
+                         ids=["one-too-many", "column", "one-value"])
+def test_prefix_rejects_a_rule_without_one_value_per_index(rule):
+    op = SequenceCentralOperator(rule=rule, sup_bound=1.0)
+    with pytest.raises(ValueError, match="must give one value per index or a scalar"):
+        op.prefix(3)
+    assert len(op.prefix(0)) == 0
+
+
+# ---------------------------------------------------------------------------
+# sample bounds
+# ---------------------------------------------------------------------------
+
+_SAMPLED_CALLS = {
+    # a sup bound that index 1 already violates
+    "validate_certificate": lambda s: validate_certificate(
+        SequenceCentralOperator(rule=lambda i: 2.0, sup_bound=1.0), sample=s),
+    "sequence_spectrum": lambda s: sequence_spectrum(reciprocal(), prefix=s, validate=False),
+    "compactness_check": lambda s: compactness_check(reciprocal(), sample=s),
+    "expansion_tail_report": lambda s: expansion_tail_report(reciprocal(), (), sample=s),
+    "freudenthal_net": lambda s: freudenthal_net(reciprocal(), 0.1, sample=s),
+    "sequence_eigen_query": lambda s: sequence_eigen_query(
+        SequenceCentralOperator(rule=lambda i: 1.0 / i, sup_bound=1.0), 0.5, sample=s),
+}
+
+
+@pytest.mark.parametrize("sample", [0, -5])
+@pytest.mark.parametrize("call", sorted(_SAMPLED_CALLS))
+def test_sequence_functions_reject_a_sample_below_one(call, sample):
+    name = "prefix" if call == "sequence_spectrum" else "sample"
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {sample}$"):
+        _SAMPLED_CALLS[call](sample)
+
+
+def test_a_sample_of_one_checks_index_one():
+    with pytest.raises(CertificateError, match="sup bound violated at index 1$"):
+        _SAMPLED_CALLS["validate_certificate"](1)
+    assert sequence_spectrum(reciprocal(), prefix=1).attained == (1.0,)
+
+
+@pytest.mark.parametrize("checkpoints", [(-5,), (10, -1)])
+def test_expansion_tail_report_rejects_negative_checkpoints(checkpoints):
+    with pytest.raises(ValueError, match=r"^checkpoint -\d+ is negative$"):
+        expansion_tail_report(reciprocal(), checkpoints)
+
+
 # ---------------------------------------------------------------------------
 # N(eps): the shared scan against the per-eps scan it replaced
 # ---------------------------------------------------------------------------
 
 def _scan_reference(tail, eps, sample):
-    return next((n for n in range(1, sample) if tail(n) <= eps), None)
+    """The first-hit scan, one index per tail call."""
+    return next((n for n in range(1, sample) if tail(np.array([n]))[0] <= eps), None)
 
 
 def _validate_reference(op, sample, schedule):
@@ -331,8 +419,8 @@ def test_shared_scan_matches_the_per_eps_scan(table, schedule, sample):
     calls = []
 
     def tail(n):
-        calls.append(n)
-        return table[n - 1] if n <= len(table) else 1.0
+        calls.extend(n.tolist())
+        return np.array([table[k - 1] if k <= len(table) else 1.0 for k in n.tolist()])
 
     want = [_scan_reference(tail, eps, sample) for eps in schedule]
     calls.clear()
@@ -357,11 +445,52 @@ def test_shared_scan_matches_the_per_eps_scan(table, schedule, sample):
             assert freudenthal_net(op, eps, sample).breakpoint == n
 
 
+def _block_ends(sample):
+    """Where breakpoints' index blocks of 64, 128, 256, ... end, capped at sample - 1."""
+    ends, end = [], 0
+    while end < sample - 1:
+        end = min(2 * end + 64, sample - 1)
+        ends.append(end)
+    return ends
+
+
+_BLOCK_EPS = st.sampled_from([1e-1, 1e-2, 2e-3, 1e-3, 5e-4, 1e-4, 1e-6, 0.0, 0.5, math.nan])
+
+
+@given(st.booleans(), st.floats(0.01, 10.0),
+       st.dictionaries(st.integers(1, 1300), _TAIL_VALUES, max_size=6),
+       st.lists(_BLOCK_EPS, min_size=1, max_size=7), st.integers(1, 1300))
+@example(False, 1.0, {}, [1e-1, 1e-2, 1e-3], 1000)
+@example(True, 1.0, {700: 1e-4}, [1e-4, 1e-1, 1e-3, 0.5], 1300)
+@example(True, 1.0, {449: 1e-6}, [1e-6], 450)
+@settings(max_examples=200, deadline=None)
+def test_breakpoints_match_the_first_hit_scan_across_blocks(wavy, scale, dips, schedule,
+                                                            sample):
+    calls = []
+
+    def tail(n):
+        calls.append(n.tolist())
+        # the wavy tail rises by up to a factor 3 from one index to the next
+        base = scale / (n + 1) * (1 + n % 3 if wavy else 1)
+        return np.array([dips.get(k, b) for k, b in zip(n.tolist(), base.tolist())])
+
+    want = [_scan_reference(tail, eps, sample) for eps in schedule]
+    calls.clear()
+    assert list(breakpoints(tail, schedule, sample)) == want
+    # ascending blocks of doubling size, each index once, and no block past
+    # the one in which the last eps is found
+    ends = _block_ends(sample)
+    if None not in want:
+        ends = ends[:next(k for k, end in enumerate(ends) if end >= max(want)) + 1]
+    assert [block[-1] for block in calls] == ends
+    assert sum(calls, []) == list(range(1, len(sum(calls, [])) + 1))
+
+
 def test_validate_calls_tail_at_most_once_per_index():
     calls = []
     op = reciprocal()
     counted = SequenceCentralOperator(op.rule, op.sup_bound, op.accumulation,
-                                      lambda n: calls.append(n) or op.tail(n))
+                                      lambda n: calls.extend(n.tolist()) or op.tail(n))
     validate_certificate(counted)
     # 1e-5 and 1e-6 are not reached within 10^4 indices, so the scan runs to the end
     assert sorted(calls) == list(range(1, 10_000))
@@ -400,7 +529,8 @@ _NAN_POOL = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(1.0, math.n
 @settings(max_examples=150, deadline=None)
 def test_dedup_matches_the_first_occurrence_loop(values):
     # repr tells -0.0 from 0.0, which == does not
-    op = SequenceCentralOperator(rule=lambda i: values[i - 1], sup_bound=3.0)
+    op = SequenceCentralOperator(rule=lambda i: np.array(values, dtype=complex)[i - 1],
+                                 sup_bound=3.0)
     want, labels = _first_occurrence_loop(op.prefix(len(values)))
     got, got_labels = first_occurrence(op.prefix(len(values)))
     assert repr(got) == repr(tuple(want)) and got_labels.tolist() == labels
