@@ -133,14 +133,18 @@ def _integrals(fs, mu: LatticeValuedMeasure) -> np.ndarray:
 def integrate(f, mu: LatticeValuedMeasure) -> ComplexElement:
     """Order integral of f against mu: the atom-wise sum of f * mu(atom).
 
-    ``f`` is the function's complex value on each atom of ``mu.space``.  Real
-    and imaginary parts are assembled from the positive/negative part
-    decomposition of an elementary function, each part summed over the atoms
-    in atom order.
+    ``f`` is the function's complex value on each atom of ``mu.space``, and
+    every value must be finite.  Real and imaginary parts are assembled from
+    the positive/negative part decomposition of an elementary function, each
+    part summed over the atoms in atom order.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != (mu.space.n_atoms,):
         raise ValueError(f"one value per atom required, not shape {f.shape}")
+    finite = np.isfinite(f)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"f has the non-finite value {f[k]} on atom {k}")
     return ComplexElement(mu.lattice, _integrals(f[None], mu)[0])
 
 
@@ -196,6 +200,14 @@ def _real(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _row(value, dim: int, phase: str) -> np.ndarray:
+    """A value of pi past the indicators: a real row of shape ``(dim,)``."""
+    value = np.asarray(value)
+    if value.shape != (dim,):
+        raise AssertionError(f"pi's value in the {phase} has shape {value.shape}, not ({dim},)")
+    return _real(value)
+
+
 def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
                     space: FiniteMeasurableSpace,
                     lattice: Optional[CoordinateLattice] = None,
@@ -208,43 +220,49 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
     construction validates positivity on indicators, the reproduction
     pi(f) = integral of f, and the sup/inf recovery formulas against
     ``samples`` (>= 0) sampled admissible functions plus the extremal
-    indicator.  The reproduction samples are drawn as one
-    ``(samples, n_atoms)`` array and compared a row block at a time.
+    indicator.  Every value of ``pi`` must be real, and each one past the
+    indicators must have the shape ``(dim,)`` of the measure's rows.  The
+    reproduction samples are drawn as one ``(samples, n_atoms)`` array and
+    compared a row block at a time; the sup/inf samples are drawn one per
+    ``pi`` call.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, not {samples}")
     rng = np.random.default_rng(0) if rng is None else rng
+    n_atoms, atom_of = space.n_atoms, space.atom_of
     values = []
     for k, atom in enumerate(space.atoms):
-        v = _real(pi((space.atom_of == k).astype(float)))
+        v = _real(pi((atom_of == k).astype(float)))
         if np.any(v < 0):
             i = int(np.flatnonzero(v < 0)[0])
             raise PositivityError(f"pi(indicator of atom {atom!r}) has negative coordinate {i}")
         values.append(v)
     mu = LatticeValuedMeasure(space, tuple(values), lattice)
+    dim = mu.dim
 
     # reproduction pi(f) = order integral of f
-    fs = rng.uniform(-1.0, 1.0, size=(samples, space.n_atoms))
-    for rows in row_blocks(samples, 4 * mu.dim):
-        lhs = np.array([_real(pi(f[space.atom_of])) for f in fs[rows]])
+    fs = rng.uniform(-1.0, 1.0, size=(samples, n_atoms))
+    for rows in row_blocks(samples, 4 * dim):
+        lhs = np.array([_row(pi(f[atom_of]), dim, "reproduction") for f in fs[rows]])
         if not np.max(np.abs(lhs - _integrals(fs[rows], mu).real)) <= TOL_EXACT:
             raise AssertionError("pi does not reproduce the order integral of its measure")
 
-    # sup formula on a nonempty measurable V, inf formula on a nonempty K
+    # sup formula on a nonempty measurable V, inf formula on a nonempty K;
+    # rng.random(n) has the bits of rng.uniform(0.0, 1.0, size=n)
     for _ in range(4):
-        ks = sorted(rng.choice(space.n_atoms, size=rng.integers(1, space.n_atoms + 1),
-                               replace=False))
+        ks = sorted(rng.choice(n_atoms, size=rng.integers(1, n_atoms + 1), replace=False))
         target = mu.measure_of(ks)
-        mask = np.isin(space.atom_of, ks).astype(float)
-        extremal = _real(pi(mask))
+        mask = np.isin(atom_of, ks).astype(float)
+        extremal = _row(pi(mask), dim, "extremal indicator")
         if not np.max(np.abs(extremal - target)) <= TOL_EXACT:
             raise AssertionError("recovery formula is not attained at the indicator")
+        upper, lower = target + TOL_EXACT, target - TOL_EXACT
         for _ in range(samples):
             # 0 <= g <= 1 with support in V, and 0 <= h <= 1 with h = 1 on K
-            g = rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of] * mask
-            if not np.all(_real(pi(g)) <= target + TOL_EXACT):
+            g = rng.random(n_atoms)[atom_of] * mask
+            if not (_row(pi(g), dim, "sup recovery") <= upper).all():
                 raise AssertionError("sup recovery formula violated")
-            h = np.maximum(rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of], mask)
-            if not np.all(target - TOL_EXACT <= _real(pi(h))):
+            h = np.maximum(rng.random(n_atoms)[atom_of], mask)
+            if not (lower <= _row(pi(h), dim, "inf recovery")).all():
                 raise AssertionError("inf recovery formula violated")
     return mu

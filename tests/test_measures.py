@@ -1,17 +1,26 @@
 """Tests for lattice-valued measures, the order integral, image measures,
 spectral laws, and the representation of positive functionals."""
 
+from typing import Callable, Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrelat.lattice import ENTRIES, ConvergenceWitness, CoordinateLattice, check_witness
+from centrelat.lattice import (
+    ENTRIES,
+    ConvergenceWitness,
+    CoordinateLattice,
+    check_witness,
+    row_blocks,
+)
 from centrelat.measures import (
     FiniteMeasurableSpace,
     LatticeValuedMeasure,
     PositivityError,
     _integrals,
+    _real,
     image_measure,
     integrate,
     is_spectral,
@@ -85,6 +94,16 @@ def test_integrate_takes_one_value_per_atom(f):
     assert np.array_equal(integrate([2j], mu).values, [2j, 2j])
     with pytest.raises(ValueError, match="one value per atom"):
         integrate(f, LatticeValuedMeasure(powerset_space(2), np.ones((2, 2))))
+
+
+@pytest.mark.parametrize("f, bad", [([np.nan, 1, 1, 1], 0), ([np.inf, 0, 0, 0], 0),
+                                    ([0, 1, complex(1, -np.inf), 1], 2),
+                                    ([1, 1, 1, complex(np.nan, np.nan)], 3)])
+def test_integrate_rejects_a_non_finite_function(f, bad):
+    # NaN or inf would spread to every coordinate of the integral
+    mu = LatticeValuedMeasure(powerset_space(4), np.eye(4))
+    with pytest.raises(ValueError, match=f"non-finite value .* on atom {bad}$"):
+        integrate(f, mu)
 
 
 def test_integrate_frozen_example():
@@ -372,6 +391,32 @@ def test_riesz_each_value_of_pi_must_be_real(call, imag):
         return out
 
     with pytest.raises(AssertionError, match="not real-valued"):
+        riesz_represent(pi, space, lattice=CoordinateLattice(3), samples=8,
+                        rng=np.random.default_rng(9))
+
+
+@pytest.mark.parametrize("shape", [lambda v: v[:1], lambda v: v[0], lambda v: v[:, None]],
+                         ids=["first-coordinate", "scalar", "column"])
+@pytest.mark.parametrize("call, phase", [(5, "reproduction"), (12, "reproduction"),
+                                         (13, "extremal indicator"), (14, "sup recovery"),
+                                         (15, "inf recovery")],
+                         ids=["first-sample", "last-sample", "extremal", "sup", "inf"])
+def test_riesz_each_value_of_pi_must_have_the_measures_row_shape(call, phase, shape):
+    # an exact functional whose value has another shape at one call: 4
+    # indicators come first, then 8 reproduction samples, then per round the
+    # extremal indicator and the sup and inf samples in turn.  The weight rows
+    # are equal, so a first-coordinate value would pass every comparison by
+    # broadcasting
+    space = powerset_space(4)
+    weights = np.tile(np.random.default_rng(4).uniform(0, 1, size=4), (3, 1))
+    calls = []
+
+    def pi(f):
+        calls.append(None)
+        out = weights @ np.asarray(f)
+        return shape(out) if len(calls) == call else out
+
+    with pytest.raises(AssertionError, match=f"^pi's value in the {phase} has shape"):
         riesz_represent(pi, space, lattice=CoordinateLattice(3), samples=8,
                         rng=np.random.default_rng(9))
 
@@ -675,3 +720,109 @@ def test_positivity_error_names_the_first_bad_atom_across_row_blocks(bad_atoms, 
         rows[k, k % 2048] = value
     with pytest.raises(PositivityError, match=f"^atom {named} has a negative or non-finite"):
         LatticeValuedMeasure(powerset_space(5 * _STEP), rows)
+
+
+# ---------------------------------------------------------------------------
+# riesz_represent against its per-sample loop
+# ---------------------------------------------------------------------------
+
+def _reference_riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
+                               space: FiniteMeasurableSpace,
+                               lattice: Optional[CoordinateLattice] = None,
+                               samples: int = 64,
+                               rng: Optional[np.random.Generator] = None) -> LatticeValuedMeasure:
+    """The loop as it was before its invariants left the sup/inf rounds."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, not {samples}")
+    rng = np.random.default_rng(0) if rng is None else rng
+    values = []
+    for k, atom in enumerate(space.atoms):
+        v = _real(pi((space.atom_of == k).astype(float)))
+        if np.any(v < 0):
+            i = int(np.flatnonzero(v < 0)[0])
+            raise PositivityError(f"pi(indicator of atom {atom!r}) has negative coordinate {i}")
+        values.append(v)
+    mu = LatticeValuedMeasure(space, tuple(values), lattice)
+
+    # reproduction pi(f) = order integral of f
+    fs = rng.uniform(-1.0, 1.0, size=(samples, space.n_atoms))
+    for rows in row_blocks(samples, 4 * mu.dim):
+        lhs = np.array([_real(pi(f[space.atom_of])) for f in fs[rows]])
+        if not np.max(np.abs(lhs - _integrals(fs[rows], mu).real)) <= TOL_EXACT:
+            raise AssertionError("pi does not reproduce the order integral of its measure")
+
+    # sup formula on a nonempty measurable V, inf formula on a nonempty K
+    for _ in range(4):
+        ks = sorted(rng.choice(space.n_atoms, size=rng.integers(1, space.n_atoms + 1),
+                               replace=False))
+        target = mu.measure_of(ks)
+        mask = np.isin(space.atom_of, ks).astype(float)
+        extremal = _real(pi(mask))
+        if not np.max(np.abs(extremal - target)) <= TOL_EXACT:
+            raise AssertionError("recovery formula is not attained at the indicator")
+        for _ in range(samples):
+            # 0 <= g <= 1 with support in V, and 0 <= h <= 1 with h = 1 on K
+            g = rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of] * mask
+            if not np.all(_real(pi(g)) <= target + TOL_EXACT):
+                raise AssertionError("sup recovery formula violated")
+            h = np.maximum(rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of], mask)
+            if not np.all(target - TOL_EXACT <= _real(pi(h))):
+                raise AssertionError("inf recovery formula violated")
+    return mu
+
+
+def _run_riesz(represent, weights, space, samples, seed, fault):
+    """The measure or the exception's type and text, the arrays pi was called
+    with, and the generator state afterwards.  ``fault`` is None or
+    (call, coordinate, value): at that call, pi's value gets ``value`` added
+    in that coordinate."""
+    calls = []
+
+    def pi(f):
+        calls.append(np.array(f))
+        out = weights @ f
+        if fault is not None and len(calls) == fault[0] + 1:
+            out[fault[1]] += fault[2]
+        return out
+
+    rng = np.random.default_rng(seed)
+    try:
+        result = represent(pi, space, CoordinateLattice(len(weights)), samples, rng).values
+    except (AssertionError, ValueError) as exc:
+        result = (type(exc), str(exc))
+    return result, calls, rng.bit_generator.state
+
+
+@given(_spaces(max_points=6), st.integers(1, 4), st.integers(0, 20), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(("exact", "off", "nan")), st.data())
+@settings(max_examples=300, deadline=None)
+def test_riesz_matches_the_per_sample_loop(space, dim, samples, seed, case, data):
+    draw = data.draw
+    weight = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 0.1, 3.0)), st.floats(0.0, 4.0))
+    weights = np.array(draw(st.lists(st.lists(weight, min_size=len(space.points),
+                                              max_size=len(space.points)),
+                                     min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        # a zero coordinate: there pi(g) and pi(h) equal the sup and inf
+        # targets, so any perturbation of the right sign fails
+        weights[draw(st.integers(0, dim - 1))] = 0.0
+    first_round = space.n_atoms + samples
+    fault = None
+    if case == "off" and samples:
+        # one of the sup (even j) or inf (odd j) calls of one round
+        round_, j = draw(st.integers(0, 3)), draw(st.integers(0, 2 * samples - 1))
+        fault = (first_round + round_ * (2 * samples + 1) + 1 + j,
+                 draw(st.integers(0, dim - 1)), draw(st.sampled_from((1e-6, -1e-6))))
+    elif case == "nan":
+        fault = (draw(st.integers(0, first_round + 4 * (2 * samples + 1) - 1)),
+                 draw(st.integers(0, dim - 1)), np.nan)
+    got = _run_riesz(riesz_represent, weights, space, samples, seed, fault)
+    want = _run_riesz(_reference_riesz_represent, weights, space, samples, seed, fault)
+    assert type(got[0]) is type(want[0])
+    if isinstance(want[0], tuple):
+        assert got[0] == want[0]
+    else:
+        assert _same_bits(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    assert all(_same_bits(a, b) for a, b in zip(got[1], want[1]))
+    assert got[2] == want[2]
