@@ -29,7 +29,8 @@ from centrelat.operators import RegularOperator
 # -- a 4-dimensional lattice with a weighted ell-2 norm ---------------------
 
 lat = CoordinateLattice(4, WeightedPNorm((1.0, 2.0, 0.5, 1.0), 2.0))
-z = ComplexElement.from_parts(lat, re=[3.0, -1.0, 0.0, 1.0], im=[4.0, 0.0, 2.0, -1.0])
+re, im = np.array([3.0, -1.0, 0.0, 1.0]), np.array([4.0, 0.0, 2.0, -1.0])
+z = ComplexElement(lat, re + 1j * im)
 
 print("modulus |z|          :", modulus(z))
 print("phase-grid oracle    :", modulus_phase_oracle(z))

@@ -19,13 +19,11 @@ from centrelat import (
     commutant_check,
     dominated_convergence_calculus,
     eigen_expansion,
-    eigen_query,
     freudenthal_approx,
     rho_T,
     spectrum,
 )
 from centrelat.operators import RegularOperator
-from centrelat.spectral import kernel_projection
 
 lat = CoordinateLattice(5)
 T = CentralOperator(lat, np.array([1.0, 2.0, 1.0, 3j, 2.0]))
@@ -53,7 +51,7 @@ print("rho_T(chi_{1})       :", indicator.symbol.real, " (the eigen-band of 1)")
 
 # the kernel of rho_T(f) is the band of the null set of f
 print("kernel band of chi complement:",
-      kernel_projection(T, [0.0, 1.0, 1.0]).symbol.real)
+      mu.measure_of(np.array([0.0, 1.0, 1.0]) == 0).symbol.real)
 
 # dominated convergence: f_n = id + 1/n converges with an explicit witness
 fs = [lambda v, n=n: v + 1.0 / n for n in range(1, 25)]
@@ -66,18 +64,17 @@ print("dominated convergence certified:", bool(rep),
 
 exp = eigen_expansion(T)
 z = ComplexElement(lat, np.array([1.0, 1.0, 1.0, 1.0, 1.0], dtype=complex))
-comps = exp.components(z)
 print("\ncomponents of (1,..,1):")
-for (lam, _), comp in zip(exp.pairs, comps):
-    print("  lambda = %-8s ->" % lam, comp.values.real)
+for k, lam in enumerate(exp.mu.values):
+    print("  lambda = %-8s ->" % lam, np.where(exp.mu.labels == k, z.values, 0).real)
 print("minimal polynomial degree:", len(exp.minimal_polynomial) - 1,
       "= |spectrum| =", len(spec.attained))
 
 approx = freudenthal_approx(T, eps=1e-3)
 print("step approximation error :", approx.error, "(finite spectrum: exact)")
 
-q = eigen_query(T, 2.0)
-print("2.0 is an eigenvalue      :", q.is_eigenvalue, "with band", q.projection.symbol.real)
+band = mu.measure_of(np.array(mu.values) == 2.0)
+print("2.0 is an eigenvalue      :", 2.0 in spec, "with band", band.symbol.real)
 
 # -- commutant: block structure on equal-symbol classes ---------------------
 

@@ -15,7 +15,6 @@ from .lattice import (
     WeightedPNorm,
     check_witness,
     ideal_norm,
-    lattice_ops,
     modulus,
     modulus_phase_oracle,
 )
@@ -34,7 +33,6 @@ from .operators import (
     is_central,
     localize,
     norms,
-    operator_modulus,
     polar,
 )
 from .sequence import (
@@ -52,7 +50,6 @@ from .spectral import (
     commutant_check,
     dominated_convergence_calculus,
     eigen_expansion,
-    eigen_query,
     freudenthal_approx,
     gelfand,
     global_spectral_measure,

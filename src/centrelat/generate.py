@@ -50,19 +50,14 @@ def random_central(rng: np.random.Generator,
     return CentralOperator(lattice, symbol)
 
 
-def random_regular(rng: np.random.Generator,
-                   lattice: Optional[CoordinateLattice] = None,
-                   dim: Optional[int] = None) -> RegularOperator:
-    if lattice is None:
-        lattice = random_lattice(rng, dim or int(rng.integers(1, 9)))
+def random_regular(rng: np.random.Generator, lattice: CoordinateLattice) -> RegularOperator:
     n = lattice.dim
     entries = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return RegularOperator(lattice, entries)
 
 
-def random_measure(rng: np.random.Generator, n_points: int = 6,
-                   dim: int = 4) -> LatticeValuedMeasure:
-    points = tuple(range(n_points))
+def random_measure(rng: np.random.Generator, dim: int = 4) -> LatticeValuedMeasure:
+    points = tuple(range(6))
     space = FiniteMeasurableSpace(points)
     values = tuple(rng.uniform(0.0, 2.0, size=dim) for _ in points)
     return LatticeValuedMeasure(space, values)
@@ -91,10 +86,9 @@ def random_rational_symbols(rng: np.random.Generator, dim: int) -> list[QComplex
     return symbols
 
 
-def central_from_rational(symbols: Sequence[QComplex],
-                          lattice: Optional[CoordinateLattice] = None) -> CentralOperator:
-    lattice = lattice or CoordinateLattice(len(symbols), MaxNorm())
-    return CentralOperator(lattice, np.array([s.to_complex() for s in symbols]))
+def central_from_rational(symbols: Sequence[QComplex]) -> CentralOperator:
+    return CentralOperator(CoordinateLattice(len(symbols), MaxNorm()),
+                           np.array([s.to_complex() for s in symbols]))
 
 
 def random_sequence(rng: np.random.Generator) -> SequenceCentralOperator:

@@ -154,14 +154,6 @@ class ComplexElement:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_parts(cls, lattice: CoordinateLattice, re, im=None) -> "ComplexElement":
-        re = np.asarray(re, dtype=float)
-        im = np.zeros_like(re) if im is None else np.asarray(im, dtype=float)
-        if re.shape != im.shape:
-            raise DimensionMismatchError(f"re has shape {re.shape}, im has shape {im.shape}")
-        return cls(lattice, re + 1j * im)
-
     @property
     def re(self) -> np.ndarray:
         return self.values.real
@@ -235,15 +227,6 @@ def modulus_phase_oracle(z: ComplexElement) -> np.ndarray:
     return out
 
 
-def lattice_ops(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinatewise (join, meet) of two real vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"shapes {x.shape} and {y.shape} differ")
-    return np.maximum(x, y), np.minimum(x, y)
-
-
 # ---------------------------------------------------------------------------
 # principal ideals
 # ---------------------------------------------------------------------------
@@ -302,7 +285,6 @@ class ConvergenceWitness:
     """
 
     dominating: tuple[np.ndarray, ...]
-    claim: str = ""
     tail: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):

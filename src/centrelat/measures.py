@@ -200,11 +200,12 @@ def _real(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _row(value, dim: int, phase: str) -> np.ndarray:
-    """A value of pi past the indicators: a real row of shape ``(dim,)``."""
+def _row(value, dim: Optional[int], phase: str) -> np.ndarray:
+    """A value of pi: a real row of shape ``(dim,)``, or of any 1-D shape if ``dim`` is None."""
     value = np.asarray(value)
-    if value.shape != (dim,):
-        raise AssertionError(f"pi's value in the {phase} has shape {value.shape}, not ({dim},)")
+    if value.ndim != 1 or dim is not None and len(value) != dim:
+        want = "1-D" if dim is None else f"({dim},)"
+        raise AssertionError(f"pi's value in the {phase} has shape {value.shape}, not {want}")
     return _real(value)
 
 
@@ -220,8 +221,8 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
     construction validates positivity on indicators, the reproduction
     pi(f) = integral of f, and the sup/inf recovery formulas against
     ``samples`` (>= 0) sampled admissible functions plus the extremal
-    indicator.  Every value of ``pi`` must be real, and each one past the
-    indicators must have the shape ``(dim,)`` of the measure's rows.  The
+    indicator.  Every value of ``pi`` must be real and 1-D, and each one
+    must have the shape of its value on the first atom indicator.  The
     reproduction samples are drawn as one ``(samples, n_atoms)`` array and
     compared a row block at a time; the sup/inf samples are drawn one per
     ``pi`` call.
@@ -232,7 +233,9 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
     n_atoms, atom_of = space.n_atoms, space.atom_of
     values = []
     for k, atom in enumerate(space.atoms):
-        v = _real(pi((atom_of == k).astype(float)))
+        # the first indicator's value fixes the row shape of every later one
+        v = _row(pi((atom_of == k).astype(float)), len(values[0]) if values else None,
+                 "indicator phase")
         if np.any(v < 0):
             i = int(np.flatnonzero(v < 0)[0])
             raise PositivityError(f"pi(indicator of atom {atom!r}) has negative coordinate {i}")

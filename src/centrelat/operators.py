@@ -48,41 +48,6 @@ class RegularOperator:
         return ComplexElement(z.lattice, self.entries @ z.values)
 
 
-def operator_modulus(T: RegularOperator) -> RegularOperator:
-    """Entrywise modulus |T|; on atomic lattices this is the lattice modulus."""
-    return RegularOperator(T.lattice, np.abs(T.entries).astype(complex))
-
-
-def modulus_action_oracle(T: RegularOperator, x: np.ndarray, samples: int = 10_000,
-                          rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Lower bound for (|T|x) via sup{|Ty| : |y| <= x} over phase choices.
-
-    Samples random phase vectors y = x * exp(i phi) and improves the best one
-    by eight rounds of coordinate ascent on the phases.  The result approaches
-    (|T|x) from below; it never uses the entrywise closed form.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    x = np.asarray(x, dtype=float)
-    n = T.lattice.dim
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(samples, n))
-    ys = x[None, :] * np.exp(1j * phases)
-    vals = np.abs(ys @ T.entries.T)  # (samples, dim) moduli of T y
-    best = vals.max(axis=0)
-    # refine per output coordinate: maximise |sum_j t_ij x_j e^{i phi_j}|
-    out = best.copy()
-    for i in range(n):
-        k = int(vals[:, i].argmax())
-        phi = phases[k].copy()
-        row = T.entries[i] * x
-        for _ in range(8):
-            for j in range(n):
-                rest = np.sum(row * np.exp(1j * phi)) - row[j] * np.exp(1j * phi[j])
-                if row[j] != 0:
-                    phi[j] = np.angle(rest) - np.angle(row[j]) if rest != 0 else 0.0
-        out[i] = max(out[i], abs(np.sum(row * np.exp(1j * phi))))
-    return out
-
-
 @dataclass(frozen=True)
 class CentralOperator:
     """A member of the centre, represented by its diagonal symbol."""
@@ -100,10 +65,6 @@ class CentralOperator:
             raise ValueError("symbol values must be finite")
         s.setflags(write=False)
         object.__setattr__(self, "symbol", s)
-
-    @classmethod
-    def identity(cls, lattice: CoordinateLattice) -> "CentralOperator":
-        return cls(lattice, np.ones(lattice.dim, dtype=complex))
 
     def apply(self, z: ComplexElement) -> ComplexElement:
         if z.lattice.dim != self.lattice.dim:

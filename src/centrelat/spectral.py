@@ -210,10 +210,9 @@ def global_spectral_measure(lattice: CoordinateLattice) -> LatticeValuedMeasure:
                                 np.eye(lattice.dim), lattice)
 
 
-def reconstruct_from_global(T: CentralOperator,
-                            mu: Optional[LatticeValuedMeasure] = None) -> CentralOperator:
-    """Recover T as the order integral of its Gelfand transform against mu."""
-    mu = mu if mu is not None else global_spectral_measure(T.lattice)
+def reconstruct_from_global(T: CentralOperator) -> CentralOperator:
+    """Recover T as the order integral of its Gelfand transform against the global measure."""
+    mu = global_spectral_measure(T.lattice)
     return CentralOperator(T.lattice, integrate(gelfand(T), mu).values)
 
 
@@ -347,12 +346,6 @@ def rho_T(T: CentralOperator, f,
     return CentralOperator(T.lattice, _on_labels(_per_value(f, mu.values), mu.labels))
 
 
-def kernel_projection(T: CentralOperator, f) -> CentralOperator:
-    """mu_T of the null set of f; its image band is the kernel of rho_T(f)."""
-    mu = build_mu_T(T)
-    return mu.measure_of(_per_value(f, mu.values) == 0)
-
-
 @dataclass(frozen=True)
 class DominatedConvergenceReport:
     verdict: WitnessVerdict
@@ -391,7 +384,7 @@ def dominated_convergence_calculus(T: CentralOperator,
     running = np.maximum.accumulate(np.asarray(devs)[::-1])[::-1]
     n = T.lattice.dim
     dominating = tuple(r * np.ones(n) for r in running)
-    witness = ConvergenceWitness(dominating, claim="functional calculus convergence", tail=tail)
+    witness = ConvergenceWitness(dominating, tail=tail)
     limit_op = rho_T(T, limit, mu)
     ops = [rho_T(T, g, mu) for g in tables]
     op_values = [ComplexElement(T.lattice, op.symbol) for op in ops]
@@ -400,8 +393,7 @@ def dominated_convergence_calculus(T: CentralOperator,
     element_verdict = None
     if z is not None:
         absz = np.abs(z.values)
-        elem_witness = ConvergenceWitness(tuple(r * absz for r in running),
-                                          claim="pointwise calculus convergence", tail=tail)
+        elem_witness = ConvergenceWitness(tuple(r * absz for r in running), tail=tail)
         element_verdict = check_witness([op.apply(z) for op in ops], limit_op.apply(z),
                                         elem_witness)
     return DominatedConvergenceReport(verdict, witness, element_verdict)
@@ -420,9 +412,6 @@ class EigenExpansion:
     def pairs(self) -> tuple[tuple[complex, CentralOperator], ...]:
         """(lambda, P_lambda) per spectrum value, the bands built on first read."""
         return tuple(zip(self.mu.values, self.mu.band_operators()))
-
-    def components(self, z: ComplexElement) -> list[ComplexElement]:
-        return [p.apply(z) for _, p in self.pairs]
 
 
 def minimal_polynomial(values: Sequence[complex]) -> tuple[complex, ...]:
@@ -510,19 +499,6 @@ def freudenthal_approx(T: CentralOperator, eps: float) -> StepApproximation:
     mu = build_mu_T(T)
     err = float(np.max(np.abs(T.symbol - mu.reconstruct().symbol)))
     return StepApproximation(mu, err)
-
-
-@dataclass(frozen=True)
-class EigenQuery:
-    is_eigenvalue: bool
-    projection: CentralOperator
-
-
-def eigen_query(T: CentralOperator, value: complex) -> EigenQuery:
-    """Whether ``value`` is an eigenvalue of T, with its eigen-band projection."""
-    mask = (T.symbol == value)
-    proj = CentralOperator(T.lattice, mask.astype(complex))
-    return EigenQuery(bool(np.any(mask)), proj)
 
 
 # ---------------------------------------------------------------------------

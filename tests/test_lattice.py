@@ -20,7 +20,6 @@ from centrelat.lattice import (
     WeightedPNorm,
     check_witness,
     ideal_norm,
-    lattice_ops,
     modulus,
     modulus_phase_oracle,
     row_blocks,
@@ -34,8 +33,9 @@ TOL_ORACLE = 1e-9
 
 def elem(re, im=None, norm=None):
     re = np.asarray(re, dtype=float)
+    im = np.zeros_like(re) if im is None else np.asarray(im, dtype=float)
     lat = CoordinateLattice(len(re), norm or MaxNorm())
-    return ComplexElement.from_parts(lat, re, im)
+    return ComplexElement(lat, re + 1j * im)
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +99,7 @@ def test_modulus_triangle_inequality():
 def test_dimension_mismatch_rejected():
     lat = CoordinateLattice(2)
     with pytest.raises(DimensionMismatchError):
-        ComplexElement.from_parts(lat, [1.0, 2.0, 3.0])
-    with pytest.raises(DimensionMismatchError):
-        ComplexElement.from_parts(lat, [1.0, 2.0], [1.0])
+        ComplexElement(lat, [1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -140,38 +138,6 @@ def test_norm_is_lattice_norm():
             big = np.abs(rng.standard_normal(3))
             small = big * rng.uniform(0.0, 1.0, size=3)
             assert lat.norm(small) <= lat.norm(big) + TOL_EXACT
-
-
-# ---------------------------------------------------------------------------
-# lattice operations
-# ---------------------------------------------------------------------------
-
-def test_lattice_ops_basic():
-    join, meet = lattice_ops([1.0, -2.0], [0.0, 5.0])
-    assert np.array_equal(join, [1.0, 5.0])
-    assert np.array_equal(meet, [0.0, -2.0])
-
-
-def test_lattice_ops_idempotent():
-    x = np.array([1.0, 2.0, -3.0])
-    join, meet = lattice_ops(x, x)
-    assert np.array_equal(join, x) and np.array_equal(meet, x)
-
-
-def test_lattice_ops_modularity_and_order():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        x = rng.standard_normal(6)
-        y = rng.standard_normal(6)
-        join, meet = lattice_ops(x, y)
-        assert np.array_equal(join + meet, x + y)
-        assert np.all(join - x >= 0) and np.all(join - y >= 0)
-        assert np.all(x - meet >= 0) and np.all(y - meet >= 0)
-
-
-def test_lattice_ops_shape_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        lattice_ops([1.0], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

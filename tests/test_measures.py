@@ -421,6 +421,17 @@ def test_riesz_each_value_of_pi_must_have_the_measures_row_shape(call, phase, sh
                         rng=np.random.default_rng(9))
 
 
+@pytest.mark.parametrize("pi", [lambda f: np.ones(2 + int(f[1])), lambda f: 1.0,
+                                lambda f: np.ones((2, 1))], ids=["ragged", "scalar", "2-D"])
+def test_riesz_indicator_values_must_be_rows_of_one_shape(pi):
+    # on three atoms: lengths 2 then 3, a scalar, a column.  The failure names
+    # the indicator phase, which draws nothing
+    rng = np.random.default_rng(1)
+    with pytest.raises(AssertionError, match="^pi's value in the indicator phase has shape"):
+        riesz_represent(pi, powerset_space(3), rng=rng)
+    assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+
+
 def test_riesz_accepts_a_complex_dtype_functional_with_zero_imaginary_parts():
     space = powerset_space(4)
     w = np.random.default_rng(5).uniform(0, 1, size=(3, 4))

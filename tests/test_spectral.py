@@ -28,13 +28,11 @@ from centrelat.spectral import (
     commutant_check,
     dominated_convergence_calculus,
     eigen_expansion,
-    eigen_query,
     enumerate_unital_spectral_measures,
     eval_polynomial,
     freudenthal_approx,
     gelfand,
     global_spectral_measure,
-    kernel_projection,
     minimal_polynomial,
     reconstruct_from_global,
     rho_T,
@@ -63,7 +61,7 @@ def central(symbol):
 # ---------------------------------------------------------------------------
 
 def test_gelfand_identity_is_constant_one():
-    hat = gelfand(CentralOperator.identity(CoordinateLattice(3)))
+    hat = gelfand(central([1.0, 1.0, 1.0]))
     assert all(hat[i] == 1.0 for i in range(3))
 
 
@@ -420,8 +418,6 @@ def test_wrong_length_table_or_mask_raises(wrong):
     with pytest.raises(ValueError, match="per spectrum value"):
         rho_T(T, wrong)
     with pytest.raises(ValueError, match="per spectrum value"):
-        kernel_projection(T, wrong)
-    with pytest.raises(ValueError, match="per spectrum value"):
         dominated_convergence_calculus(T, [[1.0, 2.0]], wrong, bound=5.0)
     with pytest.raises(ValueError, match="per spectrum value"):
         mu.measure_of(np.asarray(wrong) > 0)
@@ -451,7 +447,7 @@ def test_rho_t_image_measure_identity():
 def test_kernel_formula():
     T = central([1.0, 2.0, 2.0])
     f = [0.0, 5.0]
-    K = kernel_projection(T, f)
+    K = build_mu_T(T).measure_of(np.asarray(f) == 0)
     assert np.array_equal(K.symbol.real, [1.0, 0.0, 0.0])
     # null-space oracle on the dense matrix
     R = rho_T(T, f)
@@ -469,8 +465,9 @@ def test_kernel_formula_random():
     rng = np.random.default_rng(14)
     for _ in range(30):
         T = random_central(rng, dim=int(rng.integers(2, 9)), repeats=True)
-        table = (np.arange(len(build_mu_T(T).values)) % 2).astype(complex)
-        K = kernel_projection(T, table)
+        mu = build_mu_T(T)
+        table = (np.arange(len(mu.values)) % 2).astype(complex)
+        K = mu.measure_of(table == 0)
         R = rho_T(T, table)
         # coordinates killed by rho_T(f) are exactly the kernel projection band
         assert np.array_equal((R.symbol == 0).astype(float), K.symbol.real)
@@ -507,12 +504,12 @@ def test_eigen_expansion_frozen_example():
     T = central([1.0, 1.0, 2.0])
     exp = eigen_expansion(T)
     z = ComplexElement(T.lattice, np.ones(3, dtype=complex))
-    comps = exp.components(z)
-    assert np.array_equal(comps[0].values, [1.0, 1.0, 0.0])
-    assert np.array_equal(comps[1].values, [0.0, 0.0, 1.0])
+    comps = [np.where(exp.mu.labels == k, z.values, 0) for k in range(len(exp.mu.values))]
+    assert np.array_equal(comps[0], [1.0, 1.0, 0.0])
+    assert np.array_equal(comps[1], [0.0, 0.0, 1.0])
     for (lam, _), comp in zip(exp.pairs, comps):
-        assert np.max(np.abs(T.symbol * comp.values - lam * comp.values)) <= TOL_EXACT
-    assert np.array_equal(sum(c.values for c in comps), z.values)
+        assert np.max(np.abs(T.symbol * comp - lam * comp)) <= TOL_EXACT
+    assert np.array_equal(sum(comps), z.values)
 
 
 def test_minimal_polynomial_annihilates():
@@ -545,13 +542,13 @@ def test_component_uniqueness():
     T = central([1.0, 2.0, 2.0, 3.0])
     exp = eigen_expansion(T)
     z = ComplexElement(T.lattice, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    comps = exp.components(z)
+    comps = [np.where(exp.mu.labels == k, z.values, 0) for k in range(len(exp.mu.values))]
     for (_, p), comp in zip(exp.pairs, comps):
         # applying P to the reassembled alternative decomposition returns comp
-        assert np.array_equal(p.apply(z).values, comp.values)
+        assert np.array_equal(p.apply(z).values, comp)
         for (_, q), other in zip(exp.pairs, comps):
             if q is not p:
-                assert np.all(p.apply(other).values == 0)
+                assert np.all(p.apply(ComplexElement(T.lattice, other)).values == 0)
 
 
 def test_eigen_reconstruction_random():
@@ -599,34 +596,37 @@ def test_freudenthal_large_eps_keeps_coefficients_in_spectrum():
 
 
 # ---------------------------------------------------------------------------
-# eigen query
+# eigen bands
 # ---------------------------------------------------------------------------
 
 def test_eigen_query_hit():
-    q = eigen_query(central([1.0, 2.0]), 1.0)
-    assert q.is_eigenvalue
-    assert np.array_equal(q.projection.symbol.real, [1.0, 0.0])
+    mu = build_mu_T(central([1.0, 2.0]))
+    hit = np.array(mu.values) == 1.0
+    assert hit.any()
+    assert np.array_equal(mu.measure_of(hit).symbol.real, [1.0, 0.0])
 
 
 def test_eigen_query_miss():
-    q = eigen_query(central([1.0, 2.0]), 5.0)
-    assert not q.is_eigenvalue
-    assert np.all(q.projection.symbol == 0)
+    mu = build_mu_T(central([1.0, 2.0]))
+    miss = np.array(mu.values) == 5.0
+    assert not miss.any()
+    assert np.all(mu.measure_of(miss).symbol == 0)
 
 
 def test_eigen_bands_disjoint():
-    T = central([1.0, 2.0, 1.0, 3.0])
-    p1 = eigen_query(T, 1.0).projection
-    p2 = eigen_query(T, 2.0).projection
+    mu = build_mu_T(central([1.0, 2.0, 1.0, 3.0]))
+    p1 = mu.measure_of(np.array(mu.values) == 1.0)
+    p2 = mu.measure_of(np.array(mu.values) == 2.0)
     assert np.all(p1.symbol * p2.symbol == 0)
 
 
 def test_eigen_query_kernel_matches_nullspace_oracle():
     T = central([0.0, 2.0, 0.0])
-    q = eigen_query(T, 0.0)
+    mu = build_mu_T(T)
+    band = mu.measure_of(np.array(mu.values) == 0.0)
     dense = np.diag(T.symbol)
     _, s, _ = np.linalg.svd(dense)
-    assert int(np.sum(s < 1e-12)) == int(np.sum(q.projection.symbol.real))
+    assert int(np.sum(s < 1e-12)) == int(np.sum(band.symbol.real))
 
 
 # ---------------------------------------------------------------------------
@@ -802,9 +802,9 @@ def test_callable_and_per_value_forms_agree(symbols, fname):
     f = _FUNCTIONS[fname]
     table = [f(v) for v in mu.values]
     assert _same_bits(rho_T(T, f).symbol, rho_T(T, table).symbol)
-    null = mu.measure_of(np.array([complex(x) == 0 for x in table]))
-    assert _same_bits(kernel_projection(T, f).symbol, null.symbol)
-    assert _same_bits(kernel_projection(T, table).symbol, null.symbol)
+    null = mu.measure_of(np.asarray(table, dtype=complex) == 0)
+    # the kernel formula: rho_T(f) vanishes exactly on the band of f's null set
+    assert _same_bits((rho_T(T, f).symbol == 0).astype(complex), null.symbol)
 
 
 def _reference_bands(mu):
