@@ -97,7 +97,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = args.suite or list(SUITES)
+    suites = list(dict.fromkeys(args.suite or SUITES))  # each suite once, first mention first
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         print(f"error: unknown suite {unknown[0]!r}", file=sys.stderr)

@@ -42,8 +42,8 @@ class FiniteMeasurableSpace:
         if not all(atoms):
             raise ValueError("atoms must be nonempty")
         atom_at = {p: k for k, atom in enumerate(atoms) for p in atom}
-        if len(atom_at) != sum(len(set(atom)) for atom in atoms):
-            raise ValueError("atoms must be pairwise disjoint")
+        if len(atom_at) != sum(len(atom) for atom in atoms):
+            raise ValueError("atoms must be pairwise disjoint and list each point once")
         if atom_at.keys() != set(points):
             raise ValueError("atoms must partition the point set")
         atom_of = np.fromiter((atom_at[p] for p in points), dtype=np.intp, count=len(points))
@@ -223,9 +223,13 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
     ``samples`` (>= 0) sampled admissible functions plus the extremal
     indicator.  Every value of ``pi`` must be real and 1-D, and each one
     must have the shape of its value on the first atom indicator.  The
-    reproduction samples are drawn as one ``(samples, n_atoms)`` array and
-    compared a row block at a time; the sup/inf samples are drawn one per
-    ``pi`` call.
+    reproduction samples are drawn as one ``(samples, n_atoms)`` array, and
+    each sup/inf round's g_0, h_0, g_1, ... as one ``(2 * samples, n_atoms)``
+    array with the bits of one draw per sample; ``pi`` is called once per row,
+    in order, and each row block is compared at once.  On failing input only,
+    a round's whole draw is consumed, ``pi`` sees every row of the failing
+    block, and a shape or real-value fault in a block is raised before a bound
+    violation in an earlier row of it.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, not {samples}")
@@ -251,7 +255,9 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
             raise AssertionError("pi does not reproduce the order integral of its measure")
 
     # sup formula on a nonempty measurable V, inf formula on a nonempty K;
-    # rng.random(n) has the bits of rng.uniform(0.0, 1.0, size=n)
+    # row i of rng.random((m, n)) has the bits of the i-th rng.uniform(0.0, 1.0, size=n)
+    phases = ("sup recovery", "inf recovery")
+    sup = np.arange(2 * samples) % 2 == 0
     for _ in range(4):
         ks = sorted(rng.choice(n_atoms, size=rng.integers(1, n_atoms + 1), replace=False))
         target = mu.measure_of(ks)
@@ -260,12 +266,15 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
         if not np.max(np.abs(extremal - target)) <= TOL_EXACT:
             raise AssertionError("recovery formula is not attained at the indicator")
         upper, lower = target + TOL_EXACT, target - TOL_EXACT
-        for _ in range(samples):
-            # 0 <= g <= 1 with support in V, and 0 <= h <= 1 with h = 1 on K
-            g = rng.random(n_atoms)[atom_of] * mask
-            if not (_row(pi(g), dim, "sup recovery") <= upper).all():
-                raise AssertionError("sup recovery formula violated")
-            h = np.maximum(rng.random(n_atoms)[atom_of], mask)
-            if not (lower <= _row(pi(h), dim, "inf recovery")).all():
-                raise AssertionError("inf recovery formula violated")
+        # rows 0::2: 0 <= g <= 1 with support in V; rows 1::2: 0 <= h <= 1 with h = 1 on K
+        fs = rng.random((2 * samples, n_atoms))[:, atom_of]
+        fs[0::2] *= mask
+        fs[1::2] = np.maximum(fs[1::2], mask)
+        for rows in row_blocks(2 * samples, dim):
+            vals = np.array([_row(pi(f), dim, phases[i % 2])
+                             for i, f in enumerate(fs[rows], rows.start)])
+            holds = np.where(sup[rows, None], vals <= upper, lower <= vals).all(axis=1)
+            if not holds.all():
+                i = rows.start + int(np.argmin(holds))
+                raise AssertionError(f"{phases[i % 2]} formula violated")
     return mu

@@ -111,6 +111,20 @@ def test_verify_suite_subset(tmp_path, capsys):
     assert summary["suites"] == ["cstar", "polar"]
 
 
+def test_verify_runs_a_repeated_suite_once(tmp_path, capsys):
+    path = gen_file(tmp_path, capsys)
+    code, out, _ = run(capsys, ["verify", str(path), "--suite", "riesz", "--suite", "cstar",
+                                "--suite", "riesz"])
+    once = run(capsys, ["verify", str(path), "--suite", "riesz", "--suite", "cstar"])
+
+    def untimed(text):
+        return [{k: v for k, v in json.loads(line).items() if k != "seconds"}
+                for line in text.splitlines()]
+
+    assert code == once[0] == 0 and untimed(out) == untimed(once[1])
+    assert untimed(out)[-1]["suites"] == ["riesz", "cstar"]
+
+
 @pytest.mark.parametrize("name", ["inst.json", "missing.json"], ids=["bundle", "missing"])
 def test_verify_suite_none_exit_2(tmp_path, capsys, name):
     # "none" names no suite: it is refused before the input is read
@@ -306,6 +320,9 @@ _MALFORMED = {
                                     '"atoms": [[0], [1]], '
                                     '"values": {"0": [0.5, NaN], "1": [1, 0]}}}]}'),
     # each row below also names the field at fault, see _FIELDS
+    "verify-repeated-atom-point": (_VERIFY, '{"instances": [{"measure": {"points": [0, 1], '
+                                            '"atoms": [[0, 0], [1]], '
+                                            '"values": {"0": [1, 0], "1": [0, 1]}}}]}'),
     "verify-unknown-instance-key": (_VERIFY, '{"instances": [{"centrl": %s}]}' % _ATOMIC),
     "verify-unknown-top-level-key": (_VERIFY, '{"instancs": [{"central": %s}]}' % _ATOMIC),
     "verify-fractional-dim": (_VERIFY, '{"instances": [{"central": '
@@ -336,6 +353,7 @@ _MALFORMED = {
 }
 _FIELDS = {
     "verify-empty-bundle": "instances: expected a nonempty list of instances",
+    "verify-repeated-atom-point": "instance 0: measure.atoms: atoms must be pairwise disjoint",
     "verify-unknown-instance-key": "instance 0: centrl: unknown field",
     "verify-unknown-top-level-key": "instancs: unknown field",
     "verify-fractional-dim": "instance 0: central.dim: expected an integer",

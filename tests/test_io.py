@@ -151,6 +151,8 @@ _OPERATOR = {"dim": 2, "symbol": [[1, 0], [2, 0]]}
      "sequence.rule.params: ratio must lie in (0, 1)"),
     (cio.bundle_from_json, {"instances": [{"kind": "sequence"}]},
      "instance 0: sequence: required field is missing"),
+    (cio.measure_from_json, {"points": [0, 1], "atoms": [[0, 0], [1]],
+                             "values": {"0": [1.0], "1": [1.0]}}, "measure.atoms:"),
 ])
 def test_readers_name_the_field_at_fault(read, doc, field):
     with pytest.raises(cio.InputError) as raised:

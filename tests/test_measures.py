@@ -52,6 +52,12 @@ def test_space_atoms_partition_enforced():
         FiniteMeasurableSpace((1, 2, 3), ((1, 2),))
 
 
+def test_space_rejects_a_point_listed_twice_in_one_atom():
+    # kept, the repetition would reach measure_to_json and the instance digest
+    with pytest.raises(ValueError, match="list each point once"):
+        FiniteMeasurableSpace((0, 1), ((0, 0), (1,)))
+
+
 def test_atom_of_indexes_coarse_atoms():
     space = FiniteMeasurableSpace((1, 2, 3, 4), ((3,), (1, 2), (4,)))
     assert space.n_atoms == 3
@@ -782,6 +788,44 @@ def _reference_riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
     return mu
 
 
+def _as_batched(run, space, dim, samples):
+    """A run of the reference as the batched sup/inf rounds make it.
+
+    Where the reference raised at a round's sample row j, the batch has drawn
+    the whole round, and has called ``pi`` on the rest of j's row block before
+    the same raise.  The rest is drawn here one sample at a time, continuing
+    from the reference's generator state, with the mask of the round's
+    extremal call.  Any other run is the batch's as it stands."""
+    result, calls, state = run
+    first = space.n_atoms + samples     # round 0's extremal indicator call
+    if not isinstance(result, tuple) or len(calls) <= first:
+        return run
+    round_, j = divmod(len(calls) - 1 - first, 2 * samples + 1)
+    j -= 1
+    if j < 0:
+        return run
+    mask = calls[first + round_ * (2 * samples + 1)]
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state
+    rest = []
+    for i in range(j + 1, 2 * samples):
+        f = rng.uniform(0.0, 1.0, size=space.n_atoms)[space.atom_of]
+        rest.append(f * mask if i % 2 == 0 else np.maximum(f, mask))
+    end = next(rows.stop for rows in row_blocks(2 * samples, dim) if j < rows.stop)
+    return result, calls + rest[:end - j - 1], rng.bit_generator.state
+
+
+def _assert_same_run(got, want):
+    assert type(got[0]) is type(want[0])
+    if isinstance(want[0], tuple):
+        assert got[0] == want[0]
+    else:
+        assert _same_bits(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    assert all(_same_bits(a, b) for a, b in zip(got[1], want[1]))
+    assert got[2] == want[2]
+
+
 def _run_riesz(represent, weights, space, samples, seed, fault):
     """The measure or the exception's type and text, the arrays pi was called
     with, and the generator state afterwards.  ``fault`` is None or
@@ -829,11 +873,46 @@ def test_riesz_matches_the_per_sample_loop(space, dim, samples, seed, case, data
                  draw(st.integers(0, dim - 1)), np.nan)
     got = _run_riesz(riesz_represent, weights, space, samples, seed, fault)
     want = _run_riesz(_reference_riesz_represent, weights, space, samples, seed, fault)
-    assert type(got[0]) is type(want[0])
-    if isinstance(want[0], tuple):
-        assert got[0] == want[0]
-    else:
-        assert _same_bits(got[0], want[0])
-    assert len(got[1]) == len(want[1])
-    assert all(_same_bits(a, b) for a, b in zip(got[1], want[1]))
-    assert got[2] == want[2]
+    _assert_same_run(got, _as_batched(want, space, dim, samples))
+
+
+_ODD_DIM = ENTRIES // 3     # sup/inf row blocks of 3 rows, so some start at an h row
+
+
+@pytest.mark.parametrize("row", range(8))
+def test_riesz_matches_the_per_sample_loop_across_row_blocks(row):
+    space = FiniteMeasurableSpace((0, 1, 2), ((0, 2), (1,)))
+    weights = np.random.default_rng(1).uniform(0.0, 1.0, size=(_ODD_DIM, 3))
+    samples = 4
+    fault = (space.n_atoms + samples + 2 * (2 * samples + 1) + 1 + row, 7, np.nan)  # round 2
+    got = _run_riesz(riesz_represent, weights, space, samples, 5, fault)
+    want = _run_riesz(_reference_riesz_represent, weights, space, samples, 5, fault)
+    assert want[0] == (AssertionError, f"{('sup', 'inf')[row % 2]} recovery formula violated")
+    assert len(got[1]) == fault[0] + 1 + min(2 - row % 3, 7 - row)
+    _assert_same_run(got, _as_batched(want, space, _ODD_DIM, samples))
+
+
+@pytest.mark.parametrize("faults, message, rows_called", [
+    ({3: np.nan, 4: np.nan}, "inf recovery formula violated", 6),
+    ({4: np.nan, 5: np.nan}, "sup recovery formula violated", 6),
+    ({3: np.nan, 5: 1j}, "pi is not real-valued", 6),
+    ({3: np.nan, 4: None}, r"pi's value in the sup recovery has shape \(1, 5461\)", 5),
+    ({7: np.nan}, "inf recovery formula violated", 8),
+    ({0: np.nan, 2: 1j}, "pi is not real-valued", 3),
+])
+def test_riesz_raises_the_first_fault_of_a_row_block(faults, message, rows_called):
+    # a shape or real-value fault raises as pi's value is read, before the
+    # block's comparison, so it wins over a bound violation in an earlier row
+    weights = np.random.default_rng(1).uniform(0.0, 1.0, size=(_ODD_DIM, 2))
+    first = 2 + 4 + 1       # round 0's g_0 on two atoms with samples = 4
+    calls = []
+
+    def pi(f):
+        calls.append(f)
+        out, fault = weights @ f, faults.get(len(calls) - 1 - first, 0.0)
+        return out[None] if fault is None else out + fault
+
+    with pytest.raises(AssertionError, match=message):
+        riesz_represent(pi, powerset_space(2), CoordinateLattice(_ODD_DIM), 4,
+                        np.random.default_rng(3))
+    assert len(calls) == first + rows_called
