@@ -145,6 +145,16 @@ def shifted_reciprocal(shift: float = 1.0) -> SequenceCentralOperator:
     )
 
 
+def _geometric_multiplicity(v: complex, ratio: float) -> float:
+    """1 if ratio ** k gives v bit for bit at the index k nearest
+    log_ratio(v), else 0.  A value whose real part is not a positive finite
+    float, or whose imaginary part is nonzero, is not attained: 0."""
+    v = complex(v)
+    if not (v.imag == 0.0 and 0.0 < v.real < math.inf):
+        return 0.0
+    return float(ratio ** max(1, round(math.log(v.real, ratio))) == v.real)
+
+
 def geometric(ratio: float = 0.5) -> SequenceCentralOperator:
     """lambda_i = ratio^i, accumulating at 0.
 
@@ -161,10 +171,7 @@ def geometric(ratio: float = 0.5) -> SequenceCentralOperator:
         sup_bound=ratio,
         accumulation=(0.0,),
         tail=lambda n: [ratio ** k for k in (n + 1).tolist()],
-        multiplicity=lambda v, r=ratio: (
-            1.0 if complex(v).imag == 0.0 and complex(v).real > 0.0
-            and r ** max(1, round(math.log(complex(v).real, r))) == complex(v).real
-            else 0.0),
+        multiplicity=lambda v: _geometric_multiplicity(v, ratio),
         name="geometric",
         params={"ratio": ratio},
     )
@@ -243,6 +250,17 @@ def sequence_spectrum(op: SequenceCentralOperator, prefix: int = DEFAULT_SAMPLE,
     return Spectrum(attained, tuple(complex(a) for a in op.accumulation))
 
 
+def distinct_finite_count(values: np.ndarray) -> int:
+    """The number of distinct finite entries of a prefix, compared as
+    ``first_occurrence`` compares them (0.0 and -0.0 are one value).
+
+    return_index makes np.unique sort stably, which is faster than its
+    default complex sort, and several times so on a monotone prefix.
+    """
+    values = values[np.isfinite(values)]
+    return len(np.unique(values, return_index=True)[1])
+
+
 @dataclass(frozen=True)
 class CompactnessVerdict:
     compact: bool
@@ -255,13 +273,21 @@ class CompactnessVerdict:
 def compactness_check(op: SequenceCentralOperator,
                       sample: int = DEFAULT_SAMPLE) -> CompactnessVerdict:
     """Compact iff the only limit point is zero and nonzero values have
-    finite multiplicity.  NaN counts as nonzero."""
+    finite multiplicity.  NaN counts as nonzero.
+
+    The entries of one distinct value share its modulus, so the values
+    marked nonzero are the labels of the prefix's nonzero entries.
+    ``multiplicity`` is called on the nonzero distinct values in
+    first-occurrence order, up to the first one with infinitely many indices.
+    """
     _check_sample(sample)
     for a in op.accumulation:
         if not abs(complex(a)) <= TOL_EXACT:
             return CompactnessVerdict(False, f"limit point {a} is nonzero")
-    values, labels = first_occurrence(op.prefix(sample))
-    nonzero = ~(np.abs(np.asarray(values, dtype=complex)) <= TOL_EXACT)
+    prefix = op.prefix(sample)
+    values, labels = first_occurrence(prefix)
+    nonzero = np.zeros(len(values), dtype=bool)
+    nonzero[labels[~(np.abs(prefix) <= TOL_EXACT)]] = True
     if op.multiplicity is None:
         repeated = np.flatnonzero(nonzero & (np.bincount(labels, minlength=len(values)) > 1))
         if repeated.size:

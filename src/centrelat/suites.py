@@ -48,6 +48,7 @@ from .sequence import (
     CertificateError,
     compactness_check,
     constant,
+    distinct_finite_count,
     expansion_tail_report,
     reciprocal,
     shifted_reciprocal,
@@ -62,7 +63,6 @@ from .spectral import (
     eigen_expansion,
     enumerate_unital_spectral_measures,
     eval_polynomial,
-    first_occurrence,
     gelfand,
     reconstruct_from_global,
     rho_T,
@@ -499,8 +499,7 @@ def suite_eigen(out: Records, instances, rng: np.random.Generator) -> None:
                                                   for r in records))))
         # a nonzero polynomial of degree <= 8 has at most 8 roots, so more
         # than 8 distinct (finite) prefix values defeat every monic one
-        values, _ = first_occurrence(op.prefix(DEFAULT_SAMPLE))
-        distinct = int(np.count_nonzero(np.isfinite(values)))
+        distinct = distinct_finite_count(op.prefix(DEFAULT_SAMPLE))
         if distinct > 8:
             out.holds("infinite-spectrum-defeats-monic-annihilators", d, True,
                       witness=f"{distinct} distinct prefix values")

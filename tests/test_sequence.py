@@ -2,6 +2,7 @@
 compactness, expansion tails, eps-nets, and eigen queries."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -15,9 +16,11 @@ from centrelat.sequence import (
     BUILTIN_RULES,
     CertificateError,
     SequenceCentralOperator,
+    SequenceEigenQuery,
     breakpoints,
     compactness_check,
     constant,
+    distinct_finite_count,
     expansion_tail_report,
     freudenthal_net,
     geometric,
@@ -159,6 +162,81 @@ def test_repeated_value_without_rule_is_the_first_the_counting_loop_finds(values
         assert str(err.value) == f"multiplicity rule required for repeated value {want}"
 
 
+def _tuple_nonzero_mask(values):
+    """The per-value mask compactness_check built from the values tuple
+    before it set the mask through the prefix's labels."""
+    return ~(np.abs(np.asarray(values, dtype=complex)) <= TOL_EXACT)
+
+
+def _ulps_around(t):
+    """t and the three floats on either side of it."""
+    return [float(x) for x in t + np.arange(-3, 4) * np.spacing(t)]
+
+
+# NaN, infinities, signed zeros, nonzero imaginary parts, and moduli within a
+# few ulps of TOL_EXACT: real, negative, imaginary and 3-4-5 complex
+_NEAR_TOL = _ulps_around(TOL_EXACT)
+_PREFIX_POOL = ([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), math.inf, -math.inf,
+                 complex(math.inf, 1.0), complex(1.0, -math.inf), complex(math.nan, 0.0),
+                 complex(0.0, math.nan), 1.0, 1 + 1j, 1 - 1j, 0.5j]
+                + _NEAR_TOL + [-t for t in _NEAR_TOL] + [complex(0.0, t) for t in _NEAR_TOL]
+                + [complex(0.6 * t, 0.8 * t) for t in _NEAR_TOL])
+_PREFIXES = st.lists(st.one_of(st.sampled_from(_PREFIX_POOL), st.complex_numbers()),
+                     min_size=1, max_size=24)
+
+
+@given(_PREFIXES)
+@example([TOL_EXACT, -0.0, TOL_EXACT, math.nan, math.nan, 0.0, math.inf, math.inf])
+@example([_NEAR_TOL[4], _NEAR_TOL[2], complex(0.6 * _NEAR_TOL[4], 0.8 * _NEAR_TOL[4]),
+          _NEAR_TOL[4], -_NEAR_TOL[4]])
+@settings(max_examples=200, deadline=None)
+def test_nonzero_mask_through_labels_matches_the_tuple_mask(values):
+    op = SequenceCentralOperator(rule=lambda i: np.array(values, dtype=complex)[i - 1],
+                                 sup_bound=3.0)
+    distinct, labels = first_occurrence(op.prefix(len(values)))
+    mask = _tuple_nonzero_mask(distinct)
+    # with a finite multiplicity rule, it is asked about exactly the masked values
+    calls = []
+    counted = SequenceCentralOperator(op.rule, op.sup_bound,
+                                      multiplicity=lambda v: calls.append(v) or 1.0)
+    assert compactness_check(counted, sample=len(values)).compact
+    assert repr(calls) == repr(list(itertools.compress(distinct, mask)))
+    # without one, the first masked value with two or more indices is named
+    counts = np.bincount(labels, minlength=len(distinct))
+    repeated = [v for v, m, c in zip(distinct, mask, counts) if m and c > 1]
+    if repeated:
+        with pytest.raises(CertificateError) as err:
+            compactness_check(op, sample=len(values))
+        assert str(err.value) == f"multiplicity rule required for repeated value {repeated[0]}"
+    else:
+        assert compactness_check(op, sample=len(values)).compact
+
+
+# 0.5 repeats; the zeros and 1e-13 are skipped; 3.0 comes back after 2.0
+_ORDER_VALUES = [0.5, 0.0, 1j, 0.5, 1e-13, 3.0, -0.0, 2.0, 3.0, complex(math.nan, 0.0)]
+
+
+@pytest.mark.parametrize("stop", [math.inf, math.nan, 2.0])
+def test_compactness_asks_multiplicity_in_first_occurrence_order_up_to_the_first_infinite(stop):
+    calls = []
+
+    def multiplicity(v):
+        calls.append(v)
+        return stop if v == 3.0 else 2.0
+
+    op = SequenceCentralOperator(rule=lambda i: np.array(_ORDER_VALUES, dtype=complex)[i - 1],
+                                 sup_bound=3.0, accumulation=(0.0,), multiplicity=multiplicity)
+    verdict = compactness_check(op, sample=len(_ORDER_VALUES))
+    assert all(type(v) is complex for v in calls)
+    if math.isfinite(stop):
+        assert verdict.compact
+        assert repr(calls) == repr([0.5 + 0j, 1j, 3 + 0j, 2 + 0j, complex(math.nan, 0.0)])
+    else:
+        assert repr(calls) == repr([0.5 + 0j, 1j, 3 + 0j])
+        assert not verdict.compact
+        assert verdict.reason == "eigenspace for (3+0j) is infinite dimensional"
+
+
 # ---------------------------------------------------------------------------
 # expansion tails and eps-nets
 # ---------------------------------------------------------------------------
@@ -238,6 +316,17 @@ def test_reciprocal_multiplicity_rejects_unattained_values():
         assert op.multiplicity(v) == 0.0
     # 1/1e-320 overflows to inf: no index is that large
     assert reciprocal().multiplicity(1e-320) == 0.0
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, complex(math.inf, 0.0),
+                                   complex(math.inf, 1.0), complex(0.5, math.inf),
+                                   complex(math.nan, 0.0)])
+def test_geometric_multiplicity_of_a_non_finite_value_is_zero(value):
+    # round(log_ratio(+inf)) overflows, so +inf must be answered before it
+    op = geometric(0.9)
+    assert op.multiplicity(value) == 0.0
+    assert sequence_eigen_query(op, value) == SequenceEigenQuery(False, False)
+    assert all(op.multiplicity(v) == 1.0 for v in op.prefix(500))
 
 
 def test_shifted_reciprocal_prefix_values_are_all_eigenvalues():
@@ -545,3 +634,20 @@ def test_dedup_matches_the_first_occurrence_loop(values):
         mu = build_mu_T(T)
         assert repr(mu.values) == repr(tuple(want)) and mu.labels.tolist() == labels
         assert repr(spectrum(T).attained) == repr(tuple(want))
+
+
+@given(_PREFIXES)
+@example([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)])
+@example([math.nan, math.nan, math.inf, -math.inf, complex(math.inf, 1.0)])
+@example([1 + 1j, 1 - 1j, 1 + 1j, complex(1.0, -0.0), 1.0, TOL_EXACT, TOL_EXACT])
+@settings(max_examples=200, deadline=None)
+def test_distinct_finite_count_matches_first_occurrence(values):
+    p = np.array(values, dtype=complex)
+    assert distinct_finite_count(p) == np.count_nonzero(np.isfinite(first_occurrence(p)[0]))
+
+
+def test_distinct_finite_count_on_builtin_prefixes():
+    for op in (reciprocal(), geometric(0.3), constant(1 + 1j), shifted_reciprocal(-1.5)):
+        p = op.prefix(10_000)
+        assert distinct_finite_count(p) == np.count_nonzero(np.isfinite(first_occurrence(p)[0]))
+    assert distinct_finite_count(reciprocal().prefix(10_000)) == 10_000
