@@ -18,9 +18,6 @@ import numpy as np
 TOL_EXACT = 1e-12
 #: Tolerance for checks backed by a sampling/grid oracle.
 TOL_ORACLE = 1e-9
-#: A dominating sequence whose last term is below this is accepted as decaying
-#: to zero when no analytic tail rule is supplied.
-WITNESS_TOL = 1e-10
 #: Matrix entries per row block of a large pass (a complex block is 256 KiB):
 #: 8 rows at dim 2048, 2048 at dim 8, one row at dims of this size or more.
 ENTRIES = 8 * 2048
@@ -57,18 +54,11 @@ class WeightedPNorm:
         if not (self.p >= 1):
             raise ValueError("p must lie in [1, inf]")
 
-    def __call__(self, absx: np.ndarray) -> float:
-        w = np.asarray(self.weights, dtype=float)
-        if math.isinf(self.p):
-            return float(np.max(w * absx)) if absx.size else 0.0
-        return float(np.sum(w * absx ** self.p) ** (1.0 / self.p))
-
     def rows(self, absx: np.ndarray) -> np.ndarray:
-        """Norms of the rows of an (m, dim) array of moduli, each equal to ``self(row)``.
+        """Norms of the rows of an (m, dim) array of moduli.
 
-        The p-th root is taken row by row with the scalar power that
-        ``__call__`` uses, since numpy's vectorised power may round the last
-        bit differently.
+        The p-th root is taken row by row with Python's scalar power, since
+        numpy's vectorised power may round the last bit differently.
         """
         w = np.asarray(self.weights, dtype=float)
         if math.isinf(self.p):
@@ -80,9 +70,6 @@ class WeightedPNorm:
 @dataclass(frozen=True)
 class MaxNorm:
     """Plain sup norm."""
-
-    def __call__(self, absx: np.ndarray) -> float:
-        return float(np.max(absx)) if absx.size else 0.0
 
     def rows(self, absx: np.ndarray) -> np.ndarray:
         """Norms of the rows of an (m, dim) array of moduli."""
@@ -99,9 +86,6 @@ class UserNorm:
     """
 
     rule: Callable[[np.ndarray], float]
-
-    def __call__(self, absx: np.ndarray) -> float:
-        return float(self.rule(absx))
 
     def rows(self, absx: np.ndarray) -> np.ndarray:
         """Norms of the rows of an (m, dim) array of moduli; the rule sees one row at a time."""
@@ -131,7 +115,7 @@ class CoordinateLattice:
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatchError(f"vector of shape {x.shape} on lattice of dim {self.dim}")
-        return self.norm_spec(np.abs(x).astype(float))
+        return float(self.norm_spec.rows(np.abs(x).astype(float)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +263,12 @@ class ConvergenceWitness:
     """A decreasing dominating sequence certifying sigma-order convergence.
 
     ``dominating`` lists u_1 >= u_2 >= ... coordinatewise.  Decay to zero is
-    certified either by an analytic ``tail`` rule (an upper bound on the sup
-    of u_n for each n, decreasing to 0) or, failing that, by the last term
-    dropping below ``WITNESS_TOL``.
+    certified by the analytic ``tail`` rule: an upper bound on the sup of u_n
+    for each n, decreasing to 0.
     """
 
     dominating: tuple[np.ndarray, ...]
-    tail: Optional[Callable[[int], float]] = None
+    tail: Callable[[int], float]
 
     def __post_init__(self):
         doms = tuple(np.asarray(u, dtype=float) for u in self.dominating)
@@ -309,9 +292,9 @@ def check_witness(values: Sequence[ComplexElement], limit: ComplexElement,
     """Verify that a witness certifies values_n -> limit in sigma-order.
 
     Checks that the dominating sequence is coordinatewise nonincreasing, that
-    |values_n - limit| <= u_n for every term, and that the tail decays to
-    zero (analytic rule, or last term below ``WITNESS_TOL``).  Each test
-    passes only if its ``<=`` holds, so a NaN term or bound fails it.
+    |values_n - limit| <= u_n for every term, and that the tail rule is
+    nonincreasing and decays to zero.  Each test passes only if its ``<=``
+    holds, so a NaN term or bound fails it.
     """
     doms = witness.dominating
     if len(values) > len(doms):
@@ -325,17 +308,10 @@ def check_witness(values: Sequence[ComplexElement], limit: ComplexElement,
         diff = modulus(z - limit)
         if not np.all(diff <= doms[n] + TOL_EXACT):
             return WitnessVerdict(False, n, "domination fails")
-    if witness.tail is not None:
-        probes = [max(1, len(doms)), 4 * len(doms) + 16, 64 * len(doms) + 256, 10 ** 9, 10 ** 12]
-        bounds = [witness.tail(n) for n in probes]
-        if not all(b2 <= b1 + TOL_EXACT for b1, b2 in zip(bounds, bounds[1:])):
-            return WitnessVerdict(False, None, "tail rule is not nonincreasing")
-        if not bounds[-1] <= 1e-6:
-            return WitnessVerdict(False, None, "tail rule does not certify decay to zero")
-        return WitnessVerdict(True)
-    if doms and float(np.max(doms[-1])) < WITNESS_TOL:
-        return WitnessVerdict(True)
-    if not doms:
-        return WitnessVerdict(True, None, "empty witness for empty sequence")
-    return WitnessVerdict(False, len(doms) - 1,
-                          "no tail rule and last dominating term is not below tolerance")
+    probes = [max(1, len(doms)), 4 * len(doms) + 16, 64 * len(doms) + 256, 10 ** 9, 10 ** 12]
+    bounds = [witness.tail(n) for n in probes]
+    if not all(b2 <= b1 + TOL_EXACT for b1, b2 in zip(bounds, bounds[1:])):
+        return WitnessVerdict(False, None, "tail rule is not nonincreasing")
+    if not bounds[-1] <= 1e-6:
+        return WitnessVerdict(False, None, "tail rule does not certify decay to zero")
+    return WitnessVerdict(True)

@@ -50,9 +50,9 @@ class SequenceCentralOperator:
 
     rule: Callable[[np.ndarray], np.ndarray]
     sup_bound: float
-    accumulation: tuple[complex, ...] = ()
-    tail: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    multiplicity: Optional[Callable[[complex], float]] = None
+    accumulation: tuple[complex, ...]
+    tail: Callable[[np.ndarray], np.ndarray]
+    multiplicity: Callable[[complex], float]
     name: str = "custom"
     params: dict[str, float] = field(default_factory=dict)
     # longest prefix evaluated so far; an array over immutable bytes is read-only
@@ -228,8 +228,6 @@ def validate_certificate(op: SequenceCentralOperator, sample: int = DEFAULT_SAMP
     over = ~(np.abs(values) <= op.sup_bound + TOL_EXACT)
     if np.any(over):
         raise CertificateError(f"sup bound violated at index {int(np.argmax(over)) + 1}")
-    if op.tail is None:
-        return
     dist = _dist_to_accumulation(values, op.accumulation)
     for eps, n in zip(schedule, breakpoints(op.tail, schedule, sample)):
         if n is None:
@@ -240,12 +238,11 @@ def validate_certificate(op: SequenceCentralOperator, sample: int = DEFAULT_SAMP
                 f"tail certificate violated at index {n + 1 + int(bad[0])} for eps={eps}")
 
 
-def sequence_spectrum(op: SequenceCentralOperator, prefix: int = DEFAULT_SAMPLE,
-                      validate: bool = True) -> Spectrum:
-    """Attained prefix values union the declared accumulation set."""
+def sequence_spectrum(op: SequenceCentralOperator, prefix: int = DEFAULT_SAMPLE) -> Spectrum:
+    """Attained prefix values union the declared accumulation set, once the
+    certificates validate on the prefix."""
     _check_sample(prefix, "prefix")
-    if validate:
-        validate_certificate(op, sample=prefix)
+    validate_certificate(op, sample=prefix)
     attained, _ = first_occurrence(op.prefix(prefix))
     return Spectrum(attained, tuple(complex(a) for a in op.accumulation))
 
@@ -288,16 +285,9 @@ def compactness_check(op: SequenceCentralOperator,
     values, labels = first_occurrence(prefix)
     nonzero = np.zeros(len(values), dtype=bool)
     nonzero[labels[~(np.abs(prefix) <= TOL_EXACT)]] = True
-    if op.multiplicity is None:
-        repeated = np.flatnonzero(nonzero & (np.bincount(labels, minlength=len(values)) > 1))
-        if repeated.size:
-            raise CertificateError(
-                f"multiplicity rule required for repeated value {values[repeated[0]]}")
-    else:
-        for v in itertools.compress(values, nonzero):
-            if not math.isfinite(op.multiplicity(v)):
-                return CompactnessVerdict(
-                    False, f"eigenspace for {v} is infinite dimensional")
+    for v in itertools.compress(values, nonzero):
+        if not math.isfinite(op.multiplicity(v)):
+            return CompactnessVerdict(False, f"eigenspace for {v} is infinite dimensional")
     return CompactnessVerdict(True, "limit points in {0} and finite nonzero multiplicities")
 
 
@@ -321,8 +311,6 @@ def expansion_tail_report(op: SequenceCentralOperator, checkpoints: Sequence[int
     for accumulation {0} the remainder sup is therefore bounded by t(N).
     """
     _check_sample(sample)
-    if op.tail is None:
-        raise CertificateError("tail rule required for expansion domination")
     for n in checkpoints:
         if n < 0:
             raise ValueError(f"checkpoint {n} is negative")
@@ -354,8 +342,6 @@ def freudenthal_net(op: SequenceCentralOperator, eps: float,
     _check_sample(sample)
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if op.tail is None:
-        raise CertificateError("tail rule required for the eps-net construction")
     n = next(breakpoints(op.tail, (eps,), sample))
     if n is None:
         raise CertificateError("tail rule does not reach eps within the sampled prefix")
@@ -376,19 +362,15 @@ class SequenceEigenQuery:
     is_eigenvalue: bool
 
 
-def sequence_eigen_query(op: SequenceCentralOperator, value: complex,
-                         sample: int = DEFAULT_SAMPLE) -> SequenceEigenQuery:
+def sequence_eigen_query(op: SequenceCentralOperator, value: complex) -> SequenceEigenQuery:
     """Whether a value lies in the certified spectrum and is an eigenvalue.
 
-    An unattained accumulation point belongs to the spectrum but carries a
-    zero spectral projection, hence is not an eigenvalue.
+    The multiplicity rule decides whether the value is attained; no prefix
+    is sampled, since sampling can underflow.  An unattained accumulation
+    point belongs to the spectrum but carries a zero spectral projection,
+    hence is not an eigenvalue.
     """
-    _check_sample(sample)
     value = complex(value)
-    if op.multiplicity is not None:
-        # the certificate is authoritative (sampling can underflow)
-        attained = op.multiplicity(value) > 0
-    else:
-        attained = bool(np.any(op.prefix(sample) == value))
+    attained = op.multiplicity(value) > 0
     in_spec = attained or any(complex(a) == value for a in op.accumulation)
     return SequenceEigenQuery(in_spec, attained)

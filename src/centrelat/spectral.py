@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -363,22 +365,25 @@ def dominated_convergence_calculus(T: CentralOperator,
                                    fs: Sequence,
                                    f,
                                    bound: float,
+                                   tail: Callable[[int], float],
                                    z: Optional[ComplexElement] = None,
-                                   tail: Optional[Callable[[int], float]] = None,
                                    ) -> DominatedConvergenceReport:
     """Certify rho_T(f_n) -> rho_T(f) in sigma-order by an explicit witness.
 
     The witness term u_n is the running sup over occupied spectrum values of
-    sup_{m >= n} |f_m - f|, times the identity.  When ``z`` is supplied the
-    convergence rho_T(f_n) z -> rho_T(f) z is certified as well.  Each
-    function is a callable or one value per entry of ``build_mu_T(T).values``.
+    sup_{m >= n} |f_m - f|, times the identity, and ``tail`` is its decay
+    rule.  When ``z`` is supplied the convergence rho_T(f_n) z -> rho_T(f) z
+    is certified as well.  Each function is a callable or one value per
+    entry of ``build_mu_T(T).values``; ``bound`` must be a finite number.
     """
+    if not (isinstance(bound, numbers.Real) and math.isfinite(bound)):
+        raise PreconditionError(f"uniform bound must be a finite number, got {bound!r}")
     mu = build_mu_T(T)
     limit = _per_value(f, mu.values)
     tables = [_per_value(g, mu.values) for g in fs]
     for g in tables:
         worst = max(map(abs, g.tolist()))
-        if worst > bound + TOL_EXACT:
+        if not worst <= bound + TOL_EXACT:
             raise PreconditionError(f"uniform bound {bound} violated: |f_n| reaches {worst}")
     devs = [max(map(abs, (g - limit).tolist())) for g in tables]
     running = np.maximum.accumulate(np.asarray(devs)[::-1])[::-1]

@@ -490,8 +490,6 @@ def suite_eigen(out: Records, instances, rng: np.random.Generator) -> None:
         out.holds("minimal-polynomial-annihilation", d, ok, float(np.max(resid)))
     for op in instances.get("sequence", []):
         d = op_digest(op)
-        if op.tail is None:
-            continue
         out.guarded("sequence-partial-sum-tail-domination", d, ValueError,
                     lambda: expansion_tail_report(op, (10, 100, 1000)),
                     lambda records: (all(r.dominated for r in records),

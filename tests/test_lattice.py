@@ -108,9 +108,9 @@ def test_dimension_mismatch_rejected():
 
 def test_weighted_p_norm_values():
     n = WeightedPNorm((1.0, 2.0), 1.0)
-    assert n(np.array([3.0, 4.0])) == pytest.approx(11.0)
+    assert n.rows(np.array([[3.0, 4.0], [1.0, 0.0]])).tolist() == pytest.approx([11.0, 1.0])
     n_inf = WeightedPNorm((1.0, 2.0), math.inf)
-    assert n_inf(np.array([3.0, 4.0])) == pytest.approx(8.0)
+    assert CoordinateLattice(2, n_inf).norm(np.array([3.0, -4.0])) == pytest.approx(8.0)
 
 
 def test_weighted_norm_rejects_bad_parameters():
@@ -208,7 +208,7 @@ def test_union_spectrum_rejects_a_nan_generator():
 def test_witness_constant_sequence():
     limit = elem([1.0, 2.0])
     values = [limit for _ in range(5)]
-    w = ConvergenceWitness(tuple(np.zeros(2) for _ in range(5)))
+    w = ConvergenceWitness(tuple(np.zeros(2) for _ in range(5)), tail=lambda n: 0.0)
     assert check_witness(values, limit, w)
 
 
@@ -233,18 +233,17 @@ def test_witness_too_small_fails_at_first_index():
 def test_witness_rejects_increasing_domination():
     limit = elem([0.0])
     values = [limit, limit]
-    w = ConvergenceWitness((np.array([1.0]), np.array([2.0])))
+    w = ConvergenceWitness((np.array([1.0]), np.array([2.0])), tail=lambda n: 1.0 / (n + 1))
     verdict = check_witness(values, limit, w)
     assert not verdict and "increases" in verdict.reason
 
 
-def test_witness_without_tail_needs_small_last_term():
+def test_an_empty_witness_is_judged_by_its_tail_rule():
+    # no term to dominate, so the tail rule alone decides
     limit = elem([0.0])
-    values = [elem([2.0 ** -n]) for n in range(1, 11)]
-    doms = tuple(np.array([2.0 ** -n]) for n in range(1, 11))
-    assert not check_witness(values, limit, ConvergenceWitness(doms))
-    long_doms = tuple(np.array([2.0 ** -n]) for n in range(1, 41))
-    assert check_witness(values, limit, ConvergenceWitness(long_doms))
+    verdict = check_witness([], limit, ConvergenceWitness((), tail=lambda n: 0.5))
+    assert not verdict and "decay" in verdict.reason
+    assert check_witness([], limit, ConvergenceWitness((), tail=lambda n: 1.0 / (n + 1)))
 
 
 def test_witness_tail_rule_must_decay():

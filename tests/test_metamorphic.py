@@ -1,11 +1,11 @@
 """Metamorphic properties: the lattice's symmetries as exact checks.
 
 The paper's statements hold on every Dedekind complete complex Banach
-lattice, so they are invariant under its isometries.  Two act exactly on
-floats: scaling an operator by 2**k away from overflow and underflow, and
-conjugation.  Each property compares a primitive's output on the transformed
-operator with the transformed output, bit for bit, over operators from
-``centrelat.generate``.
+lattice, so they are invariant under its isometries.  Three act exactly on
+floats: scaling an operator by 2**k away from overflow and underflow,
+conjugation, and a permutation of the coordinates.  Each property compares a
+primitive's output on the transformed operator with the transformed output,
+bit for bit, over operators from ``centrelat.generate``.
 """
 
 import numpy as np
@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrelat.generate import random_central
+from centrelat.lattice import CoordinateLattice, WeightedPNorm
 from centrelat.operators import CentralOperator, polar
-from centrelat.spectral import build_mu_T
+from centrelat.spectral import build_mu_T, rho_T, spectrum_shape_report
 
 
 def _same_bits(a, b):
@@ -36,6 +37,22 @@ def _operators(draw):
 
 def _scaled(T, k):
     return CentralOperator(T.lattice, T.symbol * 2.0 ** k)
+
+
+@st.composite
+def _permuted(draw):
+    """(T, perm, PT): coordinate i of PT is coordinate perm[i] of T, and a
+    weighted norm's weights move with the coordinates."""
+    T = draw(_operators())
+    perm = np.array(draw(st.permutations(range(T.lattice.dim))), dtype=np.int64)
+    norm = T.lattice.norm_spec
+    if isinstance(norm, WeightedPNorm):
+        norm = WeightedPNorm(tuple(np.asarray(norm.weights)[perm].tolist()), norm.p)
+    return T, perm, CentralOperator(CoordinateLattice(T.lattice.dim, norm), T.symbol[perm])
+
+
+def _bit_set(values):
+    return {v.tobytes() for v in np.asarray(values, dtype=complex)}
 
 
 @given(_operators(), _K)
@@ -66,3 +83,34 @@ def test_polar_factors_of_a_power_of_two_multiple(T, k):
     factors, scaled = polar(T), polar(_scaled(T, k))
     assert _same_bits(scaled.positive.symbol, factors.positive.symbol * 2.0 ** k)
     assert _same_bits(scaled.unitary.symbol, factors.unitary.symbol)
+
+
+@given(_permuted())
+@settings(max_examples=300, deadline=None)
+def test_mu_T_of_a_permuted_operator(case):
+    T, perm, PT = case
+    mu, permuted = build_mu_T(T), build_mu_T(PT)
+    assert _bit_set(permuted.values) == _bit_set(mu.values)
+    # each coordinate keeps its band's value, and two coordinates share a band
+    # in PT exactly when their preimages share one in T
+    assert _same_bits(np.asarray(permuted.values)[permuted.labels],
+                      np.asarray(mu.values)[mu.labels][perm])
+    moved = mu.labels[perm]
+    assert np.array_equal(permuted.labels[:, None] == permuted.labels[None, :],
+                          moved[:, None] == moved[None, :])
+
+
+@given(_permuted())
+@settings(max_examples=300, deadline=None)
+def test_rho_T_commutes_with_a_permutation(case):
+    T, perm, PT = case
+    f = lambda v: v * v.conjugate() - 2j * v + 0.5
+    assert _same_bits(rho_T(PT, f).symbol, rho_T(T, f).symbol[perm])
+
+
+@given(_permuted())
+@settings(max_examples=300, deadline=None)
+def test_order_unit_norm_and_spectrum_shape_of_a_permuted_operator(case):
+    T, _, PT = case
+    assert _same_bits(PT.order_unit_norm(), T.order_unit_norm())
+    assert spectrum_shape_report(PT) == spectrum_shape_report(T)

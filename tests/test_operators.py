@@ -224,15 +224,6 @@ def test_norms_batched_ratio_is_bit_equal_to_per_row_loop(spec):
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_norm_spec_rows_match_single_row_calls():
-    rng = np.random.default_rng(5)
-    absx = np.abs(rng.standard_normal((50, 9)))
-    for make in _NORM_SPECS.values():
-        spec = make(9)
-        expected = [spec(row.copy()) for row in absx]
-        assert spec.rows(absx).tolist() == expected
-
-
 # ---------------------------------------------------------------------------
 # C* and modulus laws on the centre
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ def test_builtin_certificates_validate():
 
 def test_sup_bound_violation_detected():
     op = SequenceCentralOperator(rule=lambda i: 1.0 / i, sup_bound=0.5,
-                                 accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1))
+                                 accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1),
+                                 multiplicity=lambda v: 1.0)
     with pytest.raises(CertificateError, match="sup bound"):
         validate_certificate(op, sample=100)
 
@@ -53,7 +54,8 @@ def test_sup_bound_violation_detected():
 def test_tail_certificate_violation_detected():
     # claims the tail decays like 1/n^2 but the sequence only decays like 1/n
     op = SequenceCentralOperator(rule=lambda i: 1.0 / i, sup_bound=1.0,
-                                 accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1) ** 2)
+                                 accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1) ** 2,
+                                 multiplicity=lambda v: 1.0)
     with pytest.raises(CertificateError, match="tail"):
         validate_certificate(op, sample=5000)
 
@@ -64,7 +66,8 @@ def test_tail_certificate_violation_detected():
 @settings(max_examples=50, deadline=None)
 def test_nan_value_violates_the_sup_bound_at_its_index(k, nan):
     op = SequenceCentralOperator(rule=lambda i: np.where(i == k, nan, 1.0 / i), sup_bound=1.0,
-                                 accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1))
+                                 accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1),
+                                 multiplicity=lambda v: 1.0)
     with pytest.raises(CertificateError, match=f"sup bound violated at index {k}$"):
         validate_certificate(op, sample=500)
 
@@ -116,50 +119,12 @@ def test_compactness_canonical_trio():
     assert not compactness_check(shifted_reciprocal(1.0)).compact
 
 
-def test_compactness_needs_multiplicity_for_repeats():
-    op = SequenceCentralOperator(rule=lambda i: np.where(i % 2, 1.0, 0.5), sup_bound=1.0,
-                                 accumulation=(), tail=None, multiplicity=None)
-    with pytest.raises(CertificateError, match="multiplicity"):
-        compactness_check(op, sample=100)
-
-
 def test_compactness_infinite_multiplicity_not_compact():
     op = SequenceCentralOperator(rule=lambda i: np.where(i % 2, 1.0, 1.0 / i), sup_bound=1.0,
                                  accumulation=(0.0, 1.0), tail=lambda n: 1.0,
                                  multiplicity=lambda v: math.inf if v == 1.0 else 1.0)
     verdict = compactness_check(op, sample=100)
     assert not verdict.compact
-
-
-def _first_repeated_loop(values):
-    """The counting-dict loop that compactness_check ran without a
-    multiplicity rule before it counted first-occurrence labels."""
-    counts: dict[complex, int] = {}
-    for v in values:
-        counts[complex(v)] = counts.get(complex(v), 0) + 1
-    repeated = [v for v, c in counts.items() if c > 1 and abs(v) > TOL_EXACT]
-    return repeated[0] if repeated else None
-
-
-# zero, values at and near the zero threshold, signed zeros and NaN
-_REPEAT_POOL = [0.0, -0.0, 1e-13, -1e-13j, TOL_EXACT, 2e-12, 1.0, 1 + 1j, 1 - 1j, 0.5j,
-                complex(math.nan, 0.0)]
-
-
-@given(st.lists(st.sampled_from(_REPEAT_POOL), min_size=1, max_size=16))
-@example([1.0, 0.0, 1 + 1j, 0.0, 1 + 1j, 1.0])
-@example([math.nan, math.nan, 1e-13, 1e-13, TOL_EXACT, TOL_EXACT])
-@settings(max_examples=150, deadline=None)
-def test_repeated_value_without_rule_is_the_first_the_counting_loop_finds(values):
-    op = SequenceCentralOperator(rule=lambda i: np.array(values, dtype=complex)[i - 1],
-                                 sup_bound=3.0)
-    want = _first_repeated_loop(op.prefix(len(values)))
-    if want is None:
-        assert compactness_check(op, sample=len(values)).compact
-    else:
-        with pytest.raises(CertificateError) as err:
-            compactness_check(op, sample=len(values))
-        assert str(err.value) == f"multiplicity rule required for repeated value {want}"
 
 
 def _tuple_nonzero_mask(values):
@@ -191,25 +156,14 @@ _PREFIXES = st.lists(st.one_of(st.sampled_from(_PREFIX_POOL), st.complex_numbers
           _NEAR_TOL[4], -_NEAR_TOL[4]])
 @settings(max_examples=200, deadline=None)
 def test_nonzero_mask_through_labels_matches_the_tuple_mask(values):
-    op = SequenceCentralOperator(rule=lambda i: np.array(values, dtype=complex)[i - 1],
-                                 sup_bound=3.0)
-    distinct, labels = first_occurrence(op.prefix(len(values)))
-    mask = _tuple_nonzero_mask(distinct)
-    # with a finite multiplicity rule, it is asked about exactly the masked values
+    # a finite multiplicity rule is asked about exactly the masked values
     calls = []
-    counted = SequenceCentralOperator(op.rule, op.sup_bound,
-                                      multiplicity=lambda v: calls.append(v) or 1.0)
-    assert compactness_check(counted, sample=len(values)).compact
-    assert repr(calls) == repr(list(itertools.compress(distinct, mask)))
-    # without one, the first masked value with two or more indices is named
-    counts = np.bincount(labels, minlength=len(distinct))
-    repeated = [v for v, m, c in zip(distinct, mask, counts) if m and c > 1]
-    if repeated:
-        with pytest.raises(CertificateError) as err:
-            compactness_check(op, sample=len(values))
-        assert str(err.value) == f"multiplicity rule required for repeated value {repeated[0]}"
-    else:
-        assert compactness_check(op, sample=len(values)).compact
+    op = SequenceCentralOperator(rule=lambda i: np.array(values, dtype=complex)[i - 1],
+                                 sup_bound=3.0, accumulation=(), tail=lambda n: math.inf,
+                                 multiplicity=lambda v: calls.append(v) or 1.0)
+    distinct, _ = first_occurrence(op.prefix(len(values)))
+    assert compactness_check(op, sample=len(values)).compact
+    assert repr(calls) == repr(list(itertools.compress(distinct, _tuple_nonzero_mask(distinct))))
 
 
 # 0.5 repeats; the zeros and 1e-13 are skipped; 3.0 comes back after 2.0
@@ -225,7 +179,8 @@ def test_compactness_asks_multiplicity_in_first_occurrence_order_up_to_the_first
         return stop if v == 3.0 else 2.0
 
     op = SequenceCentralOperator(rule=lambda i: np.array(_ORDER_VALUES, dtype=complex)[i - 1],
-                                 sup_bound=3.0, accumulation=(0.0,), multiplicity=multiplicity)
+                                 sup_bound=3.0, accumulation=(0.0,), tail=lambda n: 3.0,
+                                 multiplicity=multiplicity)
     verdict = compactness_check(op, sample=len(_ORDER_VALUES))
     assert all(type(v) is complex for v in calls)
     if math.isfinite(stop):
@@ -261,7 +216,7 @@ def test_freudenthal_net_reciprocal():
     assert {1.0 / k for k in range(1, 10)} <= coeffs
     assert 0.0 in coeffs
     assert net.certified_error <= 0.1
-    spec = sequence_spectrum(reciprocal(), prefix=10_000, validate=False)
+    spec = sequence_spectrum(reciprocal(), prefix=10_000)
     assert coeffs <= spec.as_set()
 
 
@@ -408,7 +363,8 @@ def test_geometric_raises_the_ratio_with_python_float_power():
 
 def test_a_scalar_rule_or_tail_stands_for_every_index():
     op = SequenceCentralOperator(rule=lambda i: 2.0, sup_bound=2.0, accumulation=(2.0,),
-                                 tail=lambda n: 0.0)
+                                 tail=lambda n: 0.0,
+                                 multiplicity=lambda v: math.inf if v == 2.0 else 0.0)
     assert op.prefix(70).tolist() == [2.0] * 70
     validate_certificate(op, sample=200)
     assert [r.certified_bound for r in expansion_tail_report(op, (0, 5), sample=10)] == [0, 0]
@@ -418,7 +374,8 @@ def test_a_scalar_rule_or_tail_stands_for_every_index():
                                   lambda i: [1.0]],
                          ids=["one-too-many", "column", "one-value"])
 def test_prefix_rejects_a_rule_without_one_value_per_index(rule):
-    op = SequenceCentralOperator(rule=rule, sup_bound=1.0)
+    op = SequenceCentralOperator(rule=rule, sup_bound=1.0, accumulation=(1.0,),
+                                 tail=lambda n: 0.0, multiplicity=lambda v: math.inf)
     with pytest.raises(ValueError, match="must give one value per index or a scalar"):
         op.prefix(3)
     assert len(op.prefix(0)) == 0
@@ -431,13 +388,12 @@ def test_prefix_rejects_a_rule_without_one_value_per_index(rule):
 _SAMPLED_CALLS = {
     # a sup bound that index 1 already violates
     "validate_certificate": lambda s: validate_certificate(
-        SequenceCentralOperator(rule=lambda i: 2.0, sup_bound=1.0), sample=s),
-    "sequence_spectrum": lambda s: sequence_spectrum(reciprocal(), prefix=s, validate=False),
+        SequenceCentralOperator(rule=lambda i: 2.0, sup_bound=1.0, accumulation=(2.0,),
+                                tail=lambda n: 0.0, multiplicity=lambda v: math.inf), sample=s),
+    "sequence_spectrum": lambda s: sequence_spectrum(reciprocal(), prefix=s),
     "compactness_check": lambda s: compactness_check(reciprocal(), sample=s),
     "expansion_tail_report": lambda s: expansion_tail_report(reciprocal(), (), sample=s),
     "freudenthal_net": lambda s: freudenthal_net(reciprocal(), 0.1, sample=s),
-    "sequence_eigen_query": lambda s: sequence_eigen_query(
-        SequenceCentralOperator(rule=lambda i: 1.0 / i, sup_bound=1.0), 0.5, sample=s),
 }
 
 
@@ -520,7 +476,7 @@ def test_shared_scan_matches_the_per_eps_scan(table, schedule, sample):
     # the sequence runs 1/i; the accumulation point 0 and this tail table
     # decide which eps, if any, is violated first
     op = SequenceCentralOperator(rule=lambda i: 1.0 / i, sup_bound=1.0, accumulation=(0.0,),
-                                 tail=tail)
+                                 tail=tail, multiplicity=lambda v: 1.0)
     assert _error_text(lambda: validate_certificate(op, sample, schedule)) \
         == _error_text(lambda: _validate_reference(op, sample, schedule))
     for eps in schedule:
@@ -579,7 +535,8 @@ def test_validate_calls_tail_at_most_once_per_index():
     calls = []
     op = reciprocal()
     counted = SequenceCentralOperator(op.rule, op.sup_bound, op.accumulation,
-                                      lambda n: calls.extend(n.tolist()) or op.tail(n))
+                                      lambda n: calls.extend(n.tolist()) or op.tail(n),
+                                      op.multiplicity)
     validate_certificate(counted)
     # 1e-5 and 1e-6 are not reached within 10^4 indices, so the scan runs to the end
     assert sorted(calls) == list(range(1, 10_000))
@@ -618,14 +575,11 @@ _NAN_POOL = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(1.0, math.n
 @settings(max_examples=150, deadline=None)
 def test_dedup_matches_the_first_occurrence_loop(values):
     # repr tells -0.0 from 0.0, which == does not
-    op = SequenceCentralOperator(rule=lambda i: np.array(values, dtype=complex)[i - 1],
-                                 sup_bound=3.0)
-    want, labels = _first_occurrence_loop(op.prefix(len(values)))
-    got, got_labels = first_occurrence(op.prefix(len(values)))
+    prefix = np.array(values, dtype=complex)
+    want, labels = _first_occurrence_loop(prefix)
+    got, got_labels = first_occurrence(prefix)
     assert repr(got) == repr(tuple(want)) and got_labels.tolist() == labels
     assert not got_labels.flags.writeable
-    assert repr(sequence_spectrum(op, prefix=len(values), validate=False).attained) \
-        == repr(tuple(want))
     finite = [v for v in values if not cmath.isnan(v)]
     if finite:
         symbol = np.array(finite, dtype=complex)

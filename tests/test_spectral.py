@@ -3,6 +3,7 @@ functional calculus, eigen expansions, and commutants."""
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,10 @@ from centrelat.measures import (
 
 TOL_EXACT = 1e-12
 TOL_ORACLE = 1e-9
+
+
+def harmonic_tail(n):
+    return 1.0 / (n + 1)
 
 
 def central(symbol):
@@ -418,7 +423,7 @@ def test_wrong_length_table_or_mask_raises(wrong):
     with pytest.raises(ValueError, match="per spectrum value"):
         rho_T(T, wrong)
     with pytest.raises(ValueError, match="per spectrum value"):
-        dominated_convergence_calculus(T, [[1.0, 2.0]], wrong, bound=5.0)
+        dominated_convergence_calculus(T, [[1.0, 2.0]], wrong, bound=5.0, tail=harmonic_tail)
     with pytest.raises(ValueError, match="per spectrum value"):
         mu.measure_of(np.asarray(wrong) > 0)
 
@@ -477,15 +482,14 @@ def test_dominated_convergence_trivial_and_shift():
     T = central([1.0, 2.0, 3.0])
     f = [1.0, 4.0, 9.0]
     fs = [f for _ in range(5)]
-    report = dominated_convergence_calculus(T, fs, f, bound=10.0)
+    report = dominated_convergence_calculus(T, fs, f, bound=10.0, tail=lambda n: 0.0)
     assert report
     assert all(np.max(u) == 0.0 for u in report.witness.dominating)
 
     fs = [lambda v, n=n: v + 1.0 / n for n in range(1, 40)]
     ident = np.array([1.0, 2.0, 3.0])
     z = ComplexElement(T.lattice, np.array([1.0, -1j, 0.5]))
-    report = dominated_convergence_calculus(T, fs, ident, bound=5.0, z=z,
-                                            tail=lambda n: 1.0 / (n + 1))
+    report = dominated_convergence_calculus(T, fs, ident, bound=5.0, tail=harmonic_tail, z=z)
     assert report
     assert np.max(report.witness.dominating[0]) == pytest.approx(1.0)
 
@@ -493,7 +497,15 @@ def test_dominated_convergence_trivial_and_shift():
 def test_dominated_convergence_bound_violation():
     T = central([1.0, 2.0])
     with pytest.raises(PreconditionError):
-        dominated_convergence_calculus(T, [[100.0, 0.0]], [0.0, 0.0], bound=1.0)
+        dominated_convergence_calculus(T, [[100.0, 0.0]], [0.0, 0.0], bound=1.0, tail=harmonic_tail)
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, "5", 1j])
+def test_dominated_convergence_rejects_a_bound_that_is_not_a_finite_number(bound):
+    # no comparison with a NaN bound is true, so it must be rejected before any is made
+    T = central([1.0, 2.0])
+    with pytest.raises(PreconditionError, match="finite number"):
+        dominated_convergence_calculus(T, [[1.0, 2.0]], [1.0, 2.0], bound=bound, tail=harmonic_tail)
 
 
 # ---------------------------------------------------------------------------
