@@ -104,13 +104,13 @@ def lattice_from_json(doc, where: str = "lattice") -> CoordinateLattice:
 
 
 def operator_to_json(op) -> dict[str, Any]:
-    if isinstance(op, CentralOperator):
-        return {"dim": op.lattice.dim, "norm": norm_to_json(op.lattice.norm_spec),
-                "symbol": [_c(v) for v in op.symbol]}
-    if isinstance(op, RegularOperator):
-        return {"dim": op.lattice.dim, "norm": norm_to_json(op.lattice.norm_spec),
-                "entries": [[_c(v) for v in row] for row in op.entries]}
-    raise ValueError(f"operator {op!r} is not serializable")
+    if not isinstance(op, (CentralOperator, RegularOperator)):
+        raise ValueError(f"operator {op!r} is not serializable")
+    key = "symbol" if isinstance(op, CentralOperator) else "entries"
+    values = np.ascontiguousarray(getattr(op, key))
+    # each complex entry as the [re, im] pair of its bits, as _c gives it
+    return {"dim": op.lattice.dim, "norm": norm_to_json(op.lattice.norm_spec),
+            key: values.view(float).reshape(*values.shape, 2).tolist()}
 
 
 def operator_from_json(doc, where: str = "operator"):

@@ -64,7 +64,7 @@ class WeightedPNorm:
         if math.isinf(self.p):
             return np.max(w * absx, axis=-1)
         sums = np.sum(w * absx ** self.p, axis=-1)
-        return np.array([s ** (1.0 / self.p) for s in sums])
+        return np.array([s ** (1.0 / self.p) for s in sums.tolist()])
 
 
 @dataclass(frozen=True)

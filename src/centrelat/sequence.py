@@ -98,13 +98,14 @@ def _reciprocal_multiplicity(v: complex, shift: float = 0.0) -> float:
     re-evaluated at the nearest index k, then at k +- 1 and k +- 2.
     """
     v = complex(v)
-    inverse = 1.0 / (v.real - shift) if v.real > shift and v.imag == 0.0 else math.inf
+    re = v.real
+    inverse = 1.0 / (re - shift) if re > shift and v.imag == 0.0 else math.inf
     if not inverse < math.inf:
         return 0.0
     k = round(inverse)
-    if k >= 1 and shift + 1.0 / k == v.real:
+    if k >= 1 and shift + 1.0 / k == re:
         return 1.0
-    return float(any(j >= 1 and shift + 1.0 / j == v.real for j in (k - 1, k + 1, k - 2, k + 2)))
+    return float(any(j >= 1 and shift + 1.0 / j == re for j in (k - 1, k + 1, k - 2, k + 2)))
 
 
 def reciprocal() -> SequenceCentralOperator:
@@ -285,8 +286,9 @@ def compactness_check(op: SequenceCentralOperator,
     values, labels = first_occurrence(prefix)
     nonzero = np.zeros(len(values), dtype=bool)
     nonzero[labels[~(np.abs(prefix) <= TOL_EXACT)]] = True
+    multiplicity, isfinite = op.multiplicity, math.isfinite
     for v in itertools.compress(values, nonzero):
-        if not math.isfinite(op.multiplicity(v)):
+        if not isfinite(multiplicity(v)):
             return CompactnessVerdict(False, f"eigenspace for {v} is infinite dimensional")
     return CompactnessVerdict(True, "limit points in {0} and finite nonzero multiplicities")
 

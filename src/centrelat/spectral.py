@@ -374,13 +374,15 @@ def dominated_convergence_calculus(T: CentralOperator,
     sup_{m >= n} |f_m - f|, times the identity, and ``tail`` is its decay
     rule.  When ``z`` is supplied the convergence rho_T(f_n) z -> rho_T(f) z
     is certified as well.  Each function is a callable or one value per
-    entry of ``build_mu_T(T).values``; ``bound`` must be a finite number.
+    entry of ``build_mu_T(T).values``; every value and ``bound`` must be finite.
     """
     if not (isinstance(bound, numbers.Real) and math.isfinite(bound)):
         raise PreconditionError(f"uniform bound must be a finite number, got {bound!r}")
     mu = build_mu_T(T)
     limit = _per_value(f, mu.values)
     tables = [_per_value(g, mu.values) for g in fs]
+    if not all(np.isfinite(g).all() for g in (limit, *tables)):
+        raise PreconditionError("f and every f_n must be finite on the spectrum")
     for g in tables:
         worst = max(map(abs, g.tolist()))
         if not worst <= bound + TOL_EXACT:

@@ -109,9 +109,17 @@ def within(dev: float, tol: float) -> tuple[bool, float]:
 class Records(list):
     """The records of one suite, each made under the suite's name."""
 
-    def __init__(self, suite: str):
+    def __init__(self, suite: str, digests: Optional[dict] = None):
         super().__init__()
         self.suite = suite
+        # id(obj) -> (obj, op_digest(obj)); holding obj keeps its id its own
+        self.digests = {} if digests is None else digests
+
+    def digest(self, obj) -> str:
+        """``op_digest(obj)``, computed once per ``digests`` map."""
+        if id(obj) not in self.digests:
+            self.digests[id(obj)] = obj, op_digest(obj)
+        return self.digests[id(obj)][1]
 
     def holds(self, name: str, instance: str, ok, dev: float = 0.0,
               witness: str = "") -> None:
@@ -164,7 +172,7 @@ def _rel(dev: float, scale: float) -> float:
 def suite_cstar(out: Records, instances, rng: np.random.Generator) -> None:
     """C*-identity, Gelfand transform laws, modulus laws, four equalities."""
     for T in instances.get("central", []):
-        d = op_digest(T)
+        d = out.digest(T)
         n2 = (T * T.conj()).order_unit_norm()
         dev = _rel(abs(n2 - T.order_unit_norm() ** 2), T.order_unit_norm() ** 2)
         out.check("cstar-identity", d, dev, TOL_EXACT)
@@ -204,7 +212,7 @@ def suite_cstar(out: Records, instances, rng: np.random.Generator) -> None:
 def suite_norms(out: Records, instances, rng: np.random.Generator) -> None:
     """Norm coincidence for central operators; modulus bounds for dense ones."""
     for T in instances.get("central", []):
-        d = op_digest(T)
+        d = out.digest(T)
         trip = norms(T, samples=1000, rng=rng)
         basis = np.zeros(T.lattice.dim)
         basis[trip.attained_at] = 1.0
@@ -216,7 +224,7 @@ def suite_norms(out: Records, instances, rng: np.random.Generator) -> None:
         out.check("sampled-norm-never-exceeds-order-unit", d,
                   max(0.0, trip.max_sampled_ratio - trip.order_unit), scaled)
     for X in instances.get("regular", []):
-        d = op_digest(X)
+        d = out.digest(X)
         n = X.lattice.dim
         z = ComplexElement(X.lattice, rng.standard_normal(n) + 1j * rng.standard_normal(n))
         lhs = modulus(X.apply(z))
@@ -228,7 +236,7 @@ def suite_norms(out: Records, instances, rng: np.random.Generator) -> None:
 def suite_fpr(out: Records, instances, rng: np.random.Generator) -> None:
     triples = [commuting_fpr_triple(rng, T.lattice.dim) for T in instances.get("central", [])]
     for (S, T, X) in triples:
-        d = digest([op_digest(S), op_digest(T), op_digest(X)])
+        d = digest([out.digest(S), out.digest(T), out.digest(X)])
         v = fpr_check(S, T, X)
         out.holds("conjugate-commutation-transfer", d,
                   v.forward and v.conjugate and v.transfer_ok, v.max_conjugate_deviation)
@@ -247,7 +255,7 @@ def suite_fpr(out: Records, instances, rng: np.random.Generator) -> None:
 def suite_polar(out: Records, instances, rng: np.random.Generator) -> None:
     prev_invertible = None
     for T in instances.get("central", []):
-        d = op_digest(T)
+        d = out.digest(T)
         p = polar(T)
         dev = _rel(float(np.max(np.abs((p.positive * p.unitary).symbol - T.symbol))),
                    T.order_unit_norm())
@@ -274,7 +282,7 @@ def suite_polar(out: Records, instances, rng: np.random.Generator) -> None:
 
 def suite_localize(out: Records, instances, rng: np.random.Generator) -> None:
     for T in instances.get("central", []):
-        d = op_digest(T)
+        d = out.digest(T)
         n = T.lattice.dim
         u = rng.uniform(0.1, 2.0, size=n)
         if n >= 2 and rng.uniform() < 0.5:
@@ -297,7 +305,7 @@ def _random_measurable_f(rng, space):
 
 def suite_integral(out: Records, instances, rng: np.random.Generator) -> None:
     for mu in instances.get("measure", []):
-        d = op_digest(mu)
+        d = out.digest(mu)
         space = mu.space
         # decomposition independence: the integral of sum r_i chi_{D_i} vs sum r_i mu(D_i)
         m = int(rng.integers(2, 5))
@@ -334,7 +342,7 @@ def suite_integral(out: Records, instances, rng: np.random.Generator) -> None:
 
 def suite_riesz(out: Records, instances, rng: np.random.Generator) -> None:
     for mu in instances.get("measure", []):
-        d = op_digest(mu)
+        d = out.digest(mu)
         space = mu.space
         first = np.array([space.points.index(atom[0]) for atom in space.atoms])
 
@@ -361,7 +369,7 @@ def suite_riesz(out: Records, instances, rng: np.random.Generator) -> None:
 
 def suite_spectral(out: Records, instances, rng: np.random.Generator) -> None:
     for T in instances.get("central", []):
-        d = op_digest(T)
+        d = out.digest(T)
         mu = build_mu_T(T)
         # what spectrum(T) checks, recorded against the oracle's rounding bound;
         # geev raises LinAlgError when its iteration does not converge
@@ -392,14 +400,14 @@ def suite_spectral(out: Records, instances, rng: np.random.Generator) -> None:
     for mu in instances.get("spectral_measure", []):
         verdict = is_spectral(mu)
         idem_ok = all(verdict.idempotent)
-        out.holds("spectral-measure-product-law", op_digest(mu),
+        out.holds("spectral-measure-product-law", out.digest(mu),
                   bool(verdict) and idem_ok, verdict.max_violation,
                   "" if idem_ok else "an atom value is not idempotent")
     rationals = [random_rational_symbols(rng, min(T.lattice.dim, 6))
                  for T in instances.get("central", [])]
     for symbols in rationals:
         T = central_from_rational(symbols)
-        d = op_digest(T)
+        d = out.digest(T)
         admissible = enumerate_unital_spectral_measures(symbols)
         mu = build_mu_T(T)
         unique = len(admissible) == 1
@@ -411,7 +419,7 @@ def suite_spectral(out: Records, instances, rng: np.random.Generator) -> None:
 
 def suite_calculus(out: Records, instances, rng: np.random.Generator) -> None:
     for T in instances.get("central", []):
-        d = op_digest(T)
+        d = out.digest(T)
         mu = build_mu_T(T)
         vals = np.array(mu.values)
         # per value, a real and an imaginary part: the complex view pairs them
@@ -461,7 +469,7 @@ def suite_calculus(out: Records, instances, rng: np.random.Generator) -> None:
 
 def suite_eigen(out: Records, instances, rng: np.random.Generator) -> None:
     for T in instances.get("central", []):
-        d = op_digest(T)
+        d = out.digest(T)
         exp = eigen_expansion(T)
         mu = exp.mu
         dev = float(np.max(np.abs(mu.reconstruct().symbol - T.symbol)))
@@ -489,7 +497,7 @@ def suite_eigen(out: Records, instances, rng: np.random.Generator) -> None:
               and len(exp.minimal_polynomial) == len(mu.values) + 1)
         out.holds("minimal-polynomial-annihilation", d, ok, float(np.max(resid)))
     for op in instances.get("sequence", []):
-        d = op_digest(op)
+        d = out.digest(op)
         out.guarded("sequence-partial-sum-tail-domination", d, ValueError,
                     lambda: expansion_tail_report(op, (10, 100, 1000)),
                     lambda records: (all(r.dominated for r in records),
@@ -505,7 +513,7 @@ def suite_eigen(out: Records, instances, rng: np.random.Generator) -> None:
 
 def suite_commutant(out: Records, instances, rng: np.random.Generator) -> None:
     for T in instances.get("central", []):
-        d = op_digest(T)
+        d = out.digest(T)
         inside = commutant_block_operator(rng, T)
         rep = commutant_check(T, inside, rng=rng)
         out.holds("five-conditions-agree-inside", d, rep.all_equivalent() and rep.with_operator)
@@ -527,10 +535,10 @@ CANONICAL = ((reciprocal(), True), (constant(1.0), False), (shifted_reciprocal(1
 def suite_compactness(out: Records, instances, rng: np.random.Generator) -> None:
     for op, expected in CANONICAL:
         verdict = compactness_check(op)
-        out.holds("canonical-classification", op_digest(op),
+        out.holds("canonical-classification", out.digest(op),
                   bool(verdict) == expected, 0.0, verdict.reason)
     for op in instances.get("sequence", []):
-        out.guarded("certificate-validates-on-prefix", op_digest(op), CertificateError,
+        out.guarded("certificate-validates-on-prefix", out.digest(op), CertificateError,
                     lambda: validate_certificate(op))
 
 
@@ -551,12 +559,12 @@ SUITES: dict[str, Callable] = {
 
 
 def run_suites(names, instances, seed: int = 0) -> list[SuiteReport]:
-    reports = []
+    reports, digests = [], {}  # one digest map per call, shared by its suites
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
         rng = np.random.default_rng(seed)
-        records = Records(name)
+        records = Records(name, digests)
         start = time.perf_counter()
         SUITES[name](records, instances, rng)
         reports.append(SuiteReport(name, records, time.perf_counter() - start))

@@ -91,6 +91,38 @@ def test_operator_round_trip_is_bit_exact(op):
     assert getattr(back, attr).tobytes() == getattr(op, attr).tobytes()
 
 
+_EDGE = st.sampled_from((0.0, -0.0, 2.0 ** 500, -(2.0 ** 500), math.nextafter(2.0 ** 500, 0),
+                         5e-324, -5e-324, 1 / 3, -1e-300))
+
+
+def _per_entry(op):
+    """operator_to_json's document built one entry at a time through ``_c``."""
+    doc = {"dim": op.lattice.dim, "norm": cio.norm_to_json(op.lattice.norm_spec)}
+    if isinstance(op, CentralOperator):
+        return {**doc, "symbol": [cio._c(v) for v in op.symbol]}
+    return {**doc, "entries": [[cio._c(v) for v in row] for row in op.entries]}
+
+
+@given(_operators(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_operator_to_json_matches_the_per_entry_pairs(op, data):
+    values = op.symbol if isinstance(op, CentralOperator) else op.entries
+    # signed zeros, subnormals and magnitudes at the 2**500 input limit
+    edges = data.draw(st.lists(st.tuples(_EDGE, _EDGE), max_size=values.size))
+    values = values.copy()
+    values.flat[:len(edges)] = [complex(re, im) for re, im in edges]
+    op = type(op)(op.lattice, values)
+    want = json.dumps(_per_entry(op), sort_keys=True)
+    assert json.dumps(cio.operator_to_json(op), sort_keys=True) == want
+
+
+def test_operator_to_json_reads_a_strided_symbol():
+    values = np.array([1 + 2j, -0.0 - 0.0j, 3j, 2.0 ** 500, 0.5, -1.0])
+    op = CentralOperator(CoordinateLattice(3), values[::2])
+    assert not op.symbol.flags.c_contiguous
+    assert cio.operator_to_json(op) == _per_entry(op)
+
+
 @given(_measures())
 @settings(max_examples=100, deadline=None)
 def test_measure_round_trip(mu):

@@ -113,6 +113,31 @@ def test_weighted_p_norm_values():
     assert CoordinateLattice(2, n_inf).norm(np.array([3.0, -4.0])) == pytest.approx(8.0)
 
 
+@st.composite
+def _moduli_and_norm(draw):
+    """A weighted p-norm and an (m, dim) array of moduli whose weighted p-th
+    power sums span 1e-300 to 1e300."""
+    dim, m = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    p = draw(st.one_of(st.sampled_from((1.0, 1.7, 2.0, 2.5, 3.0)), st.floats(1.0, 3.0)))
+    scale = st.floats(-100 / p, 100 / p).map(lambda e: 10.0 ** e)
+    weights = tuple(draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim)))
+    rows = draw(st.lists(st.lists(st.one_of(st.just(0.0), scale), min_size=dim, max_size=dim),
+                         min_size=m, max_size=m))
+    return WeightedPNorm(weights, p), np.array(rows, dtype=float).reshape(m, dim)
+
+
+@given(_moduli_and_norm())
+@settings(max_examples=500, deadline=None)
+def test_weighted_p_norm_rows_take_python_scalar_powers(norm_and_rows):
+    norm, absx = norm_and_rows
+    got = norm.rows(absx)
+    w = np.asarray(norm.weights)
+    # each row alone: its weighted sum, then Python's float power
+    want = [float(np.sum(w * row ** norm.p)) ** (1.0 / norm.p) for row in absx]
+    assert got.dtype == float and got.shape == (len(absx),)
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
 def test_weighted_norm_rejects_bad_parameters():
     with pytest.raises(ValueError):
         WeightedPNorm((1.0, -1.0), 2.0)

@@ -826,11 +826,11 @@ def _assert_same_run(got, want):
     assert got[2] == want[2]
 
 
-def _run_riesz(represent, weights, space, samples, seed, fault):
+def _run_riesz(represent, weights, space, samples, seed, fault, convert=None):
     """The measure or the exception's type and text, the arrays pi was called
     with, and the generator state afterwards.  ``fault`` is None or
     (call, coordinate, value): at that call, pi's value gets ``value`` added
-    in that coordinate."""
+    in that coordinate.  ``convert``, if given, maps each value pi returns."""
     calls = []
 
     def pi(f):
@@ -838,7 +838,7 @@ def _run_riesz(represent, weights, space, samples, seed, fault):
         out = weights @ f
         if fault is not None and len(calls) == fault[0] + 1:
             out[fault[1]] += fault[2]
-        return out
+        return out if convert is None else convert(out)
 
     rng = np.random.default_rng(seed)
     try:
@@ -852,7 +852,63 @@ def _run_riesz(represent, weights, space, samples, seed, fault):
        st.sampled_from(("exact", "off", "nan")), st.data())
 @settings(max_examples=300, deadline=None)
 def test_riesz_matches_the_per_sample_loop(space, dim, samples, seed, case, data):
-    draw = data.draw
+    weights, fault = _draw_weights_and_fault(data.draw, space, dim, samples, case)
+    got = _run_riesz(riesz_represent, weights, space, samples, seed, fault)
+    want = _run_riesz(_reference_riesz_represent, weights, space, samples, seed, fault)
+    _assert_same_run(got, _as_batched(want, space, dim, samples))
+
+
+#: Values of pi that are not float64 arrays of the measure's row shape, and so
+#: miss ``_row``'s fast path; each reads as the same real row.
+_OFF_FAST_PATH = {
+    "float32": lambda out: out.astype(np.float32),
+    "list": lambda out: out.tolist(),
+    "complex with zero imaginary parts": lambda out: out.astype(complex),
+    "big-endian float64": lambda out: out.astype(">f8"),
+}
+
+
+@given(_spaces(max_points=6), st.integers(1, 4), st.integers(0, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(("exact", "off", "nan")), st.sampled_from(sorted(_OFF_FAST_PATH)),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_riesz_matches_the_per_sample_loop_off_the_fast_path(space, dim, samples, seed, case,
+                                                             kind, data):
+    weights, fault = _draw_weights_and_fault(data.draw, space, dim, samples, case)
+    convert = _OFF_FAST_PATH[kind]
+    got = _run_riesz(riesz_represent, weights, space, samples, seed, fault, convert)
+    want = _run_riesz(_reference_riesz_represent, weights, space, samples, seed, fault, convert)
+    _assert_same_run(got, _as_batched(want, space, dim, samples))
+
+
+@pytest.mark.parametrize("call, phase", [
+    (0, "indicator phase"), (1, "indicator phase"), (5, "reproduction"),
+    (7, "extremal indicator"), (9, "inf recovery"), (12, "sup recovery"),
+    (27, "inf recovery"),
+])
+def test_riesz_raises_at_a_value_with_a_row_of_shape_one_by_dim(call, phase):
+    # three atoms and four samples: calls 0-2 are the indicators, 3-6 the
+    # reproduction, 7 + 9r round r's extremal indicator and the next eight its
+    # g and h rows, in row blocks of three; a (1, dim) value raises as it is
+    # read, before the rest of its block
+    calls = []
+    weights = np.random.default_rng(2).uniform(0.0, 1.0, size=(_ODD_DIM, 3))
+
+    def pi(f):
+        calls.append(f)
+        out = weights @ f
+        return out[None] if len(calls) == call + 1 else out
+
+    want = "1-D" if call == 0 else f"({_ODD_DIM},)"
+    with pytest.raises(AssertionError) as raised:
+        riesz_represent(pi, powerset_space(3), CoordinateLattice(_ODD_DIM), 4,
+                        np.random.default_rng(4))
+    assert str(raised.value) == f"pi's value in the {phase} has shape (1, {_ODD_DIM}), not {want}"
+    assert len(calls) == call + 1
+
+
+def _draw_weights_and_fault(draw, space, dim, samples, case):
+    """A (dim, n_points) weight matrix for pi, and a fault as ``_run_riesz`` takes it."""
     weight = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 0.1, 3.0)), st.floats(0.0, 4.0))
     weights = np.array(draw(st.lists(st.lists(weight, min_size=len(space.points),
                                               max_size=len(space.points)),
@@ -871,9 +927,7 @@ def test_riesz_matches_the_per_sample_loop(space, dim, samples, seed, case, data
     elif case == "nan":
         fault = (draw(st.integers(0, first_round + 4 * (2 * samples + 1) - 1)),
                  draw(st.integers(0, dim - 1)), np.nan)
-    got = _run_riesz(riesz_represent, weights, space, samples, seed, fault)
-    want = _run_riesz(_reference_riesz_represent, weights, space, samples, seed, fault)
-    _assert_same_run(got, _as_batched(want, space, dim, samples))
+    return weights, fault
 
 
 _ODD_DIM = ENTRIES // 3     # sup/inf row blocks of 3 rows, so some start at an h row

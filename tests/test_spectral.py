@@ -508,6 +508,29 @@ def test_dominated_convergence_rejects_a_bound_that_is_not_a_finite_number(bound
         dominated_convergence_calculus(T, [[1.0, 2.0]], [1.0, 2.0], bound=bound, tail=harmonic_tail)
 
 
+_TABLES = ([1.0, 2.0], [1.5, 2.5], [1.0 + 0.5j, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf, -math.inf])
+@pytest.mark.parametrize("where", [("fs", n, k) for n in range(3) for k in range(2)]
+                         + [("f", None, k) for k in range(2)])
+def test_dominated_convergence_rejects_a_non_finite_value_anywhere(where, bad):
+    # the bound check's max(map(abs, ...)) kept a NaN only in a table's first
+    # entry, and a NaN or infinite f only failed later inside CentralOperator
+    field, n, k = where
+    fs, f = [list(g) for g in _TABLES], [1.0, 2.0]
+    (fs[n] if field == "fs" else f)[k] = bad
+    with pytest.raises(PreconditionError, match="must be finite on the spectrum"):
+        dominated_convergence_calculus(central([1.0, 2.0]), fs, f, bound=5.0, tail=harmonic_tail)
+
+
+def test_dominated_convergence_checks_callables_for_nan_too():
+    T = central([1.0, 2.0])
+    with pytest.raises(PreconditionError, match="must be finite on the spectrum"):
+        dominated_convergence_calculus(T, [lambda v: v, lambda v: math.nan if v == 2 else v],
+                                       lambda v: v, bound=5.0, tail=harmonic_tail)
+
+
 # ---------------------------------------------------------------------------
 # eigen expansion, annihilation, approximation
 # ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@
 checks that turn a raised exception into a failed record."""
 
 import ast
+import contextlib
 import dataclasses
+import io
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from centrelat import io as cio
 from centrelat import spectral, suites
+from centrelat.cli import main
 from centrelat.generate import random_central, random_measure
 from centrelat.lattice import CoordinateLattice
 from centrelat.operators import CentralOperator
@@ -271,3 +276,71 @@ def test_annihilation_fails_without_warning_when_its_scale_overflows():
     T = CentralOperator(CoordinateLattice(4), np.array([1e100, 2e100, 3e100, 4e100]))
     [record] = records_of("eigen", {"central": [T]}, ANNIHILATION)
     assert not record.ok and not math.isfinite(record.max_deviation)
+
+
+# ---------------------------------------------------------------------------
+# instance digests, each computed once per run_suites call
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A file holding the ROADMAP corpus, ``gen --seed 7 --dim 2..16 --count 100``."""
+    path = tmp_path_factory.mktemp("corpus") / "corpus.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--seed", "7", "--dim", "2..16", "--count", "100",
+                     "--out", str(path)]) == 0
+    return path
+
+
+def test_verify_digests_each_object_at_most_once_per_call(monkeypatch, corpus):
+    calls, inputs = [], []
+    real_digest, real_read = suites.op_digest, cio.read_instances
+
+    def counting_digest(obj):
+        calls.append(obj)    # kept, so that no two of them share an id
+        return real_digest(obj)
+
+    def read_instances(paths):
+        bag = real_read(paths)
+        inputs.extend(obj for key, objects in bag.items() if key != "lattice"
+                      for obj in objects)
+        return bag
+
+    monkeypatch.setattr(suites, "op_digest", counting_digest)
+    monkeypatch.setattr(cio, "read_instances", read_instances)
+    for _ in range(2):
+        calls.clear()
+        inputs.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--seed", "7", str(corpus)]) == 0
+        counts = Counter(map(id, calls))
+        # every input object is digested once, and so is each object a suite makes
+        assert len(inputs) == 400 and all(counts[id(obj)] == 1 for obj in inputs)
+        assert max(counts.values()) == 1
+
+
+def test_each_record_names_the_op_digest_of_its_object(monkeypatch, corpus):
+    instances = cio.read_instances([corpus])
+    memoised = run_suites(list(suites.SUITES), instances, seed=3)
+    monkeypatch.setattr(Records, "digest", lambda self, obj: op_digest(obj))
+    direct = run_suites(list(suites.SUITES), instances, seed=3)
+    assert [r.records for r in memoised] == [r.records for r in direct]
+    named = {r.instance for report in memoised for r in report.records}
+    assert {op_digest(obj) for key in ("central", "regular", "measure", "spectral_measure")
+            for obj in instances[key]} <= named
+
+
+def test_consecutive_calls_give_the_same_records(corpus):
+    instances = cio.read_instances([corpus])
+    instances["sequence"] = [reciprocal(), geometric(0.5)]
+    first, second = (run_suites(list(suites.SUITES), instances, seed=11) for _ in range(2))
+    assert [r.records for r in first] == [r.records for r in second]
+
+
+def test_records_made_alone_digest_through_their_own_map():
+    T, other = centrals(2)
+    out = Records("cstar")
+    assert out.digest(T) == op_digest(T) and out.digest(T) == op_digest(T)
+    assert list(out.digests) == [id(T)] and out.digests[id(T)][0] is T
+    shared = Records("norms", out.digests)
+    assert shared.digest(other) == op_digest(other) and len(out.digests) == 2
