@@ -25,6 +25,7 @@ from .measures import (
     integrate,
     is_spectral,
     riesz_represent,
+    riesz_represent_stack,
 )
 from .operators import (
     CentralOperator,

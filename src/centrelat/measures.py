@@ -189,83 +189,57 @@ def is_spectral(mu: LatticeValuedMeasure, tol: float = TOL_EXACT) -> SpectralVer
     return SpectralVerdict(worst <= tol, worst, tuple((idem <= tol).tolist()))
 
 
-def _real(value) -> np.ndarray:
-    """A value of pi as a real array; any imaginary part other than 0, NaN
-    included, fails."""
-    value = np.asarray(value)
-    if value.dtype.kind == "c":
-        if not (value.imag == 0).all():
-            raise AssertionError("pi is not real-valued")
-        value = value.real
-    return np.asarray(value, dtype=float)
-
-
-def _row(value, dim: Optional[int], phase: str) -> np.ndarray:
-    """A value of pi: a real row of shape ``(dim,)``, or of any 1-D shape if ``dim`` is None."""
-    if type(value) is np.ndarray and value.dtype == float and value.shape == (dim,):
+def _value(value, shape: tuple, phases: tuple[str, ...]) -> np.ndarray:
+    """A value of pi as a real array of ``shape``, whose last length None
+    leaves free; any imaginary part other than 0, NaN included, fails."""
+    if type(value) is np.ndarray and value.dtype == float and value.shape == shape:
         return value  # the checks below would return it unchanged
     value = np.asarray(value)
-    if value.ndim != 1 or dim is not None and len(value) != dim:
-        want = "1-D" if dim is None else f"({dim},)"
-        raise AssertionError(f"pi's value in the {phase} has shape {value.shape}, not {want}")
-    return _real(value)
+    if value.ndim != len(shape) or any(w not in (None, n) for n, w in zip(value.shape, shape)):
+        want = "1-D" if shape == (None,) else str(shape).replace("None", "n")
+        raise AssertionError(f"pi's value in the {' and '.join(dict.fromkeys(phases))} "
+                             f"has shape {value.shape}, not {want}")
+    if value.dtype.kind == "c" and not (value.imag == 0).all():
+        raise AssertionError("pi is not real-valued")
+    return np.asarray(value.real, dtype=float)
 
 
-def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
-                    space: FiniteMeasurableSpace,
-                    lattice: Optional[CoordinateLattice] = None,
-                    samples: int = 64,
-                    rng: Optional[np.random.Generator] = None) -> LatticeValuedMeasure:
-    """Recover the representing measure of a positive linear map on functions.
-
-    ``pi`` maps a real function (array over ``space.points``) to a real
-    lattice element.  The measure is mu(Delta) = pi(indicator of Delta).  The
-    construction validates positivity on indicators, the reproduction
-    pi(f) = integral of f, and the sup/inf recovery formulas against
-    ``samples`` (>= 0) sampled admissible functions plus the extremal
-    indicator.  Every value of ``pi`` must be real and 1-D, and each one
-    must have the shape of its value on the first atom indicator.  The
-    reproduction samples are drawn as one ``(samples, n_atoms)`` array, and
-    each sup/inf round's g_0, h_0, g_1, ... as one ``(2 * samples, n_atoms)``
-    array with the bits of one draw per sample; ``pi`` is called once per row,
-    in order, and each row block is compared at once.  On failing input only,
-    a round's whole draw is consumed, ``pi`` sees every row of the failing
-    block, and a shape or real-value fault in a block is raised before a bound
-    violation in an earlier row of it.
-    """
+def _represent(values, space: FiniteMeasurableSpace, lattice: Optional[CoordinateLattice],
+               samples: int, rng: Optional[np.random.Generator]) -> LatticeValuedMeasure:
+    """The checks of ``riesz_represent_stack``; ``values(fs, phases, dim)`` is
+    pi's checked value on the stack ``fs``, row i in the phase ``phases[i]``."""
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, not {samples}")
     rng = np.random.default_rng(0) if rng is None else rng
     n_atoms, atom_of = space.n_atoms, space.atom_of
-    values = []
-    for k, atom in enumerate(space.atoms):
-        # the first indicator's value fixes the row shape of every later one
-        v = _row(pi((atom_of == k).astype(float)), len(values[0]) if values else None,
-                 "indicator phase")
-        if np.any(v < 0):
-            i = int(np.flatnonzero(v < 0)[0])
-            raise PositivityError(f"pi(indicator of atom {atom!r}) has negative coordinate {i}")
-        values.append(v)
-    mu = LatticeValuedMeasure(space, tuple(values), lattice)
+    # the indicators' value fixes the row shape of every later one
+    indicators = (atom_of == np.arange(n_atoms)[:, None]).astype(float)
+    atom_values = values(indicators, ("indicator phase",) * n_atoms, None)
+    negative = np.argwhere(atom_values < 0)
+    if len(negative):
+        k, i = negative[0]
+        raise PositivityError(f"pi(indicator of atom {space.atoms[k]!r}) "
+                              f"has negative coordinate {i}")
+    mu = LatticeValuedMeasure(space, atom_values, lattice)
     dim = mu.dim
 
     # reproduction pi(f) = order integral of f
     fs = rng.uniform(-1.0, 1.0, size=(samples, n_atoms))
-    on_points = fs[:, atom_of]
+    on_points, phases = fs[:, atom_of], ("reproduction",) * samples
     for rows in row_blocks(samples, 4 * dim):
-        lhs = np.array([_row(pi(f), dim, "reproduction") for f in on_points[rows]])
+        lhs = values(on_points[rows], phases[rows], dim)
         if not np.max(np.abs(lhs - _integrals(fs[rows], mu).real)) <= TOL_EXACT:
             raise AssertionError("pi does not reproduce the order integral of its measure")
 
     # sup formula on a nonempty measurable V, inf formula on a nonempty K;
     # row i of rng.random((m, n)) has the bits of the i-th rng.uniform(0.0, 1.0, size=n)
-    phases = ("sup recovery", "inf recovery")
+    phases = ("sup recovery", "inf recovery") * samples
     sup = np.arange(2 * samples) % 2 == 0
     for _ in range(4):
         ks = sorted(rng.choice(n_atoms, size=rng.integers(1, n_atoms + 1), replace=False))
         target = mu.measure_of(ks)
         mask = np.bincount(ks, minlength=n_atoms)[atom_of].astype(float)  # ks are distinct
-        extremal = _row(pi(mask), dim, "extremal indicator")
+        extremal = values(mask[None], ("extremal indicator",), dim)[0]
         if not np.max(np.abs(extremal - target)) <= TOL_EXACT:
             raise AssertionError("recovery formula is not attained at the indicator")
         upper, lower = target + TOL_EXACT, target - TOL_EXACT
@@ -274,10 +248,43 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
         fs[0::2] *= mask
         fs[1::2] = np.maximum(fs[1::2], mask)
         for rows in row_blocks(2 * samples, dim):
-            vals = np.array([_row(pi(f), dim, phases[i % 2])
-                             for i, f in enumerate(fs[rows], rows.start)])
+            vals = values(fs[rows], phases[rows], dim)
             holds = np.where(sup[rows, None], vals <= upper, lower <= vals).all(axis=1)
             if not holds.all():
                 i = rows.start + int(np.argmin(holds))
-                raise AssertionError(f"{phases[i % 2]} formula violated")
+                raise AssertionError(f"{phases[i]} formula violated")
     return mu
+
+
+def riesz_represent_stack(pi: Callable[[np.ndarray], np.ndarray], space: FiniteMeasurableSpace,
+                          lattice: Optional[CoordinateLattice] = None, samples: int = 64,
+                          rng: Optional[np.random.Generator] = None) -> LatticeValuedMeasure:
+    """Recover the representing measure of a positive linear map on functions.
+
+    ``pi`` maps an ``(m, n_points)`` stack of real functions to the ``(m,
+    dim)`` real array of their values; its value on the atoms' indicators is
+    mu and fixes ``dim``.  One call per row block then checks the
+    reproduction pi(f) = integral of f on ``samples`` (>= 0) draws and, in
+    each of 4 rounds, the extremal indicator and the sup/inf formulas on
+    ``samples`` pairs g, h (rows g_0, h_0, g_1, ...).  On failing input, a
+    shape or real-value fault in a block is raised before a bound violation.
+    """
+    return _represent(lambda fs, phases, dim: _value(pi(fs), (len(fs), dim), phases),
+                      space, lattice, samples, rng)
+
+
+def riesz_represent(pi: Callable[[np.ndarray], np.ndarray], space: FiniteMeasurableSpace,
+                    lattice: Optional[CoordinateLattice] = None, samples: int = 64,
+                    rng: Optional[np.random.Generator] = None) -> LatticeValuedMeasure:
+    """``riesz_represent_stack`` lifted to a ``pi`` of one function: ``pi`` is
+    called on each row of each block in order, each value must be real and of
+    the 1-D shape of the first, and a fault in either is raised as it is read.
+    """
+    def lifted(fs, phases, dim):
+        out = []
+        for f, phase in zip(fs, phases):
+            out.append(_value(pi(f), (dim,), (phase,)))
+            dim = len(out[0])
+        return np.array(out)
+
+    return _represent(lifted, space, lattice, samples, rng)

@@ -33,7 +33,7 @@ from .measures import (
     image_measure,
     integrate,
     is_spectral,
-    riesz_represent,
+    riesz_represent_stack,
 )
 from .operators import (
     CentralOperator,
@@ -346,24 +346,16 @@ def suite_riesz(out: Records, instances, rng: np.random.Generator) -> None:
         space = mu.space
         first = np.array([space.points.index(atom[0]) for atom in space.atoms])
 
-        def pi(arr):
-            return arr[first] @ mu.values
-
-        def recovery_error(recovered):
-            return within(float(np.max(np.abs(recovered.values - mu.values))), TOL_EXACT)
-
         out.guarded("representing-measure-recovery", d, AssertionError,
-                    lambda: riesz_represent(pi, space, mu.lattice, rng=rng),
-                    recovery_error)
+                    lambda: riesz_represent_stack(lambda fs: fs[:, first] @ mu.values, space,
+                                                  mu.lattice, rng=rng),
+                    lambda nu: within(float(np.max(np.abs(nu.values - mu.values))), TOL_EXACT))
 
         # multiplicative pi: coordinates evaluate f at assigned points
         assign_idx = np.array([int(rng.integers(0, len(space.points))) for _ in range(mu.dim)])
-
-        def pi_hom(arr):
-            return arr[assign_idx]
-
         out.guarded("homomorphism-yields-spectral-measure", d, AssertionError,
-                    lambda: is_spectral(riesz_represent(pi_hom, space, None, rng=rng)),
+                    lambda: is_spectral(riesz_represent_stack(lambda fs: fs[:, assign_idx],
+                                                              space, None, rng=rng)),
                     lambda verdict: (bool(verdict), verdict.max_violation))
 
 

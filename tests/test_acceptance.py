@@ -6,6 +6,7 @@ data itself spans orders of magnitude), 1e-9 for oracle-backed checks,
 1e-10 for polynomial annihilation.
 """
 
+import copy
 import math
 import time
 
@@ -28,10 +29,12 @@ from centrelat.lattice import (
 from centrelat.measures import (
     FiniteMeasurableSpace,
     LatticeValuedMeasure,
+    _integrals,
     image_measure,
     integrate,
     is_spectral,
     riesz_represent,
+    riesz_represent_stack,
 )
 from centrelat.operators import CentralOperator, RegularOperator, fpr_check
 from centrelat.sequence import (
@@ -240,10 +243,14 @@ def test_criterion_5_order_integral_engine():
         a = integrate(h, out).values
         b = integrate(h[lands], mu).values
         worst = max(worst, float(np.max(np.abs(a - b))))
-        # Riesz recovery: the functional integrates against mu by construction
+        # Riesz recovery: the functional integrates against mu by construction,
+        # one function at a time and as a stack, each from the same draws
+        stack_rng = copy.deepcopy(rng)
         nu = riesz_represent(lambda arr: integrate(arr, mu).values.real, space, rng=rng)
-        for v, w in zip(nu.values, mu.values):
-            worst = max(worst, float(np.max(np.abs(np.asarray(v) - np.asarray(w)))))
+        nu_stack = riesz_represent_stack(lambda fs: _integrals(fs, mu).real, space, rng=stack_rng)
+        for v, v_stack, w in zip(nu.values, nu_stack.values, mu.values):
+            worst = max(worst, float(np.max(np.abs(np.asarray(v) - np.asarray(w)))),
+                        float(np.max(np.abs(v_stack - w))))
     # homomorphic functional yields a spectral measure
     space = FiniteMeasurableSpace(tuple(range(5)))
     assign = np.random.default_rng(5).integers(0, 5, size=3)

@@ -20,11 +20,11 @@ from centrelat.measures import (
     LatticeValuedMeasure,
     PositivityError,
     _integrals,
-    _real,
     image_measure,
     integrate,
     is_spectral,
     riesz_represent,
+    riesz_represent_stack,
 )
 
 TOL_EXACT = 1e-12
@@ -743,6 +743,17 @@ def test_positivity_error_names_the_first_bad_atom_across_row_blocks(bad_atoms, 
 # riesz_represent against its per-sample loop
 # ---------------------------------------------------------------------------
 
+def _real(value) -> np.ndarray:
+    """A value of pi as a real array; an imaginary part other than 0, NaN
+    included, fails."""
+    value = np.asarray(value)
+    if value.dtype.kind == "c":
+        if not (value.imag == 0).all():
+            raise AssertionError("pi is not real-valued")
+        value = value.real
+    return np.asarray(value, dtype=float)
+
+
 def _reference_riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
                                space: FiniteMeasurableSpace,
                                lattice: Optional[CoordinateLattice] = None,
@@ -826,18 +837,33 @@ def _assert_same_run(got, want):
     assert got[2] == want[2]
 
 
-def _run_riesz(represent, weights, space, samples, seed, fault, convert=None):
+def _run_riesz(represent, weights, space, samples, seed, fault, convert=None, block=None):
     """The measure or the exception's type and text, the arrays pi was called
     with, and the generator state afterwards.  ``fault`` is None or
     (call, coordinate, value): at that call, pi's value gets ``value`` added
-    in that coordinate.  ``convert``, if given, maps each value pi returns."""
+    in that coordinate.  ``convert``, if given, maps each value pi returns.
+
+    With ``block``, pi also takes a stack, as ``riesz_represent_stack``
+    calls it: the stack's rows are evaluated in order as calls of the
+    one-row pi, and ``block(i, value)`` maps its ``(m, dim)`` value, i being
+    the call of its first row.  A single row goes through ``block`` as a
+    stack of one."""
     calls = []
 
-    def pi(f):
+    def value(f):
         calls.append(np.array(f))
         out = weights @ f
         if fault is not None and len(calls) == fault[0] + 1:
             out[fault[1]] += fault[2]
+        return out
+
+    def pi(f):
+        if block is None:
+            out = value(f)
+        elif np.ndim(f) == 1:
+            out = block(len(calls), value(f)[None])[0]
+        else:
+            out = block(len(calls), np.array([value(row) for row in f]))
         return out if convert is None else convert(out)
 
     rng = np.random.default_rng(seed)
@@ -970,3 +996,128 @@ def test_riesz_raises_the_first_fault_of_a_row_block(faults, message, rows_calle
         riesz_represent(pi, powerset_space(2), CoordinateLattice(_ODD_DIM), 4,
                         np.random.default_rng(3))
     assert len(calls) == first + rows_called
+
+
+# ---------------------------------------------------------------------------
+# riesz_represent_stack against the one-row entry
+# ---------------------------------------------------------------------------
+
+def _imaginary(row, coordinate, part):
+    """A ``block`` for ``_run_riesz`` that sets the imaginary part of call
+    ``row``'s value in ``coordinate`` to ``part``."""
+    def block(start, out):
+        if start <= row < start + len(out):
+            out = out.astype(complex)
+            out.imag[row - start, coordinate] = part
+        return out
+    return block
+
+
+def _negative(rows, coordinate):
+    """A ``block`` for ``_run_riesz`` that makes ``coordinate`` of the value
+    of each call in ``rows`` negative."""
+    def block(start, out):
+        for row in rows:
+            if start <= row < start + len(out):
+                out[row - start, coordinate] = -1.0
+        return out
+    return block
+
+
+@given(_spaces(max_points=6), st.sampled_from((1, 2, 4, _ODD_DIM)), st.integers(0, 12),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(("exact", "off", "nan")),
+       st.sampled_from(("none", "imaginary", "negative indicator")), st.data())
+@settings(max_examples=300, deadline=None)
+def test_stack_entry_matches_the_one_row_entry(space, dim, samples, seed, case, block_fault,
+                                               data):
+    # the same measure bits or exception, the same rows in the same order and
+    # the same generator state afterwards; at _ODD_DIM each row block of the
+    # reproduction holds one row, and each sup/inf block three
+    weights, fault = _draw_weights_and_fault(data.draw, space, min(dim, 4), samples, case)
+    weights = np.resize(weights, (dim, len(space.points)))
+    calls = space.n_atoms + samples + 4 * (2 * samples + 1)
+    block = None
+    if block_fault == "imaginary":
+        block = _imaginary(data.draw(st.integers(0, calls - 1)), data.draw(st.integers(0, dim - 1)),
+                           data.draw(st.sampled_from((1e-300, -1.0, np.nan))))
+    elif block_fault == "negative indicator":
+        block = _negative(data.draw(st.sets(st.integers(0, space.n_atoms - 1), min_size=1)),
+                          data.draw(st.integers(0, dim - 1)))
+    kinds = [None, "list", "complex with zero imaginary parts"]
+    if block is None:
+        kinds += ["float32", "big-endian float64"]
+    kind = data.draw(st.sampled_from(kinds))
+    convert = None if kind is None else _OFF_FAST_PATH[kind]
+    got = _run_riesz(riesz_represent_stack, weights, space, samples, seed, fault, convert,
+                     block or (lambda start, out: out))
+    want = _run_riesz(riesz_represent, weights, space, samples, seed, fault, convert, block)
+    if isinstance(want[0], tuple) and want[0] == (AssertionError, "pi is not real-valued"):
+        # the one-row entry raises as it reads the row; the stack entry has
+        # evaluated the row's whole block
+        assert len(got[1]) >= len(want[1])
+        got = got[0], got[1][:len(want[1])], got[2]
+    _assert_same_run(got, want)
+
+
+def _phase(call, n_atoms, samples):
+    """The phase of the row that call ``call`` of a one-row ``pi`` evaluates."""
+    if call < n_atoms:
+        return "indicator phase"
+    if call < n_atoms + samples:
+        return "reproduction"
+    j = (call - n_atoms - samples) % (2 * samples + 1)
+    return "extremal indicator" if j == 0 else ("sup recovery", "inf recovery")[(j - 1) % 2]
+
+
+_SHAPE_FAULTS = {
+    "one row short": lambda out: out[:-1],
+    "one column wide": lambda out: np.hstack([out, out[:, :1]]),
+    "1-D": lambda out: out.ravel(),
+}
+
+
+@given(_spaces(max_points=5), st.sampled_from((1, 3, _ODD_DIM)), st.integers(0, 6),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(_SHAPE_FAULTS)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_stack_entry_names_the_phases_of_a_value_of_another_shape(space, dim, samples, seed,
+                                                                  kind, data):
+    # a wider value on the indicators would fix a wider row shape, so that
+    # fault is put on a later block
+    n_atoms = space.n_atoms
+    low = n_atoms if kind == "one column wide" else 0
+    row = data.draw(st.integers(low, n_atoms + samples + 4 * (2 * samples + 1) - 1))
+    weights = np.resize(np.random.default_rng(seed).uniform(0.0, 1.0, (3, len(space.points))),
+                        (dim, len(space.points)))
+    faulted = []
+
+    def block(start, out):
+        if start <= row < start + len(out):
+            faulted.append((start, out.shape))
+            return _SHAPE_FAULTS[kind](out)
+        return out
+
+    result, calls, _ = _run_riesz(riesz_represent_stack, weights, space, samples, seed, None,
+                                  block=block)
+    (start, (m, width)), = faulted
+    phases = " and ".join(dict.fromkeys(_phase(i, n_atoms, samples) for i in range(start, start + m)))
+    shape = _SHAPE_FAULTS[kind](np.zeros((m, width))).shape
+    want = f"({m}, n)" if start < n_atoms else f"({m}, {width})"
+    assert result == (AssertionError, f"pi's value in the {phases} has shape {shape}, not {want}")
+    assert len(calls) == start + m
+
+
+@given(_spaces(max_points=6), st.integers(1, 4), st.data())
+@settings(max_examples=50, deadline=None)
+def test_both_entries_name_the_first_atom_with_a_negative_coordinate(space, dim, data):
+    bad = data.draw(st.sets(st.integers(0, space.n_atoms - 1), min_size=1))
+    coordinate = data.draw(st.integers(0, dim - 1))
+    weights = np.random.default_rng(len(bad)).uniform(0.0, 1.0, (dim, len(space.points)))
+    message = (f"pi(indicator of atom {space.atoms[min(bad)]!r}) "
+               f"has negative coordinate {coordinate}")
+    for represent in (riesz_represent_stack, riesz_represent):
+        result, calls, state = _run_riesz(represent, weights, space, 4, 0, None,
+                                          block=_negative(bad, coordinate))
+        assert result == (PositivityError, message)
+        # the indicators are one block, and nothing is drawn before they pass
+        assert len(calls) == space.n_atoms
+        assert state == np.random.default_rng(0).bit_generator.state

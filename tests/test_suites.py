@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from centrelat import io as cio
-from centrelat import spectral, suites
+from centrelat import measures, spectral, suites
 from centrelat.cli import main
 from centrelat.generate import random_central, random_measure
-from centrelat.lattice import CoordinateLattice
+from centrelat.lattice import CoordinateLattice, row_blocks
 from centrelat.operators import CentralOperator
 from centrelat.sequence import (
     CertificateError,
@@ -147,7 +147,7 @@ def test_failed_spectral_measure_validation(monkeypatch):
 
 
 def test_failed_riesz_representation(monkeypatch):
-    monkeypatch.setattr(suites, "riesz_represent",
+    monkeypatch.setattr(suites, "riesz_represent_stack",
                         raising(AssertionError, "reproduction fails on a sample"))
     rng = np.random.default_rng(3)
     records = records_of("riesz", {"measure": [random_measure(rng), random_measure(rng)]})
@@ -157,9 +157,49 @@ def test_failed_riesz_representation(monkeypatch):
 
 
 def test_riesz_keeps_its_exception_class(monkeypatch):
-    monkeypatch.setattr(suites, "riesz_represent", raising(ValueError, "not an assertion"))
+    monkeypatch.setattr(suites, "riesz_represent_stack", raising(ValueError, "not an assertion"))
     with pytest.raises(ValueError):
         records_of("riesz", {"measure": [random_measure(np.random.default_rng(3))]})
+
+
+def test_riesz_suite_calls_pi_once_per_row_block(monkeypatch, tmp_path):
+    # on the golden riesz corpus, against the one-row entry given the rows of
+    # the same pi one at a time: the same records, as many rows, and one call
+    # per row block of riesz_represent_stack, whose draws use the default 64
+    # samples
+    corpus = tmp_path / "corpus.json"
+    assert main(["gen", "--seed", "7", "--dim", "2..16", "--count", "20",
+                 "--out", str(corpus)]) == 0
+    instances = cio.read_instances([str(corpus)])
+    counts = Counter()
+    stack_entry = suites.riesz_represent_stack
+
+    def counted(pi, *args, **kwargs):
+        def stack_pi(fs):
+            counts["calls"] += 1
+            counts["rows"] += len(fs)
+            return pi(fs)
+        return stack_entry(stack_pi, *args, **kwargs)
+
+    def one_row(pi, *args, **kwargs):
+        def row_pi(f):
+            counts["one-row calls"] += 1
+            return pi(f[None])[0]
+        return measures.riesz_represent(row_pi, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "riesz_represent_stack", counted)
+    [stack] = run_suites(["riesz"], instances, seed=7)
+    monkeypatch.setattr(suites, "riesz_represent_stack", one_row)
+    [rows] = run_suites(["riesz"], instances, seed=7)
+    assert stack.records == rows.records and stack.passed
+
+    # two calls per measure, each with rows of the measure's dim
+    mus = instances["measure"]
+    assert counts["calls"] == sum(2 * (1 + len(row_blocks(64, 4 * mu.dim))
+                                       + 4 * (1 + len(row_blocks(2 * 64, mu.dim))))
+                                  for mu in mus)
+    assert counts["rows"] == counts["one-row calls"] == sum(
+        2 * (mu.space.n_atoms + 64 + 4 * (1 + 2 * 64)) for mu in mus)
 
 
 @pytest.mark.parametrize("suite, target", [("eigen", "expansion_tail_report"),
