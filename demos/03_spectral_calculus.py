@@ -24,6 +24,7 @@ from centrelat import (
     spectrum,
 )
 from centrelat.operators import RegularOperator
+from centrelat.spectral import minimal_polynomial
 
 lat = CoordinateLattice(5)
 T = CentralOperator(lat, np.array([1.0, 2.0, 1.0, 3j, 2.0]))
@@ -67,7 +68,7 @@ z = ComplexElement(lat, np.array([1.0, 1.0, 1.0, 1.0, 1.0], dtype=complex))
 print("\ncomponents of (1,..,1):")
 for k, lam in enumerate(exp.mu.values):
     print("  lambda = %-8s ->" % lam, np.where(exp.mu.labels == k, z.values, 0).real)
-print("minimal polynomial degree:", len(exp.minimal_polynomial) - 1,
+print("minimal polynomial degree:", len(minimal_polynomial(exp.mu.values)) - 1,
       "= |spectrum| =", len(spec.attained))
 
 approx = freudenthal_approx(T, eps=1e-3)

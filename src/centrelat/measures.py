@@ -212,6 +212,8 @@ def _represent(values, space: FiniteMeasurableSpace, lattice: Optional[Coordinat
         raise ValueError(f"samples must be nonnegative, not {samples}")
     rng = np.random.default_rng(0) if rng is None else rng
     n_atoms, atom_of = space.n_atoms, space.atom_of
+    if not n_atoms:  # no row then fixes the dimension, and there is nothing to draw from
+        raise ValueError("one value row of a common dimension per atom required")
     # the indicators' value fixes the row shape of every later one
     indicators = (atom_of == np.arange(n_atoms)[:, None]).astype(float)
     atom_values = values(indicators, ("indicator phase",) * n_atoms, None)

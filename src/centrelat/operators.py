@@ -37,7 +37,7 @@ class RegularOperator:
         n = self.lattice.dim
         if m.shape != (n, n):
             raise DimensionMismatchError(f"matrix of shape {m.shape} on lattice of dim {n}")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)

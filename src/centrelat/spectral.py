@@ -412,8 +412,8 @@ def dominated_convergence_calculus(T: CentralOperator,
 
 @dataclass(frozen=True)
 class EigenExpansion:
+    """T = sum of lambda * P_lambda: mu_T and, read through pairs, its bands."""
     mu: OperatorSpectralMeasure
-    minimal_polynomial: tuple[complex, ...]   # monic coefficients, highest degree first
 
     @cached_property
     def pairs(self) -> tuple[tuple[complex, CentralOperator], ...]:
@@ -470,13 +470,9 @@ def annihilation_bound(roots: Sequence[complex], x: np.ndarray) -> np.ndarray:
 
 
 def eigen_expansion(T: CentralOperator) -> EigenExpansion:
-    """Expansion T = sum of lambda * P_lambda over the attained spectrum.
-
-    Also returns the minimal polynomial, whose degree equals the number of
-    distinct spectrum values and which annihilates T.
-    """
-    mu = build_mu_T(T)
-    return EigenExpansion(mu, minimal_polynomial(mu.values))
+    """Expansion T = sum of lambda * P_lambda over the attained spectrum:
+    mu_T, whose bands P_lambda are built on the first read of pairs."""
+    return EigenExpansion(build_mu_T(T))
 
 
 @dataclass(frozen=True)

@@ -1121,3 +1121,18 @@ def test_both_entries_name_the_first_atom_with_a_negative_coordinate(space, dim,
         # the indicators are one block, and nothing is drawn before they pass
         assert len(calls) == space.n_atoms
         assert state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("represent", [riesz_represent_stack, riesz_represent])
+def test_both_entries_reject_a_space_with_no_atoms_before_any_draw(represent):
+    calls = []
+
+    def pi(fs):
+        calls.append(np.shape(fs))
+        return np.zeros((len(fs), 3)) if represent is riesz_represent_stack else np.zeros(3)
+
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="^one value row of a common dimension per atom required$"):
+        represent(pi, FiniteMeasurableSpace(()), rng=rng)
+    assert calls == []
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state

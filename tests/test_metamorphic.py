@@ -12,10 +12,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centrelat.generate import random_central
-from centrelat.lattice import CoordinateLattice, WeightedPNorm
-from centrelat.operators import CentralOperator, polar
-from centrelat.spectral import build_mu_T, rho_T, spectrum_shape_report
+from centrelat.generate import commutant_block_operator, random_central
+from centrelat.lattice import CoordinateLattice, PrincipalIdeal, WeightedPNorm
+from centrelat.operators import CentralOperator, RegularOperator, fpr_check, localize, polar
+from centrelat.spectral import build_mu_T, commutant_check, rho_T, spectrum_shape_report
 
 
 def _same_bits(a, b):
@@ -114,3 +114,72 @@ def test_order_unit_norm_and_spectrum_shape_of_a_permuted_operator(case):
     T, _, PT = case
     assert _same_bits(PT.order_unit_norm(), T.order_unit_norm())
     assert spectrum_shape_report(PT) == spectrum_shape_report(T)
+
+
+def _moved(X, perm, lattice):
+    """The regular operator whose entry (i, j) is X's entry (perm[i], perm[j])."""
+    return RegularOperator(lattice, X.entries[perm][:, perm])
+
+
+@given(_permuted(), st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_fpr_check_of_a_permuted_triple(case, seed, commuting):
+    T, perm, PT = case
+    rng = np.random.default_rng(seed)
+    # S shares T's values in another order, and X is supported where s_i = t_j,
+    # or anywhere to break S X = X T
+    s = T.symbol[rng.permutation(T.lattice.dim)]
+    mask = (s[:, None] == T.symbol[None, :]) | (not commuting)
+    X = RegularOperator(T.lattice, np.where(mask, rng.standard_normal(mask.shape)
+                                            + 1j * rng.standard_normal(mask.shape), 0))
+    S, PS = CentralOperator(T.lattice, s), CentralOperator(PT.lattice, s[perm])
+    verdict, permuted = fpr_check(S, T, X), fpr_check(PS, PT, _moved(X, perm, PT.lattice))
+    for name in ("forward", "conjugate", "transfer_ok", "pattern_ok"):
+        assert getattr(permuted, name) == getattr(verdict, name)
+    assert _same_bits(permuted.max_forward_deviation, verdict.max_forward_deviation)
+    assert _same_bits(permuted.max_conjugate_deviation, verdict.max_conjugate_deviation)
+    assert (permuted.first_violation is None) == (verdict.first_violation is None)
+    if verdict.first_violation is not None:
+        # the first entry in row-major order that attains the largest
+        # deviation: the same entry, unless another one ties with it
+        i, j = (int(perm[k]) for k in permuted.first_violation)
+        fwd = np.abs(s[:, None] * X.entries - X.entries * T.symbol[None, :])
+        assert _same_bits(fwd[i, j], verdict.max_forward_deviation)
+        if np.count_nonzero(fwd == fwd[i, j]) == 1:
+            assert (i, j) == verdict.first_violation
+
+
+@given(_permuted(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_localize_to_a_permuted_ideal(case, seed):
+    T, perm, PT = case
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.1, 2.0, size=T.lattice.dim)
+    u[rng.random(T.lattice.dim) < 0.3] = 0.0
+    u[rng.integers(T.lattice.dim)] = 1.0
+    loc, permuted = localize(T, PrincipalIdeal(u)), localize(PT, PrincipalIdeal(u[perm]))
+    # coordinate k of the permuted support is coordinate perm[k] of T
+    moved = perm[permuted.support]
+    assert np.array_equal(np.sort(moved), loc.support)
+    assert _same_bits(permuted.symbol, loc.symbol[np.searchsorted(loc.support, moved)])
+    assert _same_bits(permuted.ideal_norm_of_Tu, loc.ideal_norm_of_Tu)
+
+
+@given(_permuted(), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_commutant_check_of_a_permuted_pair(case, seed, data):
+    T, perm, PT = case
+    inside = commutant_block_operator(np.random.default_rng(seed), T)
+    operators = [inside]
+    mismatched = np.argwhere(T.symbol[:, None] != T.symbol[None, :])
+    if len(mismatched):
+        i, j = mismatched[data.draw(st.integers(0, len(mismatched) - 1))]
+        broken = np.array(inside.entries)
+        broken[i, j] += 1.0
+        operators.append(RegularOperator(T.lattice, broken))
+    for X in operators:
+        report = commutant_check(T, X, rng=np.random.default_rng(seed))
+        permuted = commutant_check(PT, _moved(X, perm, PT.lattice),
+                                   rng=np.random.default_rng(seed))
+        assert permuted.conditions() == report.conditions()
+        assert permuted.block_pattern == report.block_pattern

@@ -421,3 +421,20 @@ def test_central_arithmetic_same_dimension_and_scalars():
 def test_central_rejects_non_finite_symbol(bad):
     with pytest.raises(ValueError, match="finite"):
         central([1.0, bad, 2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                 complex(1, np.inf)])
+def test_regular_rejects_a_non_finite_entry(bad):
+    entries = np.ones((3, 3), dtype=complex)
+    entries[1, 2] = bad
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        RegularOperator(CoordinateLattice(3), entries)
+
+
+def test_regular_takes_entries_in_any_memory_order():
+    # a transposed or column-indexed matrix is not C-contiguous
+    entries = np.arange(9.0).reshape(3, 3) + 1j * np.arange(9.0)[::-1].reshape(3, 3)
+    for view in (entries.T, np.asfortranarray(entries), entries[:, [2, 0, 1]]):
+        X = RegularOperator(CoordinateLattice(3), view)
+        assert np.array_equal(X.entries, view)

@@ -3,9 +3,11 @@ checks that turn a raised exception into a failed record."""
 
 import ast
 import contextlib
-import dataclasses
+import hashlib
 import io
+import json
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -299,13 +301,12 @@ def test_annihilation_passes_within_its_rounding_bound():
 
 
 def test_annihilation_fails_on_a_root_moved_by_1e_8_of_the_norm(monkeypatch):
-    def moved(T):
-        exp = spectral.eigen_expansion(T)
-        roots = [lam for lam, _ in exp.pairs]
-        roots[0] += 1e-8 * T.order_unit_norm()
-        return dataclasses.replace(exp, minimal_polynomial=spectral.minimal_polynomial(roots))
+    def moved(values):
+        roots = list(values)
+        roots[0] += 1e-8 * max(map(abs, roots))
+        return spectral.minimal_polynomial(roots)
 
-    monkeypatch.setattr(suites, "eigen_expansion", moved)
+    monkeypatch.setattr(suites, "minimal_polynomial", moved)
     records = records_of("eigen", {"central": centrals(20)}, ANNIHILATION)
     assert len(records) == 20 and not any(r.ok for r in records)
 
@@ -318,10 +319,6 @@ def test_annihilation_fails_without_warning_when_its_scale_overflows():
     assert not record.ok and not math.isfinite(record.max_deviation)
 
 
-# ---------------------------------------------------------------------------
-# instance digests, each computed once per run_suites call
-# ---------------------------------------------------------------------------
-
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """A file holding the ROADMAP corpus, ``gen --seed 7 --dim 2..16 --count 100``."""
@@ -331,6 +328,51 @@ def corpus(tmp_path_factory):
                      "--out", str(path)]) == 0
     return path
 
+
+# sha256 of the annihilation lines of ``verify --suite eigen --seed 7`` on the
+# corpus, seconds removed; recorded while eigen_expansion built the polynomial,
+# so the suite building it instead changed no record
+ANNIHILATION_SEED7_SHA256 = "b27a2719c26c573bb601caa71ccda51749962dccbb13bbd4ca8a652a221066ac"
+
+
+def test_annihilation_builds_the_polynomial_once_per_central_instance(monkeypatch, corpus,
+                                                                       tmp_path):
+    calls, real = [], spectral.minimal_polynomial
+
+    def counting(values):
+        calls.append(tuple(values))
+        return real(values)
+
+    # every module's name for it, so that no caller slips past the count
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "centrelat" and getattr(module, "minimal_polynomial", None) is real:
+            monkeypatch.setattr(module, "minimal_polynomial", counting)
+    assert spectral.minimal_polynomial is suites.minimal_polynomial is counting
+
+    T = random_central(np.random.default_rng(3), dim=64, repeats=True)
+    assert len(spectral.eigen_expansion(T).pairs) > 1
+    operator = tmp_path / "operator.json"
+    operator.write_text(json.dumps(cio.operator_to_json(T)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["calc", "eigen", str(operator)]) == 0
+    assert calls == []
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--suite", "eigen", "--seed", "7", str(corpus)]) == 0
+    instances = cio.read_instances([corpus])["central"]
+    assert len(instances) == 100
+    assert calls == [spectral.build_mu_T(T).values for T in instances]
+    lines = [json.dumps({k: v for k, v in record.items() if k != "seconds"}, sort_keys=True)
+             for record in map(json.loads, out.getvalue().splitlines())
+             if record.get("check") == ANNIHILATION]
+    assert len(lines) == 100
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ANNIHILATION_SEED7_SHA256
+
+
+# ---------------------------------------------------------------------------
+# instance digests, each computed once per run_suites call
+# ---------------------------------------------------------------------------
 
 def test_verify_digests_each_object_at_most_once_per_call(monkeypatch, corpus):
     calls, inputs = [], []
