@@ -28,7 +28,7 @@ from .generate import (
 )
 from .operators import is_central, polar
 from .sequence import BUILTIN_RULES, CertificateError, SequenceCentralOperator, freudenthal_net
-from .spectral import build_mu_T, eigen_expansion, freudenthal_approx, rho_T, spectrum
+from .spectral import build_mu_T, freudenthal_approx, rho_T, spectrum
 from .suites import SUITES, Record, run_suites
 
 CALC_FUNCTIONS = {
@@ -166,21 +166,17 @@ def cmd_calc(args) -> int:
     if args.request == "spectrum":
         spec = spectrum(T)
         print(_dump({"spectrum": [[v.real, v.imag] for v in spec.attained]}))
-    elif args.request == "mu_t":
+    elif args.request in ("mu_t", "eigen"):
+        # T = sum of lambda P_lambda: the values, and each coordinate's band
         mu = build_mu_T(T)
-        print(_dump({"mu_t": {str([v.real, v.imag]): [float(x) for x in p]
-                              for v, p in zip(mu.values, mu.projections)}}))
+        print(_dump({args.request: {"values": [[v.real, v.imag] for v in mu.values],
+                                    "labels": mu.labels.tolist()}}))
     elif args.request == "rho":
         print(_dump({"rho": cio.operator_to_json(rho_T(T, CALC_FUNCTIONS[args.fn]))}))
     elif args.request == "polar":
         p = polar(T)
         print(_dump({"polar": {"positive": cio.operator_to_json(p.positive),
                                "unitary": cio.operator_to_json(p.unitary)}}))
-    elif args.request == "eigen":
-        exp = eigen_expansion(T)
-        print(_dump({"eigen": [{"value": [lam.real, lam.imag],
-                                "projection": [float(x.real) for x in p.symbol]}
-                               for lam, p in exp.pairs]}))
     else:  # freudenthal; argparse admits no other request
         approx = freudenthal_approx(T, args.eps)
         print(_dump({"freudenthal": {

@@ -360,6 +360,15 @@ class DominatedConvergenceReport:
             ok = ok and bool(self.element_verdict)
         return ok
 
+    @property
+    def reason(self) -> str:
+        """Why the first failing verdict fails, at which term if known; "" if both hold."""
+        for where, v in (("", self.verdict), ("on z: ", self.element_verdict)):
+            if v is not None and not v:
+                at = "" if v.first_violation is None else f" at term {v.first_violation}"
+                return where + v.reason + at
+        return ""
+
 
 def dominated_convergence_calculus(T: CentralOperator,
                                    fs: Sequence,

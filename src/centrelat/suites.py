@@ -1,10 +1,13 @@
 """Theorem-verification suites over generated or user-supplied instances.
 
-Each suite runs a family of checks against a batch of instances and makes
-one record per check, carrying the capability tag, an instance digest, the
-verdict, and the largest observed deviation.  Every record is made through
-``Records``, which holds the one verdict rule.  Suites are pure functions of
-their inputs and a seeded generator, so reports are reproducible.
+Each suite maps an instance kind to a check family: a function of one object,
+its digest and a generator of its own, which makes one record per check,
+carrying the capability tag, the object's digest, the verdict, and the largest
+observed deviation.  Every record is made through ``Records``, which holds the
+one verdict rule.  ``run_suites`` is the only loop over the instances: it
+digests each object once per call and seeds each family call from the seed,
+the suite and the digest, so a record depends on its own instance alone and
+the same seed reproduces it from any bundle that holds that instance.
 """
 
 from __future__ import annotations
@@ -46,12 +49,8 @@ from .operators import (
 from .sequence import (
     DEFAULT_SAMPLE,
     CertificateError,
-    compactness_check,
-    constant,
     distinct_finite_count,
     expansion_tail_report,
-    reciprocal,
-    shifted_reciprocal,
     validate_certificate,
 )
 from .spectral import (
@@ -110,17 +109,9 @@ def within(dev: float, tol: float) -> tuple[bool, float]:
 class Records(list):
     """The records of one suite, each made under the suite's name."""
 
-    def __init__(self, suite: str, digests: Optional[dict] = None):
+    def __init__(self, suite: str):
         super().__init__()
         self.suite = suite
-        # id(obj) -> (obj, op_digest(obj)); holding obj keeps its id its own
-        self.digests = {} if digests is None else digests
-
-    def digest(self, obj) -> str:
-        """``op_digest(obj)``, computed once per ``digests`` map."""
-        if id(obj) not in self.digests:
-            self.digests[id(obj)] = obj, op_digest(obj)
-        return self.digests[id(obj)][1]
 
     def holds(self, name: str, instance: str, ok, dev: float = 0.0,
               witness: str = "") -> None:
@@ -163,139 +154,126 @@ class SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# individual suites
+# check families, each on one object with its digest d and its own generator
 # ---------------------------------------------------------------------------
 
 def _rel(dev: float, scale: float) -> float:
     return dev / max(1.0, scale)
 
 
-def suite_cstar(out: Records, instances, rng: np.random.Generator) -> None:
+def cstar_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
     """C*-identity, Gelfand transform laws, modulus laws, four equalities."""
-    for T in instances.get("central", []):
-        d = out.digest(T)
-        n2 = (T * T.conj()).order_unit_norm()
-        dev = _rel(abs(n2 - T.order_unit_norm() ** 2), T.order_unit_norm() ** 2)
-        out.check("cstar-identity", d, dev, TOL_EXACT)
+    n2 = (T * T.conj()).order_unit_norm()
+    dev = _rel(abs(n2 - T.order_unit_norm() ** 2), T.order_unit_norm() ** 2)
+    out.check("cstar-identity", d, dev, TOL_EXACT)
 
-        hat = gelfand(T)
-        sup = float(np.max(np.abs(hat)))
-        out.check("gelfand-isometry", d, abs(sup - T.order_unit_norm()), TOL_EXACT)
-        dev = float(np.max(np.abs(gelfand(T.conj()) - np.conj(hat))))
-        out.check("gelfand-star", d, dev, TOL_EXACT)
+    hat = gelfand(T)
+    sup = float(np.max(np.abs(hat)))
+    out.check("gelfand-isometry", d, abs(sup - T.order_unit_norm()), TOL_EXACT)
+    dev = float(np.max(np.abs(gelfand(T.conj()) - np.conj(hat))))
+    out.check("gelfand-star", d, dev, TOL_EXACT)
 
+    S = random_central(rng, lattice=T.lattice)
+    dev = _rel(float(np.max(np.abs(gelfand(S * T) - gelfand(S) * hat))),
+               S.order_unit_norm() * T.order_unit_norm())
+    out.check("gelfand-multiplicative", d, dev, TOL_EXACT)
+
+    # modulus multiplicativity, exact on symbols
+    dev = _rel(float(np.max(np.abs((S * T).modulus().symbol
+                                   - S.modulus().symbol * T.modulus().symbol))),
+               S.order_unit_norm() * T.order_unit_norm())
+    out.check("modulus-multiplicative", d, dev, TOL_EXACT)
+    dev = _rel(float(np.max(np.abs((T * T.conj()).modulus().symbol
+                                   - T.modulus().symbol ** 2))),
+               T.order_unit_norm() ** 2)
+    out.check("modulus-of-selfproduct", d, dev, TOL_EXACT)
+
+    # four equalities: |Tz| = |T||z|, invariant under conjugations
+    z = ComplexElement(T.lattice, rng.standard_normal(T.lattice.dim)
+                       + 1j * rng.standard_normal(T.lattice.dim))
+    ref = modulus(T.apply(z))
+    worst = 0.0
+    for Top in (T, T.conj(), T.modulus()):
+        for zop in (z, z.conj(), ComplexElement(T.lattice, modulus(z).astype(complex))):
+            worst = max(worst, float(np.max(np.abs(modulus(Top.apply(zop)) - ref))))
+    out.check("modulus-action-four-equalities", d, _rel(worst, T.order_unit_norm()), TOL_EXACT)
+
+
+def norms_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
+    """Norm coincidence for a central operator."""
+    trip = norms(T, samples=1000, rng=rng)
+    basis = np.zeros(T.lattice.dim)
+    basis[trip.attained_at] = 1.0
+    e = ComplexElement(T.lattice, basis.astype(complex))
+    attained = T.apply(e).norm() / e.norm()
+    scaled = TOL_EXACT * max(1.0, trip.order_unit)
+    out.check("operator-norm-attained-at-basis-vector", d,
+              abs(attained - trip.order_unit), scaled)
+    out.check("sampled-norm-never-exceeds-order-unit", d,
+              max(0.0, trip.max_sampled_ratio - trip.order_unit), scaled)
+
+
+def norms_regular(out: Records, X, d: str, rng: np.random.Generator) -> None:
+    """The modulus bound |Xz| <= |X||z| for a dense operator."""
+    n = X.lattice.dim
+    z = ComplexElement(X.lattice, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    lhs = modulus(X.apply(z))
+    rhs = np.abs(X.entries) @ modulus(z)
+    dev = _rel(float(np.max(lhs - rhs)), float(np.max(rhs)))
+    out.check("dense-modulus-inequality", d, dev, TOL_EXACT)
+
+
+def fpr_central(out: Records, op, d: str, rng: np.random.Generator) -> None:
+    """The commutation transfer on a triple of the instance's dimension."""
+    S, T, X = commuting_fpr_triple(rng, op.lattice.dim)
+    v = fpr_check(S, T, X)
+    out.holds("conjugate-commutation-transfer", d,
+              v.forward and v.conjugate and v.transfer_ok, v.max_conjugate_deviation)
+    # fault injection: perturb one admissible entry off the pattern
+    bad = np.array(X.entries)
+    mism = np.argwhere(S.symbol[:, None] != T.symbol[None, :])
+    if len(mism):
+        i, j = mism[rng.integers(0, len(mism))]
+        bad[i, j] += 0.5
+        vb = fpr_check(S, T, RegularOperator(X.lattice, bad))
+        out.holds("fault-injection-detected", d,
+                  (not vb.forward) and vb.first_violation is not None,
+                  vb.max_forward_deviation)
+
+
+def polar_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
+    p = polar(T)
+    dev = _rel(float(np.max(np.abs((p.positive * p.unitary).symbol - T.symbol))),
+               T.order_unit_norm())
+    ok = dev <= TOL_EXACT
+    ok &= bool(np.all(p.positive.symbol.imag == 0) and np.all(p.positive.symbol.real >= 0))
+    udev = float(np.max(np.abs(np.abs(p.unitary.symbol) - 1.0)))
+    ok &= udev <= TOL_EXACT
+    out.holds("factorisation-with-positive-and-unimodular", d, ok, max(dev, udev))
+    if np.all(np.abs(T.symbol) > 0):
         S = random_central(rng, lattice=T.lattice)
-        dev = _rel(float(np.max(np.abs(gelfand(S * T) - gelfand(S) * hat))),
-                   S.order_unit_norm() * T.order_unit_norm())
-        out.check("gelfand-multiplicative", d, dev, TOL_EXACT)
-
-        # modulus multiplicativity, exact on symbols
-        dev = _rel(float(np.max(np.abs((S * T).modulus().symbol
-                                       - S.modulus().symbol * T.modulus().symbol))),
-                   S.order_unit_norm() * T.order_unit_norm())
-        out.check("modulus-multiplicative", d, dev, TOL_EXACT)
-        dev = _rel(float(np.max(np.abs((T * T.conj()).modulus().symbol
-                                       - T.modulus().symbol ** 2))),
-                   T.order_unit_norm() ** 2)
-        out.check("modulus-of-selfproduct", d, dev, TOL_EXACT)
-
-        # four equalities: |Tz| = |T||z|, invariant under conjugations
-        z = ComplexElement(T.lattice, rng.standard_normal(T.lattice.dim)
-                           + 1j * rng.standard_normal(T.lattice.dim))
-        ref = modulus(T.apply(z))
-        worst = 0.0
-        for Top in (T, T.conj(), T.modulus()):
-            for zop in (z, z.conj(), ComplexElement(T.lattice, modulus(z).astype(complex))):
-                worst = max(worst, float(np.max(np.abs(modulus(Top.apply(zop)) - ref))))
-        out.check("modulus-action-four-equalities", d, _rel(worst, T.order_unit_norm()), TOL_EXACT)
+        pst, ps = polar(S * T), polar(S)
+        dev = max(
+            float(np.max(np.abs(pst.positive.symbol - (ps.positive * p.positive).symbol))),
+            float(np.max(np.abs(pst.unitary.symbol - (ps.unitary * p.unitary).symbol))),
+        )
+        dev = _rel(dev, S.order_unit_norm() * T.order_unit_norm())
+        out.check("multiplicative-on-invertibles", d, dev, TOL_EXACT)
 
 
-def suite_norms(out: Records, instances, rng: np.random.Generator) -> None:
-    """Norm coincidence for central operators; modulus bounds for dense ones."""
-    for T in instances.get("central", []):
-        d = out.digest(T)
-        trip = norms(T, samples=1000, rng=rng)
-        basis = np.zeros(T.lattice.dim)
-        basis[trip.attained_at] = 1.0
-        e = ComplexElement(T.lattice, basis.astype(complex))
-        attained = T.apply(e).norm() / e.norm()
-        scaled = TOL_EXACT * max(1.0, trip.order_unit)
-        out.check("operator-norm-attained-at-basis-vector", d,
-                  abs(attained - trip.order_unit), scaled)
-        out.check("sampled-norm-never-exceeds-order-unit", d,
-                  max(0.0, trip.max_sampled_ratio - trip.order_unit), scaled)
-    for X in instances.get("regular", []):
-        d = out.digest(X)
-        n = X.lattice.dim
-        z = ComplexElement(X.lattice, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        lhs = modulus(X.apply(z))
-        rhs = np.abs(X.entries) @ modulus(z)
-        dev = _rel(float(np.max(lhs - rhs)), float(np.max(rhs)))
-        out.check("dense-modulus-inequality", d, dev, TOL_EXACT)
-
-
-def suite_fpr(out: Records, instances, rng: np.random.Generator) -> None:
-    triples = [commuting_fpr_triple(rng, T.lattice.dim) for T in instances.get("central", [])]
-    for (S, T, X) in triples:
-        d = digest([out.digest(S), out.digest(T), out.digest(X)])
-        v = fpr_check(S, T, X)
-        out.holds("conjugate-commutation-transfer", d,
-                  v.forward and v.conjugate and v.transfer_ok, v.max_conjugate_deviation)
-        # fault injection: perturb one admissible entry off the pattern
-        bad = np.array(X.entries)
-        mism = np.argwhere(S.symbol[:, None] != T.symbol[None, :])
-        if len(mism):
-            i, j = mism[rng.integers(0, len(mism))]
-            bad[i, j] += 0.5
-            vb = fpr_check(S, T, RegularOperator(X.lattice, bad))
-            out.holds("fault-injection-detected", d,
-                      (not vb.forward) and vb.first_violation is not None,
-                      vb.max_forward_deviation)
-
-
-def suite_polar(out: Records, instances, rng: np.random.Generator) -> None:
-    prev_invertible = None
-    for T in instances.get("central", []):
-        d = out.digest(T)
-        p = polar(T)
-        dev = _rel(float(np.max(np.abs((p.positive * p.unitary).symbol - T.symbol))),
-                   T.order_unit_norm())
-        ok = dev <= TOL_EXACT
-        ok &= bool(np.all(p.positive.symbol.imag == 0) and np.all(p.positive.symbol.real >= 0))
-        udev = float(np.max(np.abs(np.abs(p.unitary.symbol) - 1.0)))
-        ok &= udev <= TOL_EXACT
-        out.holds("factorisation-with-positive-and-unimodular", d, ok, max(dev, udev))
-        if np.all(np.abs(T.symbol) > 0):
-            if prev_invertible is not None and prev_invertible.lattice.dim == T.lattice.dim:
-                S = prev_invertible
-                pst = polar(S * T)
-                ps, pt = polar(S), polar(T)
-                dev = max(
-                    float(np.max(np.abs(pst.positive.symbol
-                                        - (ps.positive * pt.positive).symbol))),
-                    float(np.max(np.abs(pst.unitary.symbol
-                                        - (ps.unitary * pt.unitary).symbol))),
-                )
-                dev = _rel(dev, S.order_unit_norm() * T.order_unit_norm())
-                out.check("multiplicative-on-invertibles", d, dev, TOL_EXACT)
-            prev_invertible = T
-
-
-def suite_localize(out: Records, instances, rng: np.random.Generator) -> None:
-    for T in instances.get("central", []):
-        d = out.digest(T)
-        n = T.lattice.dim
-        u = rng.uniform(0.1, 2.0, size=n)
-        if n >= 2 and rng.uniform() < 0.5:
-            u[rng.integers(0, n)] = 0.0
-        ideal = PrincipalIdeal(u)
-        loc = localize(T, ideal)
-        dev = abs(loc.ideal_norm_of_Tu - float(np.max(np.abs(loc.symbol))))
-        out.check("restriction-isometry", d, dev, TOL_EXACT * max(1.0, loc.ideal_norm_of_Tu))
-        full = PrincipalIdeal(rng.uniform(0.1, 2.0, size=n))
-        tu = T.apply(ComplexElement(T.lattice, full.generator.astype(complex)))
-        dev = abs(ideal_norm(tu, full) - T.order_unit_norm())
-        out.check("full-support-norm-equality", d, dev, TOL_EXACT * max(1.0, T.order_unit_norm()))
+def localize_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
+    n = T.lattice.dim
+    u = rng.uniform(0.1, 2.0, size=n)
+    if n >= 2 and rng.uniform() < 0.5:
+        u[rng.integers(0, n)] = 0.0
+    ideal = PrincipalIdeal(u)
+    loc = localize(T, ideal)
+    dev = abs(loc.ideal_norm_of_Tu - float(np.max(np.abs(loc.symbol))))
+    out.check("restriction-isometry", d, dev, TOL_EXACT * max(1.0, loc.ideal_norm_of_Tu))
+    full = PrincipalIdeal(rng.uniform(0.1, 2.0, size=n))
+    tu = T.apply(ComplexElement(T.lattice, full.generator.astype(complex)))
+    dev = abs(ideal_norm(tu, full) - T.order_unit_norm())
+    out.check("full-support-norm-equality", d, dev, TOL_EXACT * max(1.0, T.order_unit_norm()))
 
 
 def _random_measurable_f(rng, space):
@@ -304,261 +282,247 @@ def _random_measurable_f(rng, space):
             + 1j * rng.uniform(-1.0, 1.0, size=space.n_atoms))
 
 
-def suite_integral(out: Records, instances, rng: np.random.Generator) -> None:
-    for mu in instances.get("measure", []):
-        d = out.digest(mu)
-        space = mu.space
-        # decomposition independence: the integral of sum r_i chi_{D_i} vs sum r_i mu(D_i)
-        m = int(rng.integers(2, 5))
-        total = np.zeros(space.n_atoms, dtype=complex)
-        direct = np.zeros(mu.dim, dtype=complex)
-        for _ in range(m):
-            ks = rng.uniform(size=space.n_atoms) < 0.5
-            r = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            total[ks] += r
-            direct += r * mu.measure_of(ks)
-        dev = float(np.max(np.abs(integrate(total, mu).values - direct)))
-        out.check("decomposition-independence", d, dev, TOL_EXACT)
-
-        f = _random_measurable_f(rng, space)
-        # Python's abs, which numpy's differs from in the last bit
-        absf = [abs(z) for z in f.tolist()]
-        lhs = modulus(integrate(f, mu))
-        rhs = integrate(absf, mu).re
-        out.check("triangle-inequality", d, float(np.max(lhs - rhs)), TOL_EXACT)
-
-        # image measure change of variables, collapsing the atoms onto 3 points
-        target = FiniteMeasurableSpace(tuple(range(3)))
-        lands = np.array([int(rng.integers(0, 3)) for _ in range(space.n_atoms)])
-        img = image_measure(mu, lands, target)
-        g = _random_measurable_f(rng, target)
-        dev = float(np.max(np.abs(integrate(g, img).values - integrate(g[lands], mu).values)))
-        out.check("image-measure-change-of-variables", d, dev, TOL_EXACT)
-
-        # additivity on a random disjoint pair
+def integral_measure(out: Records, mu, d: str, rng: np.random.Generator) -> None:
+    space = mu.space
+    # decomposition independence: the integral of sum r_i chi_{D_i} vs sum r_i mu(D_i)
+    m = int(rng.integers(2, 5))
+    total = np.zeros(space.n_atoms, dtype=complex)
+    direct = np.zeros(mu.dim, dtype=complex)
+    for _ in range(m):
         ks = rng.uniform(size=space.n_atoms) < 0.5
-        dev = float(np.max(np.abs(mu.total() - mu.measure_of(ks) - mu.measure_of(~ks))))
-        out.check("finite-additivity", d, dev, TOL_EXACT)
+        r = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        total[ks] += r
+        direct += r * mu.measure_of(ks)
+    dev = float(np.max(np.abs(integrate(total, mu).values - direct)))
+    out.check("decomposition-independence", d, dev, TOL_EXACT)
+
+    f = _random_measurable_f(rng, space)
+    # Python's abs, which numpy's differs from in the last bit
+    absf = [abs(z) for z in f.tolist()]
+    lhs = modulus(integrate(f, mu))
+    rhs = integrate(absf, mu).re
+    out.check("triangle-inequality", d, float(np.max(lhs - rhs)), TOL_EXACT)
+
+    # image measure change of variables, collapsing the atoms onto 3 points
+    target = FiniteMeasurableSpace(tuple(range(3)))
+    lands = np.array([int(rng.integers(0, 3)) for _ in range(space.n_atoms)])
+    img = image_measure(mu, lands, target)
+    g = _random_measurable_f(rng, target)
+    dev = float(np.max(np.abs(integrate(g, img).values - integrate(g[lands], mu).values)))
+    out.check("image-measure-change-of-variables", d, dev, TOL_EXACT)
+
+    # additivity on a random disjoint pair
+    ks = rng.uniform(size=space.n_atoms) < 0.5
+    dev = float(np.max(np.abs(mu.total() - mu.measure_of(ks) - mu.measure_of(~ks))))
+    out.check("finite-additivity", d, dev, TOL_EXACT)
 
 
-def suite_riesz(out: Records, instances, rng: np.random.Generator) -> None:
-    for mu in instances.get("measure", []):
-        d = out.digest(mu)
-        space = mu.space
-        first = np.array([space.points.index(atom[0]) for atom in space.atoms])
+def riesz_measure(out: Records, mu, d: str, rng: np.random.Generator) -> None:
+    space = mu.space
+    first = np.array([space.points.index(atom[0]) for atom in space.atoms])
 
-        out.guarded("representing-measure-recovery", d, AssertionError,
-                    lambda: riesz_represent_stack(lambda fs: fs[:, first] @ mu.values, space,
-                                                  mu.lattice, rng=rng),
-                    lambda nu: within(float(np.max(np.abs(nu.values - mu.values))), TOL_EXACT))
+    out.guarded("representing-measure-recovery", d, AssertionError,
+                lambda: riesz_represent_stack(lambda fs: fs[:, first] @ mu.values, space,
+                                              mu.lattice, rng=rng),
+                lambda nu: within(float(np.max(np.abs(nu.values - mu.values))), TOL_EXACT))
 
-        # multiplicative pi: coordinates evaluate f at assigned points
-        assign_idx = np.array([int(rng.integers(0, len(space.points))) for _ in range(mu.dim)])
-        out.guarded("homomorphism-yields-spectral-measure", d, AssertionError,
-                    lambda: is_spectral(riesz_represent_stack(lambda fs: fs[:, assign_idx],
-                                                              space, None, rng=rng)),
-                    lambda verdict: (bool(verdict), verdict.max_violation))
+    # multiplicative pi: coordinates evaluate f at assigned points
+    assign_idx = np.array([int(rng.integers(0, len(space.points))) for _ in range(mu.dim)])
+    out.guarded("homomorphism-yields-spectral-measure", d, AssertionError,
+                lambda: is_spectral(riesz_represent_stack(lambda fs: fs[:, assign_idx],
+                                                          space, None, rng=rng)),
+                lambda verdict: (bool(verdict), verdict.max_violation))
 
 
-def suite_spectral(out: Records, instances, rng: np.random.Generator) -> None:
-    for T in instances.get("central", []):
-        d = out.digest(T)
-        mu = build_mu_T(T)
-        # what spectrum(T) checks, recorded against the oracle's rounding bound;
-        # geev raises LinAlgError when its iteration does not converge
-        if out.guarded("symbol-spectrum-matches-block-eigenvalues", d, np.linalg.LinAlgError,
-                       lambda: block_eigenvalue_deviation(mu), lambda r: within(*r)) is None:
+def spectral_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
+    # the enumeration oracle on exact rational symbols of at most 6 coordinates
+    symbols = random_rational_symbols(rng, min(T.lattice.dim, 6))
+    admissible = enumerate_unital_spectral_measures(symbols)
+    unique = len(admissible) == 1
+    if unique:
+        unique = admissible[0] == tuple(build_mu_T(central_from_rational(symbols)).labels.tolist())
+    out.holds("enumeration-uniqueness-of-spectral-measure", d,
+              unique, 0.0 if unique else float(len(admissible)))
+
+    mu = build_mu_T(T)
+    # what spectrum(T) checks, recorded against the oracle's rounding bound;
+    # geev raises LinAlgError when its iteration does not converge
+    if out.guarded("symbol-spectrum-matches-block-eigenvalues", d, np.linalg.LinAlgError,
+                   lambda: block_eigenvalue_deviation(mu), lambda r: within(*r)) is None:
+        return
+    out.holds("spectral-radius-and-shape-equivalences", d, spectrum_shape_report(T).all_ok())
+
+    n = T.lattice.dim
+    gens = []
+    covered = np.zeros(n, dtype=bool)
+    while not covered.all():
+        mask = rng.uniform(size=n) < 0.6
+        if not mask.any():
             continue
-        out.holds("spectral-radius-and-shape-equivalences", d,
-                  spectrum_shape_report(T).all_ok())
+        covered |= mask
+        gens.append(mask.astype(float))
+    ok = union_spectrum(T, gens).as_set() == set(mu.values)
+    out.holds("band-cover-union-spectrum", d, ok, 0.0 if ok else 1.0)
 
-        n = T.lattice.dim
-        gens = []
-        covered = np.zeros(n, dtype=bool)
-        while not covered.all():
-            mask = rng.uniform(size=n) < 0.6
-            if not mask.any():
-                continue
-            covered |= mask
-            gens.append(mask.astype(float))
-        ok = union_spectrum(T, gens).as_set() == set(mu.values)
-        out.holds("band-cover-union-spectrum", d, ok, 0.0 if ok else 1.0)
+    rec = reconstruct_from_global(T)
+    dev = _rel(float(np.max(np.abs(rec.symbol - T.symbol))), T.order_unit_norm())
+    out.check("global-measure-reconstruction", d, dev, TOL_EXACT)
 
-        rec = reconstruct_from_global(T)
-        dev = _rel(float(np.max(np.abs(rec.symbol - T.symbol))), T.order_unit_norm())
-        out.check("global-measure-reconstruction", d, dev, TOL_EXACT)
-
-        out.guarded("spectral-measure-invariants", d, AssertionError,
-                    lambda: mu.validate(tol=TOL_EXACT * max(1.0, T.order_unit_norm())))
-    for mu in instances.get("spectral_measure", []):
-        verdict = is_spectral(mu)
-        idem_ok = all(verdict.idempotent)
-        out.holds("spectral-measure-product-law", out.digest(mu),
-                  bool(verdict) and idem_ok, verdict.max_violation,
-                  "" if idem_ok else "an atom value is not idempotent")
-    rationals = [random_rational_symbols(rng, min(T.lattice.dim, 6))
-                 for T in instances.get("central", [])]
-    for symbols in rationals:
-        T = central_from_rational(symbols)
-        d = out.digest(T)
-        admissible = enumerate_unital_spectral_measures(symbols)
-        mu = build_mu_T(T)
-        unique = len(admissible) == 1
-        if unique:
-            unique = admissible[0] == tuple(mu.labels.tolist())
-        out.holds("enumeration-uniqueness-of-spectral-measure", d,
-                  unique, 0.0 if unique else float(len(admissible)))
+    out.guarded("spectral-measure-invariants", d, AssertionError,
+                lambda: mu.validate(tol=TOL_EXACT * max(1.0, T.order_unit_norm())))
 
 
-def suite_calculus(out: Records, instances, rng: np.random.Generator) -> None:
-    for T in instances.get("central", []):
-        d = out.digest(T)
-        mu = build_mu_T(T)
-        vals = np.array(mu.values)
-        # per value, a real and an imaginary part: the complex view pairs them
-        fa, fb = rng.uniform(-1, 1, (2, len(vals), 2)).view(complex)[..., 0]
-        ra, rb = rho_T(T, fa, mu), rho_T(T, fb, mu)
-        # Python's product and abs, which numpy's differ from in the last bit
-        fab = [a * b for a, b in zip(fa.tolist(), fb.tolist())]
-        dev = float(np.max(np.abs(rho_T(T, fab, mu).symbol - (ra * rb).symbol)))
-        ok = dev <= TOL_EXACT
-        dev2 = float(np.max(np.abs(rho_T(T, fa.conj(), mu).symbol - ra.conj().symbol)))
-        ok &= dev2 <= TOL_EXACT
-        unit = rho_T(T, np.ones(len(vals)), mu)
-        ident = rho_T(T, vals, mu)
-        ok &= bool(np.all(unit.symbol == 1.0)) and bool(np.all(ident.symbol == T.symbol))
-        dev3 = float(np.max(np.abs(rho_T(T, [abs(v) for v in mu.values], mu).symbol
-                                   - ident.modulus().symbol)))
-        ok &= dev3 <= TOL_EXACT
-        out.holds("star-homomorphism-laws", d, ok, max(dev, dev2, dev3))
-
-        ok = set(build_mu_T(ra).values) == set(fa.tolist())
-        out.holds("spectral-mapping", d, ok, 0.0 if ok else 1.0)
-
-        # kernel formula against a null-space oracle on the dense matrix
-        fker = np.arange(len(vals)) % 2
-        op = rho_T(T, fker, mu)
-        proj = mu.measure_of(fker == 0)
-        dense = np.diag(op.symbol)
-        sv = np.linalg.svd(dense, compute_uv=False) if T.lattice.dim else np.array([])
-        null_dim = int(np.sum(sv <= TOL_ORACLE * max(1.0, float(sv.max(initial=0.0)))))
-        rank_proj = int(np.sum(np.abs(proj.symbol) > 0.5))
-        ok = null_dim == rank_proj
-        dev = float(np.max(np.abs((op * proj).symbol))) if T.lattice.dim else 0.0
-        ok &= dev <= TOL_EXACT
-        out.holds("kernel-formula-matches-null-space-oracle", d, ok, dev)
-
-        # dominated convergence with an explicit witness
-        fs = [vals + 1.0 / (n + 1) for n in range(12)]
-        bound = max(map(abs, mu.values)) + 1.0
-        rep = dominated_convergence_calculus(T, fs, vals, bound,
-                                             z=ComplexElement(
-                                                 T.lattice,
-                                                 rng.standard_normal(T.lattice.dim)
-                                                 + 1j * rng.standard_normal(T.lattice.dim)),
-                                             tail=lambda n: 1.0 / (n + 1))
-        out.holds("dominated-convergence-witness", d, rep)
+def spectral_projection_measure(out: Records, mu, d: str, rng: np.random.Generator) -> None:
+    verdict = is_spectral(mu)
+    idem_ok = all(verdict.idempotent)
+    out.holds("spectral-measure-product-law", d, bool(verdict) and idem_ok,
+              verdict.max_violation, "" if idem_ok else "an atom value is not idempotent")
 
 
-def suite_eigen(out: Records, instances, rng: np.random.Generator) -> None:
-    for T in instances.get("central", []):
-        d = out.digest(T)
-        mu = eigen_expansion(T).mu
-        dev = float(np.max(np.abs(mu.reconstruct().symbol - T.symbol)))
-        out.check("expansion-reconstruction", d, dev, TOL_EXACT * max(1.0, T.order_unit_norm()))
+def calculus_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
+    mu = build_mu_T(T)
+    vals = np.array(mu.values)
+    # per value, a real and an imaginary part: the complex view pairs them
+    fa, fb = rng.uniform(-1, 1, (2, len(vals), 2)).view(complex)[..., 0]
+    ra, rb = rho_T(T, fa, mu), rho_T(T, fb, mu)
+    # Python's product and abs, which numpy's differ from in the last bit
+    fab = [a * b for a, b in zip(fa.tolist(), fb.tolist())]
+    dev = float(np.max(np.abs(rho_T(T, fab, mu).symbol - (ra * rb).symbol)))
+    ok = dev <= TOL_EXACT
+    dev2 = float(np.max(np.abs(rho_T(T, fa.conj(), mu).symbol - ra.conj().symbol)))
+    ok &= dev2 <= TOL_EXACT
+    unit = rho_T(T, np.ones(len(vals)), mu)
+    ident = rho_T(T, vals, mu)
+    ok &= bool(np.all(unit.symbol == 1.0)) and bool(np.all(ident.symbol == T.symbol))
+    dev3 = float(np.max(np.abs(rho_T(T, [abs(v) for v in mu.values], mu).symbol
+                               - ident.modulus().symbol)))
+    ok &= dev3 <= TOL_EXACT
+    out.holds("star-homomorphism-laws", d, ok, max(dev, dev2, dev3))
 
-        z = ComplexElement(T.lattice, rng.standard_normal(T.lattice.dim)
-                           + 1j * rng.standard_normal(T.lattice.dim))
-        # row k of bands is the 0/1 mask of band k, row k of comps z's component there
-        bands = mu.labels == np.arange(len(mu.values))[:, None]
-        comps = np.where(bands, z.values, 0)
-        resid = T.symbol * comps - np.asarray(mu.values)[:, None] * comps
-        ok = float(np.max(np.abs(resid))) <= TOL_EXACT * max(1.0, T.order_unit_norm())
-        back = comps.sum(axis=0)
-        ok &= float(np.max(np.abs(back - z.values))) <= TOL_EXACT
-        # component uniqueness: projecting the reassembled decomposition onto
-        # each band returns exactly its component
-        ok &= bool(np.array_equal(np.where(bands, back, 0), comps))
-        out.holds("eigenvector-components-and-uniqueness", d, ok)
+    ok = set(build_mu_T(ra).values) == set(fa.tolist())
+    out.holds("spectral-mapping", d, ok, 0.0 if ok else 1.0)
 
-        # each residual within its a-priori rounding bound, which is finite
-        poly = minimal_polynomial(mu.values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            resid = np.abs(eval_polynomial(poly, T.symbol))
-            bound = annihilation_bound(mu.values, T.symbol)
-        ok = (np.all(np.isfinite(bound)) and np.all(resid <= bound)
-              and len(poly) == len(mu.values) + 1)
-        out.holds("minimal-polynomial-annihilation", d, ok, float(np.max(resid)))
-    for op in instances.get("sequence", []):
-        d = out.digest(op)
-        out.guarded("sequence-partial-sum-tail-domination", d, ValueError,
-                    lambda: expansion_tail_report(op, (10, 100, 1000)),
-                    lambda records: (all(r.dominated for r in records),
-                                     max(0.0, max(r.sampled_tail_sup - r.certified_bound
-                                                  for r in records))))
-        # a nonzero polynomial of degree <= 8 has at most 8 roots, so more
-        # than 8 distinct (finite) prefix values defeat every monic one
-        distinct = distinct_finite_count(op.prefix(DEFAULT_SAMPLE))
-        if distinct > 8:
-            out.holds("infinite-spectrum-defeats-monic-annihilators", d, True,
-                      witness=f"{distinct} distinct prefix values")
+    # kernel formula against a null-space oracle on the dense matrix
+    fker = np.arange(len(vals)) % 2
+    op = rho_T(T, fker, mu)
+    proj = mu.measure_of(fker == 0)
+    dense = np.diag(op.symbol)
+    sv = np.linalg.svd(dense, compute_uv=False) if T.lattice.dim else np.array([])
+    null_dim = int(np.sum(sv <= TOL_ORACLE * max(1.0, float(sv.max(initial=0.0)))))
+    rank_proj = int(np.sum(np.abs(proj.symbol) > 0.5))
+    ok = null_dim == rank_proj
+    dev = float(np.max(np.abs((op * proj).symbol))) if T.lattice.dim else 0.0
+    ok &= dev <= TOL_EXACT
+    out.holds("kernel-formula-matches-null-space-oracle", d, ok, dev)
 
-
-def suite_commutant(out: Records, instances, rng: np.random.Generator) -> None:
-    for T in instances.get("central", []):
-        d = out.digest(T)
-        inside = commutant_block_operator(rng, T)
-        rep = commutant_check(T, inside, rng=rng)
-        out.holds("five-conditions-agree-inside", d, rep.all_equivalent() and rep.with_operator)
-        mism = np.argwhere(T.symbol[:, None] != T.symbol[None, :])
-        if len(mism):
-            i, j = mism[rng.integers(0, len(mism))]
-            broken = np.array(inside.entries)
-            broken[i, j] += 1.0
-            repb = commutant_check(T, RegularOperator(T.lattice, broken), rng=rng)
-            out.holds("five-conditions-agree-outside", d,
-                      repb.all_equivalent() and not repb.with_operator)
+    # dominated convergence with an explicit witness
+    fs = [vals + 1.0 / (n + 1) for n in range(12)]
+    bound = max(map(abs, mu.values)) + 1.0
+    rep = dominated_convergence_calculus(T, fs, vals, bound,
+                                         z=ComplexElement(
+                                             T.lattice,
+                                             rng.standard_normal(T.lattice.dim)
+                                             + 1j * rng.standard_normal(T.lattice.dim)),
+                                         tail=lambda n: 1.0 / (n + 1))
+    out.holds("dominated-convergence-witness", d, rep, witness=rep.reason)
 
 
-#: Canonical sequence operators and whether each is compact, built once so
-#: that every ``verify`` call reuses their memoised prefixes.
-CANONICAL = ((reciprocal(), True), (constant(1.0), False), (shifted_reciprocal(1.0), False))
+def eigen_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
+    mu = eigen_expansion(T).mu
+    dev = float(np.max(np.abs(mu.reconstruct().symbol - T.symbol)))
+    out.check("expansion-reconstruction", d, dev, TOL_EXACT * max(1.0, T.order_unit_norm()))
+
+    z = ComplexElement(T.lattice, rng.standard_normal(T.lattice.dim)
+                       + 1j * rng.standard_normal(T.lattice.dim))
+    # row k of bands is the 0/1 mask of band k, row k of comps z's component there
+    bands = mu.labels == np.arange(len(mu.values))[:, None]
+    comps = np.where(bands, z.values, 0)
+    resid = T.symbol * comps - np.asarray(mu.values)[:, None] * comps
+    ok = float(np.max(np.abs(resid))) <= TOL_EXACT * max(1.0, T.order_unit_norm())
+    back = comps.sum(axis=0)
+    ok &= float(np.max(np.abs(back - z.values))) <= TOL_EXACT
+    # component uniqueness: projecting the reassembled decomposition onto
+    # each band returns exactly its component
+    ok &= bool(np.array_equal(np.where(bands, back, 0), comps))
+    out.holds("eigenvector-components-and-uniqueness", d, ok)
+
+    # each residual within its a-priori rounding bound, which is finite
+    poly = minimal_polynomial(mu.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(eval_polynomial(poly, T.symbol))
+        bound = annihilation_bound(mu.values, T.symbol)
+    ok = (np.all(np.isfinite(bound)) and np.all(resid <= bound)
+          and len(poly) == len(mu.values) + 1)
+    out.holds("minimal-polynomial-annihilation", d, ok, float(np.max(resid)))
 
 
-def suite_compactness(out: Records, instances, rng: np.random.Generator) -> None:
-    for op, expected in CANONICAL:
-        verdict = compactness_check(op)
-        out.holds("canonical-classification", out.digest(op),
-                  bool(verdict) == expected, 0.0, verdict.reason)
-    for op in instances.get("sequence", []):
-        out.guarded("certificate-validates-on-prefix", out.digest(op), CertificateError,
-                    lambda: validate_certificate(op))
+def eigen_sequence(out: Records, op, d: str, rng: np.random.Generator) -> None:
+    out.guarded("sequence-partial-sum-tail-domination", d, ValueError,
+                lambda: expansion_tail_report(op, (10, 100, 1000)),
+                lambda records: (all(r.dominated for r in records),
+                                 max(0.0, max(r.sampled_tail_sup - r.certified_bound
+                                              for r in records))))
+    # a nonzero polynomial of degree <= 8 has at most 8 roots, so more
+    # than 8 distinct (finite) prefix values defeat every monic one
+    distinct = distinct_finite_count(op.prefix(DEFAULT_SAMPLE))
+    if distinct > 8:
+        out.holds("infinite-spectrum-defeats-monic-annihilators", d, True,
+                  witness=f"{distinct} distinct prefix values")
 
 
-SUITES: dict[str, Callable] = {
-    "cstar": suite_cstar,
-    "norms": suite_norms,
-    "fpr": suite_fpr,
-    "polar": suite_polar,
-    "localize": suite_localize,
-    "integral": suite_integral,
-    "riesz": suite_riesz,
-    "spectral": suite_spectral,
-    "calculus": suite_calculus,
-    "eigen": suite_eigen,
-    "commutant": suite_commutant,
-    "compactness": suite_compactness,
+def commutant_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
+    inside = commutant_block_operator(rng, T)
+    rep = commutant_check(T, inside, rng=rng)
+    out.holds("five-conditions-agree-inside", d, rep.all_equivalent() and rep.with_operator)
+    mism = np.argwhere(T.symbol[:, None] != T.symbol[None, :])
+    if len(mism):
+        i, j = mism[rng.integers(0, len(mism))]
+        broken = np.array(inside.entries)
+        broken[i, j] += 1.0
+        repb = commutant_check(T, RegularOperator(T.lattice, broken), rng=rng)
+        out.holds("five-conditions-agree-outside", d,
+                  repb.all_equivalent() and not repb.with_operator)
+
+
+def compactness_sequence(out: Records, op, d: str, rng: np.random.Generator) -> None:
+    out.guarded("certificate-validates-on-prefix", d, CertificateError,
+                lambda: validate_certificate(op))
+
+
+#: Each suite's check families, by the instance kind that each one reads.
+SUITES: dict[str, dict[str, Callable]] = {
+    "cstar": {"central": cstar_central},
+    "norms": {"central": norms_central, "regular": norms_regular},
+    "fpr": {"central": fpr_central},
+    "polar": {"central": polar_central},
+    "localize": {"central": localize_central},
+    "integral": {"measure": integral_measure},
+    "riesz": {"measure": riesz_measure},
+    "spectral": {"central": spectral_central, "spectral_measure": spectral_projection_measure},
+    "calculus": {"central": calculus_central},
+    "eigen": {"central": eigen_central, "sequence": eigen_sequence},
+    "commutant": {"central": commutant_central},
+    "compactness": {"sequence": compactness_sequence},
 }
 
 
 def run_suites(names, instances, seed: int = 0) -> list[SuiteReport]:
-    reports, digests = [], {}  # one digest map per call, shared by its suites
+    """Each named suite's families over the objects of their kinds, in order.
+
+    An object is digested once per call, when a suite first reads its kind.
+    Each family call draws from ``default_rng([seed, i, digest])``, where i is
+    the suite's index in ``SUITES``, so its records depend on nothing else."""
+    reports, digests = [], {}
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-        rng = np.random.default_rng(seed)
-        records = Records(name, digests)
+        index, out = list(SUITES).index(name), Records(name)
         start = time.perf_counter()
-        SUITES[name](records, instances, rng)
-        reports.append(SuiteReport(name, records, time.perf_counter() - start))
+        for kind, family in SUITES[name].items():
+            objects = instances.get(kind, [])
+            if kind not in digests:
+                digests[kind] = [op_digest(obj) for obj in objects]
+            for obj, d in zip(objects, digests[kind]):
+                family(out, obj, d, np.random.default_rng([seed, index, int(d, 16)]))
+        reports.append(SuiteReport(name, out, time.perf_counter() - start))
     return reports

@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centrelat import io as cio
 from centrelat import suites
 from centrelat.cli import build_parser, main
+from centrelat.generate import random_central
 
 
 def run(capsys, argv):
@@ -219,15 +221,23 @@ def test_calc_polar_frozen(tmp_path, capsys):
 
 
 def test_calc_mu_t_and_eigen(tmp_path, capsys):
+    # the spectrum values and each coordinate's label, not one dense row per value
     path = write_op(tmp_path, {"dim": 3, "symbol": [[1, 0], [1, 0], [2, 0]]})
-    code, out, _ = run(capsys, ["calc", "mu_t", str(path)])
-    assert code == 0
-    mu = json.loads(out)["mu_t"]
-    assert sorted(mu.values()) == [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
-    code, out, _ = run(capsys, ["calc", "eigen", str(path)])
-    assert code == 0
-    eig = json.loads(out)["eigen"]
-    assert {tuple(e["value"]) for e in eig} == {(1.0, 0.0), (2.0, 0.0)}
+    for request in ("mu_t", "eigen"):
+        code, out, _ = run(capsys, ["calc", request, str(path)])
+        assert code == 0
+        assert json.loads(out) == {request: {"values": [[1.0, 0.0], [2.0, 0.0]],
+                                             "labels": [0, 0, 1]}}
+    # at d2048 with 2,048 distinct values the output stays linear in the
+    # dimension (dense rows took about 17 MB) and gives back the symbol
+    T = random_central(np.random.default_rng(7), dim=2048)
+    path = write_op(tmp_path, cio.operator_to_json(T), "d2048.json")
+    for request in ("mu_t", "eigen"):
+        code, out, _ = run(capsys, ["calc", request, str(path)])
+        doc = json.loads(out)[request]
+        values = np.array([complex(*v) for v in doc["values"]])
+        assert code == 0 and len(out) < 200_000 and len(values) == 2048
+        assert np.array_equal(values[doc["labels"]], T.symbol)
 
 
 def test_calc_rho_named_function(tmp_path, capsys):

@@ -23,26 +23,29 @@ from centrelat.cli import main
 from centrelat.sequence import constant, geometric, reciprocal, shifted_reciprocal
 
 # the spectral suite's symbol-spectrum record carries the block-eigenvalue
-# oracle's deviation, which is LAPACK geev output
-VERIFY_SEED7_SHA256 = "1b391746e1c232ce4a4582cd833bad45006610854f762788e3335a46f9fdb370"
-VERIFY_SEQUENCE_SHA256 = "ab074016d8e6801cf318f03478fd9bf085d5446eed8bc786cca05b04e644e3ba"
-# calc mu_t, eigen and freudenthal on the atomic corpus's first 10 operators
-CALC_SEED7_SHA256 = "ec41cdc787a693707e9c201ed7d002ac8002c8b2e2811288448561493c7e4155"
+# oracle's deviation, which is LAPACK geev output.  Both verify digests were
+# recorded when each object's checks first drew from a generator of its own
+VERIFY_SEED7_SHA256 = "4198a59e970b07e2f9aa7bd20a601a35a99b64379524d1fbb65873e53384e469"
+VERIFY_SEQUENCE_SHA256 = "79e59df744f337906edab463b1f91d06bffcc71b52c1e3aac5c6aec3c43ceac0"
+# calc mu_t, eigen and freudenthal on the atomic corpus's first 10 operators;
+# mu_t and eigen print the spectrum values and each coordinate's label
+CALC_SEED7_SHA256 = "1e649459282b9b23e85a2316fcf207cf068a798ed947868917b4191363305d8f"
 CALC_REQUESTS = ("mu_t", "eigen", "freudenthal")
 # verify --suite riesz --seed s on gen --seed 7 --dim 2..16 --count 20.  Every
 # riesz check passes with deviation 0 on this corpus, so the lines are the
-# same at each seed; the suite generator's state afterwards (the sha256 of its
-# JSON) records how many draws riesz_represent consumed at each seed
+# same at each seed; the states of the measures' own generators afterwards, in
+# instance order (the sha256 of their JSON), record how many draws
+# riesz_represent consumed on each measure at each seed
 RIESZ_VERIFY_SHA256 = "aa717bfe9f57e3aadf039f3812c1309daa368c37628e506c7b1b2815e485cd18"
 RIESZ_STATE_SHA256 = (
-    "e8a4e8769547ae9ea4833265eca545b5eb385f11cb0da4f073b7eb99784b22bc",
-    "5edde8d25d5c77d1fa101222eaef27bf0082eab54f0e30d1e117903fab3f023d",
-    "791c942a209ce16a72f31f0896ca89fdb67477a6024f8989a69bbbc5e52a47f9",
-    "717bde4241a65780393fa49ffaa3484f0e80e019acca079bac755075322a10de",
-    "94a4cecec48ce2716631548b1b68c7060c1fcce3f63218e2ff1fa181a8636340",
-    "84503cf4a1327625d6d8c71437aa5d233da02d2e44db1fd85aa76fd3e88f8783",
-    "70aad23dc89a8534e087b6d7b8b1a0a3d40b7b6538cd03ed58e957345dcd0f2c",
-    "b135a38529a761d0dabe13bed7dc817aa9de318aea765f2753eedc3014b95411",
+    "6b6638de4ae1abc4a0f6a13f902c2aa2db9f2b3e3d661f0e21d4c74ee1f3d017",
+    "890ed87a7aba1cb1f77b5d1eac065abee16bcd48f6c42516b4208475e4db09bb",
+    "5607c677f55a69a3102bde1cbb84bc16ca89650edb64e3a43c68080e3814fd8b",
+    "427059519d55e2098266603e3fcd033a0b3193e5454e01a5284d347fdbc076e8",
+    "0bfafb141f34e861df2f225d4ba2ea82e866e982a1e06293891f9d0389fa5850",
+    "c5537bb2f1c0c56a07addbbaed9e9df7ef6d484e5ed93e82339251eea4bb9e7f",
+    "786ee8478a0944e229c36ad81619cb7911f3ef1b6de0a24b9f7db1e97bfb7e8a",
+    "2f78e6f49e2e8f47be062c9bbcf0f4f1e33d52b941551cbc446f258cb8bf9f74",
 )
 
 
@@ -101,6 +104,6 @@ def test_riesz_suite_digest_and_draws_at_verify_seeds(seed, tmp_path, capsys, mo
     monkeypatch.setattr(suites.np.random, "default_rng", recording_rng)
     assert main(["verify", "--suite", "riesz", "--seed", str(seed), str(corpus)]) == 0
     assert report_digest(capsys.readouterr().out) == RIESZ_VERIFY_SHA256
-    [rng] = made
-    state = json.dumps(rng.bit_generator.state, sort_keys=True)
-    assert hashlib.sha256(state.encode()).hexdigest() == RIESZ_STATE_SHA256[seed]
+    assert len(made) == 20    # one generator per measure
+    states = json.dumps([rng.bit_generator.state for rng in made], sort_keys=True)
+    assert hashlib.sha256(states.encode()).hexdigest() == RIESZ_STATE_SHA256[seed]

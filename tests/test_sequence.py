@@ -114,9 +114,14 @@ def test_spectrum_certificate_schedule():
 # ---------------------------------------------------------------------------
 
 def test_compactness_canonical_trio():
-    assert compactness_check(reciprocal()).compact
-    assert not compactness_check(constant(1.0)).compact
-    assert not compactness_check(shifted_reciprocal(1.0)).compact
+    # each verdict and its reason, the witness that verify's former
+    # canonical-classification record printed for these three operators
+    verdicts = [compactness_check(op) for op in (reciprocal(), constant(1.0),
+                                                 shifted_reciprocal(1.0))]
+    assert [(v.compact, v.reason) for v in verdicts] == [
+        (True, "limit points in {0} and finite nonzero multiplicities"),
+        (False, "limit point 1.0 is nonzero"),
+        (False, "limit point (1+0j) is nonzero")]
 
 
 def test_compactness_infinite_multiplicity_not_compact():

@@ -8,11 +8,14 @@ import io
 import json
 import math
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrelat import io as cio
 from centrelat import measures, spectral, suites
@@ -30,6 +33,7 @@ from centrelat.sequence import (
 from centrelat.spectral import OperatorSpectralMeasure
 from centrelat.suites import Records, op_digest, run_suites
 
+ENUMERATION = "enumeration-uniqueness-of-spectral-measure"
 SPECTRAL_PER_OPERATOR = ("symbol-spectrum-matches-block-eigenvalues",
                          "spectral-radius-and-shape-equivalences",
                          "band-cover-union-spectrum",
@@ -132,12 +136,17 @@ def test_failed_spectral_cross_check_skips_that_instance(monkeypatch):
 
     monkeypatch.setattr(suites, "block_eigenvalue_deviation", block_eigenvalue_deviation)
     records = records_of("spectral", {"central": ops})
-    failed = [r for r in records if r.instance == bad]
+    failed = [r for r in records if not r.ok]
     assert_guarded_failures(failed, "Eigenvalues did not converge", 1)
-    assert failed[0].check == "symbol-spectrum-matches-block-eigenvalues"
-    good = [r.check for r in records if r.instance == op_digest(ops[1])]
-    assert good == list(SPECTRAL_PER_OPERATOR)
-    assert all(r.ok for r in records if r.instance != bad)
+    assert (failed[0].check, failed[0].instance) == ("symbol-spectrum-matches-block-eigenvalues",
+                                                     bad)
+    # the failed instance keeps only its enumeration record, made before the
+    # cross-check; the other instance keeps all of its records, the same as alone
+    assert [r.check for r in records if r.instance == bad] == [
+        ENUMERATION, "symbol-spectrum-matches-block-eigenvalues"]
+    good = [r for r in records if r.instance == op_digest(ops[1])]
+    assert [r.check for r in good] == [ENUMERATION, *SPECTRAL_PER_OPERATOR]
+    assert good == records_of("spectral", {"central": ops[1:]})
 
 
 def test_failed_spectral_measure_validation(monkeypatch):
@@ -319,6 +328,28 @@ def test_annihilation_fails_without_warning_when_its_scale_overflows():
     assert not record.ok and not math.isfinite(record.max_deviation)
 
 
+# ---------------------------------------------------------------------------
+# the dominated-convergence record, whose witness says why it failed
+# ---------------------------------------------------------------------------
+
+def test_failed_dominated_convergence_names_its_reason_and_term():
+    # scaled by 2**20, rho_T(f_n) z - rho_T(f) z rounds above the witness's
+    # absolute tolerance, so domination fails on the element
+    ops = [CentralOperator(T.lattice, T.symbol * 2.0 ** 20) for T in centrals(20)]
+    records = records_of("calculus", {"central": ops}, "dominated-convergence-witness")
+    failed = [r for r in records if not r.ok]
+    assert len(records) == 20 and len(failed) == 18
+    assert {r.witness for r in failed} == {f"on z: domination fails at term {n}"
+                                          for n in (0, 1, 7)}
+    assert all(r.witness == "" for r in records if r.ok)
+    # a failing operator verdict with no term gives its reason alone
+    T = centrals(1)[0]
+    vals = np.array(spectral.build_mu_T(T).values)
+    rep = spectral.dominated_convergence_calculus(T, [vals], vals, 2.0 * T.order_unit_norm(),
+                                                  tail=lambda n: 1.0)
+    assert not rep and rep.reason == "tail rule does not certify decay to zero"
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """A file holding the ROADMAP corpus, ``gen --seed 7 --dim 2..16 --count 100``."""
@@ -401,15 +432,18 @@ def test_verify_digests_each_object_at_most_once_per_call(monkeypatch, corpus):
         assert max(counts.values()) == 1
 
 
-def test_each_record_names_the_op_digest_of_its_object(monkeypatch, corpus):
+def test_each_record_names_the_op_digest_of_its_object(corpus):
     instances = cio.read_instances([corpus])
-    memoised = run_suites(list(suites.SUITES), instances, seed=3)
-    monkeypatch.setattr(Records, "digest", lambda self, obj: op_digest(obj))
-    direct = run_suites(list(suites.SUITES), instances, seed=3)
-    assert [r.records for r in memoised] == [r.records for r in direct]
-    named = {r.instance for report in memoised for r in report.records}
-    assert {op_digest(obj) for key in ("central", "regular", "measure", "spectral_measure")
-            for obj in instances[key]} <= named
+    instances["sequence"] = [reciprocal(), geometric(0.5)]
+    digests = {kind: {op_digest(obj) for obj in objects}
+               for kind, objects in instances.items() if kind != "lattice"}
+    reports = run_suites(list(suites.SUITES), instances, seed=3)
+    for report in reports:
+        read = set().union(*(digests[kind] for kind in suites.SUITES[report.suite]))
+        assert {r.instance for r in report.records} <= read
+    # and every input object is named by some record
+    assert {r.instance for report in reports for r in report.records} == set().union(
+        *digests.values())
 
 
 def test_consecutive_calls_give_the_same_records(corpus):
@@ -419,10 +453,63 @@ def test_consecutive_calls_give_the_same_records(corpus):
     assert [r.records for r in first] == [r.records for r in second]
 
 
-def test_records_made_alone_digest_through_their_own_map():
-    T, other = centrals(2)
-    out = Records("cstar")
-    assert out.digest(T) == op_digest(T) and out.digest(T) == op_digest(T)
-    assert list(out.digests) == [id(T)] and out.digests[id(T)][0] is T
-    shared = Records("norms", out.digests)
-    assert shared.digest(other) == op_digest(other) and len(out.digests) == 2
+# ---------------------------------------------------------------------------
+# per-instance generators: a record depends only on its own instance
+# ---------------------------------------------------------------------------
+
+def verify_bundle(doc, *options):
+    """What ``verify`` prints on a bundle document, written to a temporary file."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        path = Path(tmp) / "bundle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", *options, str(path)]) == 0
+    return out.getvalue()
+
+
+def untimed_records(text):
+    """The record lines of a verify report, by (suite, check, instance).  Equal
+    objects share a digest, and their records must then be equal too."""
+    keyed = {}
+    for r in map(json.loads, text.splitlines()):
+        if "check" in r:
+            assert keyed.setdefault((r["suite"], r["check"], r["instance"]), r) == r
+    return keyed
+
+
+class Verified:
+    """A bundle's instances, the digests of each one's objects, and its verify
+    records, with a short repr for the report of a failing hypothesis example."""
+
+    def __init__(self, instances, digests, records):
+        self.instances, self.digests, self.records = instances, digests, records
+
+    def __repr__(self):
+        return f"Verified({len(self.instances)} instances)"
+
+
+@pytest.fixture(scope="module")
+def mixed_run(corpus):
+    """The reference corpus with two sequence instances, the digests of each
+    instance's objects, and the records of ``verify --seed 5`` on all of it."""
+    doc = json.loads(corpus.read_text())
+    doc["instances"] += [{"kind": "sequence", "sequence": cio.sequence_to_json(op)}
+                         for op in (reciprocal(), geometric(0.5))]
+    digests = [{op_digest(obj) for key, obj in each.items() if key != "lattice"}
+               for each in cio.bundle_from_json(doc)]
+    return Verified(doc["instances"], digests,
+                    untimed_records(verify_bundle(doc, "--seed", "5")))
+
+
+# a random subset of the corpus's 102 instances, in a random order, and of the suites
+@given(picked=st.lists(st.integers(0, 101), unique=True, min_size=1, max_size=6),
+       names=st.lists(st.sampled_from(list(suites.SUITES)), unique=True, min_size=1))
+@settings(max_examples=15, deadline=None)
+def test_a_sub_bundle_gives_the_full_runs_records_for_its_instances(mixed_run, picked, names):
+    instances, digests, full = mixed_run.instances, mixed_run.digests, mixed_run.records
+    assert len(instances) == 102
+    text = verify_bundle({"instances": [instances[i] for i in picked]}, "--seed", "5",
+                         *[arg for name in names for arg in ("--suite", name)])
+    named = set().union(*(digests[i] for i in picked))
+    assert untimed_records(text) == {key: r for key, r in full.items()
+                                     if key[0] in names and key[2] in named}
