@@ -262,18 +262,21 @@ def ideal_norm(z: ComplexElement, ideal: PrincipalIdeal) -> float:
 class ConvergenceWitness:
     """A decreasing dominating sequence certifying sigma-order convergence.
 
-    ``dominating`` lists u_1 >= u_2 >= ... coordinatewise.  Decay to zero is
-    certified by the analytic ``tail`` rule: an upper bound on the sup of u_n
-    for each n, decreasing to 0.
+    ``dominating`` is one read-only ``(n_terms, dim)`` array, rows u_1 >= u_2
+    >= ... coordinatewise, copied from the terms given, which must share a
+    shape.  Decay to zero is certified by the analytic ``tail`` rule: an
+    upper bound on the sup of u_n for each n, decreasing to 0.
     """
 
-    dominating: tuple[np.ndarray, ...]
+    dominating: np.ndarray
     tail: Callable[[int], float]
 
     def __post_init__(self):
-        doms = tuple(np.asarray(u, dtype=float) for u in self.dominating)
-        for u in doms:
-            u.setflags(write=False)
+        terms = [np.asarray(u, dtype=float) for u in self.dominating]
+        if len({u.shape for u in terms}) > 1:
+            raise DimensionMismatchError("dominating terms of different shapes")
+        doms = np.array(terms) if terms else np.empty((0, 0))
+        doms.setflags(write=False)
         object.__setattr__(self, "dominating", doms)
 
 
@@ -287,27 +290,39 @@ class WitnessVerdict:
         return self.ok
 
 
-def check_witness(values: Sequence[ComplexElement], limit: ComplexElement,
+def check_witness(values: Sequence[ComplexElement] | np.ndarray, limit: ComplexElement,
                   witness: ConvergenceWitness) -> WitnessVerdict:
     """Verify that a witness certifies values_n -> limit in sigma-order.
 
-    Checks that the dominating sequence is coordinatewise nonincreasing, that
-    |values_n - limit| <= u_n for every term, and that the tail rule is
-    nonincreasing and decays to zero.  Each test passes only if its ``<=``
-    holds, so a NaN term or bound fails it.
+    ``values`` is a sequence of elements or the ``(m, dim)`` array of their
+    coordinates; a value or term of another shape than ``(dim,)`` raises
+    DimensionMismatchError.  Checks, on the whole table, that the dominating
+    sequence is coordinatewise nonincreasing, that |values_n - limit| <= u_n
+    for every term (in row blocks, up to the first that fails), and that the
+    tail rule is nonincreasing and decays to zero.  Each test passes only if
+    its ``<=`` holds, so a NaN term or bound fails it.
     """
-    doms = witness.dominating
+    dim, doms = limit.lattice.dim, witness.dominating
+    if not isinstance(values, np.ndarray):
+        if any(z.lattice.dim != dim for z in values):
+            raise DimensionMismatchError("elements on lattices of different dimension")
+        values = np.array([z.values for z in values]).reshape(-1, dim)
+    if values.shape[1:] != (dim,) or doms.ndim != 2 or (len(doms) and doms.shape[1] != dim):
+        raise DimensionMismatchError(f"a value or dominating term not of shape ({dim},)")
     if len(values) > len(doms):
         return WitnessVerdict(False, None, "witness shorter than the value sequence")
-    for n, u in enumerate(doms):
-        if not np.all(0 <= u):
-            return WitnessVerdict(False, n, "dominating term has a negative or NaN coordinate")
-        if n > 0 and not np.all(u <= doms[n - 1]):
-            return WitnessVerdict(False, n, "dominating sequence increases")
-    for n, z in enumerate(values):
-        diff = modulus(z - limit)
-        if not np.all(diff <= doms[n] + TOL_EXACT):
-            return WitnessVerdict(False, n, "domination fails")
+    # each row against the one before it, row 0 against itself
+    negative = ~np.all(0 <= doms, axis=1)
+    bad = np.flatnonzero(negative | ~np.all(doms <= np.concatenate((doms[:1], doms[:-1])), axis=1))
+    if bad.size:
+        n = int(bad[0])
+        return WitnessVerdict(False, n, "dominating term has a negative or NaN coordinate"
+                              if negative[n] else "dominating sequence increases")
+    within = doms[:len(values)] + TOL_EXACT
+    for rows in row_blocks(len(values), dim):
+        fails = ~np.all(np.abs(values[rows] - limit.values) <= within[rows], axis=1)
+        if fails.any():
+            return WitnessVerdict(False, rows.start + int(np.argmax(fails)), "domination fails")
     probes = [max(1, len(doms)), 4 * len(doms) + 16, 64 * len(doms) + 256, 10 ** 9, 10 ** 12]
     bounds = [witness.tail(n) for n in probes]
     if not all(b2 <= b1 + TOL_EXACT for b1, b2 in zip(bounds, bounds[1:])):

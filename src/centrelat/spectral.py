@@ -371,7 +371,7 @@ class DominatedConvergenceReport:
 
 
 def dominated_convergence_calculus(T: CentralOperator,
-                                   fs: Sequence,
+                                   fs: Sequence | np.ndarray,
                                    f,
                                    bound: float,
                                    tail: Callable[[int], float],
@@ -383,35 +383,36 @@ def dominated_convergence_calculus(T: CentralOperator,
     sup_{m >= n} |f_m - f|, times the identity, and ``tail`` is its decay
     rule.  When ``z`` is supplied the convergence rho_T(f_n) z -> rho_T(f) z
     is certified as well.  Each function is a callable or one value per
-    entry of ``build_mu_T(T).values``; every value and ``bound`` must be finite.
+    entry of ``build_mu_T(T).values``, and ``fs`` may be one ``(n_terms,
+    |sigma|)`` table of them; every value and ``bound`` must be finite.  The
+    symbols of the rho_T(f_n) are one ``(n_terms, dim)`` stack.
     """
     if not (isinstance(bound, numbers.Real) and math.isfinite(bound)):
         raise PreconditionError(f"uniform bound must be a finite number, got {bound!r}")
     mu = build_mu_T(T)
     limit = _per_value(f, mu.values)
-    tables = [_per_value(g, mu.values) for g in fs]
-    if not all(np.isfinite(g).all() for g in (limit, *tables)):
+    tables = np.array([_per_value(g, mu.values) for g in fs]).reshape(-1, len(limit))
+    if not (np.isfinite(limit).all() and np.isfinite(tables).all()):
         raise PreconditionError("f and every f_n must be finite on the spectrum")
-    for g in tables:
-        worst = max(map(abs, g.tolist()))
-        if not worst <= bound + TOL_EXACT:
-            raise PreconditionError(f"uniform bound {bound} violated: |f_n| reaches {worst}")
-    devs = [max(map(abs, (g - limit).tolist())) for g in tables]
-    running = np.maximum.accumulate(np.asarray(devs)[::-1])[::-1]
-    n = T.lattice.dim
-    dominating = tuple(r * np.ones(n) for r in running)
-    witness = ConvergenceWitness(dominating, tail=tail)
-    limit_op = rho_T(T, limit, mu)
-    ops = [rho_T(T, g, mu) for g in tables]
-    op_values = [ComplexElement(T.lattice, op.symbol) for op in ops]
-    op_limit = ComplexElement(T.lattice, limit_op.symbol)
-    verdict = check_witness(op_values, op_limit, witness)
+    # Python's abs over one flattened list; per term, sup |f_n| and sup |f_n - f|
+    worst, devs = (np.reshape(list(map(abs, g.ravel().tolist())), g.shape).max(axis=1)
+                   for g in (tables, tables - limit))
+    over = np.flatnonzero(~(worst <= bound + TOL_EXACT))
+    if over.size:
+        raise PreconditionError(f"uniform bound {bound} violated: |f_n| reaches {worst[over[0]]}")
+    running = np.maximum.accumulate(devs[::-1])[::-1]
+    witness = ConvergenceWitness(running[:, None] * np.ones(T.lattice.dim), tail=tail)
+    symbols, limit_symbol = tables[:, mu.labels] + 0j, _on_labels(limit, mu.labels)
+    verdict = check_witness(symbols, ComplexElement(T.lattice, limit_symbol), witness)
     element_verdict = None
     if z is not None:
-        absz = np.abs(z.values)
-        elem_witness = ConvergenceWitness(tuple(r * absz for r in running), tail=tail)
-        element_verdict = check_witness([op.apply(z) for op in ops], limit_op.apply(z),
-                                        elem_witness)
+        if z.lattice.dim != T.lattice.dim:
+            raise DimensionMismatchError("operator and element dimensions differ")
+        # z as a (1, dim) row: on x86-64 numpy multiplies a (1, 1) stack by a
+        # (1,) vector in another loop, which rounds unlike the per-term product
+        element_verdict = check_witness(
+            symbols * z.values[None, :], ComplexElement(T.lattice, limit_symbol * z.values),
+            ConvergenceWitness(running[:, None] * np.abs(z.values), tail=tail))
     return DominatedConvergenceReport(verdict, witness, element_verdict)
 
 
@@ -537,9 +538,13 @@ class CommutantReport:
         return all(x == c[0] for x in c) and self.block_pattern == c[0]
 
 
-def _commutes_with_diag(g: np.ndarray, X: np.ndarray, tol: float) -> bool:
-    """diag(g) X = X diag(g), entrywise: (g[i] - g[j]) X[i, j] vanishes."""
-    return float(np.max(np.abs((g[:, None] - g[None, :]) * X))) <= tol
+def _commutes_with_diag(g: np.ndarray, support: tuple[np.ndarray, np.ndarray],
+                        x: np.ndarray, tol: float) -> bool:
+    """diag(g) X = X diag(g) entrywise: (g[i] - g[j]) X[i, j] vanishes at
+    each (i, j) of ``support``, the nonzero entries of X, whose values are
+    ``x``.  Any other entry's product is (g[i] - g[j]) * 0 = 0, which passes,
+    unless g[i] - g[j] overflows: the dense form's inf * 0 = NaN failed it."""
+    return float(np.max(np.abs((g[support[0]] - g[support[1]]) * x), initial=0.0)) <= tol
 
 
 def commutant_check(T: CentralOperator, Xi: RegularOperator,
@@ -567,13 +572,15 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
     D = np.diag(s)
     c1 = float(np.max(np.abs(np.einsum("ij,jk->ik", D, X)
                              - np.einsum("ij,jk->ik", X, D)))) <= tol
-    c2 = _commutes_with_diag(np.conj(s), X, tol)
+    support = np.nonzero(X)
+    x = X[support]
+    c2 = _commutes_with_diag(np.conj(s), support, x, tol)
 
     mu = build_mu_T(T)
     # normalise so the powers stay well conditioned
     nrm = T.order_unit_norm()
     sn = s / nrm if nrm > 0 else s
-    c3 = all(_commutes_with_diag(sn ** a, X, tol) for a in range(len(mu.values)))
+    c3 = all(_commutes_with_diag(sn ** a, support, x, tol) for a in range(len(mu.values)))
 
     # (p_i - p_j) X_ij is X_ij where exactly one of i, j lies in band k: over
     # all k, the pairs with different labels
@@ -582,7 +589,7 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
     c5 = True
     for _ in range(8):
         vals = rng.standard_normal(len(mu.values)) + 1j * rng.standard_normal(len(mu.values))
-        if not _commutes_with_diag(_on_labels(vals, mu.labels), X, tol):
+        if not _commutes_with_diag(_on_labels(vals, mu.labels), support, x, tol):
             c5 = False
             break
 

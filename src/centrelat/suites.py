@@ -416,14 +416,11 @@ def calculus_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
     out.holds("kernel-formula-matches-null-space-oracle", d, ok, dev)
 
     # dominated convergence with an explicit witness
-    fs = [vals + 1.0 / (n + 1) for n in range(12)]
-    bound = max(map(abs, mu.values)) + 1.0
-    rep = dominated_convergence_calculus(T, fs, vals, bound,
-                                         z=ComplexElement(
-                                             T.lattice,
-                                             rng.standard_normal(T.lattice.dim)
-                                             + 1j * rng.standard_normal(T.lattice.dim)),
-                                         tail=lambda n: 1.0 / (n + 1))
+    fs = vals + 1.0 / np.arange(1, 13)[:, None]
+    z = ComplexElement(T.lattice, rng.standard_normal(T.lattice.dim)
+                       + 1j * rng.standard_normal(T.lattice.dim))
+    rep = dominated_convergence_calculus(T, fs, vals, max(map(abs, mu.values)) + 1.0,
+                                         lambda n: 1.0 / (n + 1), z=z)
     out.holds("dominated-convergence-witness", d, rep, witness=rep.reason)
 
 

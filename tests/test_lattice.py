@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centrelat.lattice import (
@@ -18,14 +18,23 @@ from centrelat.lattice import (
     PrincipalIdeal,
     UserNorm,
     WeightedPNorm,
+    WitnessVerdict,
     check_witness,
     ideal_norm,
     modulus,
     modulus_phase_oracle,
     row_blocks,
 )
+from centrelat.generate import random_central
 from centrelat.operators import CentralOperator
-from centrelat.spectral import union_spectrum
+from centrelat.spectral import (
+    DominatedConvergenceReport,
+    PreconditionError,
+    build_mu_T,
+    dominated_convergence_calculus,
+    rho_T,
+    union_spectrum,
+)
 
 TOL_EXACT = 1e-12
 TOL_ORACLE = 1e-9
@@ -305,6 +314,183 @@ def test_witness_rejects_a_nan_tail_bound(tail):
     limit = elem([0.0])
     verdict = check_witness([limit], limit, ConvergenceWitness((np.array([0.5]),), tail=tail))
     assert not verdict and verdict.first_violation is None
+
+
+@pytest.mark.parametrize("terms", [
+    (np.array([10.0]),), (np.array(10.0),), (np.full(3, 10.0), np.array([10.0])),
+], ids=["one-coordinate", "scalar", "ragged"])
+def test_witness_terms_of_another_shape_raise(terms):
+    # |values - limit| = 5 at every coordinate; each witness broadcast to a
+    # dim-3 bound of 10 and passed
+    limit = elem([1.0, 0.0, -2.0])
+    values = [elem([6.0, 3.0, -2.0], [0.0, 4.0, 5.0])] * len(terms)
+    tail = lambda n: 1.0 / (n + 1)
+    if len({np.shape(u) for u in terms}) > 1:
+        with pytest.raises(DimensionMismatchError):
+            ConvergenceWitness(terms, tail=tail)
+        return
+    witness = ConvergenceWitness(terms, tail=tail)
+    with pytest.raises(DimensionMismatchError):
+        check_witness(values, limit, witness)
+    # the same terms at the lattice's shape certify the sequence
+    assert check_witness(values, limit, ConvergenceWitness([np.full(3, 10.0)] * len(terms), tail))
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (2,), (3,), (2, 3, 1), (0, 2)])
+def test_witness_values_of_another_shape_raise(shape):
+    limit = elem([0.0, 0.0, 0.0])
+    witness = ConvergenceWitness(np.ones((2, 3)), tail=lambda n: 1.0 / (n + 1))
+    with pytest.raises(DimensionMismatchError):
+        check_witness(np.zeros(shape, dtype=complex), limit, witness)
+    with pytest.raises(DimensionMismatchError):
+        check_witness([limit, elem([0.0, 0.0])], limit, witness)
+
+
+def test_witness_takes_a_value_array_and_keeps_its_terms_read_only():
+    limit = elem([0.0, 1.0])
+    values = [elem([0.5, 1.0]), elem([0.25, 1.0])]
+    witness = ConvergenceWitness((np.array([0.5, 0.0]), np.array([0.25, 0.0])),
+                                 tail=lambda n: 1.0 / (n + 1))
+    assert witness.dominating.shape == (2, 2) and not witness.dominating.flags.writeable
+    stacked = np.array([z.values for z in values])
+    assert check_witness(values, limit, witness) == check_witness(stacked, limit, witness)
+    assert ConvergenceWitness((), tail=witness.tail).dominating.shape == (0, 0)
+    # as a measure's values, the caller's own arrays stay writable
+    terms, table = (np.array([0.5, 0.0]),), np.array([[0.5, 0.0]])
+    for doms in (terms, table):
+        ConvergenceWitness(doms, tail=witness.tail)
+    terms[0][0] = table[0, 0] = 1.0
+
+
+def _loop_check_witness(values, limit, doms, tail):
+    """The per-term witness check that the stacked one replaced: its reference."""
+    if len(values) > len(doms):
+        return WitnessVerdict(False, None, "witness shorter than the value sequence")
+    for n, u in enumerate(doms):
+        if not np.all(0 <= u):
+            return WitnessVerdict(False, n, "dominating term has a negative or NaN coordinate")
+        if n > 0 and not np.all(u <= doms[n - 1]):
+            return WitnessVerdict(False, n, "dominating sequence increases")
+    for n, z in enumerate(values):
+        diff = modulus(z - limit)
+        if not np.all(diff <= doms[n] + TOL_EXACT):
+            return WitnessVerdict(False, n, "domination fails")
+    probes = [max(1, len(doms)), 4 * len(doms) + 16, 64 * len(doms) + 256, 10 ** 9, 10 ** 12]
+    bounds = [tail(n) for n in probes]
+    if not all(b2 <= b1 + TOL_EXACT for b1, b2 in zip(bounds, bounds[1:])):
+        return WitnessVerdict(False, None, "tail rule is not nonincreasing")
+    if not bounds[-1] <= 1e-6:
+        return WitnessVerdict(False, None, "tail rule does not certify decay to zero")
+    return WitnessVerdict(True)
+
+
+_FAULTS = ("none", "nan", "negative", "increase", "break", "short",
+           "tie-below", "tie-at", "tie-above")
+_TAILS = (lambda n: 1.0 / (n + 1), lambda n: 0.5, lambda n: math.nan)
+
+
+@given(st.sampled_from((1, 2, 3, 7, 16, 700, 2048, 2049)), st.integers(0, 24),
+       st.integers(0, 3), st.sampled_from(_FAULTS), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.booleans(), st.sampled_from(_TAILS))
+@settings(max_examples=300, deadline=None)
+def test_stacked_witness_check_matches_the_per_term_loop(dim, m, extra, fault, seed,
+                                                         as_array, as_terms, tail):
+    """Over dims whose row blocks hold 1 to 16384 rows: NaN, negative and
+    increasing terms, a value that breaks domination, a witness shorter than
+    the values, and u_n within one ulp of |v_n - l| - TOL_EXACT, where the
+    domination test turns on the last bit of the modulus."""
+    rng = np.random.default_rng(seed)
+    lat = CoordinateLattice(dim)
+    scale = 10.0 ** rng.uniform(-3, 3, size=dim)
+    limit = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * scale
+    noise = (rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))) * scale
+    rows = limit + noise / np.arange(1, m + 1)[:, None]
+    diff = np.array([np.abs(row - limit) for row in rows]).reshape(m, dim)
+    doms = np.maximum.accumulate(diff[::-1], axis=0)[::-1] if m else np.zeros((0, dim))
+    tailrows = (doms[-1] if m else np.ones(dim)) * 0.5 ** np.arange(1, extra + 1)[:, None]
+    doms = np.concatenate((doms, tailrows))
+    n = int(rng.integers(0, max(len(doms), 1)))
+    c = int(rng.integers(0, dim))
+    if fault == "short":
+        doms = doms[:int(rng.integers(0, m))] if m else doms
+    elif len(doms) and fault in ("nan", "negative", "increase"):
+        doms[n, c] = {"nan": math.nan, "negative": -1e-300,
+                      "increase": doms[n - 1, c] * 2.0 + 1.0 if n else doms[n, c]}[fault]
+    elif m and fault == "break":
+        n = min(n, m - 1)
+        rows[n, c] = limit[c] + (doms[n, c] + 1e-9 * scale[c]) * np.exp(1j * rng.uniform(0, 6))
+    elif m and fault.startswith("tie"):
+        n = min(n, m - 1)
+        rows[n, c] = limit[c] + scale[c] * np.exp(1j * rng.uniform(0, 6))
+        rows[n + 1:, c] = limit[c]
+        near = float(np.abs(rows[n] - limit)[c]) - TOL_EXACT
+        near = {"tie-below": np.nextafter(near, -np.inf), "tie-at": near,
+                "tie-above": np.nextafter(near, np.inf)}[fault]
+        doms[:n + 1, c] = np.maximum(doms[:n + 1, c], near)
+        doms[n:, c] = np.minimum(doms[n:, c], near)
+    values = [ComplexElement(lat, row) for row in rows]
+    lim = ComplexElement(lat, limit)
+    reference = _loop_check_witness(values, lim, tuple(doms), tail)
+    witness = ConvergenceWitness(tuple(doms) if as_terms else doms, tail=tail)
+    assert check_witness(rows if as_array else values, lim, witness) == reference
+
+
+def _loop_calculus(T, fs, f, bound, tail, z):
+    """The calculus with one operator and one element per term, as the stacked
+    one replaced, on tables: verdict, element verdict and dominating terms."""
+    mu = build_mu_T(T)
+    tables = [np.asarray(g, dtype=complex) for g in fs]
+    for g in tables:
+        worst = max(map(abs, g.tolist()))
+        if not worst <= bound + TOL_EXACT:
+            raise PreconditionError(f"uniform bound {bound} violated: |f_n| reaches {worst}")
+    devs = [max(map(abs, (g - f).tolist())) for g in tables]
+    running = np.maximum.accumulate(np.asarray(devs)[::-1])[::-1]
+    limit_op, ops = rho_T(T, f, mu), [rho_T(T, g, mu) for g in tables]
+    verdict = _loop_check_witness([ComplexElement(T.lattice, op.symbol) for op in ops],
+                                  ComplexElement(T.lattice, limit_op.symbol),
+                                  tuple(r * np.ones(T.lattice.dim) for r in running), tail)
+    absz = np.abs(z.values)
+    element = _loop_check_witness([op.apply(z) for op in ops], limit_op.apply(z),
+                                  tuple(r * absz for r in running), tail)
+    return verdict, element, np.array([r * np.ones(T.lattice.dim) for r in running])
+
+
+@given(st.integers(1, 40), st.integers(-30, 30), st.integers(0, 14), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(("array", "tables", "callables")), st.booleans())
+@settings(max_examples=200, deadline=None)
+@example(dim=1, k=24, n_terms=1, seed=2, form="array", tight=False)  # one term, one coordinate
+def test_stacked_calculus_matches_the_per_term_loop(dim, k, n_terms, seed, form, tight):
+    """The suite's shifted tables and random ones, on symbols scaled by 2**k:
+    at k >= 10 the absolute TOL_EXACT makes domination fail, on T or on z.
+    A tight bound makes some |f_n| exceed it."""
+    rng = np.random.default_rng(seed)
+    base = random_central(rng, dim=dim, repeats=bool(rng.integers(0, 2)))
+    T = CentralOperator(base.lattice, base.symbol * 2.0 ** k)
+    mu = build_mu_T(T)
+    vals = np.array(mu.values)
+    shifts = 1.0 / np.arange(1, n_terms + 1)[:, None]
+    if rng.integers(0, 2):
+        shifts = shifts * (rng.standard_normal((n_terms, len(vals)))
+                           + 1j * rng.standard_normal((n_terms, len(vals))))
+    tables = vals + shifts
+    bound = max(map(abs, mu.values)) + (0.5 if tight else 1.0) * 2.0 ** max(k, 0)
+    z = ComplexElement(T.lattice, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    fs = {"array": tables, "tables": list(tables),
+          "callables": [lambda v, t=dict(zip(mu.values, row.tolist())): t[v] for row in tables]
+          }[form]
+    tail = lambda n: 1.0 / (n + 1)
+    try:
+        verdict, element, dominating = _loop_calculus(T, tables, vals, bound, tail, z)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as raised:
+            dominated_convergence_calculus(T, fs, vals, bound, tail, z=z)
+        assert str(raised.value) == str(exc)
+        return
+    rep = dominated_convergence_calculus(T, fs, vals, bound, tail, z=z)
+    assert (rep.verdict, rep.element_verdict) == (verdict, element)
+    assert rep.reason == DominatedConvergenceReport(verdict, rep.witness, element).reason
+    assert rep.witness.dominating.reshape(dominating.shape).tobytes() == dominating.tobytes()
 
 
 @given(st.integers(0, 5000), st.integers(1, 3 * ENTRIES))

@@ -4,6 +4,7 @@ functional calculus, eigen expansions, and commutants."""
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from centrelat.generate import (
     random_central,
     random_rational_symbols,
 )
-from centrelat.lattice import ComplexElement, CoordinateLattice, MaxNorm
+from centrelat.lattice import ComplexElement, CoordinateLattice, DimensionMismatchError, MaxNorm
 from centrelat.operators import CentralOperator, RegularOperator
 from centrelat.spectral import (
     OperatorSpectralMeasure,
@@ -1031,6 +1032,94 @@ def test_condition_one_agrees_with_blas_products(dim, seed):
         tol = TOL_EXACT * max(1.0, float(np.max(np.abs(X))))
         report = commutant_check(T, Xi)
         assert report.with_operator == (float(np.max(np.abs(blas))) <= tol) == (Xi is inside)
+
+
+def _dense_conditions_two_and_three(T, X):
+    """Conditions 2 and 3 on every entry of X, as before the support form."""
+    tol = TOL_EXACT * max(1.0, float(np.max(np.abs(X))))
+    nrm = T.order_unit_norm()
+    sn = T.symbol / nrm if nrm > 0 else T.symbol
+    dense = lambda g: float(np.max(np.abs((g[:, None] - g[None, :]) * X))) <= tol
+    return dense(np.conj(T.symbol)), all(dense(sn ** a) for a in range(len(build_mu_T(T).values)))
+
+
+@given(st.one_of(st.integers(1, 80), st.just(130)), st.sampled_from((None, 1, 2, 3, 5)),
+       st.floats(-14.0, 0.0), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_support_form_matches_the_dense_conditions(dim, few, size, seed):
+    """Block operators, copies broken at one entry by 10**size, from far
+    below the tolerance to far above it, and copies with every entry moved
+    by up to 10**size, on all values distinct or at most ``few`` of them."""
+    rng = np.random.default_rng(seed)
+    T = random_central(rng, dim=dim)
+    if few:
+        T = central(T.symbol[rng.integers(0, min(few, dim), size=dim)])
+    inside = commutant_block_operator(rng, T)
+    cases = [inside.entries]
+    mismatched = np.argwhere(T.symbol[:, None] != T.symbol[None, :])
+    if len(mismatched):
+        i, j = mismatched[rng.integers(0, len(mismatched))]
+        broken = np.array(inside.entries)
+        broken[i, j] += 10.0 ** size * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        cases.append(broken)
+    # every entry nonzero, and within tolerance of a block operator
+    cases.append(inside.entries + 10.0 ** size * rng.uniform(0.5, 1.0, (dim, dim)))
+    for X in cases:
+        report = commutant_check(T, RegularOperator(T.lattice, X))
+        assert (report.with_conjugate, report.with_continuous_calculus) \
+            == _dense_conditions_two_and_three(T, X)
+
+
+def test_support_form_passes_entries_whose_symbol_difference_overflows():
+    # s_0 - s_1 overflows to inf, and X_01 = 0: the dense form's inf * 0 = NaN
+    # failed condition 2, while X = I commutes with T, as conditions 1, 3-5 say
+    T = central([1e308, -1e308])
+    report = commutant_check(T, RegularOperator(T.lattice, np.eye(2, dtype=complex)))
+    assert report.with_conjugate and report.all_equivalent()
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["block-operator", "dense"])
+def test_commutant_check_holds_no_stack_of_powers_at_n_256(monkeypatch, inside):
+    # 256 distinct values, so 256 powers: a stack of them all over every
+    # entry would hold 256 (n, n) complex arrays.  Each entrywise test holds
+    # two gathered operands over X's nonzero entries, the difference and the
+    # product reusing the first: at most two (n, n) complex arrays
+    n = 256
+    rng = np.random.default_rng(3)
+    T = random_central(rng, dim=n)
+    assert len(build_mu_T(T).values) == n
+    Xi = (commutant_block_operator(rng, T) if inside
+          else RegularOperator(T.lattice, rng.standard_normal((n, n)) + 1j))
+    peaks, test = [], spectral._commutes_with_diag
+
+    def traced(g, support, x, tol):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = test(g, support, x, tol)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(spectral, "_commutes_with_diag", traced)
+    tracemalloc.start()
+    try:
+        report = commutant_check(T, Xi)
+    finally:
+        tracemalloc.stop()
+    assert report.with_continuous_calculus == inside
+    # conditions 2, 3 and 5: 1, 256 and 8 tests when X commutes; 1, 2 (power
+    # 0 holds, power 1 fails) and 1 when it does not
+    assert len(peaks) == (1 + n + 8 if inside else 1 + 2 + 1)
+    assert max(peaks) <= 2 * n * n * 16 + 65536
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_dominated_convergence_rejects_an_element_of_another_dimension(dim):
+    # at dim 1 the stacked product with the (n_terms, 3) symbols would broadcast
+    T = central([1.0, 2.0, 3.0])
+    z = ComplexElement(CoordinateLattice(dim), np.ones(dim, dtype=complex))
+    with pytest.raises(DimensionMismatchError):
+        dominated_convergence_calculus(T, [[1.5, 2.5, 3.5]], [1.0, 2.0, 3.0], bound=5.0,
+                                       tail=harmonic_tail, z=z)
 
 
 def test_calc_rho_conj_real_symbol_prints_positive_zero(tmp_path, capsys):
