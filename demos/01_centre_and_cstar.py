@@ -39,7 +39,7 @@ print("agreement            :", np.max(np.abs(modulus(z) - modulus_phase_oracle(
 # -- a central operator is a diagonal symbol --------------------------------
 
 T = CentralOperator(lat, np.array([3 + 4j, -2.0, 0.5j, 1.0]))
-triple = norms(T)
+triple = norms(T, rng=np.random.default_rng(0))
 print("\norder unit norm      :", triple.order_unit)
 print("attained at basis e_%d; sampled ratios never exceed it (max %.3g)"
       % (triple.attained_at, triple.max_sampled_ratio))

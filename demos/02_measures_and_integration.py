@@ -68,6 +68,6 @@ print("0.5-valued atom rejected      :", not verdict, "(idempotent per atom:",
 # pi takes a function as an array over the points
 weights = rng.uniform(0, 1, size=(3, 6))
 pi = lambda arr: weights @ np.asarray(arr)
-recovered = riesz_represent(pi, space)
+recovered = riesz_represent(pi, space, rng=rng)
 print("\nrecovered atom values match the functional's weights:",
       all(np.max(np.abs(recovered.values[k] - weights[:, k])) < 1e-12 for k in range(6)))

@@ -82,12 +82,13 @@ print("2.0 is an eigenvalue      :", 2.0 in spec, "with band", band.symbol.real)
 X = np.zeros((5, 5), dtype=complex)
 X[0, 2] = X[2, 0] = 1.0          # couples the two coordinates with symbol 1
 X[1, 4] = 2j                     # couples the two coordinates with symbol 2
-report = commutant_check(T, RegularOperator(lat, X))
+rng = np.random.default_rng(0)
+report = commutant_check(T, RegularOperator(lat, X), rng)
 print("\nblock operator commutes with T, conj(T), calculus, projections:",
       report.conditions(), "- all equivalent:", report.all_equivalent())
 
 Y = X.copy()
 Y[0, 3] = 1.0                    # now couples distinct spectral values
-report = commutant_check(T, RegularOperator(lat, Y))
+report = commutant_check(T, RegularOperator(lat, Y), rng)
 print("after coupling distinct values, all five fail together       :",
       report.conditions(), "- all equivalent:", report.all_equivalent())

@@ -89,8 +89,12 @@ def cmd_gen(args) -> int:
             })
     text = _dump(cio.bundle_to_json(instances))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0

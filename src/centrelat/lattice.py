@@ -130,7 +130,7 @@ class ComplexElement:
     values: np.ndarray  # complex, shape (dim,)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values, dtype=complex).view()  # the caller's array stays writable
         if values.shape != (self.lattice.dim,):
             raise DimensionMismatchError(
                 f"element of shape {values.shape} on lattice of dim {self.lattice.dim}"
@@ -222,7 +222,7 @@ class PrincipalIdeal:
     generator: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.generator, dtype=float)
+        u = np.asarray(self.generator, dtype=float).view()  # the caller's array stays writable
         if u.ndim != 1:
             raise ValueError("generator must be a vector")
         if not np.all(np.isfinite(u)):

@@ -16,6 +16,9 @@ import numpy as np
 
 from .lattice import TOL_EXACT, ComplexElement, CoordinateLattice, MaxNorm, row_blocks
 
+#: Random functions per reproduction check and per sup/inf round of the Riesz checks.
+RIESZ_SAMPLES = 64
+
 
 class PositivityError(ValueError):
     """A value that must lie in the positive cone has a negative or non-finite
@@ -105,9 +108,19 @@ class LatticeValuedMeasure:
         return self.lattice.dim
 
     def measure_of(self, atoms) -> np.ndarray:
-        """mu of a union of atoms, a boolean mask or index array, summed in order."""
-        index = np.asarray(atoms)  # [] comes out as floats, which cannot index
-        return _sum_rows(self.values[index] if index.size else self.values[:0], self.dim)
+        """mu of a union of atoms, given as a mask of one bool per atom or as
+        atom indices: each atom counts once, and rows are summed in atom order."""
+        n, mask = self.space.n_atoms, np.asarray(atoms)
+        if mask.dtype != bool:
+            index = mask if mask.size else mask.astype(np.intp)  # [] comes out as floats
+            outside = (index < 0) | (index >= n)
+            if outside.any():
+                raise ValueError(f"no atom {index[outside][0]} among {n} atoms")
+            mask = np.zeros(n, dtype=bool)
+            mask[index] = True
+        elif mask.shape != (n,):
+            raise ValueError(f"one bool per atom required, not shape {mask.shape}")
+        return _sum_rows(self.values[mask], self.dim)
 
     def total(self) -> np.ndarray:
         return _sum_rows(self.values, self.dim)
@@ -172,8 +185,8 @@ class SpectralVerdict:
         return self.is_spectral
 
 
-def is_spectral(mu: LatticeValuedMeasure, tol: float = TOL_EXACT) -> SpectralVerdict:
-    """Check the product law mu(D1 & D2) = mu(D1) * mu(D2) on all atom pairs.
+def is_spectral(mu: LatticeValuedMeasure) -> SpectralVerdict:
+    """Check the product law mu(D1 & D2) = mu(D1) * mu(D2) on all atom pairs within TOL_EXACT.
 
     By additivity it suffices that each atom value is idempotent and that
     distinct atom values have product zero.  Values are nonnegative and
@@ -186,7 +199,7 @@ def is_spectral(mu: LatticeValuedMeasure, tol: float = TOL_EXACT) -> SpectralVer
     if len(v) > 1:
         top = np.partition(v, len(v) - 2, axis=0)[-2:]
         worst = max(worst, float(np.max(top[0] * top[1])))
-    return SpectralVerdict(worst <= tol, worst, tuple((idem <= tol).tolist()))
+    return SpectralVerdict(worst <= TOL_EXACT, worst, tuple((idem <= TOL_EXACT).tolist()))
 
 
 def _value(value, shape: tuple, phases: tuple[str, ...]) -> np.ndarray:
@@ -205,12 +218,9 @@ def _value(value, shape: tuple, phases: tuple[str, ...]) -> np.ndarray:
 
 
 def _represent(values, space: FiniteMeasurableSpace, lattice: Optional[CoordinateLattice],
-               samples: int, rng: Optional[np.random.Generator]) -> LatticeValuedMeasure:
+               rng: np.random.Generator) -> LatticeValuedMeasure:
     """The checks of ``riesz_represent_stack``; ``values(fs, phases, dim)`` is
     pi's checked value on the stack ``fs``, row i in the phase ``phases[i]``."""
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, not {samples}")
-    rng = np.random.default_rng(0) if rng is None else rng
     n_atoms, atom_of = space.n_atoms, space.atom_of
     if not n_atoms:  # no row then fixes the dimension, and there is nothing to draw from
         raise ValueError("one value row of a common dimension per atom required")
@@ -226,17 +236,17 @@ def _represent(values, space: FiniteMeasurableSpace, lattice: Optional[Coordinat
     dim = mu.dim
 
     # reproduction pi(f) = order integral of f
-    fs = rng.uniform(-1.0, 1.0, size=(samples, n_atoms))
-    on_points, phases = fs[:, atom_of], ("reproduction",) * samples
-    for rows in row_blocks(samples, 4 * dim):
+    fs = rng.uniform(-1.0, 1.0, size=(RIESZ_SAMPLES, n_atoms))
+    on_points, phases = fs[:, atom_of], ("reproduction",) * RIESZ_SAMPLES
+    for rows in row_blocks(RIESZ_SAMPLES, 4 * dim):
         lhs = values(on_points[rows], phases[rows], dim)
         if not np.max(np.abs(lhs - _integrals(fs[rows], mu).real)) <= TOL_EXACT:
             raise AssertionError("pi does not reproduce the order integral of its measure")
 
     # sup formula on a nonempty measurable V, inf formula on a nonempty K;
     # row i of rng.random((m, n)) has the bits of the i-th rng.uniform(0.0, 1.0, size=n)
-    phases = ("sup recovery", "inf recovery") * samples
-    sup = np.arange(2 * samples) % 2 == 0
+    phases = ("sup recovery", "inf recovery") * RIESZ_SAMPLES
+    sup = np.arange(2 * RIESZ_SAMPLES) % 2 == 0
     for _ in range(4):
         ks = sorted(rng.choice(n_atoms, size=rng.integers(1, n_atoms + 1), replace=False))
         target = mu.measure_of(ks)
@@ -246,10 +256,10 @@ def _represent(values, space: FiniteMeasurableSpace, lattice: Optional[Coordinat
             raise AssertionError("recovery formula is not attained at the indicator")
         upper, lower = target + TOL_EXACT, target - TOL_EXACT
         # rows 0::2: 0 <= g <= 1 with support in V; rows 1::2: 0 <= h <= 1 with h = 1 on K
-        fs = rng.random((2 * samples, n_atoms))[:, atom_of]
+        fs = rng.random((2 * RIESZ_SAMPLES, n_atoms))[:, atom_of]
         fs[0::2] *= mask
         fs[1::2] = np.maximum(fs[1::2], mask)
-        for rows in row_blocks(2 * samples, dim):
+        for rows in row_blocks(2 * RIESZ_SAMPLES, dim):
             vals = values(fs[rows], phases[rows], dim)
             holds = np.where(sup[rows, None], vals <= upper, lower <= vals).all(axis=1)
             if not holds.all():
@@ -259,25 +269,25 @@ def _represent(values, space: FiniteMeasurableSpace, lattice: Optional[Coordinat
 
 
 def riesz_represent_stack(pi: Callable[[np.ndarray], np.ndarray], space: FiniteMeasurableSpace,
-                          lattice: Optional[CoordinateLattice] = None, samples: int = 64,
-                          rng: Optional[np.random.Generator] = None) -> LatticeValuedMeasure:
+                          lattice: Optional[CoordinateLattice] = None, *,
+                          rng: np.random.Generator) -> LatticeValuedMeasure:
     """Recover the representing measure of a positive linear map on functions.
 
     ``pi`` maps an ``(m, n_points)`` stack of real functions to the ``(m,
     dim)`` real array of their values; its value on the atoms' indicators is
     mu and fixes ``dim``.  One call per row block then checks the
-    reproduction pi(f) = integral of f on ``samples`` (>= 0) draws and, in
-    each of 4 rounds, the extremal indicator and the sup/inf formulas on
-    ``samples`` pairs g, h (rows g_0, h_0, g_1, ...).  On failing input, a
+    reproduction pi(f) = integral of f on RIESZ_SAMPLES draws from ``rng``
+    and, in each of 4 rounds, the extremal indicator and the sup/inf formulas
+    on RIESZ_SAMPLES pairs g, h (rows g_0, h_0, g_1, ...).  On failing input, a
     shape or real-value fault in a block is raised before a bound violation.
     """
     return _represent(lambda fs, phases, dim: _value(pi(fs), (len(fs), dim), phases),
-                      space, lattice, samples, rng)
+                      space, lattice, rng)
 
 
 def riesz_represent(pi: Callable[[np.ndarray], np.ndarray], space: FiniteMeasurableSpace,
-                    lattice: Optional[CoordinateLattice] = None, samples: int = 64,
-                    rng: Optional[np.random.Generator] = None) -> LatticeValuedMeasure:
+                    lattice: Optional[CoordinateLattice] = None, *,
+                    rng: np.random.Generator) -> LatticeValuedMeasure:
     """``riesz_represent_stack`` lifted to a ``pi`` of one function: ``pi`` is
     called on each row of each block in order, each value must be real and of
     the 1-D shape of the first, and a fault in either is raised as it is read.
@@ -289,4 +299,4 @@ def riesz_represent(pi: Callable[[np.ndarray], np.ndarray], space: FiniteMeasura
             dim = len(out[0])
         return np.array(out)
 
-    return _represent(lifted, space, lattice, samples, rng)
+    return _represent(lifted, space, lattice, rng)

@@ -33,7 +33,7 @@ class RegularOperator:
     entries: np.ndarray  # complex, shape (dim, dim)
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.asarray(self.entries, dtype=complex).view()  # the caller's array stays writable
         n = self.lattice.dim
         if m.shape != (n, n):
             raise DimensionMismatchError(f"matrix of shape {m.shape} on lattice of dim {n}")
@@ -56,7 +56,7 @@ class CentralOperator:
     symbol: np.ndarray  # complex, shape (dim,)
 
     def __post_init__(self):
-        s = np.asarray(self.symbol, dtype=complex)
+        s = np.asarray(self.symbol, dtype=complex).view()  # the caller's array stays writable
         if s.shape != (self.lattice.dim,):
             raise DimensionMismatchError(
                 f"symbol of shape {s.shape} on lattice of dim {self.lattice.dim}"
@@ -134,8 +134,7 @@ class NormTriple:
     max_sampled_ratio: float    # largest ||Tz|| / ||z|| over the random sample
 
 
-def norms(T: CentralOperator, samples: int = 1000,
-          rng: Optional[np.random.Generator] = None) -> NormTriple:
+def norms(T: CentralOperator, samples: int = 1000, *, rng: np.random.Generator) -> NormTriple:
     """Order unit / operator / regular norm of a central operator.
 
     All three equal max |symbol|.  The operator-norm value is certified by
@@ -148,7 +147,6 @@ def norms(T: CentralOperator, samples: int = 1000,
     attained = int(np.argmax(np.abs(T.symbol)))
     worst = 0.0
     if samples > 0:
-        rng = np.random.default_rng(0) if rng is None else rng
         n = T.lattice.dim
         re, im = rng.standard_normal((samples, n)), rng.standard_normal((samples, n))
         spec = T.lattice.norm_spec

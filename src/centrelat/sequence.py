@@ -20,8 +20,8 @@ import numpy as np
 from .lattice import TOL_EXACT
 from .spectral import Spectrum, first_occurrence
 
-#: Default number of leading indices validated against the certificates.
-DEFAULT_SAMPLE = 10_000
+#: Number of leading indices validated against the certificates.
+SAMPLE = 10_000
 
 #: Epsilon schedule on which spectrum certificates are exercised.
 EPS_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -84,11 +84,6 @@ def _per_index(fn: Callable[[np.ndarray], np.ndarray], index: np.ndarray,
         raise ValueError(f"a rule gave shape {values.shape} for {len(index)} indices; "
                          "it must give one value per index or a scalar")
     return np.broadcast_to(values, index.shape)
-
-
-def _check_sample(sample: int, name: str = "sample") -> None:
-    if sample < 1:
-        raise ValueError(f"{name} must be >= 1, got {sample}")
 
 
 def _reciprocal_multiplicity(v: complex, shift: float = 0.0) -> float:
@@ -215,22 +210,20 @@ def breakpoints(tail: Callable[[np.ndarray], np.ndarray], epsilons: Sequence[flo
         yield int(hits[0]) + 1 if hits.size else None
 
 
-def validate_certificate(op: SequenceCentralOperator, sample: int = DEFAULT_SAMPLE,
-                         schedule: Sequence[float] = EPS_SCHEDULE) -> None:
-    """Validate the sup bound and the tail certificate on a sampled prefix.
+def validate_certificate(op: SequenceCentralOperator) -> None:
+    """Validate the sup bound and the tail certificate on the first SAMPLE indices.
 
-    For each epsilon in the schedule with N(eps) inside the sample, all
+    For each epsilon in EPS_SCHEDULE with N(eps) inside the sample, all
     lambda_i with i > N(eps) must lie within eps of the accumulation set.
     Raises CertificateError with a witness index on failure.
     """
-    _check_sample(sample)
-    values = op.prefix(sample)
+    values = op.prefix(SAMPLE)
     # each comparison is negated so that NaN fails it
     over = ~(np.abs(values) <= op.sup_bound + TOL_EXACT)
     if np.any(over):
         raise CertificateError(f"sup bound violated at index {int(np.argmax(over)) + 1}")
     dist = _dist_to_accumulation(values, op.accumulation)
-    for eps, n in zip(schedule, breakpoints(op.tail, schedule, sample)):
+    for eps, n in zip(EPS_SCHEDULE, breakpoints(op.tail, EPS_SCHEDULE, SAMPLE)):
         if n is None:
             continue
         bad = np.flatnonzero(~(dist[n:] <= eps + TOL_EXACT))
@@ -239,12 +232,11 @@ def validate_certificate(op: SequenceCentralOperator, sample: int = DEFAULT_SAMP
                 f"tail certificate violated at index {n + 1 + int(bad[0])} for eps={eps}")
 
 
-def sequence_spectrum(op: SequenceCentralOperator, prefix: int = DEFAULT_SAMPLE) -> Spectrum:
-    """Attained prefix values union the declared accumulation set, once the
-    certificates validate on the prefix."""
-    _check_sample(prefix, "prefix")
-    validate_certificate(op, sample=prefix)
-    attained, _ = first_occurrence(op.prefix(prefix))
+def sequence_spectrum(op: SequenceCentralOperator) -> Spectrum:
+    """Attained values of the first SAMPLE indices union the declared
+    accumulation set, once the certificates validate on that prefix."""
+    validate_certificate(op)
+    attained, _ = first_occurrence(op.prefix(SAMPLE))
     return Spectrum(attained, tuple(complex(a) for a in op.accumulation))
 
 
@@ -268,8 +260,7 @@ class CompactnessVerdict:
         return self.compact
 
 
-def compactness_check(op: SequenceCentralOperator,
-                      sample: int = DEFAULT_SAMPLE) -> CompactnessVerdict:
+def compactness_check(op: SequenceCentralOperator) -> CompactnessVerdict:
     """Compact iff the only limit point is zero and nonzero values have
     finite multiplicity.  NaN counts as nonzero.
 
@@ -278,11 +269,10 @@ def compactness_check(op: SequenceCentralOperator,
     ``multiplicity`` is called on the nonzero distinct values in
     first-occurrence order, up to the first one with infinitely many indices.
     """
-    _check_sample(sample)
     for a in op.accumulation:
         if not abs(complex(a)) <= TOL_EXACT:
             return CompactnessVerdict(False, f"limit point {a} is nonzero")
-    prefix = op.prefix(sample)
+    prefix = op.prefix(SAMPLE)
     values, labels = first_occurrence(prefix)
     nonzero = np.zeros(len(values), dtype=bool)
     nonzero[labels[~(np.abs(prefix) <= TOL_EXACT)]] = True
@@ -304,21 +294,20 @@ class TailDominationRecord:
         return self.sampled_tail_sup <= self.certified_bound + TOL_EXACT
 
 
-def expansion_tail_report(op: SequenceCentralOperator, checkpoints: Sequence[int],
-                          sample: int = DEFAULT_SAMPLE) -> list[TailDominationRecord]:
+def expansion_tail_report(op: SequenceCentralOperator,
+                          checkpoints: Sequence[int]) -> list[TailDominationRecord]:
     """Partial-sum remainders of the eigen expansion against the tail witness.
 
     After N terms the remainder of T - sum lambda_i P_i is supported on
     indices > N, where the symbol is within t(N) of the accumulation set;
     for accumulation {0} the remainder sup is therefore bounded by t(N).
     """
-    _check_sample(sample)
     for n in checkpoints:
         if n < 0:
             raise ValueError(f"checkpoint {n} is negative")
-        if n >= sample:
+        if n >= SAMPLE:
             raise ValueError("checkpoint beyond the sampled prefix")
-    values = op.prefix(sample)
+    values = op.prefix(SAMPLE)
     dist = _dist_to_accumulation(values, op.accumulation)
     bounds = _per_index(op.tail, np.array(checkpoints, dtype=np.int64), float)
     return [TailDominationRecord(n_terms=n, certified_bound=float(bound),
@@ -333,18 +322,16 @@ class SequenceStepApproximation:
     certified_error: float
 
 
-def freudenthal_net(op: SequenceCentralOperator, eps: float,
-                    sample: int = DEFAULT_SAMPLE) -> SequenceStepApproximation:
+def freudenthal_net(op: SequenceCentralOperator, eps: float) -> SequenceStepApproximation:
     """Eps-net step approximation with coefficients in the certified spectrum.
 
-    Leading indices up to N(eps) keep their attained value; the tail is sent
-    to the nearest certified spectrum member (an attained value or an
-    accumulation point), giving error at most eps.
+    Leading indices up to N(eps), searched among the first SAMPLE, keep their
+    attained value; the tail is sent to the nearest certified spectrum member
+    (an attained value or an accumulation point), giving error at most eps.
     """
-    _check_sample(sample)
     if not eps > 0:
         raise ValueError("eps must be positive")
-    n = next(breakpoints(op.tail, (eps,), sample))
+    n = next(breakpoints(op.tail, (eps,), SAMPLE))
     if n is None:
         raise CertificateError("tail rule does not reach eps within the sampled prefix")
     head, _ = first_occurrence(op.prefix(n))

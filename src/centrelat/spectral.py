@@ -548,7 +548,7 @@ def _commutes_with_diag(g: np.ndarray, support: tuple[np.ndarray, np.ndarray],
 
 
 def commutant_check(T: CentralOperator, Xi: RegularOperator,
-                    rng: Optional[np.random.Generator] = None) -> CommutantReport:
+                    rng: np.random.Generator) -> CommutantReport:
     """Evaluate the five equivalent commutation conditions and the block pattern.
 
     Condition 1 multiplies the dense matrices, as an oracle independent of
@@ -564,7 +564,6 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
     """
     if Xi.lattice.dim != T.lattice.dim:
         raise DimensionMismatchError("operators have different dimensions")
-    rng = np.random.default_rng(0) if rng is None else rng
     X = Xi.entries
     s = T.symbol
     tol = TOL_EXACT * max(1.0, float(np.max(np.abs(X))))

@@ -47,7 +47,7 @@ from .operators import (
     localize,
 )
 from .sequence import (
-    DEFAULT_SAMPLE,
+    SAMPLE,
     CertificateError,
     distinct_finite_count,
     expansion_tail_report,
@@ -461,7 +461,7 @@ def eigen_sequence(out: Records, op, d: str, rng: np.random.Generator) -> None:
                                               for r in records))))
     # a nonzero polynomial of degree <= 8 has at most 8 roots, so more
     # than 8 distinct (finite) prefix values defeat every monic one
-    distinct = distinct_finite_count(op.prefix(DEFAULT_SAMPLE))
+    distinct = distinct_finite_count(op.prefix(SAMPLE))
     if distinct > 8:
         out.holds("infinite-spectrum-defeats-monic-annihilators", d, True,
                   witness=f"{distinct} distinct prefix values")

@@ -255,7 +255,7 @@ def test_criterion_5_order_integral_engine():
     # homomorphic functional yields a spectral measure
     space = FiniteMeasurableSpace(tuple(range(5)))
     assign = np.random.default_rng(5).integers(0, 5, size=3)
-    nu = riesz_represent(lambda arr: np.asarray(arr)[assign], space)
+    nu = riesz_represent(lambda arr: np.asarray(arr)[assign], space, rng=np.random.default_rng(0))
     spectral_ok = bool(is_spectral(nu))
     report(5, "order-integral engine on 10^2 measure/function pairs",
            worst <= TOL_EXACT and spectral_ok, f"max deviation {worst:.2e}")

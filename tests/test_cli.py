@@ -85,6 +85,14 @@ def test_gen_usage_errors(capsys):
     assert run(capsys, ["gen", "--mode", "sequence", "--rule", "nope"])[0] == 2
 
 
+@pytest.mark.parametrize("where", ["missing-dir/x.json", "."], ids=["no-such-dir", "a-dir"])
+def test_gen_unwritable_out_exit_2(tmp_path, capsys, where):
+    out = tmp_path / where
+    code, stdout, err = run(capsys, ["gen", "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from centrelat.lattice import (
 from centrelat.measures import (
     FiniteMeasurableSpace,
     LatticeValuedMeasure,
+    RIESZ_SAMPLES,
     PositivityError,
     _integrals,
     image_measure,
@@ -84,8 +85,28 @@ def test_measure_empty_set_and_additivity():
 
 def test_measure_of_rejects_a_mask_of_another_length():
     mu = LatticeValuedMeasure(powerset_space(3), np.eye(3))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"^one bool per atom required, not shape \(2,\)$"):
         mu.measure_of(np.array([True, False]))
+
+
+@pytest.mark.parametrize("index", [[-1], [3], [0, 3], np.array([1, -4])],
+                         ids=["last", "past-the-end", "one-of-two", "array"])
+def test_measure_of_rejects_an_atom_index_out_of_range(index):
+    # -1 would read the last atom
+    mu = LatticeValuedMeasure(powerset_space(3), np.eye(3))
+    with pytest.raises(ValueError, match=r"^no atom -?\d among 3 atoms$"):
+        mu.measure_of(index)
+
+
+def test_measure_of_counts_each_atom_once_in_atom_order():
+    # 1e16 + 1 rounds back to 1e16, so the order of addition shows in the sum
+    mu = LatticeValuedMeasure(powerset_space(3), np.array([[1e16], [1.0], [1.0]]))
+    in_order = mu.measure_of([True, True, True])
+    assert in_order.tolist() == [1e16]
+    for index in ([1, 2, 0], [2, 1, 0, 2], np.array([0, 0, 1, 2, 1])):
+        assert mu.measure_of(index).tolist() == in_order.tolist()
+    assert mu.measure_of([0, 0]).tolist() == [1e16]
+    assert mu.measure_of([1, 1]).tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +296,21 @@ def test_riesz_frozen_example():
     def pi(f):
         return np.array([f[0] + f[1], f[1]])
 
-    mu = riesz_represent(pi, space)
+    mu = riesz_represent(pi, space, rng=np.random.default_rng(0))
     assert np.array_equal(mu.values[0], [1.0, 0.0])
     assert np.array_equal(mu.values[1], [1.0, 1.0])
 
 
 def test_riesz_zero_functional():
     space = powerset_space(3)
-    mu = riesz_represent(lambda f: np.zeros(2), space)
+    mu = riesz_represent(lambda f: np.zeros(2), space, rng=np.random.default_rng(0))
     assert all(np.array_equal(v, np.zeros(2)) for v in mu.values)
 
 
 def test_riesz_rejects_negative_functional():
     space = powerset_space(2)
     with pytest.raises(PositivityError):
-        riesz_represent(lambda f: np.array([f[0] - 2 * f[1]]), space)
+        riesz_represent(lambda f: np.array([f[0] - 2 * f[1]]), space, rng=np.random.default_rng(0))
 
 
 def test_riesz_random_positive_functionals():
@@ -318,9 +339,9 @@ def test_riesz_draws_match_per_atom_fill():
         seen.append(np.array(f))
         return weights @ f
 
-    samples = 16
+    samples = RIESZ_SAMPLES
     rng = np.random.default_rng(21)
-    riesz_represent(pi, space, lattice=CoordinateLattice(3), samples=samples, rng=rng)
+    riesz_represent(pi, space, lattice=CoordinateLattice(3), rng=rng)
 
     ref = np.random.default_rng(21)
 
@@ -352,14 +373,15 @@ def test_riesz_rejects_nan_off_the_indicators():
         return f[:2] + f[2:] if np.all((f == 0) | (f == 1)) else np.full(2, np.nan)
 
     with pytest.raises(AssertionError, match="reproduce"):
-        riesz_represent(pi, space)
+        riesz_represent(pi, space, rng=np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("check, offset", [("reproduce", 0), ("attained", 16),
-                                           ("sup recovery", 17), ("inf recovery", 18)])
+@pytest.mark.parametrize("check, offset", [("reproduce", 0), ("attained", RIESZ_SAMPLES),
+                                           ("sup recovery", RIESZ_SAMPLES + 1),
+                                           ("inf recovery", RIESZ_SAMPLES + 2)])
 def test_riesz_each_check_rejects_nan(check, offset):
     # an exact functional that returns NaN in one coordinate at one call: the
-    # indicators come first, then 16 reproduction samples, then per round the
+    # indicators come first, then the reproduction samples, then per round the
     # extremal indicator and the sup and inf samples in turn
     space = powerset_space(4)
     weights = np.random.default_rng(4).uniform(0, 1, size=(3, 4))
@@ -373,17 +395,17 @@ def test_riesz_each_check_rejects_nan(check, offset):
         return out
 
     with pytest.raises(AssertionError, match=check):
-        riesz_represent(pi, space, lattice=CoordinateLattice(3), samples=16,
-                        rng=np.random.default_rng(9))
+        riesz_represent(pi, space, lattice=CoordinateLattice(3), rng=np.random.default_rng(9))
 
 
 @pytest.mark.parametrize("imag", [1e-300, -1.0, np.nan])
-@pytest.mark.parametrize("call", [1, 5, 12, 13, 14, 15],
+@pytest.mark.parametrize("call", [1, 5, 4 + RIESZ_SAMPLES, 5 + RIESZ_SAMPLES, 6 + RIESZ_SAMPLES,
+                                  7 + RIESZ_SAMPLES],
                          ids=["indicator", "first-sample", "last-sample", "extremal", "sup",
                               "inf"])
 def test_riesz_each_value_of_pi_must_be_real(call, imag):
     # an exact functional of complex dtype with an imaginary part at one call:
-    # 4 indicators come first, then 8 reproduction samples, then per round the
+    # 4 indicators come first, then the reproduction samples, then per round the
     # extremal indicator and the sup and inf samples in turn
     space = powerset_space(4)
     weights = np.random.default_rng(4).uniform(0, 1, size=(3, 4))
@@ -397,19 +419,19 @@ def test_riesz_each_value_of_pi_must_be_real(call, imag):
         return out
 
     with pytest.raises(AssertionError, match="not real-valued"):
-        riesz_represent(pi, space, lattice=CoordinateLattice(3), samples=8,
-                        rng=np.random.default_rng(9))
+        riesz_represent(pi, space, lattice=CoordinateLattice(3), rng=np.random.default_rng(9))
 
 
 @pytest.mark.parametrize("shape", [lambda v: v[:1], lambda v: v[0], lambda v: v[:, None]],
                          ids=["first-coordinate", "scalar", "column"])
-@pytest.mark.parametrize("call, phase", [(5, "reproduction"), (12, "reproduction"),
-                                         (13, "extremal indicator"), (14, "sup recovery"),
-                                         (15, "inf recovery")],
+@pytest.mark.parametrize("call, phase", [(5, "reproduction"), (4 + RIESZ_SAMPLES, "reproduction"),
+                                         (5 + RIESZ_SAMPLES, "extremal indicator"),
+                                         (6 + RIESZ_SAMPLES, "sup recovery"),
+                                         (7 + RIESZ_SAMPLES, "inf recovery")],
                          ids=["first-sample", "last-sample", "extremal", "sup", "inf"])
 def test_riesz_each_value_of_pi_must_have_the_measures_row_shape(call, phase, shape):
     # an exact functional whose value has another shape at one call: 4
-    # indicators come first, then 8 reproduction samples, then per round the
+    # indicators come first, then the reproduction samples, then per round the
     # extremal indicator and the sup and inf samples in turn.  The weight rows
     # are equal, so a first-coordinate value would pass every comparison by
     # broadcasting
@@ -423,8 +445,7 @@ def test_riesz_each_value_of_pi_must_have_the_measures_row_shape(call, phase, sh
         return shape(out) if len(calls) == call else out
 
     with pytest.raises(AssertionError, match=f"^pi's value in the {phase} has shape"):
-        riesz_represent(pi, space, lattice=CoordinateLattice(3), samples=8,
-                        rng=np.random.default_rng(9))
+        riesz_represent(pi, space, lattice=CoordinateLattice(3), rng=np.random.default_rng(9))
 
 
 @pytest.mark.parametrize("pi", [lambda f: np.ones(2 + int(f[1])), lambda f: 1.0,
@@ -441,29 +462,9 @@ def test_riesz_indicator_values_must_be_rows_of_one_shape(pi):
 def test_riesz_accepts_a_complex_dtype_functional_with_zero_imaginary_parts():
     space = powerset_space(4)
     w = np.random.default_rng(5).uniform(0, 1, size=(3, 4))
-    mu = riesz_represent(lambda f: (w @ f).astype(complex), space, lattice=CoordinateLattice(3))
+    mu = riesz_represent(lambda f: (w @ f).astype(complex), space, lattice=CoordinateLattice(3),
+                         rng=np.random.default_rng(0))
     assert np.array_equal(mu.values, w.T)
-
-
-@pytest.mark.parametrize("samples", [-1, -3])
-def test_riesz_rejects_negative_samples(samples):
-    space = powerset_space(3)
-    with pytest.raises(ValueError, match="samples"):
-        riesz_represent(lambda f: np.asarray(f)[:2], space, samples=samples)
-
-
-def test_riesz_with_zero_samples_returns_the_measure():
-    space = powerset_space(3)
-    w = np.random.default_rng(6).uniform(0, 1, size=(2, 3))
-    rng = np.random.default_rng(13)
-    mu = riesz_represent(lambda f: w @ f, space, lattice=CoordinateLattice(2), samples=0,
-                         rng=rng)
-    assert np.array_equal(mu.values, w.T)
-    # no reproduction draw; the four rounds draw only their atom sets
-    ref = np.random.default_rng(13)
-    for _ in range(4):
-        ref.choice(space.n_atoms, size=ref.integers(1, space.n_atoms + 1), replace=False)
-    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_failing_reproduction_uses_one_stacked_draw():
@@ -478,14 +479,13 @@ def test_failing_reproduction_uses_one_stacked_draw():
         calls.append(None)
         return w @ f + (0.0 if len(calls) <= space.n_atoms else 1.0)
 
-    samples = 16
     rng = np.random.default_rng(17)
     with pytest.raises(AssertionError, match="reproduce"):
-        riesz_represent(pi, space, lattice=CoordinateLattice(2), samples=samples, rng=rng)
+        riesz_represent(pi, space, lattice=CoordinateLattice(2), rng=rng)
     ref = np.random.default_rng(17)
-    ref.uniform(-1.0, 1.0, size=(samples, space.n_atoms))
+    ref.uniform(-1.0, 1.0, size=(RIESZ_SAMPLES, space.n_atoms))
     assert rng.bit_generator.state == ref.bit_generator.state
-    assert len(calls) == space.n_atoms + samples
+    assert len(calls) == space.n_atoms + RIESZ_SAMPLES
 
 
 def test_riesz_multiplicative_functional_gives_spectral_measure():
@@ -625,7 +625,7 @@ def _complex_values(draw, n):
     return [complex(a, b) for a, b in parts.T]
 
 
-def _check_against_loops(space, rows, chosen, per_atom, target, lands, spectral_rows, tol):
+def _check_against_loops(space, rows, chosen, per_atom, target, lands, spectral_rows):
     mu = LatticeValuedMeasure(space, rows)
     assert mu.values.shape == (space.n_atoms, len(rows[0])) and not mu.values.flags.writeable
     assert all(_same_bits(mu.values[k], rows[k]) for k in range(space.n_atoms))
@@ -644,8 +644,8 @@ def _check_against_loops(space, rows, chosen, per_atom, target, lands, spectral_
     assert all(_same_bits(a, b) for a, b in zip(image.values, expected))
 
     for candidate in (rows, spectral_rows):
-        verdict = is_spectral(LatticeValuedMeasure(space, candidate), tol=tol)
-        ok, worst, idem = _loop_is_spectral(candidate, tol)
+        verdict = is_spectral(LatticeValuedMeasure(space, candidate))
+        ok, worst, idem = _loop_is_spectral(candidate, TOL_EXACT)
         assert verdict.is_spectral is ok and verdict.idempotent == idem
         assert _same_bits(verdict.max_violation, worst)
 
@@ -662,8 +662,7 @@ def test_atom_matrix_matches_per_atom_loops(space, target, dim, data):
         target=target,
         lands=draw(st.lists(st.integers(0, target.n_atoms - 1),
                             min_size=space.n_atoms, max_size=space.n_atoms)),
-        spectral_rows=_rows(draw, space.n_atoms, dim, (0.0, -0.0, 1.0, 0.5)),
-        tol=draw(st.sampled_from((0.0, 1e-12, 0.3))))
+        spectral_rows=_rows(draw, space.n_atoms, dim, (0.0, -0.0, 1.0, 0.5)))
 
 
 @given(_spaces(max_points=8), st.sampled_from((1, 2, 5, 64)), st.sampled_from((0, 1, 7, 65)),
@@ -690,7 +689,7 @@ def test_one_atom_space_with_signed_zeros_matches_loops():
     rows = (np.array([-0.0, 0.0, 1.0]),)
     for value in (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-1.0, 0.5)):
         _check_against_loops(one, rows, {0}, [value], FiniteMeasurableSpace(("x",)),
-                             [0], (np.array([1.0, -0.0, 0.0]),), 0.0)
+                             [0], (np.array([1.0, -0.0, 0.0]),))
 
 
 @given(st.integers(1, 6), st.integers(1, 4), st.data())
@@ -756,13 +755,10 @@ def _real(value) -> np.ndarray:
 
 def _reference_riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
                                space: FiniteMeasurableSpace,
-                               lattice: Optional[CoordinateLattice] = None,
-                               samples: int = 64,
-                               rng: Optional[np.random.Generator] = None) -> LatticeValuedMeasure:
+                               lattice: Optional[CoordinateLattice] = None, *,
+                               rng: np.random.Generator) -> LatticeValuedMeasure:
     """The loop as it was before its invariants left the sup/inf rounds."""
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, not {samples}")
-    rng = np.random.default_rng(0) if rng is None else rng
+    samples = RIESZ_SAMPLES
     values = []
     for k, atom in enumerate(space.atoms):
         v = _real(pi((space.atom_of == k).astype(float)))
@@ -799,7 +795,7 @@ def _reference_riesz_represent(pi: Callable[[np.ndarray], np.ndarray],
     return mu
 
 
-def _as_batched(run, space, dim, samples):
+def _as_batched(run, space, dim):
     """A run of the reference as the batched sup/inf rounds make it.
 
     Where the reference raised at a round's sample row j, the batch has drawn
@@ -808,6 +804,7 @@ def _as_batched(run, space, dim, samples):
     from the reference's generator state, with the mask of the round's
     extremal call.  Any other run is the batch's as it stands."""
     result, calls, state = run
+    samples = RIESZ_SAMPLES
     first = space.n_atoms + samples     # round 0's extremal indicator call
     if not isinstance(result, tuple) or len(calls) <= first:
         return run
@@ -837,7 +834,7 @@ def _assert_same_run(got, want):
     assert got[2] == want[2]
 
 
-def _run_riesz(represent, weights, space, samples, seed, fault, convert=None, block=None):
+def _run_riesz(represent, weights, space, seed, fault, convert=None, block=None):
     """The measure or the exception's type and text, the arrays pi was called
     with, and the generator state afterwards.  ``fault`` is None or
     (call, coordinate, value): at that call, pi's value gets ``value`` added
@@ -868,20 +865,20 @@ def _run_riesz(represent, weights, space, samples, seed, fault, convert=None, bl
 
     rng = np.random.default_rng(seed)
     try:
-        result = represent(pi, space, CoordinateLattice(len(weights)), samples, rng).values
+        result = represent(pi, space, CoordinateLattice(len(weights)), rng=rng).values
     except (AssertionError, ValueError) as exc:
         result = (type(exc), str(exc))
     return result, calls, rng.bit_generator.state
 
 
-@given(_spaces(max_points=6), st.integers(1, 4), st.integers(0, 20), st.integers(0, 2 ** 32 - 1),
+@given(_spaces(max_points=6), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(("exact", "off", "nan")), st.data())
 @settings(max_examples=300, deadline=None)
-def test_riesz_matches_the_per_sample_loop(space, dim, samples, seed, case, data):
-    weights, fault = _draw_weights_and_fault(data.draw, space, dim, samples, case)
-    got = _run_riesz(riesz_represent, weights, space, samples, seed, fault)
-    want = _run_riesz(_reference_riesz_represent, weights, space, samples, seed, fault)
-    _assert_same_run(got, _as_batched(want, space, dim, samples))
+def test_riesz_matches_the_per_sample_loop(space, dim, seed, case, data):
+    weights, fault = _draw_weights_and_fault(data.draw, space, dim, case)
+    got = _run_riesz(riesz_represent, weights, space, seed, fault)
+    want = _run_riesz(_reference_riesz_represent, weights, space, seed, fault)
+    _assert_same_run(got, _as_batched(want, space, dim))
 
 
 #: Values of pi that are not float64 arrays of the measure's row shape, and so
@@ -894,29 +891,31 @@ _OFF_FAST_PATH = {
 }
 
 
-@given(_spaces(max_points=6), st.integers(1, 4), st.integers(0, 12), st.integers(0, 2 ** 32 - 1),
+@given(_spaces(max_points=6), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(("exact", "off", "nan")), st.sampled_from(sorted(_OFF_FAST_PATH)),
        st.data())
 @settings(max_examples=200, deadline=None)
-def test_riesz_matches_the_per_sample_loop_off_the_fast_path(space, dim, samples, seed, case,
-                                                             kind, data):
-    weights, fault = _draw_weights_and_fault(data.draw, space, dim, samples, case)
+def test_riesz_matches_the_per_sample_loop_off_the_fast_path(space, dim, seed, case, kind, data):
+    weights, fault = _draw_weights_and_fault(data.draw, space, dim, case)
     convert = _OFF_FAST_PATH[kind]
-    got = _run_riesz(riesz_represent, weights, space, samples, seed, fault, convert)
-    want = _run_riesz(_reference_riesz_represent, weights, space, samples, seed, fault, convert)
-    _assert_same_run(got, _as_batched(want, space, dim, samples))
+    got = _run_riesz(riesz_represent, weights, space, seed, fault, convert)
+    want = _run_riesz(_reference_riesz_represent, weights, space, seed, fault, convert)
+    _assert_same_run(got, _as_batched(want, space, dim))
+
+
+_ROUND = 2 * RIESZ_SAMPLES + 1     # calls per sup/inf round: the extremal indicator, g and h rows
 
 
 @pytest.mark.parametrize("call, phase", [
     (0, "indicator phase"), (1, "indicator phase"), (5, "reproduction"),
-    (7, "extremal indicator"), (9, "inf recovery"), (12, "sup recovery"),
-    (27, "inf recovery"),
+    (3 + RIESZ_SAMPLES, "extremal indicator"), (5 + RIESZ_SAMPLES, "inf recovery"),
+    (8 + RIESZ_SAMPLES, "sup recovery"), (5 + RIESZ_SAMPLES + 2 * _ROUND, "inf recovery"),
 ])
 def test_riesz_raises_at_a_value_with_a_row_of_shape_one_by_dim(call, phase):
-    # three atoms and four samples: calls 0-2 are the indicators, 3-6 the
-    # reproduction, 7 + 9r round r's extremal indicator and the next eight its
-    # g and h rows, in row blocks of three; a (1, dim) value raises as it is
-    # read, before the rest of its block
+    # three atoms: calls 0-2 are the indicators, then the reproduction, then
+    # per round r the extremal indicator and its g and h rows, in row blocks
+    # of three; a (1, dim) value raises as it is read, before the rest of its
+    # block
     calls = []
     weights = np.random.default_rng(2).uniform(0.0, 1.0, size=(_ODD_DIM, 3))
 
@@ -927,13 +926,13 @@ def test_riesz_raises_at_a_value_with_a_row_of_shape_one_by_dim(call, phase):
 
     want = "1-D" if call == 0 else f"({_ODD_DIM},)"
     with pytest.raises(AssertionError) as raised:
-        riesz_represent(pi, powerset_space(3), CoordinateLattice(_ODD_DIM), 4,
-                        np.random.default_rng(4))
+        riesz_represent(pi, powerset_space(3), CoordinateLattice(_ODD_DIM),
+                        rng=np.random.default_rng(4))
     assert str(raised.value) == f"pi's value in the {phase} has shape (1, {_ODD_DIM}), not {want}"
     assert len(calls) == call + 1
 
 
-def _draw_weights_and_fault(draw, space, dim, samples, case):
+def _draw_weights_and_fault(draw, space, dim, case):
     """A (dim, n_points) weight matrix for pi, and a fault as ``_run_riesz`` takes it."""
     weight = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 0.1, 3.0)), st.floats(0.0, 4.0))
     weights = np.array(draw(st.lists(st.lists(weight, min_size=len(space.points),
@@ -943,9 +942,10 @@ def _draw_weights_and_fault(draw, space, dim, samples, case):
         # a zero coordinate: there pi(g) and pi(h) equal the sup and inf
         # targets, so any perturbation of the right sign fails
         weights[draw(st.integers(0, dim - 1))] = 0.0
+    samples = RIESZ_SAMPLES
     first_round = space.n_atoms + samples
     fault = None
-    if case == "off" and samples:
+    if case == "off":
         # one of the sup (even j) or inf (odd j) calls of one round
         round_, j = draw(st.integers(0, 3)), draw(st.integers(0, 2 * samples - 1))
         fault = (first_round + round_ * (2 * samples + 1) + 1 + j,
@@ -963,13 +963,12 @@ _ODD_DIM = ENTRIES // 3     # sup/inf row blocks of 3 rows, so some start at an 
 def test_riesz_matches_the_per_sample_loop_across_row_blocks(row):
     space = FiniteMeasurableSpace((0, 1, 2), ((0, 2), (1,)))
     weights = np.random.default_rng(1).uniform(0.0, 1.0, size=(_ODD_DIM, 3))
-    samples = 4
-    fault = (space.n_atoms + samples + 2 * (2 * samples + 1) + 1 + row, 7, np.nan)  # round 2
-    got = _run_riesz(riesz_represent, weights, space, samples, 5, fault)
-    want = _run_riesz(_reference_riesz_represent, weights, space, samples, 5, fault)
+    fault = (space.n_atoms + RIESZ_SAMPLES + 2 * _ROUND + 1 + row, 7, np.nan)  # round 2
+    got = _run_riesz(riesz_represent, weights, space, 5, fault)
+    want = _run_riesz(_reference_riesz_represent, weights, space, 5, fault)
     assert want[0] == (AssertionError, f"{('sup', 'inf')[row % 2]} recovery formula violated")
-    assert len(got[1]) == fault[0] + 1 + min(2 - row % 3, 7 - row)
-    _assert_same_run(got, _as_batched(want, space, _ODD_DIM, samples))
+    assert len(got[1]) == fault[0] + 1 + min(2 - row % 3, 2 * RIESZ_SAMPLES - 1 - row)
+    _assert_same_run(got, _as_batched(want, space, _ODD_DIM))
 
 
 @pytest.mark.parametrize("faults, message, rows_called", [
@@ -977,14 +976,14 @@ def test_riesz_matches_the_per_sample_loop_across_row_blocks(row):
     ({4: np.nan, 5: np.nan}, "sup recovery formula violated", 6),
     ({3: np.nan, 5: 1j}, "pi is not real-valued", 6),
     ({3: np.nan, 4: None}, r"pi's value in the sup recovery has shape \(1, 5461\)", 5),
-    ({7: np.nan}, "inf recovery formula violated", 8),
+    ({2 * RIESZ_SAMPLES - 1: np.nan}, "inf recovery formula violated", 2 * RIESZ_SAMPLES),
     ({0: np.nan, 2: 1j}, "pi is not real-valued", 3),
 ])
 def test_riesz_raises_the_first_fault_of_a_row_block(faults, message, rows_called):
     # a shape or real-value fault raises as pi's value is read, before the
     # block's comparison, so it wins over a bound violation in an earlier row
     weights = np.random.default_rng(1).uniform(0.0, 1.0, size=(_ODD_DIM, 2))
-    first = 2 + 4 + 1       # round 0's g_0 on two atoms with samples = 4
+    first = 2 + RIESZ_SAMPLES + 1       # round 0's g_0 on two atoms
     calls = []
 
     def pi(f):
@@ -993,8 +992,8 @@ def test_riesz_raises_the_first_fault_of_a_row_block(faults, message, rows_calle
         return out[None] if fault is None else out + fault
 
     with pytest.raises(AssertionError, match=message):
-        riesz_represent(pi, powerset_space(2), CoordinateLattice(_ODD_DIM), 4,
-                        np.random.default_rng(3))
+        riesz_represent(pi, powerset_space(2), CoordinateLattice(_ODD_DIM),
+                        rng=np.random.default_rng(3))
     assert len(calls) == first + rows_called
 
 
@@ -1024,18 +1023,17 @@ def _negative(rows, coordinate):
     return block
 
 
-@given(_spaces(max_points=6), st.sampled_from((1, 2, 4, _ODD_DIM)), st.integers(0, 12),
+@given(_spaces(max_points=6), st.sampled_from((1, 2, 4, _ODD_DIM)),
        st.integers(0, 2 ** 32 - 1), st.sampled_from(("exact", "off", "nan")),
        st.sampled_from(("none", "imaginary", "negative indicator")), st.data())
 @settings(max_examples=300, deadline=None)
-def test_stack_entry_matches_the_one_row_entry(space, dim, samples, seed, case, block_fault,
-                                               data):
+def test_stack_entry_matches_the_one_row_entry(space, dim, seed, case, block_fault, data):
     # the same measure bits or exception, the same rows in the same order and
     # the same generator state afterwards; at _ODD_DIM each row block of the
     # reproduction holds one row, and each sup/inf block three
-    weights, fault = _draw_weights_and_fault(data.draw, space, min(dim, 4), samples, case)
+    weights, fault = _draw_weights_and_fault(data.draw, space, min(dim, 4), case)
     weights = np.resize(weights, (dim, len(space.points)))
-    calls = space.n_atoms + samples + 4 * (2 * samples + 1)
+    calls = space.n_atoms + RIESZ_SAMPLES + 4 * _ROUND
     block = None
     if block_fault == "imaginary":
         block = _imaginary(data.draw(st.integers(0, calls - 1)), data.draw(st.integers(0, dim - 1)),
@@ -1048,9 +1046,9 @@ def test_stack_entry_matches_the_one_row_entry(space, dim, samples, seed, case, 
         kinds += ["float32", "big-endian float64"]
     kind = data.draw(st.sampled_from(kinds))
     convert = None if kind is None else _OFF_FAST_PATH[kind]
-    got = _run_riesz(riesz_represent_stack, weights, space, samples, seed, fault, convert,
+    got = _run_riesz(riesz_represent_stack, weights, space, seed, fault, convert,
                      block or (lambda start, out: out))
-    want = _run_riesz(riesz_represent, weights, space, samples, seed, fault, convert, block)
+    want = _run_riesz(riesz_represent, weights, space, seed, fault, convert, block)
     if isinstance(want[0], tuple) and want[0] == (AssertionError, "pi is not real-valued"):
         # the one-row entry raises as it reads the row; the stack entry has
         # evaluated the row's whole block
@@ -1059,13 +1057,13 @@ def test_stack_entry_matches_the_one_row_entry(space, dim, samples, seed, case, 
     _assert_same_run(got, want)
 
 
-def _phase(call, n_atoms, samples):
+def _phase(call, n_atoms):
     """The phase of the row that call ``call`` of a one-row ``pi`` evaluates."""
     if call < n_atoms:
         return "indicator phase"
-    if call < n_atoms + samples:
+    if call < n_atoms + RIESZ_SAMPLES:
         return "reproduction"
-    j = (call - n_atoms - samples) % (2 * samples + 1)
+    j = (call - n_atoms - RIESZ_SAMPLES) % _ROUND
     return "extremal indicator" if j == 0 else ("sup recovery", "inf recovery")[(j - 1) % 2]
 
 
@@ -1076,16 +1074,15 @@ _SHAPE_FAULTS = {
 }
 
 
-@given(_spaces(max_points=5), st.sampled_from((1, 3, _ODD_DIM)), st.integers(0, 6),
+@given(_spaces(max_points=5), st.sampled_from((1, 3, _ODD_DIM)),
        st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(_SHAPE_FAULTS)), st.data())
 @settings(max_examples=100, deadline=None)
-def test_stack_entry_names_the_phases_of_a_value_of_another_shape(space, dim, samples, seed,
-                                                                  kind, data):
+def test_stack_entry_names_the_phases_of_a_value_of_another_shape(space, dim, seed, kind, data):
     # a wider value on the indicators would fix a wider row shape, so that
     # fault is put on a later block
     n_atoms = space.n_atoms
     low = n_atoms if kind == "one column wide" else 0
-    row = data.draw(st.integers(low, n_atoms + samples + 4 * (2 * samples + 1) - 1))
+    row = data.draw(st.integers(low, n_atoms + RIESZ_SAMPLES + 4 * _ROUND - 1))
     weights = np.resize(np.random.default_rng(seed).uniform(0.0, 1.0, (3, len(space.points))),
                         (dim, len(space.points)))
     faulted = []
@@ -1096,10 +1093,10 @@ def test_stack_entry_names_the_phases_of_a_value_of_another_shape(space, dim, sa
             return _SHAPE_FAULTS[kind](out)
         return out
 
-    result, calls, _ = _run_riesz(riesz_represent_stack, weights, space, samples, seed, None,
+    result, calls, _ = _run_riesz(riesz_represent_stack, weights, space, seed, None,
                                   block=block)
     (start, (m, width)), = faulted
-    phases = " and ".join(dict.fromkeys(_phase(i, n_atoms, samples) for i in range(start, start + m)))
+    phases = " and ".join(dict.fromkeys(_phase(i, n_atoms) for i in range(start, start + m)))
     shape = _SHAPE_FAULTS[kind](np.zeros((m, width))).shape
     want = f"({m}, n)" if start < n_atoms else f"({m}, {width})"
     assert result == (AssertionError, f"pi's value in the {phases} has shape {shape}, not {want}")
@@ -1115,7 +1112,7 @@ def test_both_entries_name_the_first_atom_with_a_negative_coordinate(space, dim,
     message = (f"pi(indicator of atom {space.atoms[min(bad)]!r}) "
                f"has negative coordinate {coordinate}")
     for represent in (riesz_represent_stack, riesz_represent):
-        result, calls, state = _run_riesz(represent, weights, space, 4, 0, None,
+        result, calls, state = _run_riesz(represent, weights, space, 0, None,
                                           block=_negative(bad, coordinate))
         assert result == (PositivityError, message)
         # the indicators are one block, and nothing is drawn before they pass

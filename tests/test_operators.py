@@ -41,6 +41,26 @@ def dense(entries):
     return RegularOperator(CoordinateLattice(len(entries)), entries)
 
 
+_CONSTRUCTORS = {
+    "ComplexElement": (lambda a: ComplexElement(CoordinateLattice(3), a), "values", (3,), complex),
+    "CentralOperator": (lambda a: CentralOperator(CoordinateLattice(3), a), "symbol", (3,),
+                        complex),
+    "RegularOperator": (lambda a: RegularOperator(CoordinateLattice(3), a), "entries", (3, 3),
+                        complex),
+    "PrincipalIdeal": (lambda a: PrincipalIdeal(a), "generator", (3,), float),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+def test_constructors_view_the_callers_array_and_leave_it_writable(name):
+    # the object's array is a read-only view of the caller's, which stays writable
+    make, field, shape, dtype = _CONSTRUCTORS[name]
+    given = np.ones(shape, dtype=dtype)
+    held = getattr(make(given), field)
+    assert np.shares_memory(held, given)
+    assert given.flags.writeable and not held.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # operator modulus
 # ---------------------------------------------------------------------------
@@ -130,31 +150,31 @@ def test_is_central_tolerates_tiny_noise():
 # ---------------------------------------------------------------------------
 
 def test_norms_frozen_value():
-    t = norms(central([1 + 1j, -2]))
+    t = norms(central([1 + 1j, -2]), rng=np.random.default_rng(0))
     assert t.order_unit == t.operator == t.regular == pytest.approx(2.0)
     assert t.attained_at == 1
 
 
 def test_norms_zero_operator():
-    t = norms(central([0.0, 0.0, 0.0]))
+    t = norms(central([0.0, 0.0, 0.0]), rng=np.random.default_rng(0))
     assert t.order_unit == 0.0 and t.max_sampled_ratio == 0.0
 
 
 @pytest.mark.parametrize("samples", [-1, -1000])
 def test_norms_rejects_negative_samples(samples):
     with pytest.raises(ValueError, match="samples"):
-        norms(central([1 + 1j, -2]), samples=samples)
+        norms(central([1 + 1j, -2]), samples=samples, rng=np.random.default_rng(0))
 
 
 def test_norms_with_zero_samples_checks_only_the_attaining_vector():
-    t = norms(central([1 + 1j, -2]), samples=0)
+    t = norms(central([1 + 1j, -2]), samples=0, rng=np.random.default_rng(0))
     assert t.attained_at == 1 and t.max_sampled_ratio == 0.0
 
 
 def test_norms_weighted_lattice_certificate():
     lat = CoordinateLattice(3, WeightedPNorm((1.0, 1.0, 1.0), 3.0))
     T = CentralOperator(lat, np.array([0.5, -3j, 1.0]))
-    t = norms(T, samples=1000)
+    t = norms(T, samples=1000, rng=np.random.default_rng(0))
     assert t.order_unit == pytest.approx(3.0)
     assert t.attained_at == 1
     # a basis vector attains the bound exactly

@@ -6,11 +6,14 @@ test and keep working; this guard reports it.  The graph is built on names:
 a definition is reached when a name it is defined under is read by code
 already reached.  The roots are ``cli.main``, each module's top-level
 statements (which run on import, such as the ``SUITES`` and
-``BUILTIN_RULES`` tables) and every name ``bench/*.py`` reads, in code or as
-a string.  A class reached brings its body, bases, decorators and dunder
-methods with it; any other method is reached when its class is and its name
-is read.  Imports and annotations are not reads.  ``ALLOWED`` names the
-definitions that stay without a command reaching them, each with its reason.
+``BUILTIN_RULES`` tables) and every name ``bench/*.py`` reads in code.  A
+string is not a read: the benchmark's tracer looks up the functions it wraps
+by the names in its ``TARGETS`` and skips a name that does not exist, so a
+string never makes code run.  A class reached brings its body, bases,
+decorators and dunder methods with it; any other method is reached when its
+class is and its name is read.  Imports and annotations are not reads.
+``ALLOWED`` names the definitions that stay without a command reaching them,
+each with its reason.
 """
 
 import ast
@@ -22,6 +25,10 @@ PACKAGE = ROOT / "src" / "centrelat"
 #: Unreached definitions that stay, by qualified name, with the reason.
 ALLOWED = {
     "lattice.modulus_phase_oracle": "demo 01 shows it, and the tests use it as the modulus oracle",
+    "sequence.compactness_check": "demo 04 shows it; ROADMAP item 9 is where verify starts "
+                                  "running it",
+    "sequence.CompactnessVerdict": "compactness_check's verdict, shown by demo 04",
+    "sequence.sequence_spectrum": "demo 04 shows the certified spectrum",
 }
 
 
@@ -103,15 +110,8 @@ def _package() -> dict[str, str]:
 
 
 def _bench_reads() -> set[str]:
-    """The names bench/*.py reads, in code or as strings: its tracer looks up
-    the functions it wraps by the names in ``TARGETS``."""
-    found: set[str] = set()
-    for path in sorted((ROOT / "bench").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        found |= reads([tree]) | {node.value for node in ast.walk(tree)
-                                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                                  and node.value.isidentifier()}
-    return found
+    """The names bench/*.py reads in code."""
+    return reads([ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))])
 
 
 SYNTHETIC = '''
@@ -183,6 +183,13 @@ def test_guard_rejects_a_stale_allowlist_entry():
     assert problems({"m": SYNTHETIC}, "m.main", (), {}) == [
         "unreached: m.Box.spare", "unreached: m.Later", "unreached: m.annotated",
         "unreached: m.orphan"]
+
+
+def test_a_name_bench_holds_only_as_a_string_is_not_a_read():
+    # the tracer names compactness_check in TARGETS, and calls it only if
+    # some command or workload does
+    assert '"compactness_check"' in (ROOT / "bench" / "tracing.py").read_text()
+    assert "compactness_check" not in _bench_reads()
 
 
 def test_every_definition_is_reached_from_the_commands_or_the_benchmark():

@@ -14,6 +14,8 @@ from centrelat.lattice import TOL_EXACT, CoordinateLattice
 from centrelat.operators import CentralOperator
 from centrelat.sequence import (
     BUILTIN_RULES,
+    EPS_SCHEDULE,
+    SAMPLE,
     CertificateError,
     SequenceCentralOperator,
     SequenceEigenQuery,
@@ -40,7 +42,7 @@ from centrelat.suites import op_digest
 
 def test_builtin_certificates_validate():
     for op in (reciprocal(), constant(2j), shifted_reciprocal(-1.5), geometric(0.7)):
-        validate_certificate(op, sample=5000)
+        validate_certificate(op)
 
 
 def test_sup_bound_violation_detected():
@@ -48,7 +50,7 @@ def test_sup_bound_violation_detected():
                                  accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1),
                                  multiplicity=lambda v: 1.0)
     with pytest.raises(CertificateError, match="sup bound"):
-        validate_certificate(op, sample=100)
+        validate_certificate(op)
 
 
 def test_tail_certificate_violation_detected():
@@ -57,7 +59,7 @@ def test_tail_certificate_violation_detected():
                                  accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1) ** 2,
                                  multiplicity=lambda v: 1.0)
     with pytest.raises(CertificateError, match="tail"):
-        validate_certificate(op, sample=5000)
+        validate_certificate(op)
 
 
 @given(st.integers(1, 500), st.sampled_from([complex(math.nan, 0.0), complex(0.0, math.nan),
@@ -69,7 +71,7 @@ def test_nan_value_violates_the_sup_bound_at_its_index(k, nan):
                                  accumulation=(0.0,), tail=lambda n: 1.0 / (n + 1),
                                  multiplicity=lambda v: 1.0)
     with pytest.raises(CertificateError, match=f"sup bound violated at index {k}$"):
-        validate_certificate(op, sample=500)
+        validate_certificate(op)
 
 
 def test_nan_accumulation_point_fails_every_check():
@@ -78,10 +80,10 @@ def test_nan_accumulation_point_fails_every_check():
                                  multiplicity=reciprocal().multiplicity)
     # N(0.1) = 9, so index 10 is the first one checked against the NaN point
     with pytest.raises(CertificateError, match="index 10 for eps=0.1"):
-        validate_certificate(op, sample=100)
-    verdict = compactness_check(op, sample=100)
+        validate_certificate(op)
+    verdict = compactness_check(op)
     assert not verdict.compact and verdict.reason == "limit point nan is nonzero"
-    assert not any(r.dominated for r in expansion_tail_report(op, (10,), sample=100))
+    assert not any(r.dominated for r in expansion_tail_report(op, (10,)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +91,14 @@ def test_nan_accumulation_point_fails_every_check():
 # ---------------------------------------------------------------------------
 
 def test_reciprocal_spectrum():
-    spec = sequence_spectrum(reciprocal(), prefix=100)
+    spec = sequence_spectrum(reciprocal())
     assert spec.accumulation == (0.0,)
     assert {1.0, 0.5, 1.0 / 3.0} <= set(spec.attained)
     assert 0.0 in spec
 
 
 def test_constant_spectrum_is_singleton():
-    spec = sequence_spectrum(constant(3.0), prefix=100)
+    spec = sequence_spectrum(constant(3.0))
     assert set(spec.attained) == {3.0}
 
 
@@ -128,7 +130,7 @@ def test_compactness_infinite_multiplicity_not_compact():
     op = SequenceCentralOperator(rule=lambda i: np.where(i % 2, 1.0, 1.0 / i), sup_bound=1.0,
                                  accumulation=(0.0, 1.0), tail=lambda n: 1.0,
                                  multiplicity=lambda v: math.inf if v == 1.0 else 1.0)
-    verdict = compactness_check(op, sample=100)
+    verdict = compactness_check(op)
     assert not verdict.compact
 
 
@@ -155,6 +157,13 @@ _PREFIXES = st.lists(st.one_of(st.sampled_from(_PREFIX_POOL), st.complex_numbers
                      min_size=1, max_size=24)
 
 
+def _then_zeros(values):
+    """A rule giving ``values`` at the leading indices and 0 at every later one."""
+    table = np.zeros(SAMPLE, dtype=complex)
+    table[:len(values)] = values
+    return lambda i: table[i - 1]
+
+
 @given(_PREFIXES)
 @example([TOL_EXACT, -0.0, TOL_EXACT, math.nan, math.nan, 0.0, math.inf, math.inf])
 @example([_NEAR_TOL[4], _NEAR_TOL[2], complex(0.6 * _NEAR_TOL[4], 0.8 * _NEAR_TOL[4]),
@@ -163,15 +172,16 @@ _PREFIXES = st.lists(st.one_of(st.sampled_from(_PREFIX_POOL), st.complex_numbers
 def test_nonzero_mask_through_labels_matches_the_tuple_mask(values):
     # a finite multiplicity rule is asked about exactly the masked values
     calls = []
-    op = SequenceCentralOperator(rule=lambda i: np.array(values, dtype=complex)[i - 1],
+    op = SequenceCentralOperator(rule=_then_zeros(values),
                                  sup_bound=3.0, accumulation=(), tail=lambda n: math.inf,
                                  multiplicity=lambda v: calls.append(v) or 1.0)
-    distinct, _ = first_occurrence(op.prefix(len(values)))
-    assert compactness_check(op, sample=len(values)).compact
+    distinct, _ = first_occurrence(op.prefix(SAMPLE))
+    assert compactness_check(op).compact
     assert repr(calls) == repr(list(itertools.compress(distinct, _tuple_nonzero_mask(distinct))))
 
 
-# 0.5 repeats; the zeros and 1e-13 are skipped; 3.0 comes back after 2.0
+# 0.5 repeats; the zeros (and the rule's trailing ones) and 1e-13 are skipped;
+# 3.0 comes back after 2.0
 _ORDER_VALUES = [0.5, 0.0, 1j, 0.5, 1e-13, 3.0, -0.0, 2.0, 3.0, complex(math.nan, 0.0)]
 
 
@@ -183,10 +193,10 @@ def test_compactness_asks_multiplicity_in_first_occurrence_order_up_to_the_first
         calls.append(v)
         return stop if v == 3.0 else 2.0
 
-    op = SequenceCentralOperator(rule=lambda i: np.array(_ORDER_VALUES, dtype=complex)[i - 1],
+    op = SequenceCentralOperator(rule=_then_zeros(_ORDER_VALUES),
                                  sup_bound=3.0, accumulation=(0.0,), tail=lambda n: 3.0,
                                  multiplicity=multiplicity)
-    verdict = compactness_check(op, sample=len(_ORDER_VALUES))
+    verdict = compactness_check(op)
     assert all(type(v) is complex for v in calls)
     if math.isfinite(stop):
         assert verdict.compact
@@ -221,7 +231,7 @@ def test_freudenthal_net_reciprocal():
     assert {1.0 / k for k in range(1, 10)} <= coeffs
     assert 0.0 in coeffs
     assert net.certified_error <= 0.1
-    spec = sequence_spectrum(reciprocal(), prefix=10_000)
+    spec = sequence_spectrum(reciprocal())
     assert coeffs <= spec.as_set()
 
 
@@ -371,8 +381,8 @@ def test_a_scalar_rule_or_tail_stands_for_every_index():
                                  tail=lambda n: 0.0,
                                  multiplicity=lambda v: math.inf if v == 2.0 else 0.0)
     assert op.prefix(70).tolist() == [2.0] * 70
-    validate_certificate(op, sample=200)
-    assert [r.certified_bound for r in expansion_tail_report(op, (0, 5), sample=10)] == [0, 0]
+    validate_certificate(op)
+    assert [r.certified_bound for r in expansion_tail_report(op, (0, 5))] == [0, 0]
 
 
 @pytest.mark.parametrize("rule", [lambda i: np.ones(len(i) + 1), lambda i: np.ones((len(i), 1)),
@@ -387,34 +397,8 @@ def test_prefix_rejects_a_rule_without_one_value_per_index(rule):
 
 
 # ---------------------------------------------------------------------------
-# sample bounds
+# checkpoints
 # ---------------------------------------------------------------------------
-
-_SAMPLED_CALLS = {
-    # a sup bound that index 1 already violates
-    "validate_certificate": lambda s: validate_certificate(
-        SequenceCentralOperator(rule=lambda i: 2.0, sup_bound=1.0, accumulation=(2.0,),
-                                tail=lambda n: 0.0, multiplicity=lambda v: math.inf), sample=s),
-    "sequence_spectrum": lambda s: sequence_spectrum(reciprocal(), prefix=s),
-    "compactness_check": lambda s: compactness_check(reciprocal(), sample=s),
-    "expansion_tail_report": lambda s: expansion_tail_report(reciprocal(), (), sample=s),
-    "freudenthal_net": lambda s: freudenthal_net(reciprocal(), 0.1, sample=s),
-}
-
-
-@pytest.mark.parametrize("sample", [0, -5])
-@pytest.mark.parametrize("call", sorted(_SAMPLED_CALLS))
-def test_sequence_functions_reject_a_sample_below_one(call, sample):
-    name = "prefix" if call == "sequence_spectrum" else "sample"
-    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {sample}$"):
-        _SAMPLED_CALLS[call](sample)
-
-
-def test_a_sample_of_one_checks_index_one():
-    with pytest.raises(CertificateError, match="sup bound violated at index 1$"):
-        _SAMPLED_CALLS["validate_certificate"](1)
-    assert sequence_spectrum(reciprocal(), prefix=1).attained == (1.0,)
-
 
 @pytest.mark.parametrize("checkpoints", [(-5,), (10, -1)])
 def test_expansion_tail_report_rejects_negative_checkpoints(checkpoints):
@@ -431,12 +415,18 @@ def _scan_reference(tail, eps, sample):
     return next((n for n in range(1, sample) if tail(np.array([n]))[0] <= eps), None)
 
 
-def _validate_reference(op, sample, schedule):
-    """validate_certificate's tail loop before the shared scan."""
-    values = op.prefix(sample)
+def _whole_sample_breakpoints(tail, epsilons):
+    """N(eps) for each eps from one tail call on every index in [1, SAMPLE)."""
+    tails = tail(np.arange(1, SAMPLE, dtype=np.int64))
+    hits = [np.flatnonzero(tails <= eps) for eps in epsilons]
+    return [int(h[0]) + 1 if h.size else None for h in hits]
+
+
+def _validate_reference(op):
+    """validate_certificate's tail loop before the shared scan, on whole-sample N(eps)."""
+    values = op.prefix(SAMPLE)
     dist = np.min(np.abs(values[:, None] - np.asarray(op.accumulation)[None, :]), axis=1)
-    for eps in schedule:
-        n = _scan_reference(op.tail, eps, sample)
+    for eps, n in zip(EPS_SCHEDULE, _whole_sample_breakpoints(op.tail, EPS_SCHEDULE)):
         if n is None:
             continue
         bad = np.flatnonzero(dist[n:] > eps + 1e-12)
@@ -478,21 +468,21 @@ def test_shared_scan_matches_the_per_eps_scan(table, schedule, sample):
     # each n is evaluated at most once, in ascending order
     assert calls == list(range(1, len(calls) + 1)) and len(calls) <= max(sample - 1, 0)
 
-    # the sequence runs 1/i; the accumulation point 0 and this tail table
-    # decide which eps, if any, is violated first
+    # on the certificates' own sample: the sequence runs 1/i, and the
+    # accumulation point 0 and this tail table decide which eps of the
+    # schedule, if any, is violated first
     op = SequenceCentralOperator(rule=lambda i: 1.0 / i, sup_bound=1.0, accumulation=(0.0,),
                                  tail=tail, multiplicity=lambda v: 1.0)
-    assert _error_text(lambda: validate_certificate(op, sample, schedule)) \
-        == _error_text(lambda: _validate_reference(op, sample, schedule))
-    for eps in schedule:
+    assert _error_text(lambda: validate_certificate(op)) \
+        == _error_text(lambda: _validate_reference(op))
+    for eps, n in zip(schedule, _whole_sample_breakpoints(tail, schedule)):
         if not eps > 0:
             continue
-        n = _scan_reference(tail, eps, sample)
         if n is None:
             with pytest.raises(CertificateError, match="does not reach eps"):
-                freudenthal_net(op, eps, sample)
+                freudenthal_net(op, eps)
         else:
-            assert freudenthal_net(op, eps, sample).breakpoint == n
+            assert freudenthal_net(op, eps).breakpoint == n
 
 
 def _block_ends(sample):

@@ -673,7 +673,7 @@ def test_eigen_query_kernel_matches_nullspace_oracle():
 def test_commutant_polynomial_in_T():
     T = central([1.0, 2.0, 1.0])
     Xi = RegularOperator(T.lattice, np.diag(T.symbol ** 2 + 3.0))
-    report = commutant_check(T, Xi)
+    report = commutant_check(T, Xi, np.random.default_rng(0))
     assert all(report.conditions()) and report.all_equivalent()
 
 
@@ -681,7 +681,7 @@ def test_commutant_violation_fails_all_five():
     T = central([1.0, 1.0, 2.0])
     m = np.zeros((3, 3), dtype=complex)
     m[0, 2] = 1.0  # couples distinct symbol classes
-    report = commutant_check(T, RegularOperator(T.lattice, m))
+    report = commutant_check(T, RegularOperator(T.lattice, m), np.random.default_rng(0))
     assert not any(report.conditions())
     assert not report.block_pattern
     assert report.all_equivalent()
@@ -1030,7 +1030,7 @@ def test_condition_one_agrees_with_blas_products(dim, seed):
         bound = 4 * 3 * u / (1 - 3 * u) * (np.abs(s)[:, None] + np.abs(s)[None, :]) * np.abs(X)
         assert np.all(np.abs(loop - blas) <= bound)
         tol = TOL_EXACT * max(1.0, float(np.max(np.abs(X))))
-        report = commutant_check(T, Xi)
+        report = commutant_check(T, Xi, np.random.default_rng(0))
         assert report.with_operator == (float(np.max(np.abs(blas))) <= tol) == (Xi is inside)
 
 
@@ -1065,7 +1065,7 @@ def test_support_form_matches_the_dense_conditions(dim, few, size, seed):
     # every entry nonzero, and within tolerance of a block operator
     cases.append(inside.entries + 10.0 ** size * rng.uniform(0.5, 1.0, (dim, dim)))
     for X in cases:
-        report = commutant_check(T, RegularOperator(T.lattice, X))
+        report = commutant_check(T, RegularOperator(T.lattice, X), np.random.default_rng(0))
         assert (report.with_conjugate, report.with_continuous_calculus) \
             == _dense_conditions_two_and_three(T, X)
 
@@ -1074,7 +1074,8 @@ def test_support_form_passes_entries_whose_symbol_difference_overflows():
     # s_0 - s_1 overflows to inf, and X_01 = 0: the dense form's inf * 0 = NaN
     # failed condition 2, while X = I commutes with T, as conditions 1, 3-5 say
     T = central([1e308, -1e308])
-    report = commutant_check(T, RegularOperator(T.lattice, np.eye(2, dtype=complex)))
+    report = commutant_check(T, RegularOperator(T.lattice, np.eye(2, dtype=complex)),
+                             np.random.default_rng(0))
     assert report.with_conjugate and report.all_equivalent()
 
 
@@ -1102,7 +1103,7 @@ def test_commutant_check_holds_no_stack_of_powers_at_n_256(monkeypatch, inside):
     monkeypatch.setattr(spectral, "_commutes_with_diag", traced)
     tracemalloc.start()
     try:
-        report = commutant_check(T, Xi)
+        report = commutant_check(T, Xi, np.random.default_rng(0))
     finally:
         tracemalloc.stop()
     assert report.with_continuous_calculus == inside

@@ -176,8 +176,8 @@ def test_riesz_keeps_its_exception_class(monkeypatch):
 def test_riesz_suite_calls_pi_once_per_row_block(monkeypatch, tmp_path):
     # on the golden riesz corpus, against the one-row entry given the rows of
     # the same pi one at a time: the same records, as many rows, and one call
-    # per row block of riesz_represent_stack, whose draws use the default 64
-    # samples
+    # per row block of riesz_represent_stack, whose rounds draw RIESZ_SAMPLES
+    # rows each
     corpus = tmp_path / "corpus.json"
     assert main(["gen", "--seed", "7", "--dim", "2..16", "--count", "20",
                  "--out", str(corpus)]) == 0
@@ -206,11 +206,12 @@ def test_riesz_suite_calls_pi_once_per_row_block(monkeypatch, tmp_path):
 
     # two calls per measure, each with rows of the measure's dim
     mus = instances["measure"]
-    assert counts["calls"] == sum(2 * (1 + len(row_blocks(64, 4 * mu.dim))
-                                       + 4 * (1 + len(row_blocks(2 * 64, mu.dim))))
+    samples = measures.RIESZ_SAMPLES
+    assert counts["calls"] == sum(2 * (1 + len(row_blocks(samples, 4 * mu.dim))
+                                       + 4 * (1 + len(row_blocks(2 * samples, mu.dim))))
                                   for mu in mus)
     assert counts["rows"] == counts["one-row calls"] == sum(
-        2 * (mu.space.n_atoms + 64 + 4 * (1 + 2 * 64)) for mu in mus)
+        2 * (mu.space.n_atoms + samples + 4 * (1 + 2 * samples)) for mu in mus)
 
 
 @pytest.mark.parametrize("suite, target", [("eigen", "expansion_tail_report"),
