@@ -56,8 +56,7 @@ print("kernel band of chi complement:",
 
 # dominated convergence: f_n = id + 1/n converges with an explicit witness
 fs = [lambda v, n=n: v + 1.0 / n for n in range(1, 25)]
-rep = dominated_convergence_calculus(T, fs, lambda v: v, bound=5.0,
-                                     tail=lambda n: 1.0 / (n + 1))
+rep = dominated_convergence_calculus(T, fs, lambda v: v, tail=lambda n: 1.0 / (n + 1))
 print("dominated convergence certified:", bool(rep),
       "(first witness bound %.3g)" % float(np.max(rep.witness.dominating[0])))
 

@@ -41,7 +41,7 @@ for candidate in (reciprocal(), constant(1.0), shifted_reciprocal(1.0)):
 # -- eigen expansion tails are dominated by the certified witness -----------
 
 print()
-for record in expansion_tail_report(op, checkpoints=[10, 100, 1000]):
+for record in expansion_tail_report(op):    # at N in TAIL_CHECKPOINTS = (10, 100, 1000)
     print("after %4d terms: certified bound %.4g, sampled tail %.4g, dominated=%s"
           % (record.n_terms, record.certified_bound, record.sampled_tail_sup, record.dominated))
 

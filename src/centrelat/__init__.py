@@ -11,7 +11,6 @@ from .lattice import (
     CoordinateLattice,
     MaxNorm,
     PrincipalIdeal,
-    UserNorm,
     WeightedPNorm,
     check_witness,
     ideal_norm,

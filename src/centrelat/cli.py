@@ -13,6 +13,7 @@ check or non-central input, 2 usage/unreadable input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -63,6 +64,25 @@ def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _instances(args, lo: int, hi: int) -> list[dict]:
+    """The instances ``gen`` writes, from ``--seed``, ``--mode`` and ``--count``."""
+    if args.mode == "sequence":
+        return [{"sequence": BUILTIN_RULES[args.rule]()} for _ in range(args.count)]
+    rng = np.random.default_rng(args.seed)
+    instances = []
+    for _ in range(args.count):
+        dim = int(rng.integers(lo, hi + 1))
+        lattice = random_lattice(rng, dim)
+        instances.append({
+            "lattice": lattice,
+            "central": random_central(rng, lattice=lattice),
+            "regular": random_regular(rng, lattice=lattice),
+            "measure": random_measure(rng, dim=dim),
+            "spectral_measure": random_projection_measure(rng, dim),
+        })
+    return instances
+
+
 def cmd_gen(args) -> int:
     try:
         lo, hi = _parse_dims(args.dim)
@@ -72,31 +92,13 @@ def cmd_gen(args) -> int:
     if args.count < 1:
         print("error: --count must be positive", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(args.seed)
-    if args.mode == "sequence":
-        instances = [{"sequence": BUILTIN_RULES[args.rule]()} for _ in range(args.count)]
-    else:
-        instances = []
-        for _ in range(args.count):
-            dim = int(rng.integers(lo, hi + 1))
-            lattice = random_lattice(rng, dim)
-            instances.append({
-                "lattice": lattice,
-                "central": random_central(rng, lattice=lattice),
-                "regular": random_regular(rng, lattice=lattice),
-                "measure": random_measure(rng, dim=dim),
-                "spectral_measure": random_projection_measure(rng, dim),
-            })
-    text = _dump(cio.bundle_to_json(instances))
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-    else:
-        print(text)
+    try:  # --out is opened before the work, so an unwritable path costs nothing
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            print(_dump(cio.bundle_to_json(_instances(args, lo, hi))), file=out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

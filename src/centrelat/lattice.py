@@ -76,23 +76,7 @@ class MaxNorm:
         return np.max(absx, axis=-1)
 
 
-@dataclass(frozen=True)
-class UserNorm:
-    """Norm evaluated by a user-supplied rule on the coordinatewise modulus.
-
-    The rule receives |x| so that monotonicity in the modulus (the lattice
-    norm property) only depends on the rule being monotone on the positive
-    cone.  Spot checks live in the test suite.
-    """
-
-    rule: Callable[[np.ndarray], float]
-
-    def rows(self, absx: np.ndarray) -> np.ndarray:
-        """Norms of the rows of an (m, dim) array of moduli; the rule sees one row at a time."""
-        return np.array([float(self.rule(row)) for row in absx])
-
-
-NormSpec = WeightedPNorm | MaxNorm | UserNorm
+NormSpec = WeightedPNorm | MaxNorm
 
 
 @dataclass(frozen=True)

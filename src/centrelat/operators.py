@@ -80,25 +80,10 @@ class CentralOperator:
     def order_unit_norm(self) -> float:
         return float(np.max(np.abs(self.symbol)))
 
-    def _same_dim(self, other: "CentralOperator") -> None:
+    def __mul__(self, other: "CentralOperator") -> "CentralOperator":
         if other.lattice.dim != self.lattice.dim:
             raise DimensionMismatchError("operators on lattices of different dimension")
-
-    def __add__(self, other: "CentralOperator") -> "CentralOperator":
-        self._same_dim(other)
-        return CentralOperator(self.lattice, self.symbol + other.symbol)
-
-    def __sub__(self, other: "CentralOperator") -> "CentralOperator":
-        self._same_dim(other)
-        return CentralOperator(self.lattice, self.symbol - other.symbol)
-
-    def __mul__(self, other):
-        if isinstance(other, CentralOperator):
-            self._same_dim(other)
-            return CentralOperator(self.lattice, self.symbol * other.symbol)
-        return CentralOperator(self.lattice, self.symbol * other)
-
-    __rmul__ = __mul__
+        return CentralOperator(self.lattice, self.symbol * other.symbol)
 
 
 @dataclass(frozen=True)
@@ -170,14 +155,13 @@ class FPRVerdict:
     forward: bool                # S X = X T
     conjugate: bool              # conj(S) X = X conj(T)
     transfer_ok: bool            # forward implies conjugate on this instance
-    pattern_ok: bool             # X_ij (s_i - t_j) = 0 matches the forward verdict
     max_forward_deviation: float
     max_conjugate_deviation: float
     first_violation: Optional[tuple[int, int]] = None
 
 
 def fpr_check(S: CentralOperator, T: CentralOperator, X: RegularOperator) -> FPRVerdict:
-    """Check S X = X T, its conjugate transfer, and the entrywise pattern."""
+    """Check S X = X T and its conjugate transfer."""
     if not (S.lattice.dim == T.lattice.dim == X.lattice.dim):
         raise DimensionMismatchError("operators have different dimensions")
     fwd = S.symbol[:, None] * X.entries - X.entries * T.symbol[None, :]
@@ -186,8 +170,6 @@ def fpr_check(S: CentralOperator, T: CentralOperator, X: RegularOperator) -> FPR
     dev_c = float(np.max(np.abs(con))) if con.size else 0.0
     forward = dev_f <= TOL_EXACT
     conjugate = dev_c <= TOL_EXACT
-    pattern = np.abs(X.entries * (S.symbol[:, None] - T.symbol[None, :]))
-    pattern_holds = float(pattern.max()) <= TOL_EXACT if pattern.size else True
     first = None
     if not forward:
         i, j = np.unravel_index(int(np.abs(fwd).argmax()), fwd.shape)
@@ -196,7 +178,6 @@ def fpr_check(S: CentralOperator, T: CentralOperator, X: RegularOperator) -> FPR
         forward=forward,
         conjugate=conjugate,
         transfer_ok=(not forward) or conjugate,
-        pattern_ok=(pattern_holds == forward),
         max_forward_deviation=dev_f,
         max_conjugate_deviation=dev_c,
         first_violation=first,
@@ -213,10 +194,16 @@ def polar(T: CentralOperator) -> PolarFactors:
     """Polar decomposition T = P U with P >= 0 and |U| = I.
 
     Where the symbol vanishes, U is set to 1 so that |U| = I holds and the
-    factorisation is deterministic.
+    factorisation is deterministic.  Where |s| is subnormal, numpy's complex
+    division s / |s| gives inf + nan i, so there the real and imaginary parts
+    are divided by |s| one at a time.  A normal |s| keeps numpy's division,
+    from which the part-wise one differs in the last bit on many values.
     """
-    absval = np.abs(T.symbol)
-    u = np.where(absval > 0, T.symbol / np.where(absval > 0, absval, 1.0), 1.0)
+    s, absval = T.symbol, np.abs(T.symbol)
+    normal = absval >= np.finfo(float).tiny
+    u = np.where(normal, s / np.where(normal, absval, 1.0), 1.0)
+    sub = ~normal & (absval > 0)
+    u.real[sub], u.imag[sub] = s.real[sub] / absval[sub], s.imag[sub] / absval[sub]
     return PolarFactors(
         CentralOperator(T.lattice, absval.astype(complex)),
         CentralOperator(T.lattice, u),
@@ -236,15 +223,12 @@ def localize(T: CentralOperator, ideal: PrincipalIdeal) -> Localization:
     """Restrict a central operator to a principal ideal as a multiplication symbol.
 
     The restriction is the symbol on the ideal's support, so it commutes with
-    conjugation and the modulus, which act coordinatewise.  Verifies the
-    isometry ||Tu||_u = max_support |M(T)|.
+    conjugation and the modulus, which act coordinatewise.  The localize
+    suite's restriction-isometry record checks ||Tu||_u = max_support |M(T)|.
     """
     if ideal.generator.shape != (T.lattice.dim,):
         raise DimensionMismatchError("ideal generator and operator have different dimensions")
     sup = ideal.support
     m = T.symbol[sup]
     u_elem = ComplexElement(T.lattice, ideal.generator.astype(complex))
-    tu_norm = ideal_norm(T.apply(u_elem), ideal)
-    if abs(tu_norm - float(np.max(np.abs(m)))) > TOL_EXACT * max(1.0, tu_norm):
-        raise AssertionError("localisation isometry ||Tu||_u = max |M(T)| failed")
-    return Localization(m, sup, tu_norm)
+    return Localization(m, sup, ideal_norm(T.apply(u_elem), ideal))

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -64,9 +62,6 @@ class Spectrum:
 
     def __contains__(self, value: complex) -> bool:
         return value in self.as_set()
-
-    def __len__(self) -> int:
-        return len(self.as_set())
 
 
 #: Block size of the spectrum oracle; a block's eigenvalues are matched to
@@ -262,9 +257,9 @@ class OperatorSpectralMeasure:
     def reconstruct(self) -> CentralOperator:
         return CentralOperator(self.base.lattice, _on_labels(self.values, self.labels))
 
-    def validate(self, tol: float = TOL_EXACT) -> None:
+    def validate(self) -> None:
         """Assert that every value is attained and that the values on their
-        bands reconstruct the operator within tol.
+        bands reconstruct the operator within TOL_EXACT * max(1, ||base||).
 
         One label per coordinate makes the projections idempotent, pairwise
         disjoint and summing to the identity by construction.
@@ -276,6 +271,7 @@ class OperatorSpectralMeasure:
         empty = np.flatnonzero(np.bincount(self.labels, minlength=k) == 0)
         if len(empty):
             raise AssertionError(f"projection for attained value {self.values[empty[0]]} is zero")
+        tol = TOL_EXACT * max(1.0, self.base.order_unit_norm())
         if np.max(np.abs(self.reconstruct().symbol - self.base.symbol)) > tol:
             raise AssertionError("spectral reconstruction does not recover the operator")
 
@@ -373,7 +369,6 @@ class DominatedConvergenceReport:
 def dominated_convergence_calculus(T: CentralOperator,
                                    fs: Sequence | np.ndarray,
                                    f,
-                                   bound: float,
                                    tail: Callable[[int], float],
                                    z: Optional[ComplexElement] = None,
                                    ) -> DominatedConvergenceReport:
@@ -384,22 +379,18 @@ def dominated_convergence_calculus(T: CentralOperator,
     rule.  When ``z`` is supplied the convergence rho_T(f_n) z -> rho_T(f) z
     is certified as well.  Each function is a callable or one value per
     entry of ``build_mu_T(T).values``, and ``fs`` may be one ``(n_terms,
-    |sigma|)`` table of them; every value and ``bound`` must be finite.  The
-    symbols of the rho_T(f_n) are one ``(n_terms, dim)`` stack.
+    |sigma|)`` table of them; every value must be finite, so the largest
+    |f_n| in the table bounds the f_n uniformly.  The symbols of the
+    rho_T(f_n) are one ``(n_terms, dim)`` stack.
     """
-    if not (isinstance(bound, numbers.Real) and math.isfinite(bound)):
-        raise PreconditionError(f"uniform bound must be a finite number, got {bound!r}")
     mu = build_mu_T(T)
     limit = _per_value(f, mu.values)
     tables = np.array([_per_value(g, mu.values) for g in fs]).reshape(-1, len(limit))
     if not (np.isfinite(limit).all() and np.isfinite(tables).all()):
         raise PreconditionError("f and every f_n must be finite on the spectrum")
-    # Python's abs over one flattened list; per term, sup |f_n| and sup |f_n - f|
-    worst, devs = (np.reshape(list(map(abs, g.ravel().tolist())), g.shape).max(axis=1)
-                   for g in (tables, tables - limit))
-    over = np.flatnonzero(~(worst <= bound + TOL_EXACT))
-    if over.size:
-        raise PreconditionError(f"uniform bound {bound} violated: |f_n| reaches {worst[over[0]]}")
+    # Python's abs over one flattened list; per term, sup |f_n - f|
+    diff = tables - limit
+    devs = np.reshape(list(map(abs, diff.ravel().tolist())), diff.shape).max(axis=1)
     running = np.maximum.accumulate(devs[::-1])[::-1]
     witness = ConvergenceWitness(running[:, None] * np.ones(T.lattice.dim), tail=tail)
     symbols, limit_symbol = tables[:, mu.labels] + 0j, _on_labels(limit, mu.labels)

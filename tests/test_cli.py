@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centrelat import cli, suites
 from centrelat import io as cio
-from centrelat import suites
 from centrelat.cli import build_parser, main
 from centrelat.generate import random_central
 
@@ -86,7 +86,10 @@ def test_gen_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("where", ["missing-dir/x.json", "."], ids=["no-such-dir", "a-dir"])
-def test_gen_unwritable_out_exit_2(tmp_path, capsys, where):
+def test_gen_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, where):
+    # --out is opened before any instance is generated
+    monkeypatch.setattr(cli, "random_regular",
+                        lambda *args, **kwargs: pytest.fail("gen generated before opening --out"))
     out = tmp_path / where
     code, stdout, err = run(capsys, ["gen", "--out", str(out)])
     assert code == 2 and stdout == ""
@@ -226,6 +229,16 @@ def test_calc_polar_frozen(tmp_path, capsys):
     assert doc["positive"]["symbol"] == [[5.0, 0.0], [2.0, 0.0]]
     flat = [x for pair in doc["unitary"]["symbol"] for x in pair]
     assert flat == pytest.approx([0.6, 0.8, 0.0, 1.0], abs=1e-12)
+
+
+def test_calc_polar_of_a_subnormal_entry(tmp_path, capsys):
+    # numpy's complex division made the unit factor inf + nan i there
+    path = write_op(tmp_path, {"dim": 2, "symbol": [[1e-310, 0], [1, 0]]})
+    code, out, err = run(capsys, ["calc", "polar", str(path)])
+    assert code == 0 and err == ""
+    doc = json.loads(out)["polar"]
+    assert doc["positive"]["symbol"] == [[1e-310, 0.0], [1.0, 0.0]]
+    assert doc["unitary"]["symbol"] == [[1.0, 0.0], [1.0, 0.0]]
 
 
 def test_calc_mu_t_and_eigen(tmp_path, capsys):

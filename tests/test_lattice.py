@@ -16,7 +16,6 @@ from centrelat.lattice import (
     DomainError,
     MaxNorm,
     PrincipalIdeal,
-    UserNorm,
     WeightedPNorm,
     WitnessVerdict,
     check_witness,
@@ -29,7 +28,6 @@ from centrelat.generate import random_central
 from centrelat.operators import CentralOperator
 from centrelat.spectral import (
     DominatedConvergenceReport,
-    PreconditionError,
     build_mu_T,
     dominated_convergence_calculus,
     rho_T,
@@ -165,8 +163,7 @@ def test_norm_is_lattice_norm():
     # |x| <= |y| coordinatewise implies norm(x) <= norm(y)
     rng = np.random.default_rng(11)
     for spec in (MaxNorm(), WeightedPNorm((0.5, 2.0, 1.0), 1.0),
-                 WeightedPNorm((1.0, 1.0, 3.0), 2.0),
-                 UserNorm(lambda a: float(np.sum(a) + np.max(a)))):
+                 WeightedPNorm((1.0, 1.0, 3.0), 2.0)):
         lat = CoordinateLattice(3, spec)
         for _ in range(50):
             big = np.abs(rng.standard_normal(3))
@@ -435,15 +432,11 @@ def test_stacked_witness_check_matches_the_per_term_loop(dim, m, extra, fault, s
     assert check_witness(rows if as_array else values, lim, witness) == reference
 
 
-def _loop_calculus(T, fs, f, bound, tail, z):
+def _loop_calculus(T, fs, f, tail, z):
     """The calculus with one operator and one element per term, as the stacked
     one replaced, on tables: verdict, element verdict and dominating terms."""
     mu = build_mu_T(T)
     tables = [np.asarray(g, dtype=complex) for g in fs]
-    for g in tables:
-        worst = max(map(abs, g.tolist()))
-        if not worst <= bound + TOL_EXACT:
-            raise PreconditionError(f"uniform bound {bound} violated: |f_n| reaches {worst}")
     devs = [max(map(abs, (g - f).tolist())) for g in tables]
     running = np.maximum.accumulate(np.asarray(devs)[::-1])[::-1]
     limit_op, ops = rho_T(T, f, mu), [rho_T(T, g, mu) for g in tables]
@@ -457,13 +450,12 @@ def _loop_calculus(T, fs, f, bound, tail, z):
 
 
 @given(st.integers(1, 40), st.integers(-30, 30), st.integers(0, 14), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(("array", "tables", "callables")), st.booleans())
+       st.sampled_from(("array", "tables", "callables")))
 @settings(max_examples=200, deadline=None)
-@example(dim=1, k=24, n_terms=1, seed=2, form="array", tight=False)  # one term, one coordinate
-def test_stacked_calculus_matches_the_per_term_loop(dim, k, n_terms, seed, form, tight):
+@example(dim=1, k=24, n_terms=1, seed=2, form="array")  # one term, one coordinate
+def test_stacked_calculus_matches_the_per_term_loop(dim, k, n_terms, seed, form):
     """The suite's shifted tables and random ones, on symbols scaled by 2**k:
-    at k >= 10 the absolute TOL_EXACT makes domination fail, on T or on z.
-    A tight bound makes some |f_n| exceed it."""
+    at k >= 10 the absolute TOL_EXACT makes domination fail, on T or on z."""
     rng = np.random.default_rng(seed)
     base = random_central(rng, dim=dim, repeats=bool(rng.integers(0, 2)))
     T = CentralOperator(base.lattice, base.symbol * 2.0 ** k)
@@ -474,20 +466,13 @@ def test_stacked_calculus_matches_the_per_term_loop(dim, k, n_terms, seed, form,
         shifts = shifts * (rng.standard_normal((n_terms, len(vals)))
                            + 1j * rng.standard_normal((n_terms, len(vals))))
     tables = vals + shifts
-    bound = max(map(abs, mu.values)) + (0.5 if tight else 1.0) * 2.0 ** max(k, 0)
     z = ComplexElement(T.lattice, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     fs = {"array": tables, "tables": list(tables),
           "callables": [lambda v, t=dict(zip(mu.values, row.tolist())): t[v] for row in tables]
           }[form]
     tail = lambda n: 1.0 / (n + 1)
-    try:
-        verdict, element, dominating = _loop_calculus(T, tables, vals, bound, tail, z)
-    except PreconditionError as exc:
-        with pytest.raises(PreconditionError) as raised:
-            dominated_convergence_calculus(T, fs, vals, bound, tail, z=z)
-        assert str(raised.value) == str(exc)
-        return
-    rep = dominated_convergence_calculus(T, fs, vals, bound, tail, z=z)
+    verdict, element, dominating = _loop_calculus(T, tables, vals, tail, z)
+    rep = dominated_convergence_calculus(T, fs, vals, tail, z=z)
     assert (rep.verdict, rep.element_verdict) == (verdict, element)
     assert rep.reason == DominatedConvergenceReport(verdict, rep.witness, element).reason
     assert rep.witness.dominating.reshape(dominating.shape).tobytes() == dominating.tobytes()

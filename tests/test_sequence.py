@@ -16,6 +16,7 @@ from centrelat.sequence import (
     BUILTIN_RULES,
     EPS_SCHEDULE,
     SAMPLE,
+    TAIL_CHECKPOINTS,
     CertificateError,
     SequenceCentralOperator,
     SequenceEigenQuery,
@@ -83,7 +84,7 @@ def test_nan_accumulation_point_fails_every_check():
         validate_certificate(op)
     verdict = compactness_check(op)
     assert not verdict.compact and verdict.reason == "limit point nan is nonzero"
-    assert not any(r.dominated for r in expansion_tail_report(op, (10,)))
+    assert not any(r.dominated for r in expansion_tail_report(op))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,8 @@ def test_compactness_asks_multiplicity_in_first_occurrence_order_up_to_the_first
 # ---------------------------------------------------------------------------
 
 def test_expansion_tail_domination_checkpoints():
-    records = expansion_tail_report(reciprocal(), checkpoints=[10, 100, 1000])
+    records = expansion_tail_report(reciprocal())
+    assert [r.n_terms for r in records] == list(TAIL_CHECKPOINTS)
     for r in records:
         assert r.dominated
         assert r.certified_bound == pytest.approx(1.0 / (r.n_terms + 1))
@@ -220,7 +222,8 @@ def test_expansion_tail_domination_checkpoints():
 
 
 def test_expansion_tail_geometric():
-    records = expansion_tail_report(geometric(0.5), checkpoints=[5, 20])
+    records = expansion_tail_report(geometric(0.5))
+    assert [r.n_terms for r in records] == list(TAIL_CHECKPOINTS)
     assert all(r.dominated for r in records)
 
 
@@ -382,7 +385,7 @@ def test_a_scalar_rule_or_tail_stands_for_every_index():
                                  multiplicity=lambda v: math.inf if v == 2.0 else 0.0)
     assert op.prefix(70).tolist() == [2.0] * 70
     validate_certificate(op)
-    assert [r.certified_bound for r in expansion_tail_report(op, (0, 5))] == [0, 0]
+    assert [r.certified_bound for r in expansion_tail_report(op)] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("rule", [lambda i: np.ones(len(i) + 1), lambda i: np.ones((len(i), 1)),
@@ -394,16 +397,6 @@ def test_prefix_rejects_a_rule_without_one_value_per_index(rule):
     with pytest.raises(ValueError, match="must give one value per index or a scalar"):
         op.prefix(3)
     assert len(op.prefix(0)) == 0
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("checkpoints", [(-5,), (10, -1)])
-def test_expansion_tail_report_rejects_negative_checkpoints(checkpoints):
-    with pytest.raises(ValueError, match=r"^checkpoint -\d+ is negative$"):
-        expansion_tail_report(reciprocal(), checkpoints)
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,7 @@ def test_wrong_length_table_or_mask_raises(wrong):
     with pytest.raises(ValueError, match="per spectrum value"):
         rho_T(T, wrong)
     with pytest.raises(ValueError, match="per spectrum value"):
-        dominated_convergence_calculus(T, [[1.0, 2.0]], wrong, bound=5.0, tail=harmonic_tail)
+        dominated_convergence_calculus(T, [[1.0, 2.0]], wrong, tail=harmonic_tail)
     with pytest.raises(ValueError, match="per spectrum value"):
         mu.measure_of(np.asarray(wrong) > 0)
 
@@ -483,30 +483,16 @@ def test_dominated_convergence_trivial_and_shift():
     T = central([1.0, 2.0, 3.0])
     f = [1.0, 4.0, 9.0]
     fs = [f for _ in range(5)]
-    report = dominated_convergence_calculus(T, fs, f, bound=10.0, tail=lambda n: 0.0)
+    report = dominated_convergence_calculus(T, fs, f, tail=lambda n: 0.0)
     assert report
     assert all(np.max(u) == 0.0 for u in report.witness.dominating)
 
     fs = [lambda v, n=n: v + 1.0 / n for n in range(1, 40)]
     ident = np.array([1.0, 2.0, 3.0])
     z = ComplexElement(T.lattice, np.array([1.0, -1j, 0.5]))
-    report = dominated_convergence_calculus(T, fs, ident, bound=5.0, tail=harmonic_tail, z=z)
+    report = dominated_convergence_calculus(T, fs, ident, tail=harmonic_tail, z=z)
     assert report
     assert np.max(report.witness.dominating[0]) == pytest.approx(1.0)
-
-
-def test_dominated_convergence_bound_violation():
-    T = central([1.0, 2.0])
-    with pytest.raises(PreconditionError):
-        dominated_convergence_calculus(T, [[100.0, 0.0]], [0.0, 0.0], bound=1.0, tail=harmonic_tail)
-
-
-@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, "5", 1j])
-def test_dominated_convergence_rejects_a_bound_that_is_not_a_finite_number(bound):
-    # no comparison with a NaN bound is true, so it must be rejected before any is made
-    T = central([1.0, 2.0])
-    with pytest.raises(PreconditionError, match="finite number"):
-        dominated_convergence_calculus(T, [[1.0, 2.0]], [1.0, 2.0], bound=bound, tail=harmonic_tail)
 
 
 _TABLES = ([1.0, 2.0], [1.5, 2.5], [1.0 + 0.5j, 2.0])
@@ -522,14 +508,14 @@ def test_dominated_convergence_rejects_a_non_finite_value_anywhere(where, bad):
     fs, f = [list(g) for g in _TABLES], [1.0, 2.0]
     (fs[n] if field == "fs" else f)[k] = bad
     with pytest.raises(PreconditionError, match="must be finite on the spectrum"):
-        dominated_convergence_calculus(central([1.0, 2.0]), fs, f, bound=5.0, tail=harmonic_tail)
+        dominated_convergence_calculus(central([1.0, 2.0]), fs, f, tail=harmonic_tail)
 
 
 def test_dominated_convergence_checks_callables_for_nan_too():
     T = central([1.0, 2.0])
     with pytest.raises(PreconditionError, match="must be finite on the spectrum"):
         dominated_convergence_calculus(T, [lambda v: v, lambda v: math.nan if v == 2 else v],
-                                       lambda v: v, bound=5.0, tail=harmonic_tail)
+                                       lambda v: v, tail=harmonic_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -1119,7 +1105,7 @@ def test_dominated_convergence_rejects_an_element_of_another_dimension(dim):
     T = central([1.0, 2.0, 3.0])
     z = ComplexElement(CoordinateLattice(dim), np.ones(dim, dtype=complex))
     with pytest.raises(DimensionMismatchError):
-        dominated_convergence_calculus(T, [[1.5, 2.5, 3.5]], [1.0, 2.0, 3.0], bound=5.0,
+        dominated_convergence_calculus(T, [[1.5, 2.5, 3.5]], [1.0, 2.0, 3.0],
                                        tail=harmonic_tail, z=z)
 
 

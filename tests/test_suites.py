@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrelat import io as cio
-from centrelat import measures, spectral, suites
+from centrelat import measures, operators, spectral, suites
 from centrelat.cli import main
 from centrelat.generate import random_central, random_measure
 from centrelat.lattice import CoordinateLattice, row_blocks
@@ -167,6 +167,15 @@ def test_failed_riesz_representation(monkeypatch):
     assert_guarded_failures(records, "reproduction fails on a sample", 4)
 
 
+def test_misreported_localisation_fails_its_isometry_record(monkeypatch):
+    # localize no longer raises on a broken isometry; the record compares it
+    monkeypatch.setattr(operators, "ideal_norm", lambda z, ideal: 2.0 * suites.ideal_norm(z, ideal))
+    records = records_of("localize", {"central": centrals(2)})
+    assert [(r.check, r.ok) for r in records] == [("restriction-isometry", False),
+                                                  ("full-support-norm-equality", True)] * 2
+    assert all(r.max_deviation > 0 and not r.witness for r in records[::2])
+
+
 def test_riesz_keeps_its_exception_class(monkeypatch):
     monkeypatch.setattr(suites, "riesz_represent_stack", raising(ValueError, "not an assertion"))
     with pytest.raises(ValueError):
@@ -241,11 +250,12 @@ def test_no_guarded_site_catches_every_exception():
 
 
 def test_failed_expansion_tail_report(monkeypatch):
-    monkeypatch.setattr(suites, "expansion_tail_report",
-                        raising(ValueError, "checkpoint beyond the sampled prefix"))
+    # the one ValueError it raises: a tail rule that gives the wrong shape
+    text = "a rule gave shape (2,) for 3 indices; it must give one value per index or a scalar"
+    monkeypatch.setattr(suites, "expansion_tail_report", raising(ValueError, text))
     records = records_of("eigen", {"sequence": [reciprocal()]},
                          "sequence-partial-sum-tail-domination")
-    assert_guarded_failures(records, "checkpoint beyond the sampled prefix", 1)
+    assert_guarded_failures(records, text, 1)
 
 
 def test_failed_certificate_validation(monkeypatch):
@@ -346,8 +356,7 @@ def test_failed_dominated_convergence_names_its_reason_and_term():
     # a failing operator verdict with no term gives its reason alone
     T = centrals(1)[0]
     vals = np.array(spectral.build_mu_T(T).values)
-    rep = spectral.dominated_convergence_calculus(T, [vals], vals, 2.0 * T.order_unit_norm(),
-                                                  tail=lambda n: 1.0)
+    rep = spectral.dominated_convergence_calculus(T, [vals], vals, tail=lambda n: 1.0)
     assert not rep and rep.reason == "tail rule does not certify decay to zero"
 
 
