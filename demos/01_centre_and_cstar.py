@@ -16,7 +16,6 @@ from centrelat import (
     PrincipalIdeal,
     WeightedPNorm,
     fpr_check,
-    gelfand,
     ideal_norm,
     localize,
     modulus,
@@ -49,8 +48,7 @@ lhs = (T * T.conj()).order_unit_norm()
 print("C*-identity          : ||T T*|| = %.6g = ||T||^2 = %.6g" % (lhs, triple.order_unit ** 2))
 
 # the Gelfand transform is just the symbol as a function on {0,..,3}
-hat = gelfand(T)
-print("Gelfand values       :", hat.tolist())
+print("Gelfand values       :", T.symbol.tolist())
 
 # -- polar decomposition ----------------------------------------------------
 

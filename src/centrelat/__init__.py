@@ -51,11 +51,9 @@ from .spectral import (
     dominated_convergence_calculus,
     eigen_expansion,
     freudenthal_approx,
-    gelfand,
     global_spectral_measure,
     rho_T,
     spectrum,
-    union_spectrum,
 )
 
 __version__ = "0.1.0"

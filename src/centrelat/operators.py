@@ -194,16 +194,17 @@ def polar(T: CentralOperator) -> PolarFactors:
     """Polar decomposition T = P U with P >= 0 and |U| = I.
 
     Where the symbol vanishes, U is set to 1 so that |U| = I holds and the
-    factorisation is deterministic.  Where |s| is subnormal, numpy's complex
-    division s / |s| gives inf + nan i, so there the real and imaginary parts
-    are divided by |s| one at a time.  A normal |s| keeps numpy's division,
-    from which the part-wise one differs in the last bit on many values.
+    factorisation is deterministic.  Elsewhere U = t / |t| by numpy's complex
+    division, where t is s with both parts of each entry of subnormal
+    modulus scaled by 2**600, which is exact: s / |s| itself gives inf + nan i
+    there, and |s| keeps too few bits for |U| = 1 to hold.
     """
     s, absval = T.symbol, np.abs(T.symbol)
-    normal = absval >= np.finfo(float).tiny
-    u = np.where(normal, s / np.where(normal, absval, 1.0), 1.0)
-    sub = ~normal & (absval > 0)
-    u.real[sub], u.imag[sub] = s.real[sub] / absval[sub], s.imag[sub] / absval[sub]
+    t, sub = s.copy(), absval < np.finfo(float).tiny
+    t.real[sub] *= 2.0 ** 600
+    t.imag[sub] *= 2.0 ** 600
+    abst = np.abs(t)
+    u = np.where(abst > 0, t / np.where(abst > 0, abst, 1.0), 1.0)
     return PolarFactors(
         CentralOperator(T.lattice, absval.astype(complex)),
         CentralOperator(T.lattice, u),

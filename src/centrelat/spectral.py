@@ -25,7 +25,6 @@ from .lattice import (
     ConvergenceWitness,
     CoordinateLattice,
     DimensionMismatchError,
-    PrincipalIdeal,
     WitnessVerdict,
     check_witness,
 )
@@ -35,15 +34,6 @@ from .operators import CentralOperator, RegularOperator
 
 class PreconditionError(ValueError):
     """An operation's stated precondition is violated."""
-
-
-# ---------------------------------------------------------------------------
-# Gelfand transform
-# ---------------------------------------------------------------------------
-
-def gelfand(T: CentralOperator) -> np.ndarray:
-    """The hat map: the symbol of T, a function on the structure space 0..dim-1."""
-    return T.symbol
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +171,6 @@ def spectrum_shape_report(T: CentralOperator) -> SpectrumShapeReport:
         unimodular_iff_unit_modulus=unimodular)
 
 
-def union_spectrum(T: CentralOperator, generators: Sequence[np.ndarray]) -> Spectrum:
-    """Spectrum as the union over restrictions to covering principal ideals."""
-    ideals = [PrincipalIdeal(np.asarray(u, dtype=float)) for u in generators]
-    covered: set[int] = set()
-    for ideal in ideals:
-        covered |= set(int(i) for i in ideal.support)
-    if covered != set(range(T.lattice.dim)):
-        raise PreconditionError("generator supports do not cover all coordinates")
-    return Spectrum(tuple(dict.fromkeys(
-        v for ideal in ideals for v in T.symbol[ideal.support].tolist())))
-
-
 # ---------------------------------------------------------------------------
 # spectral measures
 # ---------------------------------------------------------------------------
@@ -208,9 +186,10 @@ def global_spectral_measure(lattice: CoordinateLattice) -> LatticeValuedMeasure:
 
 
 def reconstruct_from_global(T: CentralOperator) -> CentralOperator:
-    """Recover T as the order integral of its Gelfand transform against the global measure."""
+    """Recover T as the order integral of its Gelfand transform, the symbol,
+    against the global measure."""
     mu = global_spectral_measure(T.lattice)
-    return CentralOperator(T.lattice, integrate(gelfand(T), mu).values)
+    return CentralOperator(T.lattice, integrate(T.symbol, mu).values)
 
 
 def _on_labels(table: Sequence[complex], labels: np.ndarray) -> np.ndarray:
@@ -567,9 +546,14 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
     c2 = _commutes_with_diag(np.conj(s), support, x, tol)
 
     mu = build_mu_T(T)
-    # normalise so the powers stay well conditioned
+    # normalise so the powers stay well conditioned.  s / nrm multiplies by
+    # 1 / nrm, which overflows when nrm is subnormal: there both are first
+    # scaled by 2**600, which is exact
     nrm = T.order_unit_norm()
-    sn = s / nrm if nrm > 0 else s
+    if 0 < nrm < np.finfo(float).tiny:
+        sn = s * 2.0 ** 600 / (nrm * 2.0 ** 600)
+    else:
+        sn = s / nrm if nrm > 0 else s
     c3 = all(_commutes_with_diag(sn ** a, support, x, tol) for a in range(len(mu.values)))
 
     # (p_i - p_j) X_ij is X_ij where exactly one of i, j lies in band k: over

@@ -24,16 +24,41 @@ def _scaled(k):
     return transform
 
 
-def _one_subnormal_entry(instances):
-    instances[0]["central"]["symbol"][0] = [1e-310, 0.0]
+def _one_entry(re, im):
+    def transform(instances):
+        instances[0]["central"]["symbol"][0] = [re, im]
+    return transform
 
 
 #: Per transform, the whole-corpus change and the names of the checks that fail on it.
+#: Each row takes about 0.6 s.  The corpus scaled by 2**400 has no row: there
+#: WeightedPNorm.rows overflows in |x| ** p, a RuntimeWarning that the tests'
+#: warning filter turns into an error, until the norms are evaluated scaled.
 EXPECTED = {
-    # with |s| near 2**53, |f_n - f| and the star-homomorphism laws round by
-    # about u |s|, far beyond the absolute TOL_EXACT
+    # a product S T near 2**-1040 keeps some 34 bits, so the unit factor of
+    # its polar decomposition is not the product of S's and T's within
+    # TOL_EXACT; five-conditions-agree-outside fails as in the next rows
+    "scaled-2**-1040": (_scaled(-1040), {"multiplicative-on-invertibles",
+                                          "five-conditions-agree-outside"}),
+    # with |s| far below TOL_EXACT = 1e-12, the entry added off the block
+    # pattern keeps S X - X S within the absolute tolerance, so condition 1
+    # still holds outside the commutant
+    "scaled-2**-100": (_scaled(-100), {"five-conditions-agree-outside"}),
+    "scaled-2**-35": (_scaled(-35), {"five-conditions-agree-outside"}),
+    # |f_n - f| and the star-homomorphism laws round by about u |s|, which
+    # exceeds the absolute TOL_EXACT on more instances as |s| grows
+    "scaled-2**6": (_scaled(6), {"dominated-convergence-witness"}),
+    "scaled-2**10": (_scaled(10), {"dominated-convergence-witness", "star-homomorphism-laws"}),
+    "scaled-2**30": (_scaled(30), {"dominated-convergence-witness", "star-homomorphism-laws"}),
     "scaled-2**50": (_scaled(50), {"dominated-convergence-witness", "star-homomorphism-laws"}),
-    "one-subnormal-entry": (_one_subnormal_entry, set()),
+    # on a 16-value operator with |s| near 2**63, the annihilation bound's
+    # product of 16 factors overflows to inf
+    "scaled-2**60": (_scaled(60), {"dominated-convergence-witness", "star-homomorphism-laws",
+                                   "minimal-polynomial-annihilation"}),
+    "one-subnormal-entry": (_one_entry(1e-310, 0.0), set()),
+    # |s| keeps some 28 bits, so s / |s| misses modulus 1 by about 2e-10:
+    # polar divides the entry scaled by 2**600 instead
+    "one-subnormal-entry-of-unequal-parts": (_one_entry(-2e-320, 1e-315), set()),
 }
 
 

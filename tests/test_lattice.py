@@ -31,7 +31,6 @@ from centrelat.spectral import (
     build_mu_T,
     dominated_convergence_calculus,
     rho_T,
-    union_spectrum,
 )
 
 TOL_EXACT = 1e-12
@@ -224,12 +223,6 @@ def test_ideal_rejects_a_non_finite_generator(bad):
     # a NaN coordinate would otherwise leave the support silently
     with pytest.raises(ValueError, match="finite"):
         PrincipalIdeal(np.array([bad, 1.0]))
-
-
-def test_union_spectrum_rejects_a_nan_generator():
-    T = CentralOperator(CoordinateLattice(2, MaxNorm()), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="finite"):
-        union_spectrum(T, [np.array([np.nan, 1.0]), np.array([1.0, 0.0])])
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from centrelat.suites import Records, op_digest, run_suites
 ENUMERATION = "enumeration-uniqueness-of-spectral-measure"
 SPECTRAL_PER_OPERATOR = ("symbol-spectrum-matches-block-eigenvalues",
                          "spectral-radius-and-shape-equivalences",
-                         "band-cover-union-spectrum",
                          "global-measure-reconstruction",
                          "spectral-measure-invariants")
 
