@@ -43,28 +43,44 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedPNorm:
-    """Weighted ell-p norm; ``p`` may be ``math.inf``."""
+    """Weighted ell-p norm; ``p`` may be ``math.inf``; ``w`` is the weights, read-only."""
 
     weights: tuple[float, ...]
     p: float = 2.0
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(0 < w < math.inf for w in self.weights):  # also rejects nan
             raise ValueError("all weights must be finite and strictly positive")
         if not (self.p >= 1):
             raise ValueError("p must lie in [1, inf]")
+        object.__setattr__(self, "w", np.array(self.weights, dtype=float))
+        self.w.setflags(write=False)
 
     def rows(self, absx: np.ndarray) -> np.ndarray:
-        """Norms of the rows of an (m, dim) array of moduli.
-
-        The p-th root is taken row by row with Python's scalar power, since
-        numpy's vectorised power may round the last bit differently.
-        """
-        w = np.asarray(self.weights, dtype=float)
+        """Norms of the rows of an (m, dim) array of moduli."""
         if math.isinf(self.p):
-            return np.max(w * absx, axis=-1)
-        sums = np.sum(w * absx ** self.p, axis=-1)
-        return np.array([s ** (1.0 / self.p) for s in sums.tolist()])
+            return np.max(self.w * absx, axis=-1)
+        return self.roots(*self.sums(absx))
+
+    def sums(self, absx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the weighted sum of p-th powers and e, with norm sum**(1/p) * 2**e:
+        e = 0 unless the sum overflows, and the row is then summed divided by
+        2**e, the power of two just above its largest entry."""
+        with np.errstate(over="ignore"):
+            sums = np.sum(self.w * absx ** self.p, axis=-1)
+        e = np.zeros(sums.shape, dtype=int)
+        over = sums == math.inf
+        if over.any():
+            e[over] = np.frexp(np.max(absx[over], axis=-1))[1]
+            sums[over] = np.sum(self.w * np.ldexp(absx[over], -e[over, None]) ** self.p, axis=-1)
+        return sums, e
+
+    def roots(self, sums: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """The norms sum**(1/p) * 2**e, each root by Python's scalar power,
+        since numpy's vectorised power may round the last bit differently."""
+        with np.errstate(over="ignore"):
+            return np.ldexp([s ** (1.0 / self.p) for s in sums.tolist()], e)
 
 
 @dataclass(frozen=True)
@@ -122,14 +138,6 @@ class ComplexElement:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def re(self) -> np.ndarray:
-        return self.values.real
-
-    @property
-    def im(self) -> np.ndarray:
-        return self.values.imag
-
     def conj(self) -> "ComplexElement":
         return ComplexElement(self.lattice, np.conj(self.values))
 
@@ -138,21 +146,6 @@ class ComplexElement:
 
     def norm(self) -> float:
         return self.lattice.norm(self.modulus())
-
-    def __add__(self, other: "ComplexElement") -> "ComplexElement":
-        if other.lattice.dim != self.lattice.dim:
-            raise DimensionMismatchError("elements on lattices of different dimension")
-        return ComplexElement(self.lattice, self.values + other.values)
-
-    def __sub__(self, other: "ComplexElement") -> "ComplexElement":
-        if other.lattice.dim != self.lattice.dim:
-            raise DimensionMismatchError("elements on lattices of different dimension")
-        return ComplexElement(self.lattice, self.values - other.values)
-
-    def __mul__(self, scalar: complex) -> "ComplexElement":
-        return ComplexElement(self.lattice, self.values * scalar)
-
-    __rmul__ = __mul__
 
 
 def modulus(z: ComplexElement) -> np.ndarray:
@@ -169,7 +162,7 @@ def modulus_phase_oracle(z: ComplexElement) -> np.ndarray:
     """
     theta = np.linspace(0.0, 2.0 * math.pi, 1 << 16, endpoint=False)
     c, s = np.cos(theta), np.sin(theta)
-    x, y = z.re, z.im
+    x, y = z.values.real, z.values.imag
     # (dim, grid) objective, coordinatewise
     obj = x[:, None] * c[None, :] + y[:, None] * s[None, :]
     best = obj.max(axis=1)

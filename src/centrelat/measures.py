@@ -60,18 +60,6 @@ class FiniteMeasurableSpace:
         return len(self.atoms)
 
 
-def _sum_rows(rows: np.ndarray, dim: int) -> np.ndarray:
-    """The rows added one at a time from zero, in order.
-
-    numpy's reductions may regroup a sum; adding in atom order keeps every
-    result reproducible bit for bit.
-    """
-    total = np.zeros(dim)
-    for row in rows:
-        total += row
-    return total
-
-
 @dataclass(frozen=True)
 class LatticeValuedMeasure:
     """A finitely additive map from a finite sigma-algebra to the positive cone.
@@ -91,11 +79,10 @@ class LatticeValuedMeasure:
         vals = np.asarray(self.values, dtype=float).view()
         if vals.ndim != 2 or len(vals) != self.space.n_atoms:
             raise ValueError("one value row of a common dimension per atom required")
-        for rows in row_blocks(len(vals), vals.shape[1]):
-            positive = np.all((vals[rows] >= 0) & (vals[rows] < np.inf), axis=1)
-            if not positive.all():
-                k = rows.start + int(np.argmin(positive))
-                raise PositivityError(f"atom {k} has a negative or non-finite coordinate")
+        # NaN fails both comparisons; only then are the atoms scanned for the first bad one
+        if not (vals.min(initial=0.0) >= 0 and vals.max(initial=0.0) < np.inf):
+            k = int(np.argmin(np.all((vals >= 0) & (vals < np.inf), axis=1)))
+            raise PositivityError(f"atom {k} has a negative or non-finite coordinate")
         vals.setflags(write=False)
         lattice = self.lattice or CoordinateLattice(vals.shape[1], MaxNorm())
         if lattice.dim != vals.shape[1]:
@@ -109,7 +96,7 @@ class LatticeValuedMeasure:
 
     def measure_of(self, atoms) -> np.ndarray:
         """mu of a union of atoms, given as a mask of one bool per atom or as
-        atom indices: each atom counts once, and rows are summed in atom order."""
+        atom indices: each atom counts once, its row added from 0 in atom order."""
         n, mask = self.space.n_atoms, np.asarray(atoms)
         if mask.dtype != bool:
             index = mask if mask.size else mask.astype(np.intp)  # [] comes out as floats
@@ -120,10 +107,21 @@ class LatticeValuedMeasure:
             mask[index] = True
         elif mask.shape != (n,):
             raise ValueError(f"one bool per atom required, not shape {mask.shape}")
-        return _sum_rows(self.values[mask], self.dim)
+        return sum(self.values[mask], np.zeros(self.dim))
 
     def total(self) -> np.ndarray:
-        return _sum_rows(self.values, self.dim)
+        return sum(self.values, np.zeros(self.dim))
+
+
+def _charges(vals: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The atoms k and coordinates j of a measure's nonzero values, or None if a
+    coordinate is charged twice; found without numpy's slow column-wise argmax."""
+    charged = vals != 0
+    if charged.sum(axis=1).max(initial=0) <= 1:  # as the global measure: one row-wise argmax
+        k = np.flatnonzero(charged.any(axis=1))
+        j = charged.argmax(axis=1)[k]
+        return (k, j) if np.bincount(j, minlength=vals.shape[1]).max(initial=0) <= 1 else None
+    return None if charged.sum(axis=0).max() > 1 else np.nonzero(charged)
 
 
 def _integrals(fs, mu: LatticeValuedMeasure) -> np.ndarray:
@@ -133,13 +131,20 @@ def _integrals(fs, mu: LatticeValuedMeasure) -> np.ndarray:
     Per atom, the weights of re_pos, re_neg, im_pos and im_neg scale the
     atom's value; each part is summed from zero in atom order and the loop
     runs over the atoms only, so row i has the same bits however many rows
-    the stack holds.
+    the stack holds.  When no coordinate is charged twice, as by a spectral
+    measure, the loop adds signed zeros to +0 but for one product w * m per
+    coordinate, so 0.0 + w * m, gathered, has its bits.
     """
     re, im = fs.real.T, fs.imag.T
     weights = np.maximum(np.stack([re, -re, im, -im], axis=-1), 0.0)
     parts = np.zeros((len(fs), 4, mu.dim))
-    for w, m in zip(weights, mu.values):
-        parts += w[:, :, None] * m
+    charges = _charges(mu.values)
+    if charges is None:
+        for w, m in zip(weights, mu.values):
+            parts += w[:, :, None] * m
+    else:
+        k, j = charges
+        parts[:, :, j] = 0.0 + weights[k].transpose(1, 2, 0) * mu.values[k, j]
     return (parts[:, 0] - parts[:, 1]) + 1j * (parts[:, 2] - parts[:, 3])
 
 
@@ -171,7 +176,7 @@ def image_measure(mu: LatticeValuedMeasure, lands,
     outside = (lands < 0) | (lands >= target.n_atoms)
     if outside.any():
         raise ValueError(f"target space has no atom {lands[outside][0]}")
-    values = np.array([_sum_rows(mu.values[lands == t], mu.dim) for t in range(target.n_atoms)])
+    values = np.array([sum(mu.values[lands == t], np.zeros(mu.dim)) for t in range(target.n_atoms)])
     return LatticeValuedMeasure(target, values, mu.lattice)
 
 

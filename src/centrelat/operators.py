@@ -20,6 +20,7 @@ from .lattice import (
     CoordinateLattice,
     DimensionMismatchError,
     PrincipalIdeal,
+    WeightedPNorm,
     ideal_norm,
     row_blocks,
 )
@@ -125,6 +126,13 @@ def norms(T: CentralOperator, samples: int = 1000, *, rng: np.random.Generator) 
     All three equal max |symbol|.  The operator-norm value is certified by
     exhibiting the attaining basis vector and by sampling ``samples`` (>= 0)
     random unit vectors, none of which may exceed it beyond TOL_EXACT.
+
+    ``max_sampled_ratio`` is the largest ratio of per-row norms, NaN left out,
+    over samples z != 0.  For a weighted p-norm, p finite, only candidate rows
+    of the p-th-power sums a of Tz and b of z take roots: where a, b or
+    q = a / b is zero, subnormal, scaled or not finite, or q >= (1 - 16 (p + 1)
+    eps) max q, a margin that holds the rounding of q and of two roots within
+    2 ulps and their quotient.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, not {samples}")
@@ -135,16 +143,29 @@ def norms(T: CentralOperator, samples: int = 1000, *, rng: np.random.Generator) 
         n = T.lattice.dim
         re, im = rng.standard_normal((samples, n)), rng.standard_normal((samples, n))
         spec = T.lattice.norm_spec
+        powers = isinstance(spec, WeightedPNorm) and spec.p < np.inf
+        # per sample, the norms of Tz and z, or their sums and exponents
+        (num, den), (num_e, den_e) = np.empty((2, samples)), np.zeros((2, samples), dtype=int)
         for rows in row_blocks(samples, n):
-            block = re[rows] + 1j * im[rows]
+            block = np.empty((len(re[rows]), n), dtype=complex)
+            block.real, block.imag = re[rows], im[rows]
             # numpy rounds (1,) * (1, 1) differently from (1,) * (1,), so a
             # one-row block takes the 1-D product that a single sample gets
             tz = T.symbol * block if len(block) > 1 else (T.symbol * block[0])[None, :]
-            nz = spec.rows(np.abs(block))
-            ntz = spec.rows(np.abs(tz))
-            nonzero = nz != 0
-            if nonzero.any():
-                worst = max(worst, float(np.max(ntz[nonzero] / nz[nonzero])))
+            if powers:
+                num[rows], num_e[rows] = spec.sums(np.abs(tz))
+                den[rows], den_e[rows] = spec.sums(np.abs(block))
+            else:
+                num[rows], den[rows] = spec.rows(np.abs(tz)), spec.rows(np.abs(block))
+        if powers:
+            with np.errstate(all="ignore"):  # q is 0 on the rows taken anyway
+                abq = np.array([num, den, num / den])
+            normal = np.all((np.finfo(float).tiny <= abq) & (abq < np.inf), axis=0)
+            q = np.where(normal & ((num_e | den_e) == 0), abq[2], 0.0)
+            c = (q == 0) | (q >= q.max() * (1 - 16 * (spec.p + 1) * np.finfo(float).eps))
+            num, den = spec.roots(num[c], num_e[c]), spec.roots(den[c], den_e[c])
+        nonzero = den != 0
+        worst = float(np.fmax.reduce(num[nonzero] / den[nonzero], initial=0.0))
     return NormTriple(value, value, value, attained, worst)
 
 

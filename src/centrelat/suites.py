@@ -288,7 +288,7 @@ def integral_measure(out: Records, mu, d: str, rng: np.random.Generator) -> None
     # Python's abs, which numpy's differs from in the last bit
     absf = [abs(z) for z in f.tolist()]
     lhs = modulus(integrate(f, mu))
-    rhs = integrate(absf, mu).re
+    rhs = integrate(absf, mu).values.real
     out.check("triangle-inequality", d, float(np.max(lhs - rhs)), TOL_EXACT)
 
     # image measure change of variables, collapsing the atoms onto 3 points

@@ -14,10 +14,12 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from centrelat import spectral
 from centrelat.cli import main
+from centrelat.measures import LatticeValuedMeasure
 from centrelat.operators import CentralOperator
 from centrelat.spectral import OperatorSpectralMeasure
 
@@ -25,6 +27,7 @@ R = 1 + 1e-9
 _norm, _conj, _mul = (CentralOperator.order_unit_norm, CentralOperator.conj,
                       CentralOperator.__mul__)
 _reconstruct, _first_occurrence = OperatorSpectralMeasure.reconstruct, spectral.first_occurrence
+_global = spectral.global_spectral_measure
 
 
 def _scaled(op):
@@ -34,6 +37,13 @@ def _scaled(op):
 def _first_value_moved(symbol):
     values, labels = _first_occurrence(symbol)
     return (values[0] * R, *values[1:]), labels
+
+
+def _global_value_moved(lattice):
+    mu = _global(lattice)
+    values = np.array(mu.values)
+    values[0, 0] *= R
+    return LatticeValuedMeasure(mu.space, values, mu.lattice)
 
 
 #: Per fault, the attribute it replaces, its replacement and the checks it flips.
@@ -63,6 +73,9 @@ FAULTS = {
          "spectral-mapping", "spectral-measure-invariants",
          "spectral-radius-and-shape-equivalences", "star-homomorphism-laws",
          "symbol-spectrum-matches-block-eigenvalues"}),
+    "global-measure-value-scaled": (
+        spectral, "global_spectral_measure", _global_value_moved,
+        {"global-measure-reconstruction"}),
 }
 
 #: The checks that no fault in FAULTS flips, and why none reaches them.
@@ -78,8 +91,6 @@ NO_FAULT_YET = {
     "spectral-measure-product-law": "it reads a spectral measure instance, not an operator",
     "dense-modulus-inequality": "it reads a regular operator's entries",
     "restriction-isometry": "localize and ideal_norm read the symbol directly",
-    "global-measure-reconstruction": "integrate reads the symbol directly, and a moved "
-                                     "norm only rescales the relative deviation",
     "enumeration-uniqueness-of-spectral-measure": "it compares labels, which the moved "
                                                   "spectrum value leaves as they are",
     "dominated-convergence-witness": "f, the f_n and the limit all come from the same "

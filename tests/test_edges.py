@@ -10,6 +10,7 @@ the verdicts come to hold at more scales.
 """
 
 import json
+import math
 
 import pytest
 
@@ -30,10 +31,22 @@ def _one_entry(re, im):
     return transform
 
 
+def _signed_zeros(instances):
+    # entry 0 zero with parts of both signs, entry 1 with a real part -0.0
+    for central in (instance["central"] for instance in instances):
+        central["symbol"][0] = [0.0, -0.0]
+        central["symbol"][1][0] = -0.0
+
+
+def _one_ulp_apart(instances):
+    # entry 1 the next float above entry 0 in its real part
+    for central in (instance["central"] for instance in instances):
+        re, im = central["symbol"][0]
+        central["symbol"][1] = [math.nextafter(re, math.inf), im]
+
+
 #: Per transform, the whole-corpus change and the names of the checks that fail on it.
-#: Each row takes about 0.6 s.  The corpus scaled by 2**400 has no row: there
-#: WeightedPNorm.rows overflows in |x| ** p, a RuntimeWarning that the tests'
-#: warning filter turns into an error, until the norms are evaluated scaled.
+#: Each row takes about 0.6 s.
 EXPECTED = {
     # a product S T near 2**-1040 keeps some 34 bits, so the unit factor of
     # its polar decomposition is not the product of S's and T's within
@@ -55,10 +68,19 @@ EXPECTED = {
     # product of 16 factors overflows to inf
     "scaled-2**60": (_scaled(60), {"dominated-convergence-witness", "star-homomorphism-laws",
                                    "minimal-polynomial-annihilation"}),
+    # the weighted p-norms' sums overflow there and are evaluated scaled;
+    # the annihilation bound overflows as at 2**60
+    "scaled-2**400": (_scaled(400), {"star-homomorphism-laws",
+                                     "minimal-polynomial-annihilation"}),
     "one-subnormal-entry": (_one_entry(1e-310, 0.0), set()),
     # |s| keeps some 28 bits, so s / |s| misses modulus 1 by about 2e-10:
     # polar divides the entry scaled by 2**600 instead
     "one-subnormal-entry-of-unequal-parts": (_one_entry(-2e-320, 1e-315), set()),
+    "signed-zeros": (_signed_zeros, set()),
+    # S X - X S at an entry off the block pattern between the two bands is
+    # one ulp of s times X's entry, within the absolute TOL_EXACT, so
+    # condition 1 holds outside the commutant, as in the 2**-35 row
+    "one-ulp-apart": (_one_ulp_apart, {"five-conditions-agree-outside"}),
 }
 
 

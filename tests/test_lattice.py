@@ -89,7 +89,7 @@ def test_conjugation_is_involution():
 @settings(max_examples=50, deadline=None)
 def test_modulus_positive_homogeneity(c):
     z = elem([1.0, -2.0, 0.5], [3.0, 0.0, -0.25])
-    scaled = z * c
+    scaled = ComplexElement(z.lattice, z.values * c)
     expected = abs(c) * modulus(z)
     assert np.max(np.abs(modulus(scaled) - expected)) <= TOL_EXACT * max(1.0, abs(c))
 
@@ -99,7 +99,8 @@ def test_modulus_triangle_inequality():
     for _ in range(50):
         z = elem(rng.standard_normal(4), rng.standard_normal(4))
         w = elem(rng.standard_normal(4), rng.standard_normal(4))
-        assert np.all(modulus(z + w) <= modulus(z) + modulus(w) + TOL_EXACT)
+        zw = ComplexElement(z.lattice, z.values + w.values)
+        assert np.all(modulus(zw) <= modulus(z) + modulus(w) + TOL_EXACT)
 
 
 def test_dimension_mismatch_rejected():
@@ -142,6 +143,24 @@ def test_weighted_p_norm_rows_take_python_scalar_powers(norm_and_rows):
     want = [float(np.sum(w * row ** norm.p)) ** (1.0 / norm.p) for row in absx]
     assert got.dtype == float and got.shape == (len(absx),)
     assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@given(st.integers(1, 6), st.sampled_from((1.0, 1.5, 2.0, 3.0, 7.0, 50.0)), st.integers(0, 1000),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_weighted_p_norm_rows_whose_sums_overflow_are_evaluated_scaled(dim, p, k, data):
+    weights = tuple(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim)))
+    row = np.ldexp(data.draw(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim)), k)
+    got = WeightedPNorm(weights, p).rows(row[None])[0]
+    w = np.asarray(weights)
+    with np.errstate(over="ignore"):
+        unscaled = float(np.sum(w * row ** p))
+    if unscaled < math.inf:
+        assert got == unscaled ** (1.0 / p)  # the bits of the unscaled evaluation
+    else:
+        top = float(row.max())
+        want = top * math.fsum(w * (row / top) ** p) ** (1.0 / p)
+        assert math.isfinite(got) and got == pytest.approx(want, rel=1e-13)
 
 
 def test_weighted_norm_rejects_bad_parameters():
@@ -204,8 +223,9 @@ def test_ideal_norm_is_a_lattice_norm():
         c = complex(rng.standard_normal(), rng.standard_normal())
         nz, nw = ideal_norm(z, ideal), ideal_norm(w, ideal)
         # homogeneity and triangle
-        assert ideal_norm(z * c, ideal) == pytest.approx(abs(c) * nz, abs=TOL_EXACT * 10)
-        assert ideal_norm(z + w, ideal) <= nz + nw + TOL_EXACT
+        zc, zw = (ComplexElement(z.lattice, v) for v in (z.values * c, z.values + w.values))
+        assert ideal_norm(zc, ideal) == pytest.approx(abs(c) * nz, abs=TOL_EXACT * 10)
+        assert ideal_norm(zw, ideal) <= nz + nw + TOL_EXACT
         # monotone in the modulus: shrinking every coordinate shrinks the norm
         shrunk = ComplexElement(z.lattice, z.values * rng.uniform(0, 1, size=4))
         assert ideal_norm(shrunk, ideal) <= nz + TOL_EXACT
@@ -362,7 +382,7 @@ def _loop_check_witness(values, limit, doms, tail):
         if n > 0 and not np.all(u <= doms[n - 1]):
             return WitnessVerdict(False, n, "dominating sequence increases")
     for n, z in enumerate(values):
-        diff = modulus(z - limit)
+        diff = np.abs(z.values - limit.values)
         if not np.all(diff <= doms[n] + TOL_EXACT):
             return WitnessVerdict(False, n, "domination fails")
     probes = [max(1, len(doms)), 4 * len(doms) + 16, 64 * len(doms) + 256, 10 ** 9, 10 ** 12]

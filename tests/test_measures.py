@@ -20,6 +20,7 @@ from centrelat.measures import (
     LatticeValuedMeasure,
     RIESZ_SAMPLES,
     PositivityError,
+    _charges,
     _integrals,
     image_measure,
     integrate,
@@ -692,6 +693,63 @@ def test_one_atom_space_with_signed_zeros_matches_loops():
                              [0], (np.array([1.0, -0.0, 0.0]),))
 
 
+#: An atom's value where it charges a coordinate: subnormal, and large enough
+#: that its product with a large weight overflows.
+_CHARGES = (1.0, 0.5, 3.0, 5e-324, 1e-300, 2.0 ** 1000)
+#: Parts of the functions: signed zeros, subnormal and large ones.
+_EDGE_PARTS = (0.0, -0.0, 1.5, -2.25, 5e-324, -1e-300, 2.0 ** 600, -(2.0 ** 600))
+
+
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_disjoint_measure_integrals_match_the_atom_order_loop(n_atoms, dim, m, data):
+    # each coordinate charged by at most one atom, or by none, with signed
+    # zeros elsewhere; or one coordinate charged twice, which takes the loop
+    draw = data.draw
+    rows = np.array(draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=n_atoms * dim,
+                                  max_size=n_atoms * dim))).reshape(n_atoms, dim)
+    for j, k in enumerate(draw(st.lists(st.integers(-1, n_atoms - 1), min_size=dim,
+                                        max_size=dim))):
+        if k >= 0:
+            rows[k, j] = draw(st.sampled_from(_CHARGES))
+    twice = n_atoms > 1 and draw(st.booleans())
+    if twice:
+        j = draw(st.integers(0, dim - 1))
+        for k in draw(st.lists(st.integers(0, n_atoms - 1), min_size=2, max_size=2, unique=True)):
+            rows[k, j] = draw(st.sampled_from(_CHARGES))
+    mu = LatticeValuedMeasure(powerset_space(n_atoms), rows)
+    assert (_charges(mu.values) is None) == twice
+    parts = np.array(draw(st.lists(st.sampled_from(_EDGE_PARTS), min_size=2 * m * n_atoms,
+                                   max_size=2 * m * n_atoms))).reshape(2, m, n_atoms)
+    fs = np.empty((m, n_atoms), dtype=complex)
+    fs.real, fs.imag = parts
+    with np.errstate(all="ignore"):  # products overflow, and 1j * inf has a NaN part
+        got = _integrals(fs, mu)
+        for i in range(m):
+            assert _same_bits(got[i], _loop_integrate(fs[i], tuple(rows)))
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_measure_names_the_first_atom_with_a_bad_entry_in_any_position(n_atoms, dim, data):
+    draw = data.draw
+    rows = np.array(draw(st.lists(st.sampled_from(_VALUES + _CHARGES), min_size=n_atoms * dim,
+                                  max_size=n_atoms * dim))).reshape(n_atoms, dim)
+    bad = draw(st.lists(st.tuples(st.integers(0, n_atoms - 1), st.integers(0, dim - 1),
+                                  st.sampled_from((-1.0, -5e-324, -0.5, np.nan, np.inf,
+                                                   -np.inf))), max_size=3))
+    for k, j, value in bad:
+        rows[k, j] = value
+    space = FiniteMeasurableSpace(tuple(range(n_atoms)))
+    if not bad:
+        LatticeValuedMeasure(space, rows)
+        return
+    first = min(k for k, _, _ in bad)
+    with pytest.raises(PositivityError) as raised:
+        LatticeValuedMeasure(space, rows)
+    assert str(raised.value) == f"atom {first} has a negative or non-finite coordinate"
+
+
 @given(st.integers(1, 6), st.integers(1, 4), st.data())
 @settings(max_examples=200, deadline=None)
 def test_positivity_error_names_first_negative_atom(n_atoms, dim, data):
@@ -720,7 +778,7 @@ def test_measure_views_caller_matrix_without_copying():
     assert eye.flags.writeable and not mu.values.flags.writeable
 
 
-_STEP = ENTRIES // 2048  # atoms per block of the positivity check at dim 2048
+_STEP = ENTRIES // 2048  # rows per block of a large pass at dim 2048
 
 
 @pytest.mark.parametrize("bad_atoms, named", [

@@ -1,10 +1,13 @@
 """Tests for regular/central operators: moduli, norms, polar, localisation,
 and the conjugate-commutation transfer."""
 
+import math
 from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrelat.lattice import (
     ENTRIES,
@@ -238,6 +241,59 @@ def test_norms_batched_ratio_is_bit_equal_to_per_row_loop(spec):
             assert t.max_sampled_ratio == _sampled_ratio_per_row(T, samples, ref)
             # the call consumes exactly the reference draws, so later draws do not shift
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _Draws:
+    """A generator stand-in whose standard_normal returns the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        out = self.arrays.pop(0)
+        assert out.shape == shape
+        return out.copy()
+
+
+#: Per kind of sample row, the row made from a drawn (2, dim) base of its
+#: real and imaginary parts: near ties, zeros, subnormals, and rows whose
+#: p-th powers overflow.
+_EDGE_ROWS = {
+    "base": lambda base, rng: base,
+    "one-ulp": lambda base, rng: np.nextafter(base, np.inf),
+    "two-ulps": lambda base, rng: np.nextafter(np.nextafter(base, np.inf), np.inf),
+    "drawn": lambda base, rng: rng.standard_normal(base.shape),
+    "zero": lambda base, rng: np.zeros_like(base),
+    "subnormal": lambda base, rng: np.ldexp(base, -1070),
+    "huge": lambda base, rng: np.ldexp(base, 400),
+}
+#: Symbols: drawn, one unimodular value everywhere (every ratio then ties
+#: with 1 up to rounding), drawn with zero entries, and drawn at 2**500, where
+#: the sums of Tz overflow while those of z need not.
+_EDGE_SYMBOLS = {
+    "drawn": lambda rng, dim: rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+    "large": lambda rng, dim: np.ldexp(rng.standard_normal(dim), 500) + 0.5j,
+    "unimodular": lambda rng, dim: np.full(dim, 0.6 + 0.8j),
+    "sparse": lambda rng, dim: (rng.standard_normal(dim) + 0.5j) * (rng.random(dim) < 0.5),
+}
+
+
+@given(st.sampled_from((None, 1.0, 1.0 + 2.0 ** -20, 1.5, 2.0, 3.0, 7.0, 50.0, math.inf)),
+       st.sampled_from((1, 3, 16, 2048)), st.sampled_from(sorted(_EDGE_SYMBOLS)),
+       st.lists(st.sampled_from(sorted(_EDGE_ROWS)), min_size=1, max_size=24),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_norms_ratio_on_edge_rows_is_bit_equal_to_per_row_loop(p, dim, symbol, kinds, seed):
+    # at dim 2048 a row block holds 8 rows, so up to 24 rows span three
+    # blocks; near p = 1 the root of a subnormal sum is subnormal
+    rng = np.random.default_rng(seed)
+    norm = MaxNorm() if p is None else WeightedPNorm(tuple(np.linspace(0.5, 2.0, dim)), p)
+    T = CentralOperator(CoordinateLattice(dim, norm), _EDGE_SYMBOLS[symbol](rng, dim))
+    base = rng.standard_normal((2, dim))
+    re, im = np.stack([_EDGE_ROWS[kind](base, rng) for kind in kinds], axis=1)
+    got = norms(T, samples=len(kinds), rng=_Draws(re, im)).max_sampled_ratio
+    want = _sampled_ratio_per_row(T, len(kinds), _Draws(re, im))
+    assert got.hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------
