@@ -14,19 +14,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
 import numpy as np
 
 from . import io as cio
-from .generate import (
-    random_central,
-    random_lattice,
-    random_measure,
-    random_projection_measure,
-    random_regular,
-)
+from .generate import (random_central, random_lattice, random_measure, random_projection_measure,
+                       random_regular)
 from .operators import is_central, polar
 from .sequence import BUILTIN_RULES, CertificateError, SequenceCentralOperator, freudenthal_net
 from .spectral import build_mu_T, freudenthal_approx, rho_T, spectrum
@@ -192,6 +188,7 @@ def cmd_calc(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="centrelat")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -204,13 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rule", choices=list(BUILTIN_RULES), default="reciprocal",
                    help="builtin sequence rule")
     g.add_argument("--out", default=None)
-    g.set_defaults(func=cmd_gen)
 
     v = sub.add_parser("verify", help="run verification suites over instance files")
     v.add_argument("instances", nargs="+")
     v.add_argument("--suite", action="append", default=None)
     v.add_argument("--seed", type=_seed, default=0)
-    v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("calc", help="compute a spectral artifact for one operator")
     c.add_argument("request",
@@ -219,17 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--fn", choices=list(CALC_FUNCTIONS), default="identity",
                    help="named function for rho")
     c.add_argument("--eps", type=float, default=0.1)
-    c.set_defaults(func=cmd_calc)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    # looked up on each call, so that a command replaced after the first call runs
+    return {"gen": cmd_gen, "verify": cmd_verify, "calc": cmd_calc}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ class WeightedPNorm:
     def rows(self, absx: np.ndarray) -> np.ndarray:
         """Norms of the rows of an (m, dim) array of moduli."""
         if math.isinf(self.p):
-            return np.max(self.w * absx, axis=-1)
+            return (self.w * absx).max(axis=-1)
         return self.roots(*self.sums(absx))
 
     def sums(self, absx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,12 +68,12 @@ class WeightedPNorm:
         e = 0 unless the sum overflows, and the row is then summed divided by
         2**e, the power of two just above its largest entry."""
         with np.errstate(over="ignore"):
-            sums = np.sum(self.w * absx ** self.p, axis=-1)
+            sums = (self.w * absx ** self.p).sum(axis=-1)
         e = np.zeros(sums.shape, dtype=int)
         over = sums == math.inf
         if over.any():
-            e[over] = np.frexp(np.max(absx[over], axis=-1))[1]
-            sums[over] = np.sum(self.w * np.ldexp(absx[over], -e[over, None]) ** self.p, axis=-1)
+            e[over] = np.frexp(absx[over].max(axis=-1))[1]
+            sums[over] = (self.w * np.ldexp(absx[over], -e[over, None]) ** self.p).sum(axis=-1)
         return sums, e
 
     def roots(self, sums: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -89,7 +89,7 @@ class MaxNorm:
 
     def rows(self, absx: np.ndarray) -> np.ndarray:
         """Norms of the rows of an (m, dim) array of moduli."""
-        return np.max(absx, axis=-1)
+        return absx.max(axis=-1)
 
 
 NormSpec = WeightedPNorm | MaxNorm
@@ -106,9 +106,8 @@ class CoordinateLattice:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if isinstance(self.norm_spec, WeightedPNorm) and len(self.norm_spec.weights) != self.dim:
-            raise DimensionMismatchError(
-                f"norm has {len(self.norm_spec.weights)} weights for dim {self.dim}"
-            )
+            raise DimensionMismatchError(f"norm has {len(self.norm_spec.weights)} weights "
+                                         f"for dim {self.dim}")
 
     def norm(self, x: np.ndarray) -> float:
         """Lattice norm of a real or complex coordinate vector."""
@@ -132,9 +131,8 @@ class ComplexElement:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex).view()  # the caller's array stays writable
         if values.shape != (self.lattice.dim,):
-            raise DimensionMismatchError(
-                f"element of shape {values.shape} on lattice of dim {self.lattice.dim}"
-            )
+            raise DimensionMismatchError(f"element of shape {values.shape} on lattice of dim "
+                                         f"{self.lattice.dim}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -202,11 +200,11 @@ class PrincipalIdeal:
         u = np.asarray(self.generator, dtype=float).view()  # the caller's array stays writable
         if u.ndim != 1:
             raise ValueError("generator must be a vector")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ValueError("generator must be finite")
-        if not np.all(u >= 0):
+        if not (u >= 0).all():
             raise ValueError("generator must be nonnegative")
-        if not np.any(u > 0):
+        if not (u > 0).any():
             raise ValueError("generator must be nonzero")
         u.setflags(write=False)
         object.__setattr__(self, "generator", u)
@@ -228,7 +226,7 @@ def ideal_norm(z: ComplexElement, ideal: PrincipalIdeal) -> float:
         raise DomainError(f"element does not lie in the ideal: coordinate {int(bad[0])} "
                           "is nonzero outside the support")
     sup = ideal.support
-    return float(np.max(absz[sup] / u[sup]))
+    return float((absz[sup] / u[sup]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +287,15 @@ def check_witness(values: Sequence[ComplexElement] | np.ndarray, limit: ComplexE
     if len(values) > len(doms):
         return WitnessVerdict(False, None, "witness shorter than the value sequence")
     # each row against the one before it, row 0 against itself
-    negative = ~np.all(0 <= doms, axis=1)
-    bad = np.flatnonzero(negative | ~np.all(doms <= np.concatenate((doms[:1], doms[:-1])), axis=1))
+    negative = ~(0 <= doms).all(axis=1)
+    bad = np.flatnonzero(negative | ~(doms <= np.concatenate((doms[:1], doms[:-1]))).all(axis=1))
     if bad.size:
         n = int(bad[0])
         return WitnessVerdict(False, n, "dominating term has a negative or NaN coordinate"
                               if negative[n] else "dominating sequence increases")
     within = doms[:len(values)] + TOL_EXACT
     for rows in row_blocks(len(values), dim):
-        fails = ~np.all(np.abs(values[rows] - limit.values) <= within[rows], axis=1)
+        fails = ~(np.abs(values[rows] - limit.values) <= within[rows]).all(axis=1)
         if fails.any():
             return WitnessVerdict(False, rows.start + int(np.argmax(fails)), "domination fails")
     probes = [max(1, len(doms)), 4 * len(doms) + 16, 64 * len(doms) + 256, 10 ** 9, 10 ** 12]

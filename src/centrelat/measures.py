@@ -10,6 +10,7 @@ each is measurable by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Optional
 
 import numpy as np
@@ -81,7 +82,7 @@ class LatticeValuedMeasure:
             raise ValueError("one value row of a common dimension per atom required")
         # NaN fails both comparisons; only then are the atoms scanned for the first bad one
         if not (vals.min(initial=0.0) >= 0 and vals.max(initial=0.0) < np.inf):
-            k = int(np.argmin(np.all((vals >= 0) & (vals < np.inf), axis=1)))
+            k = int(np.argmin(((vals >= 0) & (vals < np.inf)).all(axis=1)))
             raise PositivityError(f"atom {k} has a negative or non-finite coordinate")
         vals.setflags(write=False)
         lattice = self.lattice or CoordinateLattice(vals.shape[1], MaxNorm())
@@ -112,40 +113,41 @@ class LatticeValuedMeasure:
     def total(self) -> np.ndarray:
         return sum(self.values, np.zeros(self.dim))
 
-
-def _charges(vals: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The atoms k and coordinates j of a measure's nonzero values, or None if a
-    coordinate is charged twice; found without numpy's slow column-wise argmax."""
-    charged = vals != 0
-    if charged.sum(axis=1).max(initial=0) <= 1:  # as the global measure: one row-wise argmax
-        k = np.flatnonzero(charged.any(axis=1))
-        j = charged.argmax(axis=1)[k]
-        return (k, j) if np.bincount(j, minlength=vals.shape[1]).max(initial=0) <= 1 else None
-    return None if charged.sum(axis=0).max() > 1 else np.nonzero(charged)
+    @cached_property
+    def charges(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The atoms k and coordinates j of the nonzero values, or None if a coordinate
+        is charged twice; found once, without numpy's slow column-wise argmax."""
+        charged = self.values != 0
+        if charged.sum(axis=1).max(initial=0) <= 1:  # as the global measure: one row-wise argmax
+            k = np.flatnonzero(charged.any(axis=1))
+            j = charged.argmax(axis=1)[k]
+            return (k, j) if np.bincount(j, minlength=self.dim).max(initial=0) <= 1 else None
+        return None if charged.sum(axis=0).max() > 1 else np.nonzero(charged)
 
 
 def _integrals(fs, mu: LatticeValuedMeasure) -> np.ndarray:
     """Order integrals of a stack of functions: the ``(m, dim)`` matrix whose
     row i is the integral of ``fs[i]``, one value per atom of ``mu.space``.
 
-    Per atom, the weights of re_pos, re_neg, im_pos and im_neg scale the
-    atom's value; each part is summed from zero in atom order and the loop
-    runs over the atoms only, so row i has the same bits however many rows
-    the stack holds.  When no coordinate is charged twice, as by a spectral
-    measure, the loop adds signed zeros to +0 but for one product w * m per
-    coordinate, so 0.0 + w * m, gathered, has its bits.
+    Per atom, the weights of re_pos, re_neg and, on a complex stack, im_pos
+    and im_neg scale the atom's value, each part summed from zero over the
+    atoms in atom order: row i has the same bits however many rows the stack
+    holds, and on a real stack those of the complex path's real part, as no
+    part is ever -0.  If no coordinate is charged twice (``mu.charges``), the
+    loop adds signed zeros to +0 but for one w * m per coordinate, so the
+    gathered 0.0 + w * m has its bits.
     """
-    re, im = fs.real.T, fs.imag.T
-    weights = np.maximum(np.stack([re, -re, im, -im], axis=-1), 0.0)
-    parts = np.zeros((len(fs), 4, mu.dim))
-    charges = _charges(mu.values)
-    if charges is None:
+    signed = [fs.real.T, -fs.real.T] + ([fs.imag.T, -fs.imag.T] if fs.dtype.kind == "c" else [])
+    weights = np.maximum(np.stack(signed, axis=-1), 0.0)
+    parts = np.zeros((len(fs), len(signed), mu.dim))
+    if mu.charges is None:
         for w, m in zip(weights, mu.values):
             parts += w[:, :, None] * m
     else:
-        k, j = charges
+        k, j = mu.charges
         parts[:, :, j] = 0.0 + weights[k].transpose(1, 2, 0) * mu.values[k, j]
-    return (parts[:, 0] - parts[:, 1]) + 1j * (parts[:, 2] - parts[:, 3])
+    real = parts[:, 0] - parts[:, 1]
+    return real + 1j * (parts[:, 2] - parts[:, 3]) if len(signed) == 4 else real
 
 
 def integrate(f, mu: LatticeValuedMeasure) -> ComplexElement:
@@ -199,11 +201,11 @@ def is_spectral(mu: LatticeValuedMeasure) -> SpectralVerdict:
     coordinate is that of the two largest values there.
     """
     v = mu.values
-    idem = np.max(np.abs(v * v - v), axis=1)
-    worst = float(np.max(idem))
+    idem = np.abs(v * v - v).max(axis=1)
+    worst = float(idem.max())
     if len(v) > 1:
         top = np.partition(v, len(v) - 2, axis=0)[-2:]
-        worst = max(worst, float(np.max(top[0] * top[1])))
+        worst = max(worst, float((top[0] * top[1]).max()))
     return SpectralVerdict(worst <= TOL_EXACT, worst, tuple((idem <= TOL_EXACT).tolist()))
 
 
@@ -225,18 +227,19 @@ def _value(value, shape: tuple, phases: tuple[str, ...]) -> np.ndarray:
 def _represent(values, space: FiniteMeasurableSpace, lattice: Optional[CoordinateLattice],
                rng: np.random.Generator) -> LatticeValuedMeasure:
     """The checks of ``riesz_represent_stack``; ``values(fs, phases, dim)`` is
-    pi's checked value on the stack ``fs``, row i in the phase ``phases[i]``."""
+    pi's checked value on the stack ``fs``, row i in the phase ``phases[i]``.
+    The indicators, mu's ``charges`` and the rounds' row blocks are found once
+    per call; a round's mu(V) adds V's rows from 0 in atom order, as measure_of does."""
     n_atoms, atom_of = space.n_atoms, space.atom_of
     if not n_atoms:  # no row then fixes the dimension, and there is nothing to draw from
         raise ValueError("one value row of a common dimension per atom required")
     # the indicators' value fixes the row shape of every later one
     indicators = (atom_of == np.arange(n_atoms)[:, None]).astype(float)
     atom_values = values(indicators, ("indicator phase",) * n_atoms, None)
-    negative = np.argwhere(atom_values < 0)
-    if len(negative):
-        k, i = negative[0]
-        raise PositivityError(f"pi(indicator of atom {space.atoms[k]!r}) "
-                              f"has negative coordinate {i}")
+    if (atom_values < 0).any():
+        k, i = np.argwhere(atom_values < 0)[0]
+        raise PositivityError(f"pi(indicator of atom {space.atoms[k]!r}) has negative "
+                              f"coordinate {i}")
     mu = LatticeValuedMeasure(space, atom_values, lattice)
     dim = mu.dim
 
@@ -245,26 +248,25 @@ def _represent(values, space: FiniteMeasurableSpace, lattice: Optional[Coordinat
     on_points, phases = fs[:, atom_of], ("reproduction",) * RIESZ_SAMPLES
     for rows in row_blocks(RIESZ_SAMPLES, 4 * dim):
         lhs = values(on_points[rows], phases[rows], dim)
-        if not np.max(np.abs(lhs - _integrals(fs[rows], mu).real)) <= TOL_EXACT:
+        if not np.abs(lhs - _integrals(fs[rows], mu)).max() <= TOL_EXACT:
             raise AssertionError("pi does not reproduce the order integral of its measure")
 
     # sup formula on a nonempty measurable V, inf formula on a nonempty K;
     # row i of rng.random((m, n)) has the bits of the i-th rng.uniform(0.0, 1.0, size=n)
     phases = ("sup recovery", "inf recovery") * RIESZ_SAMPLES
-    sup = np.arange(2 * RIESZ_SAMPLES) % 2 == 0
+    sup, blocks = np.arange(2 * RIESZ_SAMPLES) % 2 == 0, row_blocks(2 * RIESZ_SAMPLES, dim)
     for _ in range(4):
         ks = sorted(rng.choice(n_atoms, size=rng.integers(1, n_atoms + 1), replace=False))
-        target = mu.measure_of(ks)
-        mask = np.bincount(ks, minlength=n_atoms)[atom_of].astype(float)  # ks are distinct
+        target, mask = sum(mu.values[ks], np.zeros(dim)), indicators[ks].sum(axis=0)
         extremal = values(mask[None], ("extremal indicator",), dim)[0]
-        if not np.max(np.abs(extremal - target)) <= TOL_EXACT:
+        if not np.abs(extremal - target).max() <= TOL_EXACT:
             raise AssertionError("recovery formula is not attained at the indicator")
         upper, lower = target + TOL_EXACT, target - TOL_EXACT
         # rows 0::2: 0 <= g <= 1 with support in V; rows 1::2: 0 <= h <= 1 with h = 1 on K
         fs = rng.random((2 * RIESZ_SAMPLES, n_atoms))[:, atom_of]
         fs[0::2] *= mask
         fs[1::2] = np.maximum(fs[1::2], mask)
-        for rows in row_blocks(2 * RIESZ_SAMPLES, dim):
+        for rows in blocks:
             vals = values(fs[rows], phases[rows], dim)
             holds = np.where(sup[rows, None], vals <= upper, lower <= vals).all(axis=1)
             if not holds.all():

@@ -38,7 +38,7 @@ class RegularOperator:
         n = self.lattice.dim
         if m.shape != (n, n):
             raise DimensionMismatchError(f"matrix of shape {m.shape} on lattice of dim {n}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -59,10 +59,9 @@ class CentralOperator:
     def __post_init__(self):
         s = np.asarray(self.symbol, dtype=complex).view()  # the caller's array stays writable
         if s.shape != (self.lattice.dim,):
-            raise DimensionMismatchError(
-                f"symbol of shape {s.shape} on lattice of dim {self.lattice.dim}"
-            )
-        if not np.all(np.isfinite(s)):
+            raise DimensionMismatchError(f"symbol of shape {s.shape} on lattice of dim "
+                                         f"{self.lattice.dim}")
+        if not np.isfinite(s).all():
             raise ValueError("symbol values must be finite")
         s.setflags(write=False)
         object.__setattr__(self, "symbol", s)
@@ -79,7 +78,7 @@ class CentralOperator:
         return CentralOperator(self.lattice, np.abs(self.symbol).astype(complex))
 
     def order_unit_norm(self) -> float:
-        return float(np.max(np.abs(self.symbol)))
+        return float(np.abs(self.symbol).max())
 
     def __mul__(self, other: "CentralOperator") -> "CentralOperator":
         if other.lattice.dim != self.lattice.dim:
@@ -160,7 +159,7 @@ def norms(T: CentralOperator, samples: int = 1000, *, rng: np.random.Generator) 
         if powers:
             with np.errstate(all="ignore"):  # q is 0 on the rows taken anyway
                 abq = np.array([num, den, num / den])
-            normal = np.all((np.finfo(float).tiny <= abq) & (abq < np.inf), axis=0)
+            normal = ((np.finfo(float).tiny <= abq) & (abq < np.inf)).all(axis=0)
             q = np.where(normal & ((num_e | den_e) == 0), abq[2], 0.0)
             c = (q == 0) | (q >= q.max() * (1 - 16 * (spec.p + 1) * np.finfo(float).eps))
             num, den = spec.roots(num[c], num_e[c]), spec.roots(den[c], den_e[c])
@@ -187,22 +186,17 @@ def fpr_check(S: CentralOperator, T: CentralOperator, X: RegularOperator) -> FPR
         raise DimensionMismatchError("operators have different dimensions")
     fwd = S.symbol[:, None] * X.entries - X.entries * T.symbol[None, :]
     con = np.conj(S.symbol)[:, None] * X.entries - X.entries * np.conj(T.symbol)[None, :]
-    dev_f = float(np.max(np.abs(fwd))) if fwd.size else 0.0
-    dev_c = float(np.max(np.abs(con))) if con.size else 0.0
+    dev_f = float(np.abs(fwd).max()) if fwd.size else 0.0
+    dev_c = float(np.abs(con).max()) if con.size else 0.0
     forward = dev_f <= TOL_EXACT
     conjugate = dev_c <= TOL_EXACT
     first = None
     if not forward:
         i, j = np.unravel_index(int(np.abs(fwd).argmax()), fwd.shape)
         first = (int(i), int(j))
-    return FPRVerdict(
-        forward=forward,
-        conjugate=conjugate,
-        transfer_ok=(not forward) or conjugate,
-        max_forward_deviation=dev_f,
-        max_conjugate_deviation=dev_c,
-        first_violation=first,
-    )
+    return FPRVerdict(forward=forward, conjugate=conjugate, transfer_ok=(not forward) or conjugate,
+                      max_forward_deviation=dev_f, max_conjugate_deviation=dev_c,
+                      first_violation=first)
 
 
 @dataclass(frozen=True)
@@ -226,10 +220,8 @@ def polar(T: CentralOperator) -> PolarFactors:
     t.imag[sub] *= 2.0 ** 600
     abst = np.abs(t)
     u = np.where(abst > 0, t / np.where(abst > 0, abst, 1.0), 1.0)
-    return PolarFactors(
-        CentralOperator(T.lattice, absval.astype(complex)),
-        CentralOperator(T.lattice, u),
-    )
+    return PolarFactors(CentralOperator(T.lattice, absval.astype(complex)),
+                        CentralOperator(T.lattice, u))
 
 
 @dataclass(frozen=True)

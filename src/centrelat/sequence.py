@@ -188,7 +188,7 @@ def _dist_to_accumulation(values: np.ndarray, accumulation: Sequence[complex]) -
     if not accumulation:
         return np.full(len(values), math.inf)
     acc = np.asarray(accumulation, dtype=complex)
-    return np.min(np.abs(values[:, None] - acc[None, :]), axis=1)
+    return np.abs(values[:, None] - acc[None, :]).min(axis=1)
 
 
 def breakpoints(tail: Callable[[np.ndarray], np.ndarray], epsilons: Sequence[float],
@@ -223,7 +223,7 @@ def validate_certificate(op: SequenceCentralOperator) -> None:
     values = op.prefix(SAMPLE)
     # each comparison is negated so that NaN fails it
     over = ~(np.abs(values) <= op.sup_bound + TOL_EXACT)
-    if np.any(over):
+    if over.any():
         raise CertificateError(f"sup bound violated at index {int(np.argmax(over)) + 1}")
     dist = _dist_to_accumulation(values, op.accumulation)
     for eps, n in zip(EPS_SCHEDULE, breakpoints(op.tail, EPS_SCHEDULE, SAMPLE)):
@@ -308,7 +308,7 @@ def expansion_tail_report(op: SequenceCentralOperator) -> list[TailDominationRec
     dist = _dist_to_accumulation(op.prefix(SAMPLE), op.accumulation)
     bounds = _per_index(op.tail, np.array(TAIL_CHECKPOINTS, dtype=np.int64), float)
     return [TailDominationRecord(n_terms=n, certified_bound=float(bound),
-                                 sampled_tail_sup=float(np.max(dist[n:])))
+                                 sampled_tail_sup=float(dist[n:].max()))
             for n, bound in zip(TAIL_CHECKPOINTS, bounds)]
 
 

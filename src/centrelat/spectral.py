@@ -125,13 +125,13 @@ def block_eigenvalue_deviation(mu: OperatorSpectralMeasure) -> tuple[float, floa
     q = np.linalg.qr(rng.standard_normal((len(blocks), k, k, 2)).view(complex)[..., 0])[0]
     eig = np.linalg.eigvals(np.einsum("bij,bj,bkj->bik", q, s[blocks], q.conj()))
     claimed = np.asarray(mu.values, dtype=complex)[mu.labels][blocks]
-    dev = np.min(np.max(np.abs(eig[:, None, :] - claimed[:, _PAIRINGS]), axis=2), axis=1)
+    dev = np.abs(eig[:, None, :] - claimed[:, _PAIRINGS]).max(axis=2).min(axis=1)
 
     u = 2.0 ** -53
     gamma = (k + 5) * u / (1 - (k + 5) * u)
     gram = np.einsum("bji,bjk->bik", q.conj(), q) - np.eye(k)
-    eta = 2 * np.sqrt(np.sum(np.abs(gram) ** 2, axis=(1, 2))) + 16 * k * u
-    size = np.max(np.abs(s[blocks]), axis=1)
+    eta = 2 * np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2))) + 16 * k * u
+    size = np.abs(s[blocks]).max(axis=1)
     eps = (size * (eta * (2 + eta) + (1 + eta) ** 2 * (k * gamma + 10 * k * u * (1 + k * gamma)))
            + 16 * k * k * 2.0 ** -1074)
     bound = 2 * ((2 * k - 1) * eps + 2.0 ** -1074)
@@ -157,12 +157,12 @@ def spectrum_shape_report(T: CentralOperator) -> SpectrumShapeReport:
     """Check the four spectral-shape equivalences for a central operator.  mu_T's
     values are the symbol's values, so one predicate judges both sides."""
     spec = np.asarray(build_mu_T(T).values)
-    radius = float(np.max(np.abs(spec)))
+    radius = float(np.abs(spec).max())
 
     def shape(v):   # real, positive, unimodular; the first two exactly
-        real = bool(np.all(v.imag == 0))
-        return (real, real and bool(np.all(v.real >= 0)),
-                bool(np.all(np.abs(np.abs(v) - 1.0) <= TOL_EXACT)))
+        real = bool((v.imag == 0).all())
+        return (real, real and bool((v.real >= 0).all()),
+                bool((np.abs(np.abs(v) - 1.0) <= TOL_EXACT).all()))
 
     real, positive, unimodular = (a == b for a, b in zip(shape(spec), shape(T.symbol)))
     return SpectrumShapeReport(
@@ -244,14 +244,14 @@ class OperatorSpectralMeasure:
         disjoint and summing to the identity by construction.
         """
         k = len(self.values)
-        if self.labels.shape != (self.base.lattice.dim,) or np.any(
-                (self.labels < 0) | (self.labels >= k)):
+        if self.labels.shape != (self.base.lattice.dim,) or (
+                (self.labels < 0) | (self.labels >= k)).any():
             raise AssertionError("labels do not index the spectrum values")
         empty = np.flatnonzero(np.bincount(self.labels, minlength=k) == 0)
         if len(empty):
             raise AssertionError(f"projection for attained value {self.values[empty[0]]} is zero")
         tol = TOL_EXACT * max(1.0, self.base.order_unit_norm())
-        if np.max(np.abs(self.reconstruct().symbol - self.base.symbol)) > tol:
+        if np.abs(self.reconstruct().symbol - self.base.symbol).max() > tol:
             raise AssertionError("spectral reconstruction does not recover the operator")
 
 
@@ -437,16 +437,28 @@ def annihilation_bound(roots: Sequence[complex], x: np.ndarray) -> np.ndarray:
     the result is within gamma_10n p~(|x|) of p(x) (Lemma 3.3).  Underflow
     adds at most 2**-1073 to each of the n (n + 3) / 2 complex products, which
     reaches the result times at most 2 prod (1 + |x| + |r|) (§2.1).  gamma_16n
-    and a second factor 2 absorb the bound's own roundings; it is inf when
-    p~(|x|) comes within 2**n of overflow.
+    and a second factor 2 absorb the bound's own roundings.  Where the bound is
+    not finite, the products are formed again with each factor and partial
+    product split by frexp into m 2**e, m in [0.5, 1), so that none over- or
+    underflows: the bound is then inf only where it exceeds the largest float.
     """
-    u = 2.0 ** -53
-    n = len(roots)
+    u, n = 2.0 ** -53, len(roots)
+    gamma = 16 * n * u / (1 - 16 * n * u)
     tilde = loose = np.ones(np.shape(x))
     for r in roots:
         tilde = tilde * (np.abs(x) + abs(r))
         loose = loose * (1 + np.abs(x) + abs(r))
-    return 16 * n * u / (1 - 16 * n * u) * tilde + n * (n + 3) * 2.0 ** -1072 * loose
+    bound = gamma * tilde + n * (n + 3) * 2.0 ** -1072 * loose
+    over = ~np.isfinite(bound)
+    if over.any():
+        ax, absr = np.abs(x[over])[:, None], np.array([abs(r) for r in roots])
+        f, e = np.frexp([ax + absr, 1 + ax + absr])
+        m, e = np.ones(f.shape[:2]), e.sum(axis=-1)
+        for factor in np.moveaxis(f, -1, 0):  # in root order, as above
+            m, carry = np.frexp(m * factor)
+            e += carry
+        bound[over] = np.ldexp(gamma * m[0], e[0]) + n * (n + 3) * np.ldexp(m[1], e[1] - 1072)
+    return bound
 
 
 def eigen_expansion(T: CentralOperator) -> EigenExpansion:
@@ -480,7 +492,7 @@ def freudenthal_approx(T: CentralOperator, eps: float) -> StepApproximation:
     if not eps > 0:
         raise PreconditionError("eps must be positive")
     mu = build_mu_T(T)
-    err = float(np.max(np.abs(T.symbol - mu.reconstruct().symbol)))
+    err = float(np.abs(T.symbol - mu.reconstruct().symbol).max())
     return StepApproximation(mu, err)
 
 
@@ -514,7 +526,7 @@ def _commutes_with_diag(g: np.ndarray, support: tuple[np.ndarray, np.ndarray],
     each (i, j) of ``support``, the nonzero entries of X, whose values are
     ``x``.  Any other entry's product is (g[i] - g[j]) * 0 = 0, which passes,
     unless g[i] - g[j] overflows: the dense form's inf * 0 = NaN failed it."""
-    return float(np.max(np.abs((g[support[0]] - g[support[1]]) * x), initial=0.0)) <= tol
+    return float(np.abs((g[support[0]] - g[support[1]]) * x).max(initial=0.0)) <= tol
 
 
 def commutant_check(T: CentralOperator, Xi: RegularOperator,
@@ -536,11 +548,11 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
         raise DimensionMismatchError("operators have different dimensions")
     X = Xi.entries
     s = T.symbol
-    tol = TOL_EXACT * max(1.0, float(np.max(np.abs(X))))
+    tol = TOL_EXACT * max(1.0, float(np.abs(X).max()))
 
     D = np.diag(s)
-    c1 = float(np.max(np.abs(np.einsum("ij,jk->ik", D, X)
-                             - np.einsum("ij,jk->ik", X, D)))) <= tol
+    c1 = float(np.abs(np.einsum("ij,jk->ik", D, X)
+                      - np.einsum("ij,jk->ik", X, D)).max()) <= tol
     support = np.nonzero(X)
     x = X[support]
     c2 = _commutes_with_diag(np.conj(s), support, x, tol)
@@ -558,7 +570,7 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
 
     # (p_i - p_j) X_ij is X_ij where exactly one of i, j lies in band k: over
     # all k, the pairs with different labels
-    c4 = not np.any((mu.labels[:, None] != mu.labels[None, :]) & (np.abs(X) > tol))
+    c4 = not ((mu.labels[:, None] != mu.labels[None, :]) & (np.abs(X) > tol)).any()
 
     c5 = True
     for _ in range(8):
@@ -567,6 +579,6 @@ def commutant_check(T: CentralOperator, Xi: RegularOperator,
             c5 = False
             break
 
-    block = not np.any((s[:, None] != s[None, :]) & (np.abs(X) > tol))
+    block = not ((s[:, None] != s[None, :]) & (np.abs(X) > tol)).any()
 
     return CommutantReport(c1, c2, c3, c4, c5, block)

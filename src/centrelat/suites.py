@@ -167,12 +167,12 @@ def cstar_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
 
     S = random_central(rng, lattice=T.lattice)
     # modulus multiplicativity, exact on symbols
-    dev = _rel(float(np.max(np.abs((S * T).modulus().symbol
-                                   - S.modulus().symbol * T.modulus().symbol))),
+    dev = _rel(float(np.abs((S * T).modulus().symbol
+                            - S.modulus().symbol * T.modulus().symbol).max()),
                S.order_unit_norm() * T.order_unit_norm())
     out.check("modulus-multiplicative", d, dev, TOL_EXACT)
-    dev = _rel(float(np.max(np.abs((T * T.conj()).modulus().symbol
-                                   - T.modulus().symbol ** 2))),
+    dev = _rel(float(np.abs((T * T.conj()).modulus().symbol
+                            - T.modulus().symbol ** 2).max()),
                T.order_unit_norm() ** 2)
     out.check("modulus-of-selfproduct", d, dev, TOL_EXACT)
 
@@ -183,7 +183,7 @@ def cstar_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
     worst = 0.0
     for Top in (T, T.conj(), T.modulus()):
         for zop in (z, z.conj(), ComplexElement(T.lattice, modulus(z).astype(complex))):
-            worst = max(worst, float(np.max(np.abs(modulus(Top.apply(zop)) - ref))))
+            worst = max(worst, float(np.abs(modulus(Top.apply(zop)) - ref).max()))
     out.check("modulus-action-four-equalities", d, _rel(worst, T.order_unit_norm()), TOL_EXACT)
 
 
@@ -207,7 +207,7 @@ def norms_regular(out: Records, X, d: str, rng: np.random.Generator) -> None:
     z = ComplexElement(X.lattice, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     lhs = modulus(X.apply(z))
     rhs = np.abs(X.entries) @ modulus(z)
-    dev = _rel(float(np.max(lhs - rhs)), float(np.max(rhs)))
+    dev = _rel(float((lhs - rhs).max()), float(rhs.max()))
     out.check("dense-modulus-inequality", d, dev, TOL_EXACT)
 
 
@@ -231,19 +231,19 @@ def fpr_central(out: Records, op, d: str, rng: np.random.Generator) -> None:
 
 def polar_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
     p = polar(T)
-    dev = _rel(float(np.max(np.abs((p.positive * p.unitary).symbol - T.symbol))),
+    dev = _rel(float(np.abs((p.positive * p.unitary).symbol - T.symbol).max()),
                T.order_unit_norm())
     ok = dev <= TOL_EXACT
-    ok &= bool(np.all(p.positive.symbol.imag == 0) and np.all(p.positive.symbol.real >= 0))
-    udev = float(np.max(np.abs(np.abs(p.unitary.symbol) - 1.0)))
+    ok &= bool((p.positive.symbol.imag == 0).all() and (p.positive.symbol.real >= 0).all())
+    udev = float(np.abs(np.abs(p.unitary.symbol) - 1.0).max())
     ok &= udev <= TOL_EXACT
     out.holds("factorisation-with-positive-and-unimodular", d, ok, max(dev, udev))
-    if np.all(np.abs(T.symbol) > 0):
+    if (np.abs(T.symbol) > 0).all():
         S = random_central(rng, lattice=T.lattice)
         pst, ps = polar(S * T), polar(S)
         dev = max(
-            float(np.max(np.abs(pst.positive.symbol - (ps.positive * p.positive).symbol))),
-            float(np.max(np.abs(pst.unitary.symbol - (ps.unitary * p.unitary).symbol))),
+            float(np.abs(pst.positive.symbol - (ps.positive * p.positive).symbol).max()),
+            float(np.abs(pst.unitary.symbol - (ps.unitary * p.unitary).symbol).max()),
         )
         dev = _rel(dev, S.order_unit_norm() * T.order_unit_norm())
         out.check("multiplicative-on-invertibles", d, dev, TOL_EXACT)
@@ -256,7 +256,7 @@ def localize_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
         u[rng.integers(0, n)] = 0.0
     ideal = PrincipalIdeal(u)
     loc = localize(T, ideal)
-    dev = abs(loc.ideal_norm_of_Tu - float(np.max(np.abs(loc.symbol))))
+    dev = abs(loc.ideal_norm_of_Tu - float(np.abs(loc.symbol).max()))
     out.check("restriction-isometry", d, dev, TOL_EXACT * max(1.0, loc.ideal_norm_of_Tu))
     full = PrincipalIdeal(rng.uniform(0.1, 2.0, size=n))
     tu = T.apply(ComplexElement(T.lattice, full.generator.astype(complex)))
@@ -281,7 +281,7 @@ def integral_measure(out: Records, mu, d: str, rng: np.random.Generator) -> None
         r = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         total[ks] += r
         direct += r * mu.measure_of(ks)
-    dev = float(np.max(np.abs(integrate(total, mu).values - direct)))
+    dev = float(np.abs(integrate(total, mu).values - direct).max())
     out.check("decomposition-independence", d, dev, TOL_EXACT)
 
     f = _random_measurable_f(rng, space)
@@ -289,19 +289,19 @@ def integral_measure(out: Records, mu, d: str, rng: np.random.Generator) -> None
     absf = [abs(z) for z in f.tolist()]
     lhs = modulus(integrate(f, mu))
     rhs = integrate(absf, mu).values.real
-    out.check("triangle-inequality", d, float(np.max(lhs - rhs)), TOL_EXACT)
+    out.check("triangle-inequality", d, float((lhs - rhs).max()), TOL_EXACT)
 
     # image measure change of variables, collapsing the atoms onto 3 points
     target = FiniteMeasurableSpace(tuple(range(3)))
     lands = np.array([int(rng.integers(0, 3)) for _ in range(space.n_atoms)])
     img = image_measure(mu, lands, target)
     g = _random_measurable_f(rng, target)
-    dev = float(np.max(np.abs(integrate(g, img).values - integrate(g[lands], mu).values)))
+    dev = float(np.abs(integrate(g, img).values - integrate(g[lands], mu).values).max())
     out.check("image-measure-change-of-variables", d, dev, TOL_EXACT)
 
     # additivity on a random disjoint pair
     ks = rng.uniform(size=space.n_atoms) < 0.5
-    dev = float(np.max(np.abs(mu.total() - mu.measure_of(ks) - mu.measure_of(~ks))))
+    dev = float(np.abs(mu.total() - mu.measure_of(ks) - mu.measure_of(~ks)).max())
     out.check("finite-additivity", d, dev, TOL_EXACT)
 
 
@@ -312,7 +312,7 @@ def riesz_measure(out: Records, mu, d: str, rng: np.random.Generator) -> None:
     out.guarded("representing-measure-recovery", d, AssertionError,
                 lambda: riesz_represent_stack(lambda fs: fs[:, first] @ mu.values, space,
                                               mu.lattice, rng=rng),
-                lambda nu: within(float(np.max(np.abs(nu.values - mu.values))), TOL_EXACT))
+                lambda nu: within(float(np.abs(nu.values - mu.values).max()), TOL_EXACT))
 
     # multiplicative pi: coordinates evaluate f at assigned points
     assign_idx = np.array([int(rng.integers(0, len(space.points))) for _ in range(mu.dim)])
@@ -341,7 +341,7 @@ def spectral_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
     out.holds("spectral-radius-and-shape-equivalences", d, spectrum_shape_report(T).all_ok())
 
     rec = reconstruct_from_global(T)
-    dev = _rel(float(np.max(np.abs(rec.symbol - T.symbol))), T.order_unit_norm())
+    dev = _rel(float(np.abs(rec.symbol - T.symbol).max()), T.order_unit_norm())
     out.check("global-measure-reconstruction", d, dev, TOL_EXACT)
 
     out.guarded("spectral-measure-invariants", d, AssertionError, mu.validate)
@@ -362,15 +362,15 @@ def calculus_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
     ra, rb = rho_T(T, fa, mu), rho_T(T, fb, mu)
     # Python's product and abs, which numpy's differ from in the last bit
     fab = [a * b for a, b in zip(fa.tolist(), fb.tolist())]
-    dev = float(np.max(np.abs(rho_T(T, fab, mu).symbol - (ra * rb).symbol)))
+    dev = float(np.abs(rho_T(T, fab, mu).symbol - (ra * rb).symbol).max())
     ok = dev <= TOL_EXACT
-    dev2 = float(np.max(np.abs(rho_T(T, fa.conj(), mu).symbol - ra.conj().symbol)))
+    dev2 = float(np.abs(rho_T(T, fa.conj(), mu).symbol - ra.conj().symbol).max())
     ok &= dev2 <= TOL_EXACT
     unit = rho_T(T, np.ones(len(vals)), mu)
     ident = rho_T(T, vals, mu)
-    ok &= bool(np.all(unit.symbol == 1.0)) and bool(np.all(ident.symbol == T.symbol))
-    dev3 = float(np.max(np.abs(rho_T(T, [abs(v) for v in mu.values], mu).symbol
-                               - ident.modulus().symbol)))
+    ok &= bool((unit.symbol == 1.0).all()) and bool((ident.symbol == T.symbol).all())
+    dev3 = float(np.abs(rho_T(T, [abs(v) for v in mu.values], mu).symbol
+                        - ident.modulus().symbol).max())
     ok &= dev3 <= TOL_EXACT
     out.holds("star-homomorphism-laws", d, ok, max(dev, dev2, dev3))
 
@@ -383,10 +383,10 @@ def calculus_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
     proj = mu.measure_of(fker == 0)
     dense = np.diag(op.symbol)
     sv = np.linalg.svd(dense, compute_uv=False) if T.lattice.dim else np.array([])
-    null_dim = int(np.sum(sv <= TOL_ORACLE * max(1.0, float(sv.max(initial=0.0)))))
-    rank_proj = int(np.sum(np.abs(proj.symbol) > 0.5))
+    null_dim = int((sv <= TOL_ORACLE * max(1.0, float(sv.max(initial=0.0)))).sum())
+    rank_proj = int((np.abs(proj.symbol) > 0.5).sum())
     ok = null_dim == rank_proj
-    dev = float(np.max(np.abs((op * proj).symbol))) if T.lattice.dim else 0.0
+    dev = float(np.abs((op * proj).symbol).max()) if T.lattice.dim else 0.0
     ok &= dev <= TOL_EXACT
     out.holds("kernel-formula-matches-null-space-oracle", d, ok, dev)
 
@@ -406,9 +406,9 @@ def eigen_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
     bands = mu.labels == np.arange(len(mu.values))[:, None]
     comps = np.where(bands, z.values, 0)
     resid = T.symbol * comps - np.asarray(mu.values)[:, None] * comps
-    ok = float(np.max(np.abs(resid))) <= TOL_EXACT * max(1.0, T.order_unit_norm())
+    ok = float(np.abs(resid).max()) <= TOL_EXACT * max(1.0, T.order_unit_norm())
     back = comps.sum(axis=0)
-    ok &= float(np.max(np.abs(back - z.values))) <= TOL_EXACT
+    ok &= float(np.abs(back - z.values).max()) <= TOL_EXACT
     # component uniqueness: projecting the reassembled decomposition onto
     # each band returns exactly its component
     ok &= bool(np.array_equal(np.where(bands, back, 0), comps))
@@ -419,9 +419,9 @@ def eigen_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         resid = np.abs(eval_polynomial(poly, T.symbol))
         bound = annihilation_bound(mu.values, T.symbol)
-    ok = (np.all(np.isfinite(bound)) and np.all(resid <= bound)
+    ok = (np.isfinite(bound).all() and (resid <= bound).all()
           and len(poly) == len(mu.values) + 1)
-    out.holds("minimal-polynomial-annihilation", d, ok, float(np.max(resid)))
+    out.holds("minimal-polynomial-annihilation", d, ok, float(resid.max()))
 
 
 def eigen_sequence(out: Records, op, d: str, rng: np.random.Generator) -> None:

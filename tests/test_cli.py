@@ -10,6 +10,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -124,18 +126,27 @@ def test_verify_suite_subset(tmp_path, capsys):
     assert summary["suites"] == ["cstar", "polar"]
 
 
+def _fresh(argv, cwd):
+    """``centrelat <argv>`` in a new process: its exit code, stdout and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "centrelat.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _untimed(text):
+    """Each line of a report, with its ``seconds`` set aside."""
+    return [{k: v for k, v in json.loads(line).items() if k != "seconds"}
+            for line in text.splitlines()]
+
+
 def test_verify_runs_a_repeated_suite_once(tmp_path, capsys):
     path = gen_file(tmp_path, capsys)
     code, out, _ = run(capsys, ["verify", str(path), "--suite", "riesz", "--suite", "cstar",
                                 "--suite", "riesz"])
     once = run(capsys, ["verify", str(path), "--suite", "riesz", "--suite", "cstar"])
-
-    def untimed(text):
-        return [{k: v for k, v in json.loads(line).items() if k != "seconds"}
-                for line in text.splitlines()]
-
-    assert code == once[0] == 0 and untimed(out) == untimed(once[1])
-    assert untimed(out)[-1]["suites"] == ["riesz", "cstar"]
+    assert code == once[0] == 0 and _untimed(out) == _untimed(once[1])
+    assert _untimed(out)[-1]["suites"] == ["riesz", "cstar"]
 
 
 @pytest.mark.parametrize("name", ["inst.json", "missing.json"], ids=["bundle", "missing"])
@@ -465,6 +476,34 @@ _MUTATIONS = st.one_of(
     st.tuples(st.just("delete"), st.sampled_from(_KEYS), st.none()),
     st.tuples(st.just("add"), st.sampled_from(_OBJECTS), st.none()),
 )
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; no call may leave state in it
+    # for the next: a suite subset, a usage error or an --out path
+    path = gen_file(tmp_path, capsys)
+    calls = [["verify", str(path), "--suite", "riesz"], ["verify", str(path)],
+             ["gen", "--seed", "-1"], ["verify", str(path), "--seed", "3"],
+             ["gen", "--seed", "5", "--out", str(tmp_path / "one.json")], ["gen", "--seed", "5"]]
+    outs = []
+    for argv in calls:
+        code, out, err = run(capsys, argv)
+        fresh = _fresh([a.replace("one.json", "fresh.json") for a in argv], tmp_path)
+        assert (code, err) == (fresh[0], fresh[2]), argv
+        if argv[0] == "verify":
+            assert _untimed(out) == _untimed(fresh[1]), argv
+        else:
+            assert out == fresh[1], argv
+        outs.append((code, out))
+    assert [code for code, _ in outs] == [0, 0, 2, 0, 0, 0]
+    # plain verify after --suite riesz runs all 12 suites
+    assert _untimed(outs[1][1])[-1]["suites"] == list(suites.SUITES) and len(suites.SUITES) == 12
+    # gen --out writes the file and prints nothing; gen after it prints to stdout
+    written = (tmp_path / "one.json").read_text()
+    assert outs[4][1] == "" and outs[5][1] == written == (tmp_path / "fresh.json").read_text()
+    # a command replaced after the parser was built is the one that runs
+    monkeypatch.setattr(cli, "cmd_gen", lambda args: 7)
+    assert main(["gen"]) == 7
 
 
 def _mutated(kind, path, value):

@@ -64,12 +64,9 @@ EXPECTED = {
     "scaled-2**10": (_scaled(10), {"dominated-convergence-witness", "star-homomorphism-laws"}),
     "scaled-2**30": (_scaled(30), {"dominated-convergence-witness", "star-homomorphism-laws"}),
     "scaled-2**50": (_scaled(50), {"dominated-convergence-witness", "star-homomorphism-laws"}),
-    # on a 16-value operator with |s| near 2**63, the annihilation bound's
-    # product of 16 factors overflows to inf
-    "scaled-2**60": (_scaled(60), {"dominated-convergence-witness", "star-homomorphism-laws",
-                                   "minimal-polynomial-annihilation"}),
+    "scaled-2**60": (_scaled(60), {"dominated-convergence-witness", "star-homomorphism-laws"}),
     # the weighted p-norms' sums overflow there and are evaluated scaled;
-    # the annihilation bound overflows as at 2**60
+    # the annihilation residuals overflow
     "scaled-2**400": (_scaled(400), {"star-homomorphism-laws",
                                      "minimal-polynomial-annihilation"}),
     "one-subnormal-entry": (_one_entry(1e-310, 0.0), set()),

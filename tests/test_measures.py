@@ -20,7 +20,6 @@ from centrelat.measures import (
     LatticeValuedMeasure,
     RIESZ_SAMPLES,
     PositivityError,
-    _charges,
     _integrals,
     image_measure,
     integrate,
@@ -718,7 +717,7 @@ def test_disjoint_measure_integrals_match_the_atom_order_loop(n_atoms, dim, m, d
         for k in draw(st.lists(st.integers(0, n_atoms - 1), min_size=2, max_size=2, unique=True)):
             rows[k, j] = draw(st.sampled_from(_CHARGES))
     mu = LatticeValuedMeasure(powerset_space(n_atoms), rows)
-    assert (_charges(mu.values) is None) == twice
+    assert (mu.charges is None) == twice
     parts = np.array(draw(st.lists(st.sampled_from(_EDGE_PARTS), min_size=2 * m * n_atoms,
                                    max_size=2 * m * n_atoms))).reshape(2, m, n_atoms)
     fs = np.empty((m, n_atoms), dtype=complex)
@@ -727,6 +726,35 @@ def test_disjoint_measure_integrals_match_the_atom_order_loop(n_atoms, dim, m, d
         got = _integrals(fs, mu)
         for i in range(m):
             assert _same_bits(got[i], _loop_integrate(fs[i], tuple(rows)))
+
+
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_real_stack_integrals_are_the_real_part_of_the_complex_path(n_atoms, dim, m, data):
+    # a real stack forms only the two real parts; they must keep the bits of
+    # the four-part path's real part: signed zeros in the functions, subnormal
+    # and overflowing products, uncharged coordinates, and one coordinate
+    # charged twice, which takes the loop
+    draw = data.draw
+    rows = np.array(draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=n_atoms * dim,
+                                  max_size=n_atoms * dim))).reshape(n_atoms, dim)
+    for j, k in enumerate(draw(st.lists(st.integers(-1, n_atoms - 1), min_size=dim,
+                                        max_size=dim))):
+        if k >= 0:
+            rows[k, j] = draw(st.sampled_from(_CHARGES))
+    twice = n_atoms > 1 and draw(st.booleans())
+    if twice:
+        j = draw(st.integers(0, dim - 1))
+        for k in draw(st.lists(st.integers(0, n_atoms - 1), min_size=2, max_size=2, unique=True)):
+            rows[k, j] = draw(st.sampled_from(_CHARGES))
+    mu = LatticeValuedMeasure(powerset_space(n_atoms), rows)
+    assert (mu.charges is None) == twice
+    fs = np.array(draw(st.lists(st.sampled_from(_EDGE_PARTS), min_size=m * n_atoms,
+                                max_size=m * n_atoms))).reshape(m, n_atoms)
+    with np.errstate(all="ignore"):  # products overflow, and inf - inf is NaN
+        got = _integrals(fs, mu)
+        want = _integrals(fs.astype(complex), mu).real
+    assert got.dtype == float and _same_bits(got, want)
 
 
 @given(st.integers(1, 6), st.integers(1, 5), st.data())

@@ -1,6 +1,7 @@
 """Tests for the Gelfand transform, spectra, spectral measures, the
 functional calculus, eigen expansions, and commutants."""
 
+import argparse
 import itertools
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from centrelat import generate, spectral, suites
+from centrelat import cli, generate, spectral, suites
 from centrelat.cli import main as cli_main
 from centrelat.exact import QComplex
 from centrelat.generate import (
@@ -513,6 +514,66 @@ def test_annihilation_residual_within_its_rounding_bound():
         assert np.all(np.isfinite(bound)) and np.all(resid <= bound)
         # a rounding bound: far below the scale of the polynomial's terms
         assert np.all(bound <= 2.0 ** -40 * tilde + 2.0 ** -1000)
+
+
+def _plain_annihilation_bound(roots, x):
+    """The bound as formed before its overflowing products were rescaled."""
+    u, n = 2.0 ** -53, len(roots)
+    tilde = loose = np.ones(np.shape(x))
+    for r in roots:
+        tilde = tilde * (np.abs(x) + abs(r))
+        loose = loose * (1 + np.abs(x) + abs(r))
+    return 16 * n * u / (1 - 16 * n * u) * tilde + n * (n + 3) * 2.0 ** -1072 * loose
+
+
+def test_annihilation_bound_is_finite_where_only_its_plain_product_overflows():
+    # instance 80 of the reference corpus (gen --seed 7 --dim 2..16) scaled by
+    # 2**60 has 16 values with |s| up to about 2**63.3; its plain product of 16
+    # factors (|x| + |r|) overflows at two coordinates, where the residuals
+    # are finite
+    T = cli._instances(argparse.Namespace(mode="atomic", seed=7, count=81), 2, 16)[80]["central"]
+    s = T.symbol * 2.0 ** 60
+    roots = build_mu_T(CentralOperator(T.lattice, s)).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(eval_polynomial(minimal_polynomial(roots), s))
+        plain = _plain_annihilation_bound(roots, s)
+        bound = spectral.annihilation_bound(roots, s)
+    assert len(roots) == 16 and np.isfinite(resid).all() and (~np.isfinite(plain)).sum() == 2
+    assert np.isfinite(bound).all() and np.all(resid <= bound)
+    # where the plain bound is finite, the bound keeps its bits
+    assert bound[np.isfinite(plain)].tobytes() == plain[np.isfinite(plain)].tobytes()
+
+
+def test_annihilation_bound_keeps_its_bits_and_holds_near_overflow():
+    # roots from 2**30 to 2**90, where the plain product overflows on some, and
+    # a mix of roots near 2**-530 and up to 2**60, where some of its partial
+    # products underflow and later ones do not
+    rng = np.random.default_rng(34)
+    rescaled = 0
+    for k in range(300):
+        n = int(rng.integers(1, 17))
+        scales = (rng.uniform(30, 90, n) if k % 2 else
+                  np.where(rng.random(n) < 0.5, rng.uniform(-560, -500, n), rng.uniform(0, 60, n)))
+        roots = 2.0 ** scales * np.exp(2j * np.pi * rng.uniform(size=n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.abs(eval_polynomial(minimal_polynomial(roots), roots))
+            plain = _plain_annihilation_bound(list(roots), roots)
+            bound = spectral.annihilation_bound(list(roots), roots)
+        finite = np.isfinite(plain)
+        rescaled += int(np.isfinite(bound[~finite]).any())
+        assert bound[finite].tobytes() == plain[finite].tobytes()
+        assert np.all(resid[np.isfinite(resid)] <= bound[np.isfinite(resid)])
+    assert rescaled > 10
+    # 1,030 values just above 1: each plain product, near 2**1030, overflows,
+    # and a product of 1,030 mantissas near 0.5 underflows unless renormalised;
+    # the bound, near 2**991, must match its sum of logarithms
+    n = 1030
+    roots = 1.0 + 2.0 ** -40 * np.arange(n)
+    with np.errstate(over="ignore"):
+        bound = spectral.annihilation_bound(list(roots), roots)
+    gamma = 16 * n * 2.0 ** -53 / (1 - 16 * n * 2.0 ** -53)
+    logs = [math.log2(gamma) + math.fsum(np.log2(x + roots)) for x in roots]
+    assert np.abs(np.log2(bound) - logs).max() < 1e-9
 
 
 def test_component_uniqueness():
