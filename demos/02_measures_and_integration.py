@@ -27,8 +27,9 @@ rng = np.random.default_rng(7)
 space = FiniteMeasurableSpace(tuple(range(6)))
 mu = LatticeValuedMeasure(space, tuple(rng.uniform(0, 1, size=3) for _ in range(6)))
 print("total mass mu(X)     :", mu.total())
-print("additivity           :", mu.measure_of([0, 2, 4]),
-      "=", mu.measure_of([0]) + mu.measure_of([2]) + mu.measure_of([4]))
+atom = np.arange(space.n_atoms)    # a set of atoms is a mask: one bool per atom
+print("additivity           :", mu.measure_of(atom % 2 == 0),
+      "=", mu.measure_of(atom == 0) + mu.measure_of(atom == 2) + mu.measure_of(atom == 4))
 
 # a coarser sigma-algebra: three atoms of two points each
 pairs = FiniteMeasurableSpace(space.points, ((0, 1), (2, 3), (4, 5)))

@@ -6,12 +6,10 @@ conditioning; lattice norms vary over weighted p-norms and the sup norm.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .exact import QComplex
 from .lattice import CoordinateLattice, MaxNorm, WeightedPNorm
 from .measures import FiniteMeasurableSpace, LatticeValuedMeasure
 from .operators import CentralOperator, RegularOperator
@@ -72,23 +70,6 @@ def random_projection_measure(rng: np.random.Generator, dim: int) -> LatticeValu
     space = FiniteMeasurableSpace(tuple(range(len(used))))
     values = tuple((labels == lab).astype(float) for lab in used)
     return LatticeValuedMeasure(space, values)
-
-
-def random_rational_symbols(rng: np.random.Generator, dim: int) -> list[QComplex]:
-    """Exact rational symbols for the enumeration oracle, with a repeat."""
-    denom = 16
-    symbols = [QComplex(Fraction(int(rng.integers(-8, 9)), denom),
-                        Fraction(int(rng.integers(-8, 9)), denom))
-               for _ in range(dim)]
-    if dim >= 2:
-        i, j = rng.choice(dim, size=2, replace=False)
-        symbols[int(j)] = symbols[int(i)]
-    return symbols
-
-
-def central_from_rational(symbols: Sequence[QComplex]) -> CentralOperator:
-    return CentralOperator(CoordinateLattice(len(symbols), MaxNorm()),
-                           np.array([s.to_complex() for s in symbols]))
 
 
 def random_sequence(rng: np.random.Generator) -> SequenceCentralOperator:

@@ -96,18 +96,12 @@ class LatticeValuedMeasure:
         return self.lattice.dim
 
     def measure_of(self, atoms) -> np.ndarray:
-        """mu of a union of atoms, given as a mask of one bool per atom or as
-        atom indices: each atom counts once, its row added from 0 in atom order."""
-        n, mask = self.space.n_atoms, np.asarray(atoms)
-        if mask.dtype != bool:
-            index = mask if mask.size else mask.astype(np.intp)  # [] comes out as floats
-            outside = (index < 0) | (index >= n)
-            if outside.any():
-                raise ValueError(f"no atom {index[outside][0]} among {n} atoms")
-            mask = np.zeros(n, dtype=bool)
-            mask[index] = True
-        elif mask.shape != (n,):
-            raise ValueError(f"one bool per atom required, not shape {mask.shape}")
+        """mu of the union of the atoms k with atoms[k] true: their rows added
+        from 0 in atom order."""
+        mask = np.asarray(atoms)
+        if mask.shape != (self.space.n_atoms,) or mask.dtype != bool:
+            raise ValueError(f"one bool per atom required, not {mask.dtype} "
+                             f"of shape {mask.shape}")
         return sum(self.values[mask], np.zeros(self.dim))
 
     def total(self) -> np.ndarray:

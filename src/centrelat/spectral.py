@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exact import QComplex
 from .lattice import (
     TOL_EXACT,
     ComplexElement,
@@ -276,25 +275,6 @@ def build_mu_T(T: CentralOperator) -> OperatorSpectralMeasure:
     """Spectral measure of T: the image of the global measure under the symbol,
     labelling each coordinate with the first-occurrence index of its value."""
     return OperatorSpectralMeasure(T, *first_occurrence(T.symbol))
-
-
-def enumerate_unital_spectral_measures(symbols: Sequence[QComplex]) -> list[tuple[int, ...]]:
-    """Enumeration oracle for uniqueness of the spectral measure, in exact arithmetic.
-
-    A unital spectral measure valued in 0/1 diagonal projections on the
-    spectrum is determined by an assignment of each coordinate to a spectrum
-    value.  An assignment is admissible when the integral of the identity
-    reproduces the symbol exactly, i.e. when every coordinate is assigned a
-    value equal to its symbol.  Admissibility is coordinatewise, so the
-    admissible set is the product of the per-coordinate matches: the scan
-    compares each symbol with each distinct value (dim * |spectrum| exact
-    QComplex comparisons) and is still exhaustive over all |spectrum|^dim
-    assignments.  Returns the admissible assignments (as value-index tuples)
-    in lexicographic order.
-    """
-    values = list(dict.fromkeys(symbols))
-    choices = [[k for k, v in enumerate(values) if v == s] for s in symbols]
-    return list(itertools.product(*choices))
 
 
 # ---------------------------------------------------------------------------

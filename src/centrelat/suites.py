@@ -26,8 +26,6 @@ from .generate import (
     commutant_block_operator,
     commuting_fpr_triple,
     random_central,
-    random_rational_symbols,
-    central_from_rational,
 )
 from .lattice import TOL_EXACT, TOL_ORACLE, ComplexElement, PrincipalIdeal, ideal_norm, modulus
 from .measures import (
@@ -60,7 +58,6 @@ from .spectral import (
     commutant_check,
     dominated_convergence_calculus,
     eigen_expansion,
-    enumerate_unital_spectral_measures,
     eval_polynomial,
     minimal_polynomial,
     reconstruct_from_global,
@@ -323,15 +320,6 @@ def riesz_measure(out: Records, mu, d: str, rng: np.random.Generator) -> None:
 
 
 def spectral_central(out: Records, T, d: str, rng: np.random.Generator) -> None:
-    # the enumeration oracle on exact rational symbols of at most 6 coordinates
-    symbols = random_rational_symbols(rng, min(T.lattice.dim, 6))
-    admissible = enumerate_unital_spectral_measures(symbols)
-    unique = len(admissible) == 1
-    if unique:
-        unique = admissible[0] == tuple(build_mu_T(central_from_rational(symbols)).labels.tolist())
-    out.holds("enumeration-uniqueness-of-spectral-measure", d,
-              unique, 0.0 if unique else float(len(admissible)))
-
     mu = build_mu_T(T)
     # what spectrum(T) checks, recorded against the oracle's rounding bound;
     # geev raises LinAlgError when its iteration does not converge

@@ -7,18 +7,17 @@ data itself spans orders of magnitude), 1e-9 for oracle-backed checks,
 """
 
 import copy
+import itertools
 import math
 import time
 
 import numpy as np
 
 from centrelat.generate import (
-    central_from_rational,
     commutant_block_operator,
     commuting_fpr_triple,
     random_central,
     random_lattice,
-    random_rational_symbols,
     random_regular,
 )
 from centrelat.lattice import (
@@ -49,7 +48,6 @@ from centrelat.spectral import (
     commutant_check,
     dominated_convergence_calculus,
     eigen_expansion,
-    enumerate_unital_spectral_measures,
     eval_polynomial,
     minimal_polynomial,
     rho_T,
@@ -90,6 +88,24 @@ def window_residuals(values, distinct, max_degree):
         for start in range(min(len(distinct) - d, 12)):
             roots = np.array(distinct[start:start + d])
             yield float(np.max(np.abs(np.prod(values[:, None] - roots[None, :], axis=1))))
+
+
+def dyadic_symbols(rng, dim):
+    """Symbols (k + l i) / 16 with |k|, |l| <= 8 and one value repeated: float
+    == decides them exactly."""
+    symbols = [complex(int(rng.integers(-8, 9)) / 16, int(rng.integers(-8, 9)) / 16)
+               for _ in range(dim)]
+    i, j = rng.choice(dim, size=2, replace=False)
+    symbols[j] = symbols[i]
+    return symbols
+
+
+def brute_force_enumeration(symbols):
+    """Every assignment of a spectrum value to each coordinate, of all
+    |spectrum|^dim, under which the identity integrates to the symbol."""
+    values = list(dict.fromkeys(symbols))
+    return [assign for assign in itertools.product(range(len(values)), repeat=len(symbols))
+            if all(values[k] == symbols[i] for i, k in enumerate(assign))]
 
 
 def corpus(seed=1000, count=1000, max_dim=32):
@@ -268,13 +284,13 @@ def test_criterion_6_mu_t_uniqueness():
     unique = 0
     for _ in range(100):
         dim = int(rng.integers(2, 7))
-        symbols = random_rational_symbols(rng, dim)
-        T = central_from_rational(symbols)
+        symbols = dyadic_symbols(rng, dim)
+        T = CentralOperator(CoordinateLattice(dim, MaxNorm()), np.array(symbols))
         mu = build_mu_T(T)
         mu.validate()
         if np.max(np.abs(mu.reconstruct().symbol - T.symbol)) > 0.0:
             recon_ok = False
-        if len(enumerate_unital_spectral_measures(symbols)) == 1:
+        if brute_force_enumeration(symbols) == [tuple(mu.labels.tolist())]:
             unique += 1
     elapsed = time.perf_counter() - start
     report(6, "spectral measure reconstruction and enumeration uniqueness, dims <= 6",

@@ -28,6 +28,7 @@ _norm, _conj, _mul = (CentralOperator.order_unit_norm, CentralOperator.conj,
                       CentralOperator.__mul__)
 _reconstruct, _first_occurrence = OperatorSpectralMeasure.reconstruct, spectral.first_occurrence
 _global = spectral.global_spectral_measure
+_measure_of = LatticeValuedMeasure.measure_of
 
 
 def _scaled(op):
@@ -76,23 +77,23 @@ FAULTS = {
     "global-measure-value-scaled": (
         spectral, "global_spectral_measure", _global_value_moved,
         {"global-measure-reconstruction"}),
+    "measure-of-scaled": (
+        LatticeValuedMeasure, "measure_of", lambda self, atoms: _measure_of(self, atoms) * R,
+        {"decomposition-independence", "finite-additivity"}),
 }
 
 #: The checks that no fault in FAULTS flips, and why none reaches them.
 NO_FAULT_YET = {
     "conjugate-commutation-transfer": "fpr_check multiplies the symbols and X directly",
     "fault-injection-detected": "fpr_check multiplies the symbols and X directly",
-    "decomposition-independence": "the integral suite reads measures, not operators",
-    "finite-additivity": "the integral suite reads measures, not operators",
-    "image-measure-change-of-variables": "the integral suite reads measures, not operators",
-    "triangle-inequality": "the integral suite reads measures, not operators",
+    "image-measure-change-of-variables": "image_measure and integrate read the atom rows, "
+                                         "not measure_of",
+    "triangle-inequality": "integrate reads the atom rows, not measure_of",
     "homomorphism-yields-spectral-measure": "the riesz suite reads measures, not operators",
     "representing-measure-recovery": "the riesz suite reads measures, not operators",
     "spectral-measure-product-law": "it reads a spectral measure instance, not an operator",
     "dense-modulus-inequality": "it reads a regular operator's entries",
     "restriction-isometry": "localize and ideal_norm read the symbol directly",
-    "enumeration-uniqueness-of-spectral-measure": "it compares labels, which the moved "
-                                                  "spectrum value leaves as they are",
     "dominated-convergence-witness": "f, the f_n and the limit all come from the same "
                                      "mu_T values, so a moved value moves every side",
     "kernel-formula-matches-null-space-oracle": "a 0/1 table times its own bands is exact "

@@ -33,7 +33,6 @@ from centrelat.sequence import (
 from centrelat.spectral import OperatorSpectralMeasure
 from centrelat.suites import Records, op_digest, run_suites
 
-ENUMERATION = "enumeration-uniqueness-of-spectral-measure"
 SPECTRAL_PER_OPERATOR = ("symbol-spectrum-matches-block-eigenvalues",
                          "spectral-radius-and-shape-equivalences",
                          "global-measure-reconstruction",
@@ -139,12 +138,12 @@ def test_failed_spectral_cross_check_skips_that_instance(monkeypatch):
     assert_guarded_failures(failed, "Eigenvalues did not converge", 1)
     assert (failed[0].check, failed[0].instance) == ("symbol-spectrum-matches-block-eigenvalues",
                                                      bad)
-    # the failed instance keeps only its enumeration record, made before the
-    # cross-check; the other instance keeps all of its records, the same as alone
+    # the failed instance keeps only the cross-check's record; the other
+    # instance keeps all of its records, the same as alone
     assert [r.check for r in records if r.instance == bad] == [
-        ENUMERATION, "symbol-spectrum-matches-block-eigenvalues"]
+        "symbol-spectrum-matches-block-eigenvalues"]
     good = [r for r in records if r.instance == op_digest(ops[1])]
-    assert [r.check for r in good] == [ENUMERATION, *SPECTRAL_PER_OPERATOR]
+    assert [r.check for r in good] == list(SPECTRAL_PER_OPERATOR)
     assert good == records_of("spectral", {"central": ops[1:]})
 
 
