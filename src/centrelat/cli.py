@@ -21,8 +21,7 @@ import sys
 import numpy as np
 
 from . import io as cio
-from .generate import (random_central, random_lattice, random_measure, random_projection_measure,
-                       random_regular)
+from .generate import random_central, random_lattice, random_measure, random_projection_measure
 from .operators import is_central, polar
 from .sequence import BUILTIN_RULES, CertificateError, SequenceCentralOperator, freudenthal_net
 from .spectral import build_mu_T, freudenthal_approx, rho_T, spectrum
@@ -72,7 +71,6 @@ def _instances(args, lo: int, hi: int) -> list[dict]:
         instances.append({
             "lattice": lattice,
             "central": random_central(rng, lattice=lattice),
-            "regular": random_regular(rng, lattice=lattice),
             "measure": random_measure(rng, dim=dim),
             "spectral_measure": random_projection_measure(rng, dim),
         })

@@ -48,12 +48,6 @@ def random_central(rng: np.random.Generator,
     return CentralOperator(lattice, symbol)
 
 
-def random_regular(rng: np.random.Generator, lattice: CoordinateLattice) -> RegularOperator:
-    n = lattice.dim
-    entries = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return RegularOperator(lattice, entries)
-
-
 def random_measure(rng: np.random.Generator, dim: int = 4) -> LatticeValuedMeasure:
     points = tuple(range(6))
     space = FiniteMeasurableSpace(points)

@@ -22,7 +22,7 @@ from .sequence import BUILTIN_RULES, SequenceCentralOperator
 MAX_MAGNITUDE = 2.0 ** 500
 _NESTING = ("a number", "a list of numbers", "a list of lists of numbers")
 #: The fields an instance of each kind must and may hold, besides ``kind``.
-_KINDS = {"atomic": ((), ("lattice", "central", "regular", "measure", "spectral_measure")),
+_KINDS = {"atomic": ((), ("lattice", "central", "measure", "spectral_measure")),
           "sequence": (("sequence",), ())}
 
 
@@ -124,6 +124,11 @@ def operator_from_json(doc, where: str = "operator"):
     return _build(f"{where}.{key}", make, lattice_from_json(lattice, where), values)
 
 
+def _central_from_json(doc, where: str) -> CentralOperator:
+    """A bundle's central operator: an operator document with a ``symbol``."""
+    return operator_from_json(_fields(doc, where, ("symbol",), ("dim", "norm", "symbol")), where)
+
+
 def measure_to_json(mu: LatticeValuedMeasure) -> dict[str, Any]:
     return {
         "points": list(mu.space.points),
@@ -176,8 +181,7 @@ def sequence_from_json(doc, where: str = "sequence") -> SequenceCentralOperator:
 
 def bundle_to_json(instances) -> dict[str, Any]:
     """The bundle of instances, each a mapping from field to object (see ``_KINDS``)."""
-    write = {"lattice": lattice_to_json, "central": operator_to_json,
-             "regular": operator_to_json, "measure": measure_to_json,
+    write = {"lattice": lattice_to_json, "central": operator_to_json, "measure": measure_to_json,
              "spectral_measure": measure_to_json, "sequence": sequence_to_json}
     return {"instances": [{"kind": "sequence" if "sequence" in objects else "atomic",
                            **{key: write[key](obj) for key, obj in objects.items()}}
@@ -186,9 +190,9 @@ def bundle_to_json(instances) -> dict[str, Any]:
 
 def bundle_from_json(doc) -> list[dict[str, Any]]:
     """The instances of a bundle, each a mapping from field to object (see ``_KINDS``)."""
-    read = {"lattice": lattice_from_json, "central": operator_from_json,
-            "regular": operator_from_json, "measure": measure_from_json,
-            "spectral_measure": measure_from_json, "sequence": sequence_from_json}
+    read = {"lattice": lattice_from_json, "central": _central_from_json,
+            "measure": measure_from_json, "spectral_measure": measure_from_json,
+            "sequence": sequence_from_json}
     instances = _fields(doc, "", ("instances",))["instances"]
     if not isinstance(instances, list) or not instances:
         raise InputError("instances: expected a nonempty list of instances")
@@ -200,10 +204,9 @@ def bundle_from_json(doc) -> list[dict[str, Any]]:
                 raise InputError("kind: expected 'atomic' or 'sequence'")
             _fields(inst, "", _KINDS[kind][0], ("kind", *_KINDS[kind][1]))
             objects = {key: read[key](inst[key], key) for key in inst if key != "kind"}
-            lattice = objects.get("lattice")
-            for key in ("central", "regular"):
-                if lattice is not None and key in objects and objects[key].lattice != lattice:
-                    raise InputError(f"lattice: does not match the lattice of {key}")
+            lattice, central = objects.get("lattice"), objects.get("central")
+            if lattice is not None and central is not None and central.lattice != lattice:
+                raise InputError("lattice: does not match the lattice of central")
         except InputError as exc:
             raise InputError(f"instance {i}: {exc}") from None
         out.append(objects)

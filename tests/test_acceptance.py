@@ -18,7 +18,6 @@ from centrelat.generate import (
     commuting_fpr_triple,
     random_central,
     random_lattice,
-    random_regular,
 )
 from centrelat.lattice import (
     ComplexElement,
@@ -186,7 +185,8 @@ def test_criterion_3_modulus_laws():
     dense_ok = True
     for _ in range(1000):
         n = int(rng.integers(1, 9))
-        X = random_regular(rng, lattice=CoordinateLattice(n))
+        X = RegularOperator(CoordinateLattice(n), rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
         z = ComplexElement(X.lattice, rng.standard_normal(n) + 1j * rng.standard_normal(n))
         lhs = X.apply(z).modulus()
         rhs = np.abs(X.entries) @ z.modulus()
@@ -404,7 +404,9 @@ def test_criterion_11_commutant_equivalences():
         if k % 2 == 0:
             Xi = commutant_block_operator(rng, T)
         else:
-            Xi = random_regular(rng, lattice=T.lattice)
+            n = T.lattice.dim
+            Xi = RegularOperator(T.lattice, rng.standard_normal((n, n))
+                                 + 1j * rng.standard_normal((n, n)))
         rep = commutant_check(T, Xi, rng=rng)
         if not rep.all_equivalent():
             discrepancies += 1

@@ -92,7 +92,6 @@ NO_FAULT_YET = {
     "homomorphism-yields-spectral-measure": "the riesz suite reads measures, not operators",
     "representing-measure-recovery": "the riesz suite reads measures, not operators",
     "spectral-measure-product-law": "it reads a spectral measure instance, not an operator",
-    "dense-modulus-inequality": "it reads a regular operator's entries",
     "restriction-isometry": "localize and ideal_norm read the symbol directly",
     "dominated-convergence-witness": "f, the f_n and the limit all come from the same "
                                      "mu_T values, so a moved value moves every side",

@@ -90,7 +90,7 @@ def test_gen_usage_errors(capsys):
 @pytest.mark.parametrize("where", ["missing-dir/x.json", "."], ids=["no-such-dir", "a-dir"])
 def test_gen_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, where):
     # --out is opened before any instance is generated
-    monkeypatch.setattr(cli, "random_regular",
+    monkeypatch.setattr(cli, "random_central",
                         lambda *args, **kwargs: pytest.fail("gen generated before opening --out"))
     out = tmp_path / where
     code, stdout, err = run(capsys, ["gen", "--out", str(out)])
@@ -391,6 +391,13 @@ _MALFORMED = {
                                    '{"kind": "weighted-p", "weights": [Infinity, 1], "p": 2}, '
                                    '"symbol": [[1, 0], [2, 0]]}}]}'),
     "verify-huge-symbol": (_VERIFY, '{"instances": [{"central": %s}]}' % _HUGE),
+    # a bundle's central operator is a symbol, never a dense matrix
+    "verify-central-with-entries": (_VERIFY, '{"instances": [{"central": {"dim": 2, "entries": '
+                                             '[[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}}]}'),
+    # a bundle that still holds the retired dense kind
+    "verify-retired-regular-field": (_VERIFY, '{"instances": [{"central": %s, "regular": '
+                                              '{"dim": 2, "entries": [[[1, 0], [0, 0.5]], '
+                                              '[[0, 0], [2, 0]]]}}]}' % _ATOMIC),
     "calc-huge-square": (("calc", "rho", "--fn", "square"), _HUGE),
 }
 _FIELDS = {
@@ -409,6 +416,8 @@ _FIELDS = {
     "verify-nan-weight": "instance 0: central.norm.weights[0]:",
     "verify-inf-weight": "instance 0: central.norm.weights[0]:",
     "verify-huge-symbol": "instance 0: central.symbol[0][0]:",
+    "verify-central-with-entries": "instance 0: central.entries: unknown field",
+    "verify-retired-regular-field": "instance 0: regular: unknown field",
     "calc-huge-square": "operator.symbol[0][0]:",
 }
 
@@ -444,8 +453,6 @@ _SMALL_BUNDLE = {"instances": [
     {"kind": "atomic",
      "lattice": {"dim": 2, "norm": _NORM},
      "central": {"dim": 2, "norm": _NORM, "symbol": [[0.5, -0.25], [2.0, 0.0]]},
-     "regular": {"dim": 2, "norm": _NORM,
-                 "entries": [[[1.0, 0.0], [0.0, 0.5]], [[0.0, 0.0], [2.0, 0.0]]]},
      "measure": {"points": [0, 1, 2], "atoms": [[0, 1], [2]],
                  "values": {"0": [0.5, 1.0], "1": [1.5, 0.25]}},
      "spectral_measure": {"points": ["a", "b", "c"], "atoms": [["a", "c"], ["b"]],

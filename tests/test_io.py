@@ -36,12 +36,20 @@ def _lattices(draw, max_dim=5):
 
 
 @st.composite
-def _operators(draw):
+def _central_operators(draw):
     lat = draw(_lattices())
     n = lat.dim
+    return CentralOperator(lat, np.array(draw(st.lists(_complex, min_size=n, max_size=n)),
+                                         dtype=complex))
+
+
+@st.composite
+def _operators(draw):
+    """Central operators, and regular ones in the bare ``entries`` form."""
     if draw(st.booleans()):
-        return CentralOperator(lat, np.array(draw(st.lists(_complex, min_size=n, max_size=n)),
-                                             dtype=complex))
+        return draw(_central_operators())
+    lat = draw(_lattices())
+    n = lat.dim
     entries = draw(st.lists(_complex, min_size=n * n, max_size=n * n))
     return RegularOperator(lat, np.array(entries, dtype=complex).reshape(n, n))
 
@@ -145,11 +153,10 @@ def test_sequence_round_trip_checks_sup_and_accumulation(named):
     assert np.array_equal(back.accumulation, op.accumulation)
 
 
-@given(_operators(), _measures(), st.sampled_from(sorted(BUILTIN_RULES)))
+@given(_central_operators(), _measures(), st.sampled_from(sorted(BUILTIN_RULES)))
 @settings(max_examples=50, deadline=None)
 def test_bundle_round_trip(op, mu, rule):
-    key = "central" if isinstance(op, CentralOperator) else "regular"
-    instances = [{"lattice": op.lattice, key: op, "measure": mu},
+    instances = [{"lattice": op.lattice, "central": op, "measure": mu},
                  {"sequence": BUILTIN_RULES[rule]()}]
     doc = through_text(cio.bundle_to_json(instances))
     assert [inst["kind"] for inst in doc["instances"]] == ["atomic", "sequence"]

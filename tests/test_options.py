@@ -28,7 +28,6 @@ _RULES = ("the builtin rules are called through make(**params) in io.sequence_fr
 
 #: Defaulted parameters passed only by calls that the name graph cannot see.
 ALLOWED = {
-    "io.operator_from_json.where": _TABLE,
     "io.measure_from_json.where": _TABLE,
     "io.sequence_from_json.where": _TABLE,
     "sequence.constant.c": _RULES,

@@ -370,8 +370,10 @@ def corpus(tmp_path_factory):
 
 # sha256 of the annihilation lines of ``verify --suite eigen --seed 7`` on the
 # corpus, seconds removed; recorded while eigen_expansion built the polynomial,
-# so the suite building it instead changed no record
-ANNIHILATION_SEED7_SHA256 = "b27a2719c26c573bb601caa71ccda51749962dccbb13bbd4ca8a652a221066ac"
+# so the suite building it instead changed no record.  Re-recorded when gen
+# stopped writing the regular kind, whose draws no longer come between the
+# central operators, so every operator after the first is a new draw
+ANNIHILATION_SEED7_SHA256 = "446635ae799be6aba29f1531a584a7d8b2cb3f73115652c2061a576d82004301"
 
 
 def test_annihilation_builds_the_polynomial_once_per_central_instance(monkeypatch, corpus,
@@ -436,7 +438,7 @@ def test_verify_digests_each_object_at_most_once_per_call(monkeypatch, corpus):
             assert main(["verify", "--seed", "7", str(corpus)]) == 0
         counts = Counter(map(id, calls))
         # every input object is digested once, and so is each object a suite makes
-        assert len(inputs) == 400 and all(counts[id(obj)] == 1 for obj in inputs)
+        assert len(inputs) == 300 and all(counts[id(obj)] == 1 for obj in inputs)
         assert max(counts.values()) == 1
 
 
