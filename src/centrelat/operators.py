@@ -10,6 +10,7 @@ Fuglede-Putnam-Rosenblum transfer check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -71,6 +72,13 @@ class CentralOperator:
             raise DimensionMismatchError("operator and element dimensions differ")
         return ComplexElement(z.lattice, self.symbol * z.values)
 
+    @cached_property
+    def spectral_measure(self):
+        """mu_T, as ``spectral.build_mu_T`` returns it: built on the first read
+        and kept, since the symbol is read-only."""
+        from .spectral import OperatorSpectralMeasure, first_occurrence  # it imports this module
+        return OperatorSpectralMeasure(self, *first_occurrence(self.symbol))
+
     def conj(self) -> "CentralOperator":
         return CentralOperator(self.lattice, np.conj(self.symbol))
 
@@ -123,12 +131,18 @@ def norms(T: CentralOperator, samples: int = 1000, *, rng: np.random.Generator) 
     """Order unit / operator / regular norm of a central operator.
 
     All three equal max |symbol|.  The operator-norm value is certified by
-    exhibiting the attaining basis vector and by sampling ``samples`` (>= 0)
-    random unit vectors, none of which may exceed it beyond TOL_EXACT.
+    exhibiting the attaining basis vector and by ``samples`` (>= 0) sampled
+    ratios ||Tz|| / ||z||, none of which may exceed it beyond TOL_EXACT.
+
+    Each sample draws the moduli r = |z| directly, one Rayleigh(1) draw per
+    coordinate: the law of |z| for a standard complex Gaussian z.  For T
+    central |Tz| = |T||z|, and every lattice norm has ||z|| = || |z| ||, so
+    the ratio depends on z only through |z| and r gives the same law of
+    ratios as z.  T is still applied to each sample, as the product T r.
 
     ``max_sampled_ratio`` is the largest ratio of per-row norms, NaN left out,
-    over samples z != 0.  For a weighted p-norm, p finite, only candidate rows
-    of the p-th-power sums a of Tz and b of z take roots: where a, b or
+    over samples r != 0.  For a weighted p-norm, p finite, only candidate rows
+    of the p-th-power sums a of Tr and b of r take roots: where a, b or
     q = a / b is zero, subnormal, scaled or not finite, or q >= (1 - 16 (p + 1)
     eps) max q, a margin that holds the rounding of q and of two roots within
     2 ulps and their quotient.
@@ -140,22 +154,21 @@ def norms(T: CentralOperator, samples: int = 1000, *, rng: np.random.Generator) 
     worst = 0.0
     if samples > 0:
         n = T.lattice.dim
-        re, im = rng.standard_normal((samples, n)), rng.standard_normal((samples, n))
+        r = rng.rayleigh(size=(samples, n))
         spec = T.lattice.norm_spec
         powers = isinstance(spec, WeightedPNorm) and spec.p < np.inf
-        # per sample, the norms of Tz and z, or their sums and exponents
+        # per sample, the norms of Tr and r, or their sums and exponents
         (num, den), (num_e, den_e) = np.empty((2, samples)), np.zeros((2, samples), dtype=int)
         for rows in row_blocks(samples, n):
-            block = np.empty((len(re[rows]), n), dtype=complex)
-            block.real, block.imag = re[rows], im[rows]
+            block = r[rows]
             # numpy rounds (1,) * (1, 1) differently from (1,) * (1,), so a
             # one-row block takes the 1-D product that a single sample gets
-            tz = T.symbol * block if len(block) > 1 else (T.symbol * block[0])[None, :]
+            tr = T.symbol * block if len(block) > 1 else (T.symbol * block[0])[None, :]
             if powers:
-                num[rows], num_e[rows] = spec.sums(np.abs(tz))
-                den[rows], den_e[rows] = spec.sums(np.abs(block))
+                num[rows], num_e[rows] = spec.sums(np.abs(tr))
+                den[rows], den_e[rows] = spec.sums(block)
             else:
-                num[rows], den[rows] = spec.rows(np.abs(tz)), spec.rows(np.abs(block))
+                num[rows], den[rows] = spec.rows(np.abs(tr)), spec.rows(block)
         if powers:
             with np.errstate(all="ignore"):  # q is 0 on the rows taken anyway
                 abq = np.array([num, den, num / den])

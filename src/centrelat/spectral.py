@@ -273,8 +273,9 @@ def first_occurrence(symbol: np.ndarray) -> tuple[tuple[complex, ...], np.ndarra
 
 def build_mu_T(T: CentralOperator) -> OperatorSpectralMeasure:
     """Spectral measure of T: the image of the global measure under the symbol,
-    labelling each coordinate with the first-occurrence index of its value."""
-    return OperatorSpectralMeasure(T, *first_occurrence(T.symbol))
+    labelling each coordinate with the first-occurrence index of its value.
+    Each operator object builds it once and keeps it (``T.spectral_measure``)."""
+    return T.spectral_measure
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +292,14 @@ def _per_value(f, values: Sequence[complex]) -> np.ndarray:
     return table
 
 
-def rho_T(T: CentralOperator, f,
-          mu: Optional[OperatorSpectralMeasure] = None) -> CentralOperator:
+def rho_T(T: CentralOperator, f) -> CentralOperator:
     """Functional calculus: the order integral of f against the spectral measure.
 
-    ``f`` is a callable or one value per entry of ``mu.values``.  The bands of
-    mu_T are disjoint 0/1 projections, so the integral takes the value
-    f(values[k]) on band k: a table lookup through the labels.
+    ``f`` is a callable or one value per entry of ``build_mu_T(T).values``.
+    The bands of mu_T are disjoint 0/1 projections, so the integral takes the
+    value f(values[k]) on band k: a table lookup through the labels.
     """
-    mu = mu if mu is not None else build_mu_T(T)
+    mu = build_mu_T(T)
     return CentralOperator(T.lattice, _on_labels(_per_value(f, mu.values), mu.labels))
 
 

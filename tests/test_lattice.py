@@ -448,11 +448,10 @@ def test_stacked_witness_check_matches_the_per_term_loop(dim, m, extra, fault, s
 def _loop_calculus(T, fs, f, tail, z):
     """The calculus with one operator and one element per term, as the stacked
     one replaced, on tables: verdict, element verdict and dominating terms."""
-    mu = build_mu_T(T)
     tables = [np.asarray(g, dtype=complex) for g in fs]
     devs = [max(map(abs, (g - f).tolist())) for g in tables]
     running = np.maximum.accumulate(np.asarray(devs)[::-1])[::-1]
-    limit_op, ops = rho_T(T, f, mu), [rho_T(T, g, mu) for g in tables]
+    limit_op, ops = rho_T(T, f), [rho_T(T, g) for g in tables]
     verdict = _loop_check_witness([ComplexElement(T.lattice, op.symbol) for op in ops],
                                   ComplexElement(T.lattice, limit_op.symbol),
                                   tuple(r * np.ones(T.lattice.dim) for r in running), tail)

@@ -169,8 +169,10 @@ def test_norms_rejects_negative_samples(samples):
 
 
 def test_norms_with_zero_samples_checks_only_the_attaining_vector():
-    t = norms(central([1 + 1j, -2]), samples=0, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    t = norms(central([1 + 1j, -2]), samples=0, rng=rng)
     assert t.attained_at == 1 and t.max_sampled_ratio == 0.0
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_norms_weighted_lattice_certificate():
@@ -194,9 +196,10 @@ def test_norm_never_exceeded_random():
 
 
 def _sampled_ratio_per_row(T, samples, rng):
-    """Reference for norms(): the same draws, one ComplexElement per sample row."""
+    """Reference for norms(): the same draws of moduli, one ComplexElement per
+    sample row."""
     n = T.lattice.dim
-    zs = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+    zs = rng.rayleigh(size=(samples, n))
     worst = 0.0
     for row in zs:
         z = ComplexElement(T.lattice, row)
@@ -243,26 +246,107 @@ def test_norms_batched_ratio_is_bit_equal_to_per_row_loop(spec):
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
+_LAW_NORMS = {**_NORM_SPECS,
+              "p7": lambda dim: WeightedPNorm(tuple(np.linspace(0.5, 2.0, dim)), 7.0)}
+
+
+def _law_case(norm, dim, k, seed):
+    """A lattice, a symbol scaled by 2**k and three standard complex Gaussian rows."""
+    rng = np.random.default_rng(seed)
+    re, im = np.ldexp(rng.standard_normal((2, dim)), k)
+    T = CentralOperator(CoordinateLattice(dim, _LAW_NORMS[norm](dim)), re + 1j * im)
+    return T, rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+
+
+_LAW_CASES = (st.sampled_from(sorted(_LAW_NORMS)), st.integers(1, 2048),
+              st.sampled_from((-100, -40, 0, 40, 400, 1000)), st.integers(0, 2 ** 32 - 1))
+
+
+@given(*_LAW_CASES)
+@settings(max_examples=200, deadline=None)
+def test_lattice_norm_of_z_is_bit_equal_to_that_of_its_modulus(norm, dim, k, seed):
+    # ||z|| = || |z| || in every lattice norm, and np.abs(|z| + 0j) is |z| itself,
+    # so norms() may sample the moduli and keep the denominators' bits
+    T, zs = _law_case(norm, dim, k, seed)
+    for z in (*zs, *(T.symbol * zs)):
+        a, b = ComplexElement(T.lattice, z), ComplexElement(T.lattice, np.abs(z))
+        assert a.norm().hex() == b.norm().hex()
+
+
+def _ratio_bound(dim, spec):
+    """A bound on |R(z) / R(|z|) - 1|, R(z) = ||Tz|| / ||z|| as one row gives it.
+
+    With u = 2**-53 and gamma_k = k u / (1 - k u), to first order in u:
+
+    - Coordinates (Higham, Lemma 3.5): fl(s z) = s z (1 + d), |d| <= sqrt(2)
+      gamma_2.  s |z| takes |z| + 0j, so each part rounds once, |d| <= u.
+      numpy's complex modulus, on any of its kernels (max sqrt(1 + (min /
+      max)**2) at worst), adds |e| <= gamma_4.  So a_i = |T z|_i and b_i =
+      |T |z||_i both equal |s_i||z_i| within rho = sqrt(2) gamma_2 + u + 2
+      gamma_4 of each other.
+    - ||z|| and || |z| || have the same bits (the test above), so only the
+      numerators ||a|| and ||b|| and the two divisions (u each) differ.
+    - A lattice norm is monotone and homogeneous, so the max norm keeps rho;
+      the weighted sup norm adds one product per side, 2u.
+    - A weighted p-norm, p finite, is S**q with S = sum w_i x_i**p and q =
+      fl(1/p).  Per term, the ratio of a's to b's is (1 + rho)**p, times a
+      power within one ulp and a product per side, 2 (2u) + 2u.  The sums
+      of n nonnegative terms each round by at most gamma_(n-1) (Higham §4),
+      and q <= (1 + u) / p, so S_a**q / S_b**q adds (6u + 2 gamma_(n-1)) / p
+      to rho.  Python's root is within one ulp, 2u per side.  A row whose sum
+      overflows is summed divided by 2**e, and scaled back by 2**e; that is
+      exact up to terms below 2**-1000 of the sum, and where the two sides
+      take different e (|e| <= 1100), 2**(e p q - e) adds at most 1100 u ln 2.
+    - No p-th power underflows: the symbols' scale is at least 2**-100, and
+      (2**-100 x)**7 is normal for every |x| > 2**-46.
+
+    Doubling the first-order total covers every second-order term, since the
+    total stays below 1e-11.
+    """
+    u = 2.0 ** -53
+    gamma = lambda k: k * u / (1 - k * u)
+    rho = math.sqrt(2) * gamma(2) + u + 2 * gamma(4)
+    if isinstance(spec, MaxNorm):
+        total = rho
+    elif math.isinf(spec.p):
+        total = rho + 2 * u
+    else:
+        total = (rho + (6 * u + 2 * gamma(dim - 1)) / spec.p + 4 * u
+                 + 1100 * u * math.log(2))
+    return 2 * (total + 2 * u)
+
+
+@given(*_LAW_CASES)
+@settings(max_examples=200, deadline=None)
+def test_sampled_ratio_on_z_and_on_its_modulus_agree_within_rounding(norm, dim, k, seed):
+    T, zs = _law_case(norm, dim, k, seed)
+    bound = _ratio_bound(dim, T.lattice.norm_spec)
+    for z in zs:
+        on_z, on_modulus = (T.apply(x).norm() / x.norm()
+                            for x in (ComplexElement(T.lattice, z),
+                                      ComplexElement(T.lattice, np.abs(z))))
+        assert abs(on_z - on_modulus) <= bound * on_modulus
+
+
 class _Draws:
-    """A generator stand-in whose standard_normal returns the given arrays in turn."""
+    """A generator stand-in whose rayleigh returns the given arrays in turn."""
 
     def __init__(self, *arrays):
         self.arrays = list(arrays)
 
-    def standard_normal(self, shape):
+    def rayleigh(self, scale=1.0, size=None):
         out = self.arrays.pop(0)
-        assert out.shape == shape
+        assert scale == 1.0 and out.shape == size
         return out.copy()
 
 
-#: Per kind of sample row, the row made from a drawn (2, dim) base of its
-#: real and imaginary parts: near ties, zeros, subnormals, and rows whose
-#: p-th powers overflow.
+#: Per kind of sample row, the row of moduli made from a drawn base row:
+#: near ties, zeros, subnormals, and rows whose p-th powers overflow.
 _EDGE_ROWS = {
     "base": lambda base, rng: base,
     "one-ulp": lambda base, rng: np.nextafter(base, np.inf),
     "two-ulps": lambda base, rng: np.nextafter(np.nextafter(base, np.inf), np.inf),
-    "drawn": lambda base, rng: rng.standard_normal(base.shape),
+    "drawn": lambda base, rng: rng.rayleigh(size=base.shape),
     "zero": lambda base, rng: np.zeros_like(base),
     "subnormal": lambda base, rng: np.ldexp(base, -1070),
     "huge": lambda base, rng: np.ldexp(base, 400),
@@ -289,10 +373,10 @@ def test_norms_ratio_on_edge_rows_is_bit_equal_to_per_row_loop(p, dim, symbol, k
     rng = np.random.default_rng(seed)
     norm = MaxNorm() if p is None else WeightedPNorm(tuple(np.linspace(0.5, 2.0, dim)), p)
     T = CentralOperator(CoordinateLattice(dim, norm), _EDGE_SYMBOLS[symbol](rng, dim))
-    base = rng.standard_normal((2, dim))
-    re, im = np.stack([_EDGE_ROWS[kind](base, rng) for kind in kinds], axis=1)
-    got = norms(T, samples=len(kinds), rng=_Draws(re, im)).max_sampled_ratio
-    want = _sampled_ratio_per_row(T, len(kinds), _Draws(re, im))
+    base = rng.rayleigh(size=dim)
+    rows = np.stack([_EDGE_ROWS[kind](base, rng) for kind in kinds])
+    got = norms(T, samples=len(kinds), rng=_Draws(rows)).max_sampled_ratio
+    want = _sampled_ratio_per_row(T, len(kinds), _Draws(rows))
     assert got.hex() == want.hex()
 
 

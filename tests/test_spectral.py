@@ -805,7 +805,7 @@ def test_label_core_matches_dense_masks(symbols, fname, data):
     if data is not None:
         table = [complex(data.draw(st.sampled_from(_PARTS)), data.draw(st.sampled_from(_PARTS)))
                  for _ in values]
-        assert _same_bits(rho_T(T, table, mu).symbol, _reference_rho(T, table))
+        assert _same_bits(rho_T(T, table).symbol, _reference_rho(T, table))
         where = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
         assert _same_bits(mu.measure_of(where).symbol, _reference_measure_of(T, where))
 

@@ -411,6 +411,28 @@ def test_annihilation_builds_the_polynomial_once_per_central_instance(monkeypatc
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ANNIHILATION_SEED7_SHA256
 
 
+def test_verify_builds_mu_T_once_per_operator(monkeypatch, corpus):
+    """Each operator object keeps its mu_T, so a verify builds one for each of
+    the 100 central instances and one for the calculus suite's rho_T(T, fa)."""
+    calls, real = [], spectral.first_occurrence
+
+    def counting(symbol):
+        calls.append(np.asarray(symbol).tobytes())
+        return real(symbol)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "centrelat" and getattr(module, "first_occurrence", None) is real:
+            monkeypatch.setattr(module, "first_occurrence", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--seed", "7", str(corpus)]) == 0
+    assert len(calls) == 200
+    counts = Counter(calls)
+    instances = cio.read_instances([corpus])["central"]
+    assert all(counts[T.symbol.tobytes()] == 1 for T in instances)
+    T = instances[0]
+    assert spectral.build_mu_T(T) is spectral.build_mu_T(T) is T.spectral_measure
+
+
 # ---------------------------------------------------------------------------
 # instance digests, each computed once per run_suites call
 # ---------------------------------------------------------------------------
